@@ -12,9 +12,11 @@ Three group kinds are supported:
              sin^2(t/2)/pi, Gauss-Legendre in the axis polar cosine, and a
              uniform azimuth, renormalized to total weight one.
 
-All integration goes through ``math.fsum`` so sums are correctly rounded:
-deterministic, independent of node order, and exactly invariant under the
-node permutations induced by finite-group translations.
+Scalar integration goes through ``math.fsum`` so sums are correctly
+rounded: deterministic, independent of node order, and exactly invariant
+under the node permutations induced by finite-group translations.  Matrix
+integrals go through one averaging contraction, ``integrate_product``: a
+single weighted GEMM over the nodes.
 """
 
 from __future__ import annotations
@@ -138,6 +140,9 @@ class FiniteGroup:
     def invert_nodes(self, nodes):
         return self.inverse_table[nodes]
 
+    def multiply_nodes(self, xs, ys):
+        return self.mult_table[xs, ys]
+
 
 class CircleGroup:
     """The rotation group of the plane; elements are angles in [0, 2pi)."""
@@ -173,6 +178,9 @@ class CircleGroup:
     def invert_nodes(self, nodes):
         return (-nodes) % (2 * np.pi)
 
+    def multiply_nodes(self, xs, ys):
+        return (np.asarray(xs, dtype=float) + ys) % (2 * np.pi)
+
 
 class SU2Group:
     """2x2 special-unitary matrices.
@@ -196,23 +204,38 @@ class SU2Group:
         U = np.asarray(g)
         if U.shape != (2, 2):
             raise KindMismatchError(f"su2 elements are 2x2 matrices, got shape {U.shape}")
+        return self._elements(U[None])[0]
+
+    def _elements(self, nodes):
+        """Validate a stack of group elements (n, 2, 2)."""
+        U = np.asarray(nodes)
+        if U.ndim != 3 or U.shape[1:] != (2, 2):
+            raise KindMismatchError(f"su2 node stacks have shape (n, 2, 2), got {U.shape}")
         U = U.astype(complex, copy=False)
-        if linalg.max_abs(U.conj().T @ U - np.eye(2)) > SU2_UNITARITY_TOL:
+        if linalg.max_abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2)) > SU2_UNITARITY_TOL:
             raise KindMismatchError("matrix is not unitary within tolerance")
-        if abs(np.linalg.det(U) - 1.0) > SU2_UNITARITY_TOL:
+        if linalg.max_abs(np.linalg.det(U) - 1.0) > SU2_UNITARITY_TOL:
             raise KindMismatchError("matrix determinant is not 1 within tolerance")
         return U
 
     def project(self, U):
-        """Nearest special-unitary matrix (polar projection, det renormalized)."""
+        """Nearest special-unitary matrix (polar projection, det renormalized);
+        works on one matrix or on a stack."""
         W, _, Vh = np.linalg.svd(U)
         P = W @ Vh
-        return P / np.sqrt(np.linalg.det(P))
+        return P / np.sqrt(np.linalg.det(P))[..., None, None]
 
     def multiply(self, g, h):
-        U = self._element(g) @ self._element(h)
-        if linalg.max_abs(U.conj().T @ U - np.eye(2)) > SU2_DRIFT_TOL:
-            U = self.project(U)
+        return self.multiply_nodes(self._element(g)[None], self._element(h)[None])[0]
+
+    def multiply_nodes(self, xs, ys):
+        """Products of two validated node stacks, each re-projected onto the
+        group when its unitarity drift exceeds SU2_DRIFT_TOL."""
+        U = self._elements(xs) @ self._elements(ys)
+        drift = np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2)).max(axis=(1, 2))
+        drifted = drift > SU2_DRIFT_TOL
+        if drifted.any():
+            U[drifted] = self.project(U[drifted])
         return U
 
     def inverse(self, g):
@@ -386,20 +409,45 @@ def integrate_values(rule: HaarRule, values: np.ndarray) -> complex:
     return _weighted_fsum(values, rule.weights)
 
 
-def integrate_stacked(rule: HaarRule, stacked: np.ndarray) -> np.ndarray:
-    """Entrywise weighted sum of precomputed per-node matrices (n, r, s).
+def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The averaging contraction: sum over nodes of w_n X_n^T Y_n, for node
+    stacks X of shape (n, k, a) and Y of shape (n, k, b); returns (a, b).
 
-    Matrix integrals reduce with numpy's pairwise summation over the fixed
-    node order (deterministic run to run); the scalar path keeps the stronger
+    With k = 1 this is the averaged outer product of the flattened node
+    matrices (integrate X_n (x) Y_n), from which commutants, invariant forms
+    and matrix-element integrals are read off; with k > 1 it also contracts
+    the shared middle index, as in the averaged Gram matrix rho* rho.  Either
+    way it is a single GEMM of shape (a x n*k) (n*k x b) with the weights
+    folded into the narrower operand.  Sums run in BLAS over the fixed node
+    order (deterministic run to run); the scalar path keeps the stronger
     correctly-rounded accumulation.
     """
+    X = np.asarray(X, dtype=complex)
+    Y = np.asarray(Y, dtype=complex)
+    n = rule.node_count
+    if X.ndim != 3 or Y.ndim != 3 or X.shape[:2] != Y.shape[:2] or X.shape[0] != n:
+        raise ShapeMismatchError(
+            f"expected ({n}, k, a) and ({n}, k, b) node stacks, got shapes {X.shape} and {Y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise EvaluationFailureError("integrand has a non-finite entry at some node")
+    k = X.shape[1]
+    w = np.repeat(rule.weights, k)[:, None]
+    Xf, Yf = X.reshape(n * k, -1), Y.reshape(n * k, -1)
+    if Xf.shape[1] <= Yf.shape[1]:
+        return (w * Xf).T @ Yf
+    return Xf.T @ (w * Yf)
+
+
+def integrate_stacked(rule: HaarRule, stacked: np.ndarray) -> np.ndarray:
+    """Entrywise weighted sum of precomputed per-node matrices (n, r, s):
+    the contraction against the constant function one."""
     stacked = np.asarray(stacked, dtype=complex)
     if stacked.ndim != 3 or stacked.shape[0] != rule.node_count:
         raise ShapeMismatchError(
             f"expected ({rule.node_count}, r, s) node matrices, got shape {stacked.shape}")
-    if not np.isfinite(stacked).all():
-        raise EvaluationFailureError("integrand has a non-finite entry at some node")
-    return np.tensordot(rule.weights, stacked, axes=(0, 0))
+    n, r, s = stacked.shape
+    ones = np.ones((n, 1, 1))
+    return integrate_product(rule, stacked.reshape(n, 1, r * s), ones).reshape(r, s)
 
 
 def integrate_matrix(rule: HaarRule, F) -> np.ndarray:

@@ -45,6 +45,17 @@ def max_abs(m) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
+def sandwich(A, stack, B) -> np.ndarray:
+    """A M_n B for every matrix M_n of a stack (n, r, s).
+
+    The right factor is one reshaped GEMM over all nodes; the left factor is
+    a single broadcast product, which measured faster than a second GEMM
+    because that needs a transposed copy of the whole stack.
+    """
+    n, r, s = stack.shape
+    return np.matmul(A, (stack.reshape(n * r, s) @ B).reshape(n, r, B.shape[1]))
+
+
 def _require_square(H: np.ndarray) -> None:
     if H.shape[0] != H.shape[1]:
         raise NotSquareError(f"matrix is {H.shape[0]}x{H.shape[1]}")

@@ -2,11 +2,14 @@
 orthogonality integrals.
 
 The workhorse is group averaging: T(A) = integral of rho(x) A sigma(x^-1) is
-an intertwiner for any seed matrix A, and averaging the full elementary
-matrix basis projects onto the commutant.  Scalar commutant (dimension one)
-is the irreducibility criterion; a non-scalar commutant element is Hermitian
-up to splitting into parts, and its eigenspaces are invariant subspaces
-along which reducible representations are split into blocks.
+an intertwiner for any seed matrix A.  For sigma = rho, the map A -> T(A) is
+the projection onto the commutant; its r^2 x r^2 matrix is one averaging
+contraction of rho against rho^-1 over the rule nodes, and the commutant is
+its row space.  The same contraction of rho against conj(rho) gives every
+matrix-element integral at once.  Scalar commutant (dimension one) is the
+irreducibility criterion; a non-scalar commutant element is Hermitian up to
+splitting into parts, and its eigenspaces are invariant subspaces along
+which reducible representations are split into blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     RuleMismatchError,
     ShapeMismatchError,
 )
-from .groups import HaarRule, integrate_stacked, integrate_values
+from .groups import HaarRule, integrate_product, integrate_stacked, integrate_values
 from .representations import (
     BlockRepresentation,
     Character,
@@ -83,25 +86,56 @@ class CommutantReport:
 
 
 def commutant(rep: Representation, rule: HaarRule, *, rank_tol: float = RANK_TOL) -> CommutantReport:
-    """Project every elementary matrix onto the commutant by averaging and
-    extract a linearly independent orthonormal basis of the results."""
+    """Orthonormal basis of the commutant, read off the averaged superoperator.
+
+    The map A -> integral of rho(x) A rho(x^-1) projects every matrix onto
+    the commutant.  Its r^2 x r^2 matrix comes from one averaging contraction
+    of rho against rho^-1 over the rule nodes, and its row space, cut off at
+    ``rank_tol`` times the largest singular value, is the commutant.
+    """
     _check_groups(rule, rep)
     r = rep.degree
+    n = rule.node_count
     mats = rep.evaluate_batch(rule.nodes)
     mats_inv = rep.evaluate_batch(rule.group.invert_nodes(rule.nodes))
-    rows = np.empty((r * r, r * r), dtype=complex)
-    for k in range(r):
-        for l in range(r):
-            # rho(x) E_kl rho(x^-1) has entries rho_ik * rhoinv_lj
-            stacked = mats[:, :, k][:, :, None] * mats_inv[:, l, :][:, None, :]
-            rows[k * r + l] = integrate_stacked(rule, stacked).reshape(-1)
+    # outer[i, k, l, j] = integral of rho_ik rhoinv_lj, the (i, j) entry of
+    # the average of rho E_kl rho^-1; row (k, l) of the superoperator
+    outer = integrate_product(rule, mats.reshape(n, 1, r * r), mats_inv.reshape(n, 1, r * r))
+    rows = outer.reshape(r, r, r, r).transpose(1, 2, 0, 3).reshape(r * r, r * r)
     _, s, Vh = np.linalg.svd(rows)
     rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    basis = [Vh[i].reshape(r, r) for i in range(rank)]
+    basis = Vh[:rank].reshape(rank, r, r)
+    residual = _commutation_residual(mats, basis)
+    return CommutantReport(dimension=rank, basis=list(basis), max_residual=residual)
+
+
+def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
+    """max |rho B - B rho| over every node and basis element.
+
+    Runs over chunks of (node, basis element) pairs, two GEMMs per chunk,
+    with at most n/4 pairs per chunk so the temporaries (the two products,
+    a transposed copy of the node chunk and the modulus) stay below the
+    size of ``mats``.
+    """
+    n, r, _ = mats.shape
+    m = basis.shape[0]
+    pairs = max(1, n // 4)
+    per_b = max(1, min(m, pairs))
+    per_n = max(1, pairs // per_b)
     residual = 0.0
-    for B in basis:
-        residual = max(residual, linalg.max_abs(mats @ B[None] - B[None] @ mats))
-    return CommutantReport(dimension=rank, basis=basis, max_residual=residual)
+    for b0 in range(0, m, per_b):
+        B = basis[b0:b0 + per_b]
+        b = B.shape[0]
+        right = B.transpose(1, 0, 2).reshape(r, b * r)     # [k, (b, j)]
+        left = B.reshape(b * r, r)                          # [(b, i), k]
+        for n0 in range(0, n, per_n):
+            chunk = mats[n0:n0 + per_n]
+            c = chunk.shape[0]
+            rho_b = (chunk.reshape(c * r, r) @ right).reshape(c, r, b, r)
+            b_rho = (left @ chunk.transpose(1, 0, 2).reshape(r, c * r)).reshape(b, r, c, r)
+            rho_b -= b_rho.transpose(2, 1, 0, 3)
+            residual = max(residual, linalg.max_abs(rho_b))
+    return residual
 
 
 def _ensure_unitary(rep: Representation, rule: HaarRule):
@@ -166,7 +200,7 @@ def _materialize_blocks(rep: Representation, P: np.ndarray, P_inv: np.ndarray,
     finite groups, block projections of the parent otherwise."""
     blocks = []
     if rep.group.kind == "finite":
-        full = P[None] @ rep.evaluate_batch(np.arange(rep.group.order)) @ P_inv[None]
+        full = linalg.sandwich(P, rep.evaluate_batch(np.arange(rep.group.order)), P_inv)
         offset = 0
         for size in sizes:
             sl = slice(offset, offset + size)
@@ -262,7 +296,7 @@ def decompose(rep: Representation, rule: HaarRule) -> DecompositionReport:
     blocks = _materialize_blocks(rep, P, P_inv, sizes)
     block_chars = [character(b, rule) for b in blocks]
 
-    full = P[None] @ rep.evaluate_batch(rule.nodes) @ P_inv[None]
+    full = linalg.sandwich(P, rep.evaluate_batch(rule.nodes), P_inv)
     mask = np.ones((rep.degree, rep.degree), dtype=bool)
     offset = 0
     for size in sizes:
@@ -306,15 +340,9 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     if not irreducibility_test(rep, rule):
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     r = rep.degree
-    flat = rep.evaluate_batch(rule.nodes).reshape(rule.node_count, r * r)
-    worst = 0.0
-    for p in range(r * r):
-        stacked = (flat[:, p][:, None] * np.conj(flat))[:, None, :]
-        row = integrate_stacked(rule, stacked)[0]
-        target = np.zeros(r * r)
-        target[p] = 1.0 / r
-        worst = max(worst, float(np.abs(row - target).max()))
-    return worst
+    flat = rep.evaluate_batch(rule.nodes).reshape(rule.node_count, 1, r * r)
+    gram = integrate_product(rule, flat, flat.conj())
+    return linalg.max_abs(gram - np.eye(r * r) / r)
 
 
 def multiplicity(rep: Representation, irrep: Representation, rule: HaarRule) -> int:

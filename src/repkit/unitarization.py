@@ -3,11 +3,12 @@
 Averaging the standard inner product over the group produces a positive
 definite Hermitian form H invariant under the representation; the Cholesky
 factor A of H (H = A* A) is a change of basis after which the representation
-is unitary.  The same averaging, applied to a full Hermitian basis, yields
-the space of *all* invariant Hermitian forms; its real dimension d is the
-uniqueness certificate reported by ``specialness_report`` (d = 1 means the
-invariant form, hence the equivalent unitary representation, is unique up to
-scale).
+is unitary.  The averaging map B -> integral of rho* B rho itself comes from
+one averaging contraction of conj(rho) against rho; written in real
+Hermitian coordinates, its fixed space is the space of *all* invariant
+Hermitian forms.  That space's real dimension d is the uniqueness
+certificate reported by ``specialness_report`` (d = 1 means the invariant
+form, hence the equivalent unitary representation, is unique up to scale).
 
 Compactness is what makes the averaging exist.  The classic counterexample
 to keep in mind is the 2x2 representation A -> [[1, log|det A|], [0, 1]] of
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import GroupMismatchError, NotPositiveDefiniteError
-from .groups import HaarRule, integrate_stacked
+from .groups import HaarRule, integrate_product
 from .representations import Representation, conjugate, unitarity_audit
 
 RANK_TOL = 1e-7
@@ -64,7 +65,7 @@ def averaged_form(rep: Representation, rule: HaarRule, *,
     """
     _check_rule(rep, rule)
     mats = rep.evaluate_batch(rule.nodes)
-    H = integrate_stacked(rule, mats.conj().transpose(0, 2, 1) @ mats)
+    H = integrate_product(rule, mats.conj(), mats)
     H = (H + H.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
     if w[0] <= definiteness_tol:
@@ -89,69 +90,74 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     )
 
 
-def hermitian_basis(r: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) real basis of the r x r Hermitian matrices."""
-    basis = []
-    for i in range(r):
-        D = np.zeros((r, r), dtype=complex)
-        D[i, i] = 1.0
-        basis.append(D)
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            S = np.zeros((r, r), dtype=complex)
-            S[i, j] = S[j, i] = s
-            basis.append(S)
-            A = np.zeros((r, r), dtype=complex)
-            A[i, j] = 1j * s
-            A[j, i] = -1j * s
-            basis.append(A)
-    return basis
+def hermitian_coords(H: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices (..., r, r) in the orthonormal
+    (Frobenius) basis of the Hermitian matrices, ordered as: the r diagonal
+    entries, then sqrt(2) Re and sqrt(2) Im of each upper-triangle entry
+    (row by row)."""
+    H = np.asarray(H)
+    r = H.shape[-1]
+    iu, ju = np.triu_indices(r, 1)
+    upper = np.sqrt(2.0) * H[..., iu, ju]
+    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(*H.shape[:-2], -1)
+    return np.concatenate([np.diagonal(H, axis1=-2, axis2=-1).real, pairs], axis=-1)
 
 
-def hermitian_coords(H: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    return np.array([np.trace(B.conj().T @ H).real for B in basis])
+def _hermitian_from_coords(v: np.ndarray, r: int) -> np.ndarray:
+    """Inverse of ``hermitian_coords`` on the last axis of ``v``."""
+    v = np.asarray(v)
+    iu, ju = np.triu_indices(r, 1)
+    upper = (v[..., r::2] + 1j * v[..., r + 1::2]) / np.sqrt(2.0)
+    H = np.zeros(v.shape[:-1] + (r, r), dtype=complex)
+    H[..., np.arange(r), np.arange(r)] = v[..., :r]
+    H[..., iu, ju] = upper
+    H[..., ju, iu] = upper.conj()
+    return H
 
 
-def coords_to_hermitian(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(basis[0])
-    for coeff, B in zip(v, basis):
-        out = out + coeff * B
-    return out
+def _on_hermitian_basis(images: np.ndarray) -> np.ndarray:
+    """Values of a linear map at the Hermitian basis elements, in the
+    ``hermitian_coords`` order, from its values images[k, l] at the
+    elementary matrices E_kl."""
+    r = images.shape[0]
+    iu, ju = np.triu_indices(r, 1)
+    a, b = images[iu, ju], images[ju, iu]
+    s = np.sqrt(0.5)
+    pairs = np.stack([s * (a + b), 1j * s * (a - b)], axis=1).reshape(-1, *images.shape[2:])
+    return np.concatenate([images[np.arange(r), np.arange(r)], pairs])
 
 
 def invariant_form_space(rep: Representation, rule: HaarRule, *,
                          rank_tol: float = RANK_TOL) -> tuple[list[HermitianForm], int]:
     """Real basis of the Hermitian matrices H with rho(x)* H rho(x) = H.
 
-    Computed as the fixed space of the averaging map B -> integral of
-    rho* B rho, i.e. the nullspace of (averaging - identity) on Hermitian
-    coordinates, with singular values below ``rank_tol`` times the largest
-    treated as zero.
+    The averaging map B -> integral of rho* B rho comes from one averaging
+    contraction of conj(rho) against rho over the rule nodes.  It is written
+    in ``hermitian_coords`` by index arithmetic, and the invariant forms are
+    the nullspace of (averaging - identity), with singular values below
+    ``rank_tol`` times the largest treated as zero.
     """
     _check_rule(rep, rule)
     r = rep.degree
-    basis = hermitian_basis(r)
-    mats = rep.evaluate_batch(rule.nodes)
-    conj_t = mats.conj().transpose(0, 2, 1)
-    L = np.empty((r * r, r * r))
-    for q, B in enumerate(basis):
-        avg = integrate_stacked(rule, conj_t @ B[None] @ mats)
-        avg = (avg + avg.conj().T) / 2.0
-        L[:, q] = hermitian_coords(avg, basis)
+    n = rule.node_count
+    mats = rep.evaluate_batch(rule.nodes).reshape(n, 1, r * r)
+    # outer[k, i, l, j] = integral of conj(rho_ki) rho_lj, the (i, j) entry
+    # of the average of rho* E_kl rho
+    outer = integrate_product(rule, mats.conj(), mats).reshape(r, r, r, r)
+    images = _on_hermitian_basis(outer.transpose(0, 2, 1, 3))
+    L = hermitian_coords(images).T
     defect = L - np.eye(r * r)
     # the averaging map has unit scale, so rank decisions are cut off at
     # rank_tol * max(1, |defect|); a pure-noise defect means every form is fixed
     smax = float(np.linalg.svd(defect, compute_uv=False)[0])
     if smax <= rank_tol:
-        null_vecs = [row for row in np.eye(r * r)]
+        null_vecs = np.eye(r * r)
     else:
-        null_vecs = linalg.solve_nullspace(defect, rank_tol * max(1.0, smax) / smax)
-    forms = []
-    for v in null_vecs:
-        H = coords_to_hermitian(np.real(v), basis)
-        w = np.linalg.eigvalsh(H)
-        forms.append(HermitianForm(gram=H, definiteness=float(w[0])))
+        null_vecs = np.reshape(linalg.solve_nullspace(defect, rank_tol * max(1.0, smax) / smax),
+                               (-1, r * r))
+    grams = _hermitian_from_coords(np.real(null_vecs), r)
+    lowest = np.linalg.eigvalsh(grams)[:, 0]
+    forms = [HermitianForm(gram=H, definiteness=float(w)) for H, w in zip(grams, lowest)]
     return forms, len(forms)
 
 

@@ -84,6 +84,31 @@ def test_homomorphism_audit_detects_corruption(z3):
     assert rk.homomorphism_audit(rep) >= 0.5
 
 
+def test_homomorphism_audit_samples_pairs_above_order_100():
+    # rho(even) = 1, rho(1 mod 4) = -1, rho(3 mod 4) = +1 is constant on the
+    # diagonal pairs (g, g) but not a homomorphism: rho(3) != rho(1) rho(2)
+    z128 = rk.cyclic_group(128)
+    signs = [1.0 if g % 2 == 0 or g % 4 == 3 else -1.0 for g in range(128)]
+    rep = rk.FiniteTableRepresentation(z128, np.array(signs).reshape(128, 1, 1))
+    assert rk.homomorphism_audit(rep) == 2.0
+    assert rk.homomorphism_audit(rk.cyclic_phase_rep(z128, [5])) <= 1e-12
+
+
+def test_homomorphism_audit_batched_su2_validates_and_reprojects(su2):
+    xs = np.asarray(rk.enumerate_or_sample(su2, 50, seed=4))
+    ys = np.asarray(rk.enumerate_or_sample(su2, 50, seed=5))
+    products = su2.multiply_nodes(xs, ys)
+    for x, y, xy in zip(xs, ys, products):
+        assert np.abs(xy - su2.multiply(x, y)).max() <= 1e-15
+    drifted = xs * (1 + 1e-11)
+    fixed = su2.multiply_nodes(drifted, ys)
+    assert np.abs(fixed.conj().transpose(0, 2, 1) @ fixed - np.eye(2)).max() <= 1e-12
+    with pytest.raises(rk.KindMismatchError):
+        su2.multiply_nodes(xs * 1.1, ys)
+    with pytest.raises(rk.KindMismatchError):
+        su2.multiply_nodes(xs[:, :1], ys)
+
+
 # --- combinators -------------------------------------------------------------
 
 def test_direct_sum_trivial(z2):
