@@ -4,12 +4,18 @@ orthogonality integrals.
 The workhorse is group averaging: T(A) = integral of rho(x) A sigma(x^-1) is
 an intertwiner for any seed matrix A.  For sigma = rho, the map A -> T(A) is
 the projection onto the commutant; its r^2 x r^2 matrix is one averaging
-contraction of rho against rho^-1 over the rule nodes, and the commutant is
-its row space.  The same contraction of rho against conj(rho) gives every
-matrix-element integral at once.  Scalar commutant (dimension one) is the
-irreducibility criterion; a non-scalar commutant element is Hermitian up to
-splitting into parts, and its eigenspaces are invariant subspaces along
-which reducible representations are split into blocks.
+contraction of rho against rho^-1 over the rule nodes, the commutant is its
+row space, and its trace is the character norm integral of |chi|^2.  The same
+contraction of rho against conj(rho) gives every matrix-element integral at
+once.  Scalar commutant (dimension one) is the irreducibility criterion.
+
+Splitting rests on Schur's lemma: the commutant of a unitary representation
+is a direct sum of full matrix algebras M_{m_i}, one per isotypic component,
+so the eigenspaces of one generic Hermitian commutant element are already
+the irreducible blocks.  One commutant and one eigendecomposition split a
+representation completely; the character norms of the blocks and of the
+whole are checked against 1 and against the commutant dimension, so an
+under-resolved rule is refused instead of giving wrong blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
 )
 from .groups import HaarRule, integrate_product, integrate_stacked, integrate_values
 from .representations import (
+    IDENTITY_TOL,
     BlockRepresentation,
     Character,
     FiniteTableRepresentation,
@@ -40,7 +47,8 @@ from .unitarization import unitarize
 
 RANK_TOL = 1e-7
 UNITARY_TOL = 1e-8
-EIGENVALUE_GAP = 1e-6
+CLUSTER_GAP = 1e-6
+SPLIT_SEED = 0
 MULTIPLICITY_WINDOW = 0.05
 
 
@@ -70,11 +78,14 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
 @dataclass(frozen=True, eq=False)
 class CommutantReport:
     """Orthonormal basis (Frobenius) of matrices commuting with the whole
-    representation, with the worst commutation defect over the rule nodes."""
+    representation, with the worst commutation defect over the rule nodes
+    and the character norm (integral of chi(x) chi(x^-1), which equals the
+    dimension when the rule resolves the representation)."""
 
     dimension: int
     basis: list[np.ndarray]
     max_residual: float
+    character_norm: float
 
     def to_json_dict(self) -> dict:
         from .serialize import matrix_to_json
@@ -91,7 +102,8 @@ def commutant(rep: Representation, rule: HaarRule, *, rank_tol: float = RANK_TOL
     The map A -> integral of rho(x) A rho(x^-1) projects every matrix onto
     the commutant.  Its r^2 x r^2 matrix comes from one averaging contraction
     of rho against rho^-1 over the rule nodes, and its row space, cut off at
-    ``rank_tol`` times the largest singular value, is the commutant.
+    ``rank_tol`` times the largest singular value, is the commutant.  Its
+    trace is the character norm.
     """
     _check_groups(rule, rep)
     r = rep.degree
@@ -106,7 +118,8 @@ def commutant(rep: Representation, rule: HaarRule, *, rank_tol: float = RANK_TOL
     rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
     basis = Vh[:rank].reshape(rank, r, r)
     residual = _commutation_residual(mats, basis)
-    return CommutantReport(dimension=rank, basis=list(basis), max_residual=residual)
+    return CommutantReport(dimension=rank, basis=list(basis), max_residual=residual,
+                           character_norm=float(np.trace(rows).real))
 
 
 def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
@@ -155,114 +168,69 @@ def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
     return commutant(work, rule).dimension == 1
 
 
-def _eigen_clusters(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
-    """Contiguous index ranges of ascending eigenvalues separated by more
-    than ``gap``."""
-    ranges = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > gap:
-            ranges.append((start, i))
-            start = i
-    ranges.append((start, len(w)))
-    return ranges
-
-
-def _splitting_eigensystem(report: CommutantReport, r: int):
-    """Eigen-decomposition of a non-scalar Hermitian commutant element.
-
-    Takes the first commutant basis element whose Hermitian part (or
-    i times the anti-Hermitian part, whichever deviates more from a scalar)
-    has at least two eigenvalue clusters; returns (eigenvalues, vectors,
-    cluster ranges) or None when every element is effectively scalar.
-    """
-    eye = np.eye(r)
-    for T in report.basis:
-        herm = (T + T.conj().T) / 2.0
-        anti = (T - T.conj().T) / 2j
-        scored = []
-        for H in (herm, anti):
-            scored.append((linalg.max_abs(H - (np.trace(H) / r) * eye), H))
-        scored.sort(key=lambda pair: pair[0], reverse=True)
-        deviation, H = scored[0]
-        if deviation <= EIGENVALUE_GAP:
-            continue
-        w, V = linalg.hermitian_eigensystem(H)
-        clusters = _eigen_clusters(w, EIGENVALUE_GAP)
-        if len(clusters) >= 2:
-            return w, V, clusters
-    return None
+def _rule_name(rule: HaarRule) -> str:
+    return f"the {rule.group.kind} rule at resolution {rule.resolution} ({rule.node_count} nodes)"
 
 
 def _materialize_blocks(rep: Representation, P: np.ndarray, P_inv: np.ndarray,
                         sizes: list[int]) -> list[Representation]:
     """Diagonal blocks of P rho P^-1 as representations: explicit tables over
     finite groups, block projections of the parent otherwise."""
-    blocks = []
-    if rep.group.kind == "finite":
-        full = linalg.sandwich(P, rep.evaluate_batch(np.arange(rep.group.order)), P_inv)
-        offset = 0
-        for size in sizes:
-            sl = slice(offset, offset + size)
-            blocks.append(FiniteTableRepresentation(rep.group, full[:, sl, sl]))
-            offset += size
-    else:
-        offset = 0
-        for size in sizes:
-            blocks.append(BlockRepresentation(rep, P, offset, size, P_inv=P_inv))
-            offset += size
-    return blocks
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    if rep.group.kind != "finite":
+        return [BlockRepresentation(rep, P, o, d, P_inv=P_inv) for o, d in zip(offsets, sizes)]
+    full = linalg.sandwich(P, rep.evaluate_batch(np.arange(rep.group.order)), P_inv)
+    return [FiniteTableRepresentation(rep.group, full[:, o:o + d, o:o + d]) for o, d in zip(offsets, sizes)]
 
 
 def split_once(rep: Representation, rule: HaarRule):
     """Split a reducible representation into two invariant blocks.
 
-    Returns (P, (part_a, part_b)) with P rho(x) P^-1 block-diagonal.  P is
-    unitary when the input already was; otherwise it includes the
-    unitarization change of basis.  Raises AlreadyIrreducibleError when the
-    commutant is scalar.
+    The same eigen-step as ``decompose``, cut into the first eigenvalue
+    cluster (an irreducible block) against the rest.  Returns
+    (P, (part_a, part_b)) with P rho(x) P^-1 block-diagonal.  P is unitary
+    when the input already was; otherwise it includes the unitarization
+    change of basis.  Raises AlreadyIrreducibleError when the commutant is
+    scalar, and NotIrreducibleError when the rule under-resolves the
+    representation (see ``_split_unitary_fully``).
     """
     _check_groups(rule, rep)
     work, base, base_inv = _ensure_unitary(rep, rule)
-    report = commutant(work, rule)
-    if report.dimension < 2:
+    Q, sizes = _split_unitary_fully(work, rule)
+    if len(sizes) < 2:
         raise AlreadyIrreducibleError("representation has a scalar commutant")
-    eigensystem = _splitting_eigensystem(report, work.degree)
-    if eigensystem is None:
-        raise AlreadyIrreducibleError("no non-scalar commutant element found")
-    _, V, clusters = eigensystem
-    first = clusters[0][1] - clusters[0][0]
-    P = V.conj().T @ base
-    P_inv = base_inv @ V
-    parts = _materialize_blocks(rep, P, P_inv, [first, rep.degree - first])
+    P = Q @ base
+    P_inv = base_inv @ Q.conj().T
+    parts = _materialize_blocks(rep, P, P_inv, [sizes[0], rep.degree - sizes[0]])
     return P, (parts[0], parts[1])
 
 
 def _split_unitary_fully(work: Representation, rule: HaarRule):
-    """Recursive splitting of a unitary representation; returns (Q, sizes)
-    with Q unitary and Q work Q^-1 block-diagonal, every block irreducible."""
+    """One eigen-step splitting a unitary representation into irreducibles.
+
+    A generic Hermitian commutant element has m_i distinct eigenvalues on
+    the isotypic component of an irreducible of multiplicity m_i, each
+    eigenspace one copy of it.  The element is the Hermitian part of a
+    complex Gaussian combination of the commutant basis, drawn from
+    ``SPLIT_SEED`` so the answer repeats exactly.  Its ascending eigenvalues
+    are cut where neighbours differ by more than ``CLUSTER_GAP`` times their
+    spread.  Returns (Q, sizes) with Q unitary and Q work Q^-1
+    block-diagonal, blocks in ascending eigenvalue order.  Raises
+    NotIrreducibleError when the commutant dimension and the character norm
+    disagree by more than ``MULTIPLICITY_WINDOW``.
+    """
     report = commutant(work, rule)
-    if report.dimension == 1:
+    if abs(report.character_norm - report.dimension) > MULTIPLICITY_WINDOW:
+        raise NotIrreducibleError(
+            f"commutant dimension {report.dimension} but character norm "
+            f"{report.character_norm:.6f}: {_rule_name(rule)} under-resolves this representation")
+    if report.dimension <= 1:
         return np.eye(work.degree, dtype=complex), [work.degree]
-    eigensystem = _splitting_eigensystem(report, work.degree)
-    if eigensystem is None:
-        return np.eye(work.degree, dtype=complex), [work.degree]
-    _, V, clusters = eigensystem
-    Vh = V.conj().T
-    q_blocks = []
-    sizes: list[int] = []
-    for start, stop in clusters:
-        sub = BlockRepresentation(work, Vh, start, stop - start, P_inv=V)
-        Q_sub, sub_sizes = _split_unitary_fully(sub, rule)
-        q_blocks.append(Q_sub)
-        sizes.extend(sub_sizes)
-    Q = np.zeros((work.degree, work.degree), dtype=complex)
-    offset = 0
-    for block in q_blocks:
-        d = block.shape[0]
-        Q[offset:offset + d, offset:offset + d] = block
-        offset += d
-    return Q @ Vh, sizes
+    g = np.random.default_rng(SPLIT_SEED).standard_normal((2, report.dimension))
+    w, V = linalg.hermitian_eigensystem(np.tensordot(g[0] + 1j * g[1], report.basis, axes=1))
+    # cluster boundaries: both ends and every gap wider than the cut-off
+    bounds = np.flatnonzero(np.r_[True, np.diff(w) > CLUSTER_GAP * (w[-1] - w[0]), True])
+    return V.conj().T, np.diff(bounds).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,21 +255,42 @@ class DecompositionReport:
 
 
 def decompose(rep: Representation, rule: HaarRule) -> DecompositionReport:
-    """Unitarize, then split recursively until every block is irreducible."""
+    """Unitarize, then split into irreducible blocks in one eigen-step.
+
+    P is the splitting basis change times the unitarization change; blocks
+    come in ascending eigenvalue order of the seeded commutant element.  The
+    block characters and the off-block leakage are read off one evaluation
+    of P rho P^-1 at the rule nodes.  Raises NotIrreducibleError, naming the
+    rule, when a block's character norm is not within ``MULTIPLICITY_WINDOW``
+    of 1 or the input's is not within it of the commutant dimension: the
+    rule under-resolves the representation.
+    """
     _check_groups(rule, rep)
     result = unitarize(rep, rule)
     Q, sizes = _split_unitary_fully(result.unitary_rep, rule)
     P = Q @ result.basis_change
     P_inv = linalg.invert(P)
     blocks = _materialize_blocks(rep, P, P_inv, sizes)
-    block_chars = [character(b, rule) for b in blocks]
 
     full = linalg.sandwich(P, rep.evaluate_batch(rule.nodes), P_inv)
+    at_identity = P @ rep.evaluate(rep.group.identity_element()) @ P_inv
     mask = np.ones((rep.degree, rep.degree), dtype=bool)
+    block_chars = []
     offset = 0
-    for size in sizes:
-        mask[offset:offset + size, offset:offset + size] = False
-        offset += size
+    for block in blocks:
+        sl = slice(offset, offset + block.degree)
+        offset += block.degree
+        mask[sl, sl] = False
+        ident_trace = np.trace(at_identity[sl, sl])
+        if abs(ident_trace - block.degree) > IDENTITY_TOL * (1 + block.degree):
+            raise ValueError(f"character at the identity is {ident_trace}, expected degree {block.degree}")
+        values = np.einsum("nii->n", full[:, sl, sl])
+        norm = integrate_values(rule, np.abs(values) ** 2).real
+        if abs(norm - 1.0) > MULTIPLICITY_WINDOW:
+            raise NotIrreducibleError(
+                f"a block of degree {block.degree} has character norm {norm:.6f}, not 1: "
+                f"{_rule_name(rule)} under-resolves this representation")
+        block_chars.append(Character(rep=block, rule=rule, values=values, degree=block.degree))
     residual = float(np.abs(full[:, mask]).max()) if mask.any() else 0.0
     return DecompositionReport(P=P, blocks=blocks, block_characters=block_chars, residual=residual)
 

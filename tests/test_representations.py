@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,37 @@ def test_homomorphism_audit_samples_pairs_above_order_100():
     rep = rk.FiniteTableRepresentation(z128, np.array(signs).reshape(128, 1, 1))
     assert rk.homomorphism_audit(rep) == 2.0
     assert rk.homomorphism_audit(rk.cyclic_phase_rep(z128, [5])) <= 1e-12
+
+
+def test_homomorphism_audit_exhaustive_matches_pair_tensor(s3):
+    # reference: the whole (N, N, r, r) tensor of products rho(x) rho(y)
+    rng = np.random.default_rng(11)
+    A = random_invertible(rng, 2)
+    table = A @ rk.s3_standard(s3).table @ np.linalg.inv(A)
+    table[3] += 1e-3 * rng.normal(size=(2, 2))
+    rep = rk.FiniteTableRepresentation(s3, table)
+    products = np.einsum("aij,bjk->abik", table, table)
+    reference = np.abs(products - table[s3.mult_table]).max()
+    assert reference > 1e-4
+    assert abs(rk.homomorphism_audit(rep) - reference) <= 1e-14
+
+
+def test_homomorphism_audit_exhaustive_holds_no_pair_tensor():
+    # regular representation of Z48: the pair tensor would be 48^4 complex
+    # entries (85 MB)
+    z48 = rk.cyclic_group(48)
+    mats = np.zeros((48, 48, 48), dtype=complex)
+    for g in range(48):
+        mats[g, z48.mult_table[g], np.arange(48)] = 1.0
+    rep = rk.FiniteTableRepresentation(z48, mats)
+    tracemalloc.start()
+    try:
+        defect = rk.homomorphism_audit(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect == 0.0
+    assert peak <= 48 ** 4 * 16 / 8
 
 
 def test_homomorphism_audit_batched_su2_validates_and_reprojects(su2):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,93 @@ def test_decompose_shared_unitary_basis_change(z2):
     for g in z2.elements():
         full = report.P @ rep.evaluate(g) @ P_inv
         assert np.abs(full - np.diag(np.diag(full))).max() <= 1e-10
+
+
+def spin_character(two_j, rule):
+    t = 2.0 * np.arccos(np.clip(np.einsum("nii->n", rule.nodes).real / 2.0, -1.0, 1.0))
+    return sum(np.cos((two_j / 2.0 - k) * t) for k in range(two_j + 1))
+
+
+def test_decompose_multiplicity_two_su2(su2, su2_rule):
+    rng = np.random.default_rng(13)
+    base = rk.DirectSumRepresentation(
+        [rk.spin_irrep(0.5, su2), rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)])
+    rep = rk.conjugate(base, random_invertible(rng, 7, diag_boost=3.0))
+    report = rk.decompose(rep, su2_rule)
+    assert sorted(b.degree for b in report.blocks) == [2, 2, 3]
+    for block, char in zip(report.blocks, report.block_characters):
+        assert np.abs(char.values - spin_character(block.degree - 1, su2_rule)).max() <= 1e-8
+    assert report.residual <= 1e-8
+
+
+def test_decompose_s4_regular():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.array([[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms])
+    s4 = rk.FiniteGroup(table)
+    mats = np.zeros((24, 24, 24), dtype=complex)
+    for g in range(24):
+        mats[g, table[g], np.arange(24)] = 1.0
+    report = rk.decompose(rk.FiniteTableRepresentation(s4, mats), rk.haar_rule(s4, 1))
+    assert sorted(b.degree for b in report.blocks) == [1, 1, 2, 2, 3, 3, 3, 3, 3, 3]
+    assert report.residual <= 1e-12
+
+
+def test_decompose_computes_one_commutant(su2, su2_rule, monkeypatch):
+    calls = []
+    original = rk.schur.commutant
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].degree)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rk.schur, "commutant", counting)
+    rep = rk.DirectSumRepresentation(
+        [rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2), rk.spin_irrep(1.5, su2)])
+    report = rk.decompose(rep, su2_rule)
+    assert sorted(b.degree for b in report.blocks) == [2, 3, 4]
+    assert calls == [9]
+
+
+def test_decompose_blocks_project_the_input(su2, su2_rule):
+    # every block is one projection of the input: no nested block chains
+    rng = np.random.default_rng(14)
+    base = rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2))
+    rep = rk.conjugate(base, random_invertible(rng, 5, diag_boost=3.0))
+    report = rk.decompose(rep, su2_rule)
+    assert len(report.blocks) == 2
+    assert all(block.parent is rep for block in report.blocks)
+
+
+def test_decompose_repeats_bytewise(s3):
+    rng = np.random.default_rng(15)
+    rep = rk.conjugate(rk.DirectSumRepresentation(
+        [rk.s3_standard(s3), rk.s3_standard(s3), rk.s3_sign(s3)]), random_invertible(rng, 5))
+    rule = rk.haar_rule(s3, 1)
+    assert rk.decompose(rep, rule).P.tobytes() == rk.decompose(rep, rule).P.tobytes()
+
+
+def test_decompose_refuses_under_resolved_rule(su2):
+    # on the 512-node rule the unitarized rep has commutant dimension 13 but
+    # character norm 2: the rule cannot resolve it
+    rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
+                       np.diag([1.0, 2.0, 1.0, 1.0, 3.0]))
+    with pytest.raises(rk.NotIrreducibleError, match="resolution 8"):
+        rk.decompose(rep, rk.haar_rule(su2, 8))
+
+
+def test_decompose_refuses_reducible_block(su2, su2_rule, monkeypatch):
+    # a split that merges two irreducibles has a block of character norm 2
+    original = rk.schur._split_unitary_fully
+
+    def merging(work, rule):
+        Q, sizes = original(work, rule)
+        return Q, [sizes[0] + sizes[1], *sizes[2:]]
+
+    monkeypatch.setattr(rk.schur, "_split_unitary_fully", merging)
+    rep = rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2))
+    with pytest.raises(rk.NotIrreducibleError, match="block of degree 5"):
+        rk.decompose(rep, su2_rule)
 
 
 # --- character inner products -------------------------------------------------
