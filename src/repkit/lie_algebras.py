@@ -95,7 +95,7 @@ class TraceFormReport:
     invariance_residual: float
 
 
-def trace_form(alg: LieAlgebraSpec, *, zero_tol: float = linalg.STRUCTURAL_TOL) -> TraceFormReport:
+def trace_form(alg: LieAlgebraSpec) -> TraceFormReport:
     """Compute <e_a, e_b> = -tr(ad_a ad_b) and classify the algebra.
 
     Classification: all eigenvalues above the tolerance band means compact
@@ -116,7 +116,7 @@ def trace_form(alg: LieAlgebraSpec, *, zero_tol: float = linalg.STRUCTURAL_TOL) 
     invariance_residual = linalg.max_abs(inv)
 
     w, V = np.linalg.eigh(gram)
-    band = zero_tol * max(1.0, linalg.max_abs(gram))
+    band = linalg.STRUCTURAL_TOL * max(1.0, linalg.max_abs(gram))
     if w[0] < -band:
         classification = NOT_COMPACT_TYPE
         center: list[np.ndarray] = []
@@ -162,11 +162,11 @@ class MatrixLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def structure_constants(self, *, closure_tol: float = linalg.STRUCTURAL_TOL) -> np.ndarray:
+    def structure_constants(self) -> np.ndarray:
         """Expand all pairwise matrix brackets in the basis.
 
         Raises ValueError if some bracket leaves the basis span by more than
-        ``closure_tol`` (the basis does not define a Lie algebra).
+        ``linalg.STRUCTURAL_TOL`` (the basis does not define a Lie algebra).
         """
         n = self.dim
         flat = np.column_stack([X.reshape(-1) for X in self.basis])
@@ -176,10 +176,10 @@ class MatrixLieAlgebra:
                 rhs = (self.basis[a] @ self.basis[b] - self.basis[b] @ self.basis[a]).reshape(-1)
                 coeff, *_ = np.linalg.lstsq(flat, rhs, rcond=None)
                 defect = linalg.max_abs(flat @ coeff - rhs)
-                if defect > closure_tol:
+                if defect > linalg.STRUCTURAL_TOL:
                     raise ValueError(f"bracket of basis elements {a},{b} leaves the span "
                                      f"(defect {defect:.3e})")
-                if linalg.max_abs(coeff.imag) > closure_tol:
+                if linalg.max_abs(coeff.imag) > linalg.STRUCTURAL_TOL:
                     raise ValueError("structure constants are not real")
                 c[a, b] = coeff.real
                 c[b, a] = -coeff.real

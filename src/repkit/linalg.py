@@ -1,10 +1,11 @@
 """Dense complex matrix kernel used by every other module.
 
-Thin, contract-enforcing wrappers around numpy's LAPACK bindings.  All
-tolerances are explicit parameters: ``KERNEL_TOL`` bounds pure floating-point
-defects (reconstruction, inversion residuals) and ``STRUCTURAL_TOL`` bounds
-defects that signal a wrong *input* (hermiticity, bracket closure).  Values
-are plain ``numpy.ndarray``s and are never mutated after construction.
+Thin, contract-enforcing wrappers around numpy's LAPACK bindings.  Every
+tolerance is a module constant: ``KERNEL_TOL`` bounds pure floating-point
+defects (reconstruction, inversion residuals, the singularity threshold) and
+``STRUCTURAL_TOL`` bounds defects that signal a wrong *input* (hermiticity,
+definiteness, bracket closure).  Values are plain ``numpy.ndarray``s and are
+never mutated after construction.
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ def _require_square(H: np.ndarray) -> None:
         raise NotSquareError(f"matrix is {H.shape[0]}x{H.shape[1]}")
 
 
-def _require_hermitian(H: np.ndarray, tol: float) -> float:
+def _require_hermitian(H: np.ndarray) -> None:
     defect = max_abs(H - H.conj().T)
-    if defect > tol * max(1.0, max_abs(H)):
+    if defect > STRUCTURAL_TOL * max(1.0, max_abs(H)):
         raise NotHermitianError(f"hermiticity defect {defect:.3e} above tolerance")
-    return defect
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class HermitianSpectrum:
     residual: float
 
 
-def hermitian_eigenvalues(H, *, hermiticity_tol: float = STRUCTURAL_TOL) -> HermitianSpectrum:
+def hermitian_eigenvalues(H) -> HermitianSpectrum:
     """Eigenvalues of a Hermitian matrix, sorted ascending.
 
     Raises NotSquareError / NotHermitianError if the input fails its
@@ -86,7 +86,7 @@ def hermitian_eigenvalues(H, *, hermiticity_tol: float = STRUCTURAL_TOL) -> Herm
     """
     H = as_matrix(H)
     _require_square(H)
-    _require_hermitian(H, hermiticity_tol)
+    _require_hermitian(H)
     w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
     residual = max_abs((V * w) @ V.conj().T - H)
     return HermitianSpectrum(eigenvalues=w, residual=residual)
@@ -99,22 +99,21 @@ def hermitian_eigensystem(H) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((H + H.conj().T) / 2.0)
 
 
-def cholesky_hermitian(H, *, definiteness_tol: float = STRUCTURAL_TOL,
-                       hermiticity_tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def cholesky_hermitian(H) -> np.ndarray:
     """Upper-triangular A with positive real diagonal and H = A* A.
 
     Raises NotPositiveDefiniteError when the smallest eigenvalue does not
-    clear ``definiteness_tol`` -- for averaged forms this signals a broken
+    clear ``STRUCTURAL_TOL`` -- for averaged forms this signals a broken
     quadrature rule or a non-representation input, not a kernel failure.
     """
     H = as_matrix(H)
     _require_square(H)
-    _require_hermitian(H, hermiticity_tol)
+    _require_hermitian(H)
     Hs = (H + H.conj().T) / 2.0
     w = np.linalg.eigvalsh(Hs)
-    if w[0] <= definiteness_tol:
+    if w[0] <= STRUCTURAL_TOL:
         raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:.3e} <= definiteness tolerance {definiteness_tol:.1e}")
+            f"smallest eigenvalue {w[0]:.3e} <= definiteness tolerance {STRUCTURAL_TOL:.1e}")
     L = np.linalg.cholesky(Hs)  # lower, positive real diagonal
     return L.conj().T
 
@@ -143,16 +142,16 @@ def solve_nullspace(M, tol: float) -> list[np.ndarray]:
     return basis
 
 
-def invert(M, *, rcond: float = 1e-12) -> np.ndarray:
+def invert(M) -> np.ndarray:
     """Inverse of a square matrix, refusing near-singular input.
 
     The singularity threshold is relative: smallest singular value at most
-    ``rcond`` times the largest raises SingularMatrixError.
+    ``KERNEL_TOL`` times the largest raises SingularMatrixError.
     """
     M = as_matrix(M)
     _require_square(M)
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[-1] <= rcond * s[0]:
+    if s.size == 0 or s[-1] <= KERNEL_TOL * s[0]:
         raise SingularMatrixError(
             f"condition estimate {s[0] / s[-1] if s.size and s[-1] > 0 else np.inf:.3e} beyond threshold")
     out = np.linalg.inv(M)

@@ -294,9 +294,15 @@ class Character:
     degree: int
 
 
+def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
+    """Refuse representations defined over another group than the rule."""
+    for rep in reps:
+        if rep.group != rule.group:
+            raise GroupMismatchError("representation and rule are defined over different groups")
+
+
 def character(rep: Representation, rule: HaarRule) -> Character:
-    if rep.group != rule.group:
-        raise GroupMismatchError("representation and rule are defined over different groups")
+    check_rule_group(rule, rep)
     ident_trace = np.trace(rep.evaluate(rep.group.identity_element()))
     if abs(ident_trace - rep.degree) > IDENTITY_TOL * (1 + rep.degree):
         raise ValueError(f"character at the identity is {ident_trace}, expected degree {rep.degree}")

@@ -12,10 +12,18 @@ once.  Scalar commutant (dimension one) is the irreducibility criterion.
 Splitting rests on Schur's lemma: the commutant of a unitary representation
 is a direct sum of full matrix algebras M_{m_i}, one per isotypic component,
 so the eigenspaces of one generic Hermitian commutant element are already
-the irreducible blocks.  One commutant and one eigendecomposition split a
-representation completely; the character norms of the blocks and of the
-whole are checked against 1 and against the commutant dimension, so an
-under-resolved rule is refused instead of giving wrong blocks.
+the irreducible blocks.  ``split_once`` and ``decompose`` take one route: an
+input that fails the unitarity audit is first conjugated by the Cholesky
+factor of its averaged form, then one commutant and one eigendecomposition
+split it completely.  Every block, over any group kind, is a
+``BlockRepresentation`` of the input.  The character norms of the blocks and
+of the whole are checked against 1 and against the commutant dimension, so
+an under-resolved rule is refused instead of giving wrong blocks.
+
+Each discrete answer is one threshold decision against one module constant:
+``RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for the block
+sizes, ``UNITARY_TOL`` for whether to unitarize, ``MULTIPLICITY_WINDOW`` for
+the character-norm checks.
 """
 
 from __future__ import annotations
@@ -38,24 +46,18 @@ from .representations import (
     IDENTITY_TOL,
     BlockRepresentation,
     Character,
-    FiniteTableRepresentation,
     Representation,
     character,
+    check_rule_group,
+    conjugate,
     unitarity_audit,
 )
-from .unitarization import unitarize
+from .unitarization import RANK_TOL, averaged_form
 
-RANK_TOL = 1e-7
 UNITARY_TOL = 1e-8
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
 MULTIPLICITY_WINDOW = 0.05
-
-
-def _check_groups(rule: HaarRule, *reps: Representation) -> None:
-    for rep in reps:
-        if rep.group != rule.group:
-            raise GroupMismatchError("representation and rule are defined over different groups")
 
 
 def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: HaarRule) -> np.ndarray:
@@ -66,7 +68,7 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     """
     if phi.group != psi.group:
         raise GroupMismatchError("the two representations live over different groups")
-    _check_groups(rule, phi)
+    check_rule_group(rule, phi)
     A = linalg.as_matrix(A)
     if A.shape != (phi.degree, psi.degree):
         raise ShapeMismatchError(f"seed matrix must be {phi.degree}x{psi.degree}, got {A.shape}")
@@ -96,16 +98,16 @@ class CommutantReport:
         }
 
 
-def commutant(rep: Representation, rule: HaarRule, *, rank_tol: float = RANK_TOL) -> CommutantReport:
+def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     """Orthonormal basis of the commutant, read off the averaged superoperator.
 
     The map A -> integral of rho(x) A rho(x^-1) projects every matrix onto
     the commutant.  Its r^2 x r^2 matrix comes from one averaging contraction
     of rho against rho^-1 over the rule nodes, and its row space, cut off at
-    ``rank_tol`` times the largest singular value, is the commutant.  Its
+    ``RANK_TOL`` times the largest singular value, is the commutant.  Its
     trace is the character norm.
     """
-    _check_groups(rule, rep)
+    check_rule_group(rule, rep)
     r = rep.degree
     n = rule.node_count
     mats = rep.evaluate_batch(rule.nodes)
@@ -115,7 +117,7 @@ def commutant(rep: Representation, rule: HaarRule, *, rank_tol: float = RANK_TOL
     outer = integrate_product(rule, mats.reshape(n, 1, r * r), mats_inv.reshape(n, 1, r * r))
     rows = outer.reshape(r, r, r, r).transpose(1, 2, 0, 3).reshape(r * r, r * r)
     _, s, Vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     basis = Vh[:rank].reshape(rank, r, r)
     residual = _commutation_residual(mats, basis)
     return CommutantReport(dimension=rank, basis=list(basis), max_residual=residual,
@@ -152,14 +154,14 @@ def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
 
 
 def _ensure_unitary(rep: Representation, rule: HaarRule):
-    """Return (unitary rep, basis change, inverse); the identity change when
-    the input is already unitary on the rule nodes."""
+    """Return (unitary rep, basis change A, A^-1): the identity change when
+    the input passes the unitarity audit, else the Cholesky factor of its
+    averaged form."""
     if unitarity_audit(rep, rule) <= UNITARY_TOL:
         eye = np.eye(rep.degree, dtype=complex)
         return rep, eye, eye
-    result = unitarize(rep, rule)
-    A = result.basis_change
-    return result.unitary_rep, A, linalg.invert(A)
+    work = conjugate(rep, linalg.cholesky_hermitian(averaged_form(rep, rule).gram))
+    return work, work.matrix, work.matrix_inv
 
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
@@ -172,37 +174,36 @@ def _rule_name(rule: HaarRule) -> str:
     return f"the {rule.group.kind} rule at resolution {rule.resolution} ({rule.node_count} nodes)"
 
 
-def _materialize_blocks(rep: Representation, P: np.ndarray, P_inv: np.ndarray,
-                        sizes: list[int]) -> list[Representation]:
-    """Diagonal blocks of P rho P^-1 as representations: explicit tables over
-    finite groups, block projections of the parent otherwise."""
+def _split(rep: Representation, rule: HaarRule):
+    """The route ``split_once`` and ``decompose`` share: (P, P^-1, blocks)
+    with P rho(x) P^-1 block-diagonal, P the splitting change times the
+    unitarization change from ``_ensure_unitary``, and each block a
+    ``BlockRepresentation`` of the input."""
+    check_rule_group(rule, rep)
+    work, A, A_inv = _ensure_unitary(rep, rule)
+    Q, sizes = _split_unitary_fully(work, rule)
+    P, P_inv = Q @ A, A_inv @ Q.conj().T
     offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-    if rep.group.kind != "finite":
-        return [BlockRepresentation(rep, P, o, d, P_inv=P_inv) for o, d in zip(offsets, sizes)]
-    full = linalg.sandwich(P, rep.evaluate_batch(np.arange(rep.group.order)), P_inv)
-    return [FiniteTableRepresentation(rep.group, full[:, o:o + d, o:o + d]) for o, d in zip(offsets, sizes)]
+    return P, P_inv, [BlockRepresentation(rep, P, o, d, P_inv=P_inv) for o, d in zip(offsets, sizes)]
 
 
 def split_once(rep: Representation, rule: HaarRule):
     """Split a reducible representation into two invariant blocks.
 
-    The same eigen-step as ``decompose``, cut into the first eigenvalue
-    cluster (an irreducible block) against the rest.  Returns
-    (P, (part_a, part_b)) with P rho(x) P^-1 block-diagonal.  P is unitary
-    when the input already was; otherwise it includes the unitarization
+    The route of ``decompose``, cut into the first eigenvalue cluster (an
+    irreducible block) against the rest, so P is the same matrix.  Returns
+    (P, (part_a, part_b)) with P rho(x) P^-1 block-diagonal and both parts
+    ``BlockRepresentation``s of the input.  P is unitary when the input
+    passes the unitarity audit; otherwise it includes the unitarization
     change of basis.  Raises AlreadyIrreducibleError when the commutant is
     scalar, and NotIrreducibleError when the rule under-resolves the
     representation (see ``_split_unitary_fully``).
     """
-    _check_groups(rule, rep)
-    work, base, base_inv = _ensure_unitary(rep, rule)
-    Q, sizes = _split_unitary_fully(work, rule)
-    if len(sizes) < 2:
+    P, P_inv, blocks = _split(rep, rule)
+    if len(blocks) < 2:
         raise AlreadyIrreducibleError("representation has a scalar commutant")
-    P = Q @ base
-    P_inv = base_inv @ Q.conj().T
-    parts = _materialize_blocks(rep, P, P_inv, [sizes[0], rep.degree - sizes[0]])
-    return P, (parts[0], parts[1])
+    first = blocks[0].degree
+    return P, (blocks[0], BlockRepresentation(rep, P, first, rep.degree - first, P_inv=P_inv))
 
 
 def _split_unitary_fully(work: Representation, rule: HaarRule):
@@ -255,25 +256,23 @@ class DecompositionReport:
 
 
 def decompose(rep: Representation, rule: HaarRule) -> DecompositionReport:
-    """Unitarize, then split into irreducible blocks in one eigen-step.
+    """Split into irreducible blocks in one eigen-step, on the route of
+    ``split_once``.
 
-    P is the splitting basis change times the unitarization change; blocks
-    come in ascending eigenvalue order of the seeded commutant element.  The
-    block characters and the off-block leakage are read off one evaluation
-    of P rho P^-1 at the rule nodes.  Raises NotIrreducibleError, naming the
-    rule, when a block's character norm is not within ``MULTIPLICITY_WINDOW``
-    of 1 or the input's is not within it of the commutant dimension: the
-    rule under-resolves the representation.
+    P is the splitting basis change times the unitarization change, which is
+    the identity when the input passes the unitarity audit; every block is a
+    ``BlockRepresentation`` of the input, in ascending eigenvalue order of
+    the seeded commutant element.  The block characters and the off-block
+    leakage are read off one evaluation of P rho P^-1 at the rule nodes; the
+    degree check at the identity allows roundoff of order cond(P).  Raises
+    NotIrreducibleError, naming the rule, when a block's character norm is
+    not within ``MULTIPLICITY_WINDOW`` of 1 or the input's is not within it
+    of the commutant dimension: the rule under-resolves the representation.
     """
-    _check_groups(rule, rep)
-    result = unitarize(rep, rule)
-    Q, sizes = _split_unitary_fully(result.unitary_rep, rule)
-    P = Q @ result.basis_change
-    P_inv = linalg.invert(P)
-    blocks = _materialize_blocks(rep, P, P_inv, sizes)
-
+    P, P_inv, blocks = _split(rep, rule)
     full = linalg.sandwich(P, rep.evaluate_batch(rule.nodes), P_inv)
     at_identity = P @ rep.evaluate(rep.group.identity_element()) @ P_inv
+    identity_tol = IDENTITY_TOL * np.linalg.cond(P)
     mask = np.ones((rep.degree, rep.degree), dtype=bool)
     block_chars = []
     offset = 0
@@ -282,7 +281,7 @@ def decompose(rep: Representation, rule: HaarRule) -> DecompositionReport:
         offset += block.degree
         mask[sl, sl] = False
         ident_trace = np.trace(at_identity[sl, sl])
-        if abs(ident_trace - block.degree) > IDENTITY_TOL * (1 + block.degree):
+        if abs(ident_trace - block.degree) > identity_tol * (1 + block.degree):
             raise ValueError(f"character at the identity is {ident_trace}, expected degree {block.degree}")
         values = np.einsum("nii->n", full[:, sl, sl])
         norm = integrate_values(rule, np.abs(values) ** 2).real
@@ -307,7 +306,7 @@ def orthogonality_audit(reps, rule: HaarRule) -> np.ndarray:
     representations; raises NotIrreducibleError if any input fails the
     scalar-commutant test."""
     reps = list(reps)
-    _check_groups(rule, *reps)
+    check_rule_group(rule, *reps)
     for i, rep in enumerate(reps):
         if not irreducibility_test(rep, rule):
             raise NotIrreducibleError(f"representation {i} is not irreducible")
@@ -325,7 +324,7 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     """Largest deviation of integral of rho_ij conj(rho_kl) from the scalar
     orthogonality pattern delta_ik delta_jl / degree, over all index
     quadruples of an irreducible unitary representation."""
-    _check_groups(rule, rep)
+    check_rule_group(rule, rep)
     if not irreducibility_test(rep, rule):
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     r = rep.degree
@@ -337,7 +336,7 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
 def multiplicity(rep: Representation, irrep: Representation, rule: HaarRule) -> int:
     """Nearest integer to <chi_rep, chi_irrep>; raises when the inner product
     is further than 0.05 from an integer (an under-resolved rule)."""
-    _check_groups(rule, rep, irrep)
+    check_rule_group(rule, rep, irrep)
     if not irreducibility_test(irrep, rule):
         raise NotIrreducibleError("multiplicity requires an irreducible reference representation")
     inner = character_inner(character(rep, rule), character(irrep, rule), rule)

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import GroupMismatchError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 from .groups import HaarRule, integrate_product
-from .representations import Representation, conjugate, unitarity_audit
+from .representations import Representation, check_rule_group, conjugate, unitarity_audit
 
+# the one cut-off for fixed-space dimensions read off an averaged map
+# (commutant dimension here and in ``schur``, and d)
 RANK_TOL = 1e-7
 
 
@@ -50,25 +52,19 @@ class UnitarizationResult:
     unitarity_residual: float
 
 
-def _check_rule(rep: Representation, rule: HaarRule) -> None:
-    if rep.group != rule.group:
-        raise GroupMismatchError("representation and rule are defined over different groups")
-
-
-def averaged_form(rep: Representation, rule: HaarRule, *,
-                  definiteness_tol: float = linalg.STRUCTURAL_TOL) -> HermitianForm:
+def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     """H = integral of rho(x)* rho(x): an invariant positive definite form.
 
     Raises NotPositiveDefiniteError if the average fails to be positive
     definite, which signals a broken input or an under-resolved rule rather
     than a numerical accident.
     """
-    _check_rule(rep, rule)
+    check_rule_group(rule, rep)
     mats = rep.evaluate_batch(rule.nodes)
     H = integrate_product(rule, mats.conj(), mats)
     H = (H + H.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
-    if w[0] <= definiteness_tol:
+    if w[0] <= linalg.STRUCTURAL_TOL:
         raise NotPositiveDefiniteError(
             f"averaged form has smallest eigenvalue {w[0]:.3e}; "
             "the input is not a representation or the rule is under-resolved")
@@ -127,17 +123,18 @@ def _on_hermitian_basis(images: np.ndarray) -> np.ndarray:
     return np.concatenate([images[np.arange(r), np.arange(r)], pairs])
 
 
-def invariant_form_space(rep: Representation, rule: HaarRule, *,
-                         rank_tol: float = RANK_TOL) -> tuple[list[HermitianForm], int]:
+def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[HermitianForm], int]:
     """Real basis of the Hermitian matrices H with rho(x)* H rho(x) = H.
 
     The averaging map B -> integral of rho* B rho comes from one averaging
     contraction of conj(rho) against rho over the rule nodes.  It is written
     in ``hermitian_coords`` by index arithmetic, and the invariant forms are
-    the nullspace of (averaging - identity), with singular values below
-    ``rank_tol`` times the largest treated as zero.
+    the nullspace of (averaging - identity), read off its one SVD: singular
+    values at most ``RANK_TOL * max(1, largest)`` count as zero.  The
+    averaging map has unit scale, so a defect that is all noise leaves every
+    form fixed.
     """
-    _check_rule(rep, rule)
+    check_rule_group(rule, rep)
     r = rep.degree
     n = rule.node_count
     mats = rep.evaluate_batch(rule.nodes).reshape(n, 1, r * r)
@@ -146,16 +143,8 @@ def invariant_form_space(rep: Representation, rule: HaarRule, *,
     outer = integrate_product(rule, mats.conj(), mats).reshape(r, r, r, r)
     images = _on_hermitian_basis(outer.transpose(0, 2, 1, 3))
     L = hermitian_coords(images).T
-    defect = L - np.eye(r * r)
-    # the averaging map has unit scale, so rank decisions are cut off at
-    # rank_tol * max(1, |defect|); a pure-noise defect means every form is fixed
-    smax = float(np.linalg.svd(defect, compute_uv=False)[0])
-    if smax <= rank_tol:
-        null_vecs = np.eye(r * r)
-    else:
-        null_vecs = np.reshape(linalg.solve_nullspace(defect, rank_tol * max(1.0, smax) / smax),
-                               (-1, r * r))
-    grams = _hermitian_from_coords(np.real(null_vecs), r)
+    _, s, Vh = np.linalg.svd(L - np.eye(r * r))
+    grams = _hermitian_from_coords(Vh[s <= RANK_TOL * max(1.0, s[0])], r)
     lowest = np.linalg.eigvalsh(grams)[:, 0]
     forms = [HermitianForm(gram=H, definiteness=float(w)) for H, w in zip(grams, lowest)]
     return forms, len(forms)

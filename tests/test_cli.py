@@ -149,6 +149,25 @@ def test_decompose_s3_standard(runner, inputs):
     assert json.loads(result.output)["payload"]["block_degrees"] == [2]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_ill_conditioned_basis(runner, tmp_path, seed):
+    # P rho(e) P^-1 carries roundoff of order cond(P) eps: a condition
+    # number of 1e4 must not fail the degree check at the identity
+    rng = np.random.default_rng(seed)
+    unitaries = [np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+                 for _ in range(2)]
+    basis = unitaries[0] @ np.diag(np.geomspace(1.0, 1e4, 5)) @ unitaries[1]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({
+        "kind": "conjugate", "matrix": matrix_to_json(basis),
+        "inner": {"kind": "direct_sum", "parts": [
+            {"kind": "su2_spin", "two_j": 1}, {"kind": "su2_spin", "two_j": 2}]}}))
+    result = runner.invoke(main, ["decompose", "--builtin", "su2", "--rep", str(path),
+                                  "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert sorted(json.loads(result.output)["payload"]["block_degrees"]) == [2, 3]
+
+
 def test_decompose_positional_rep_path(runner, inputs):
     result = runner.invoke(main, ["decompose", str(inputs / "z2_mixed.json"),
                                   "--group", str(inputs / "z2.json"), "--format", "json"])

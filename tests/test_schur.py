@@ -156,6 +156,17 @@ def test_irreducibility_handles_non_unitary(s3):
     assert rk.irreducibility_test(rep, rule)
 
 
+def test_irreducibility_unitarizes_ill_conditioned_input(su2):
+    # on this rule the commutant of the raw rep misreads the dimension (4);
+    # after unitarization the same rule answers irreducible
+    rng = np.random.default_rng(0)
+    basis = random_unitary(rng, 3) @ np.diag(np.geomspace(1.0, 100.0, 3)) @ random_unitary(rng, 3)
+    rep = rk.conjugate(rk.spin_irrep(1, su2), basis)
+    rule = rk.haar_rule(su2, 12)
+    assert rk.commutant(rep, rule).dimension > 1
+    assert rk.irreducibility_test(rep, rule)
+
+
 # --- splitting ---------------------------------------------------------------
 
 def premixed_z2(z2, seed=5):
@@ -261,7 +272,8 @@ def test_decompose_multiplicity_two_su2(su2, su2_rule):
     assert report.residual <= 1e-8
 
 
-def test_decompose_s4_regular():
+def s4_regular():
+    """The regular representation of S4 and its exact rule."""
     perms = list(itertools.permutations(range(4)))
     index = {p: i for i, p in enumerate(perms)}
     table = np.array([[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms])
@@ -269,7 +281,11 @@ def test_decompose_s4_regular():
     mats = np.zeros((24, 24, 24), dtype=complex)
     for g in range(24):
         mats[g, table[g], np.arange(24)] = 1.0
-    report = rk.decompose(rk.FiniteTableRepresentation(s4, mats), rk.haar_rule(s4, 1))
+    return rk.FiniteTableRepresentation(s4, mats), rk.haar_rule(s4, 1)
+
+
+def test_decompose_s4_regular():
+    report = rk.decompose(*s4_regular())
     assert sorted(b.degree for b in report.blocks) == [1, 1, 2, 2, 3, 3, 3, 3, 3, 3]
     assert report.residual <= 1e-12
 
@@ -291,13 +307,56 @@ def test_decompose_computes_one_commutant(su2, su2_rule, monkeypatch):
 
 
 def test_decompose_blocks_project_the_input(su2, su2_rule):
-    # every block is one projection of the input: no nested block chains
+    # every block, over every group kind, is one projection of the input:
+    # no nested block chains and no re-tabulated finite blocks
     rng = np.random.default_rng(14)
     base = rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2))
-    rep = rk.conjugate(base, random_invertible(rng, 5, diag_boost=3.0))
-    report = rk.decompose(rep, su2_rule)
-    assert len(report.blocks) == 2
-    assert all(block.parent is rep for block in report.blocks)
+    su2_rep = rk.conjugate(base, random_invertible(rng, 5, diag_boost=3.0))
+    s4_rep, s4_rule = s4_regular()
+    for rep, rule, count in ((su2_rep, su2_rule, 2), (s4_rep, s4_rule, 10)):
+        report = rk.decompose(rep, rule)
+        assert len(report.blocks) == count
+        assert all(isinstance(block, rk.representations.BlockRepresentation) and block.parent is rep
+                   for block in report.blocks)
+
+
+def test_split_once_and_decompose_share_p(z2, su2, su2_rule):
+    rng = np.random.default_rng(16)
+    conjugated = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
+                              random_invertible(rng, 5, diag_boost=3.0))
+    for rep, rule in ((premixed_z2(z2), rk.haar_rule(z2, 1)), (conjugated, su2_rule)):
+        P, _ = rk.split_once(rep, rule)
+        assert P.tobytes() == rk.decompose(rep, rule).P.tobytes()
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypatch, unitary):
+    # one route: audit the input, average its form only when the audit fails
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+        calls[name] = []
+
+        def counting(rep, rule):
+            calls[name].append(rep)
+            return original(rep, rule)
+        monkeypatch.setattr(module, name, counting)
+
+    count(rk.unitarization, "unitarize")
+    count(rk.schur, "unitarity_audit")
+    count(rk.schur, "averaged_form")
+    if unitary:
+        rep, rule = premixed_z2(z2), rk.haar_rule(z2, 1)
+    else:
+        rng = np.random.default_rng(7)
+        rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
+                           random_invertible(rng, 5, diag_boost=3.0))
+        rule = su2_rule
+    rk.decompose(rep, rule)
+    assert calls["unitarize"] == []
+    assert len(calls["unitarity_audit"]) == 1 and calls["unitarity_audit"][0] is rep
+    assert calls["averaged_form"] == ([] if unitary else [rep])
 
 
 def test_decompose_repeats_bytewise(s3):

@@ -119,6 +119,26 @@ def test_invariant_form_space_matches_bruteforce_on_finite(s3):
         assert invariant_form_dim_bruteforce(rep, rule) == expected
 
 
+def test_invariant_form_space_one_svd(z2, s3, monkeypatch):
+    # d is read off one SVD of the defect; on a trivial rep the defect is
+    # exactly zero and every form is invariant (d = r^2)
+    svds = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        svds.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    triv = rk.FiniteTableRepresentation(z2, np.stack([np.eye(2, dtype=complex)] * 2))
+    for rep, rule, expected in ((triv, rk.haar_rule(z2, 1), 4),
+                                (rk.s3_standard(s3), rk.haar_rule(s3, 1), 1)):
+        svds.clear()
+        forms, d = rk.invariant_form_space(rep, rule)
+        assert d == expected and len(forms) == expected
+        assert svds == [(4, 4)]
+
+
 def test_averaged_form_fixed_by_averaging(circle):
     # the averaged form is itself a fixed point of the averaging map
     rule = rk.haar_rule(circle, 32)
