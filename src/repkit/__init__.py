@@ -100,6 +100,7 @@ from .schur import (
     multiplicity,
     orthogonality_audit,
     split_once,
+    unitary_commutant,
 )
 from .unitarization import (
     HermitianForm,

@@ -27,8 +27,8 @@ from .groups import axiom_audit, haar_rule
 from .lie_algebras import trace_form
 from .loaders import load_algebra, load_group, load_representation
 from .probes import standard_probes, standard_shifts
-from .representations import character, spin_irrep
-from .schur import commutant, decompose, irreducibility_test, orthogonality_audit
+from .representations import character, spin_irrep, tabulate
+from .schur import MULTIPLICITY_WINDOW, decompose, orthogonality_audit, unitary_commutant
 from .serialize import complex_list_to_json, matrix_to_json, real_matrix_to_json
 from .unitarization import invariant_form_space, unitarize
 
@@ -282,25 +282,31 @@ def unitarize_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, r
 @_rep_command_options
 @_wrap
 def irreducible_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution, tol, out, fmt):
-    """Scalar-commutant irreducibility test with the invariant-form count."""
+    """Scalar-commutant irreducibility test with the invariant-form count.
+
+    The verdict, the dimension and the commutant block all come from one
+    commutant, in a unitary basis of the input; its gap to the character
+    norm is a residual, so a rule that under-resolves the input exits 2.
+    """
     started = time.perf_counter()
     group, rep, rule, options = _rep_context(rep_file, group_path, builtin_name, rep_path,
                                              spin, weights, resolution)
-    verdict = irreducibility_test(rep, rule)
-    report = commutant(rep, rule)
-    _, d = invariant_form_space(rep, rule)
+    seen = tabulate(rep, rule)
+    report = unitary_commutant(seen, rule)
+    _, d = invariant_form_space(seen, rule)
     tolerance = tol if tol is not None else _default_tol(group)
-    residuals = {"commutant": report.max_residual}
+    residuals = {"commutant": report.max_residual,
+                 "character_norm_gap": abs(report.dimension - report.character_norm)}
+    tolerances = {"commutant": tolerance, "character_norm_gap": MULTIPLICITY_WINDOW}
     payload = {
-        "irreducible": verdict,
+        "irreducible": report.dimension == 1,
         "commutant": report.to_json_dict(),
         "commutant_dimension": report.dimension,
         "invariant_form_dimension": d,
         "special": d == 1,
         "degree": rep.degree,
     }
-    return _emit("irreducible", options, residuals, {"commutant": tolerance}, payload,
-                 fmt, out, started)
+    return _emit("irreducible", options, residuals, tolerances, payload, fmt, out, started)
 
 
 @main.command("decompose")

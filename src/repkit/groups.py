@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -298,6 +299,12 @@ class HaarRule:
     def node_count(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def inverse_nodes(self):
+        """The inverses of the nodes, computed once per rule: one node array
+        that per-call stacks can be keyed on."""
+        return self.group.invert_nodes(self.nodes)
+
     def iter_nodes(self):
         if self.group.kind == "finite":
             return (int(k) for k in self.nodes)
@@ -543,7 +550,7 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
                 shifted = evaluate_probe(f, rule, nodes=moved)
                 translation = max(translation, abs(integrate_values(rule, shifted) - iv))
 
-    inv_nodes = group.invert_nodes(rule.nodes)
+    inv_nodes = rule.inverse_nodes
     inversion = 0.0
     for f, iv in zip(probes, base_int):
         inversion = max(inversion, abs(integrate_values(rule, evaluate_probe(f, rule, nodes=inv_nodes)) - iv))

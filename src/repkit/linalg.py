@@ -23,6 +23,8 @@ from .errors import (
 
 KERNEL_TOL = 1e-12
 STRUCTURAL_TOL = 1e-10
+# node chunk of the per-node products in ``sandwich`` and ``max_abs_over_nodes``
+NODE_CHUNK = 256
 
 
 def as_matrix(m) -> np.ndarray:
@@ -49,12 +51,28 @@ def max_abs(m) -> float:
 def sandwich(A, stack, B) -> np.ndarray:
     """A M_n B for every matrix M_n of a stack (n, r, s).
 
-    The right factor is one reshaped GEMM over all nodes; the left factor is
-    a single broadcast product, which measured faster than a second GEMM
-    because that needs a transposed copy of the whole stack.
+    The right factor is one reshaped GEMM over all nodes.  The left factor
+    is a broadcast product, which measured faster than a second GEMM
+    because that needs a transposed copy of the whole stack.  For a square
+    A it runs over chunks of ``NODE_CHUNK`` nodes written back into the
+    right product, so the sandwich holds one stack next to its input, not
+    two; the entries are the same to the byte.
     """
     n, r, s = stack.shape
-    return np.matmul(A, (stack.reshape(n * r, s) @ B).reshape(n, r, B.shape[1]))
+    out = (stack.reshape(n * r, s) @ B).reshape(n, r, B.shape[1])
+    if A.shape[0] != r:
+        return np.matmul(A, out)
+    for i in range(0, n, NODE_CHUNK):
+        out[i:i + NODE_CHUNK] = np.matmul(A, out[i:i + NODE_CHUNK])
+    return out
+
+
+def max_abs_over_nodes(defects, stack) -> float:
+    """``max_abs(defects(stack))`` for a map acting node by node on a stack
+    (n, ...), applied to chunks of ``NODE_CHUNK`` nodes so that its
+    temporaries stay chunk-sized."""
+    return max((max_abs(defects(stack[i:i + NODE_CHUNK])) for i in range(0, len(stack), NODE_CHUNK)),
+               default=0.0)
 
 
 def _require_square(H: np.ndarray) -> None:

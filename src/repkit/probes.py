@@ -3,7 +3,8 @@
 Finite groups get exponential index functions (any probe works there: the
 uniform average is exactly translation invariant), the circle gets the
 trigonometric monomials up to degree eight, and su2 gets the matrix entries
-of the spin-1/2 and spin-1 representations.
+of the spin-1/2 and spin-1 representations, one probe family each, so an
+audit evaluates each spin once per node array.
 """
 
 from __future__ import annotations
@@ -54,10 +55,7 @@ def standard_probes(group, *, max_degree: int = 8) -> list:
     if group.kind == "su2":
         probes = []
         for two_j in (1, 2):
-            rep = spin_irrep(two_j / 2.0, group)
-            for i in range(rep.degree):
-                for j in range(rep.degree):
-                    probes.append(MatrixEntryProbe(rep, i, j, label=f"spin(2j={two_j})[{i},{j}]"))
+            probes += MatrixEntryProbe.family(spin_irrep(two_j / 2.0, group), f"spin(2j={two_j})")
         return probes
     raise KindMismatchError(f"unsupported group kind {group.kind!r}")
 

@@ -6,7 +6,8 @@ weight vectors over the circle (acting as diagonal phase matrices), spin
 representations of su2 built as symmetric powers of the defining action,
 direct sums, and conjugations by a fixed invertible matrix.  A sixth,
 block-projection body is produced internally when reducible representations
-are split.
+are split, and a seventh, tabulated body carries the node stacks one call
+has already evaluated from step to step.
 
 Every body supports vectorized evaluation over a whole array of group
 elements (``evaluate_batch``), which is what keeps quadrature-heavy
@@ -230,6 +231,29 @@ class BlockRepresentation(Representation):
         return linalg.sandwich(self.P[sl], self.parent.evaluate_batch(nodes), self.P_inv[:, sl])
 
 
+class TabulatedRepresentation(Representation):
+    """``rep`` with its node stacks computed ahead at given node arrays.
+
+    ``stacks`` pairs node arrays with the matrices of ``rep`` there.  Asked
+    for one of those arrays (the same object), it returns the stack as it
+    is; any other nodes are evaluated.  One call hands it to each of its
+    steps so that the input is evaluated once per node array; it lives only
+    as long as that call.
+    """
+
+    def __init__(self, rep, stacks):
+        self.group = rep.group
+        self.degree = rep.degree
+        self.rep = rep
+        self.stacks = list(stacks)
+
+    def evaluate_batch(self, nodes):
+        for known, stack in self.stacks:
+            if known is nodes:
+                return stack
+        return self.rep.evaluate_batch(nodes)
+
+
 def evaluate(rep: Representation, g) -> np.ndarray:
     return rep.evaluate(g)
 
@@ -277,11 +301,15 @@ def homomorphism_audit(rep: Representation, pair_count: int = 200, seed: int = 0
     return linalg.max_abs(rep.evaluate_batch(group.multiply_nodes(xs, ys)) - products)
 
 
+def unitarity_defect(mats: np.ndarray) -> float:
+    """Max over a node stack (n, r, r) of |M* M - I|."""
+    eye = np.eye(mats.shape[-1])
+    return linalg.max_abs_over_nodes(lambda m: m.conj().transpose(0, 2, 1) @ m - eye, mats)
+
+
 def unitarity_audit(rep: Representation, rule: HaarRule) -> float:
     """Max over rule nodes of |rho(x)* rho(x) - I|."""
-    mats = rep.evaluate_batch(rule.nodes)
-    gram = mats.conj().transpose(0, 2, 1) @ mats
-    return linalg.max_abs(gram - np.eye(rep.degree))
+    return unitarity_defect(rep.evaluate_batch(rule.nodes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +327,12 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
     for rep in reps:
         if rep.group != rule.group:
             raise GroupMismatchError("representation and rule are defined over different groups")
+
+
+def tabulate(rep: Representation, rule: HaarRule) -> TabulatedRepresentation:
+    """``rep`` evaluated once at the rule nodes."""
+    check_rule_group(rule, rep)
+    return TabulatedRepresentation(rep, [(rule.nodes, rep.evaluate_batch(rule.nodes))])
 
 
 def character(rep: Representation, rule: HaarRule) -> Character:
@@ -336,9 +370,36 @@ class MatrixEntryProbe:
         self.i = i
         self.j = j
         self.label = label or f"entry[{i},{j}]"
+        self._family = None
+
+    @classmethod
+    def family(cls, rep: Representation, label: str) -> list:
+        """Every entry probe of ``rep``, labelled ``label[i,j]``, row by row.
+        The family shares one evaluation per node array: it keeps the stack
+        at the last node array any of its probes was asked for."""
+        probes = [cls(rep, i, j, label=f"{label}[{i},{j}]")
+                  for i in range(rep.degree) for j in range(rep.degree)]
+        shared = _LastStack(rep)
+        for probe in probes:
+            probe._family = shared
+        return probes
 
     def __call__(self, g):
         return complex(self.rep.evaluate(g)[self.i, self.j])
 
     def batch(self, nodes):
-        return self.rep.evaluate_batch(nodes)[:, self.i, self.j]
+        mats = self.rep.evaluate_batch(nodes) if self._family is None else self._family(nodes)
+        return mats[:, self.i, self.j]
+
+
+class _LastStack:
+    """The stack of ``rep`` at the last node array asked for."""
+
+    def __init__(self, rep: Representation):
+        self.rep = rep
+        self.nodes = self.stack = None
+
+    def __call__(self, nodes):
+        if nodes is not self.nodes:
+            self.nodes, self.stack = nodes, self.rep.evaluate_batch(nodes)
+        return self.stack

@@ -20,6 +20,13 @@ split it completely.  Every block, over any group kind, is a
 of the whole are checked against 1 and against the commutant dimension, so
 an under-resolved rule is refused instead of giving wrong blocks.
 
+Each public call evaluates its input once at the rule nodes and, where it
+needs them, once at their inverses (``HaarRule.inverse_nodes``); the stacks
+pass from step to step in a ``TabulatedRepresentation`` that lives only as
+long as the call.  ``decompose`` is the one exception: it evaluates the rule
+nodes again for its final sandwich rather than keep that stack alive next
+to the two unitarized ones.
+
 Each discrete answer is one threshold decision against one module constant:
 ``RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for the block
 sizes, ``UNITARY_TOL`` for whether to unitarize, ``MULTIPLICITY_WINDOW`` for
@@ -28,7 +35,7 @@ the character-norm checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,12 +54,14 @@ from .representations import (
     BlockRepresentation,
     Character,
     Representation,
+    TabulatedRepresentation,
     character,
     check_rule_group,
     conjugate,
-    unitarity_audit,
+    tabulate,
+    unitarity_defect,
 )
-from .unitarization import RANK_TOL, averaged_form
+from .unitarization import RANK_TOL, invariant_gram
 
 UNITARY_TOL = 1e-8
 CLUSTER_GAP = 1e-6
@@ -73,7 +82,7 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     if A.shape != (phi.degree, psi.degree):
         raise ShapeMismatchError(f"seed matrix must be {phi.degree}x{psi.degree}, got {A.shape}")
     phis = phi.evaluate_batch(rule.nodes)
-    psis_inv = psi.evaluate_batch(rule.group.invert_nodes(rule.nodes))
+    psis_inv = psi.evaluate_batch(rule.inverse_nodes)
     return integrate_stacked(rule, phis @ A[None] @ psis_inv)
 
 
@@ -95,6 +104,7 @@ class CommutantReport:
             "dimension": self.dimension,
             "basis": [matrix_to_json(B) for B in self.basis],
             "max_residual": self.max_residual,
+            "character_norm": self.character_norm,
         }
 
 
@@ -111,7 +121,7 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     r = rep.degree
     n = rule.node_count
     mats = rep.evaluate_batch(rule.nodes)
-    mats_inv = rep.evaluate_batch(rule.group.invert_nodes(rule.nodes))
+    mats_inv = rep.evaluate_batch(rule.inverse_nodes)
     # outer[i, k, l, j] = integral of rho_ik rhoinv_lj, the (i, j) entry of
     # the average of rho E_kl rho^-1; row (k, l) of the superoperator
     outer = integrate_product(rule, mats.reshape(n, 1, r * r), mats_inv.reshape(n, 1, r * r))
@@ -156,22 +166,46 @@ def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
 def _ensure_unitary(rep: Representation, rule: HaarRule):
     """Return (unitary rep, basis change A, A^-1): the identity change when
     the input passes the unitarity audit, else the Cholesky factor of its
-    averaged form."""
-    if unitarity_audit(rep, rule) <= UNITARY_TOL:
+    averaged form.
+
+    The input is evaluated once at the rule nodes and once at their
+    inverses, and the unitary rep is tabulated at both, so a ``commutant``
+    of it evaluates nothing.  The stack at the nodes is used up forming the
+    unitarized one before the inverse nodes are evaluated, so no more
+    stacks are alive at once than in ``commutant`` itself.
+    """
+    mats = rep.evaluate_batch(rule.nodes)
+    if unitarity_defect(mats) <= UNITARY_TOL:
         eye = np.eye(rep.degree, dtype=complex)
-        return rep, eye, eye
-    work = conjugate(rep, linalg.cholesky_hermitian(averaged_form(rep, rule).gram))
-    return work, work.matrix, work.matrix_inv
+        stacks = [(rule.nodes, mats), (rule.inverse_nodes, rep.evaluate_batch(rule.inverse_nodes))]
+        return TabulatedRepresentation(rep, stacks), eye, eye
+    work = conjugate(rep, linalg.cholesky_hermitian(invariant_gram(rule, mats)[0]))
+    A, A_inv = work.matrix, work.matrix_inv
+    mats = linalg.sandwich(A, mats, A_inv)
+    mats_inv = linalg.sandwich(A, rep.evaluate_batch(rule.inverse_nodes), A_inv)
+    return TabulatedRepresentation(work, [(rule.nodes, mats), (rule.inverse_nodes, mats_inv)]), A, A_inv
+
+
+def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
+    """The commutant of the input in a unitary basis: of the input itself
+    when it passes the unitarity audit, else of the input conjugated by the
+    Cholesky factor of its averaged form.  Its dimension is the input's
+    commutant dimension, and its basis is orthonormal in that basis."""
+    check_rule_group(rule, rep)
+    work, _, _ = _ensure_unitary(rep, rule)
+    return commutant(work, rule)
 
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
     """Scalar-commutant criterion; non-unitary input is unitarized first."""
-    work, _, _ = _ensure_unitary(rep, rule)
-    return commutant(work, rule).dimension == 1
+    return unitary_commutant(rep, rule).dimension == 1
 
 
-def _rule_name(rule: HaarRule) -> str:
-    return f"the {rule.group.kind} rule at resolution {rule.resolution} ({rule.node_count} nodes)"
+def _unresolved(rule: HaarRule, basis_change: np.ndarray) -> str:
+    """The two causes of a character-norm refusal, with their sizes."""
+    return (f"the {rule.group.kind} rule at resolution {rule.resolution} ({rule.node_count} nodes) "
+            f"under-resolves this representation, or its basis change to a unitary one "
+            f"(condition number {np.linalg.cond(basis_change):.3g}) is too ill-conditioned for it")
 
 
 def _split(rep: Representation, rule: HaarRule):
@@ -181,7 +215,10 @@ def _split(rep: Representation, rule: HaarRule):
     ``BlockRepresentation`` of the input."""
     check_rule_group(rule, rep)
     work, A, A_inv = _ensure_unitary(rep, rule)
-    Q, sizes = _split_unitary_fully(work, rule)
+    try:
+        Q, sizes = _split_unitary_fully(work, rule)
+    except NotIrreducibleError as exc:
+        raise NotIrreducibleError(f"{exc}: {_unresolved(rule, A)}") from None
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     offsets = np.cumsum([0, *sizes[:-1]]).tolist()
     return P, P_inv, [BlockRepresentation(rep, P, o, d, P_inv=P_inv) for o, d in zip(offsets, sizes)]
@@ -197,7 +234,8 @@ def split_once(rep: Representation, rule: HaarRule):
     passes the unitarity audit; otherwise it includes the unitarization
     change of basis.  Raises AlreadyIrreducibleError when the commutant is
     scalar, and NotIrreducibleError when the rule under-resolves the
-    representation (see ``_split_unitary_fully``).
+    representation or the basis change to a unitary one is too
+    ill-conditioned for it (see ``_split_unitary_fully``).
     """
     P, P_inv, blocks = _split(rep, rule)
     if len(blocks) < 2:
@@ -223,8 +261,7 @@ def _split_unitary_fully(work: Representation, rule: HaarRule):
     report = commutant(work, rule)
     if abs(report.character_norm - report.dimension) > MULTIPLICITY_WINDOW:
         raise NotIrreducibleError(
-            f"commutant dimension {report.dimension} but character norm "
-            f"{report.character_norm:.6f}: {_rule_name(rule)} under-resolves this representation")
+            f"commutant dimension {report.dimension} but character norm {report.character_norm:.6f}")
     if report.dimension <= 1:
         return np.eye(work.degree, dtype=complex), [work.degree]
     g = np.random.default_rng(SPLIT_SEED).standard_normal((2, report.dimension))
@@ -288,7 +325,7 @@ def decompose(rep: Representation, rule: HaarRule) -> DecompositionReport:
         if abs(norm - 1.0) > MULTIPLICITY_WINDOW:
             raise NotIrreducibleError(
                 f"a block of degree {block.degree} has character norm {norm:.6f}, not 1: "
-                f"{_rule_name(rule)} under-resolves this representation")
+                f"{_unresolved(rule, P)}")
         block_chars.append(Character(rep=block, rule=rule, values=values, degree=block.degree))
     residual = float(np.abs(full[:, mask]).max()) if mask.any() else 0.0
     return DecompositionReport(P=P, blocks=blocks, block_characters=block_chars, residual=residual)
@@ -307,10 +344,13 @@ def orthogonality_audit(reps, rule: HaarRule) -> np.ndarray:
     scalar-commutant test."""
     reps = list(reps)
     check_rule_group(rule, *reps)
+    chars = []
     for i, rep in enumerate(reps):
-        if not irreducibility_test(rep, rule):
+        seen = tabulate(rep, rule)
+        if not irreducibility_test(seen, rule):
             raise NotIrreducibleError(f"representation {i} is not irreducible")
-    chars = [character(rep, rule) for rep in reps]
+        # the character reads the stack the test evaluated, and keeps the input
+        chars.append(replace(character(seen, rule), rep=rep))
     n = len(reps)
     residual = np.empty((n, n))
     for i in range(n):
@@ -324,11 +364,11 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     """Largest deviation of integral of rho_ij conj(rho_kl) from the scalar
     orthogonality pattern delta_ik delta_jl / degree, over all index
     quadruples of an irreducible unitary representation."""
-    check_rule_group(rule, rep)
-    if not irreducibility_test(rep, rule):
+    seen = tabulate(rep, rule)
+    if not irreducibility_test(seen, rule):
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     r = rep.degree
-    flat = rep.evaluate_batch(rule.nodes).reshape(rule.node_count, 1, r * r)
+    flat = seen.evaluate_batch(rule.nodes).reshape(rule.node_count, 1, r * r)
     gram = integrate_product(rule, flat, flat.conj())
     return linalg.max_abs(gram - np.eye(r * r) / r)
 
@@ -337,9 +377,10 @@ def multiplicity(rep: Representation, irrep: Representation, rule: HaarRule) -> 
     """Nearest integer to <chi_rep, chi_irrep>; raises when the inner product
     is further than 0.05 from an integer (an under-resolved rule)."""
     check_rule_group(rule, rep, irrep)
-    if not irreducibility_test(irrep, rule):
+    seen = tabulate(irrep, rule)
+    if not irreducibility_test(seen, rule):
         raise NotIrreducibleError("multiplicity requires an irreducible reference representation")
-    inner = character_inner(character(rep, rule), character(irrep, rule), rule)
+    inner = character_inner(character(rep, rule), character(seen, rule), rule)
     nearest = int(round(inner.real))
     if abs(inner - nearest) > MULTIPLICITY_WINDOW or nearest < 0:
         raise NonIntegerMultiplicityError(

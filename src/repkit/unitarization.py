@@ -16,6 +16,10 @@ the general linear group: reducible, yet no basis change makes it unitary or
 splits the invariant line off, because a non-compact group admits no
 normalized invariant integral to average with.  That is why only the compact
 group kinds are supported here.
+
+``averaged_form``, ``invariant_form_space`` and ``unitarize`` each evaluate
+their input once at the rule nodes; ``unitarize`` reads the averaged form and
+the unitarity audit of the new basis off that one stack.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from . import linalg
 from .errors import NotPositiveDefiniteError
 from .groups import HaarRule, integrate_product
-from .representations import Representation, check_rule_group, conjugate, unitarity_audit
+from .representations import Representation, check_rule_group, conjugate, tabulate, unitarity_defect
 
 # the one cut-off for fixed-space dimensions read off an averaged map
 # (commutant dimension here and in ``schur``, and d)
@@ -61,6 +65,15 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     """
     check_rule_group(rule, rep)
     mats = rep.evaluate_batch(rule.nodes)
+    H, lowest = invariant_gram(rule, mats)
+    residual = linalg.max_abs_over_nodes(lambda m: m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None],
+                                         mats)
+    return HermitianForm(gram=H, definiteness=lowest, invariance_residual=residual)
+
+
+def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Gram matrix of ``averaged_form`` and its smallest eigenvalue, from
+    the stack of rho at the rule nodes, without the invariance residual."""
     H = integrate_product(rule, mats.conj(), mats)
     H = (H + H.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
@@ -68,21 +81,25 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
         raise NotPositiveDefiniteError(
             f"averaged form has smallest eigenvalue {w[0]:.3e}; "
             "the input is not a representation or the rule is under-resolved")
-    residual = linalg.max_abs(mats.conj().transpose(0, 2, 1) @ H[None] @ mats - H[None])
-    return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
+    return H, float(w[0])
 
 
 def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     """Change basis by the Cholesky factor of the averaged form so the
-    representation becomes unitary; the character is untouched."""
-    form = averaged_form(rep, rule)
+    representation becomes unitary; the character is untouched.  The input
+    is evaluated once: the averaged form and the unitarity audit of the new
+    basis both read that stack."""
+    seen = tabulate(rep, rule)
+    form = averaged_form(seen, rule)
     A = linalg.cholesky_hermitian(form.gram)
     unitary_rep = conjugate(rep, A)
+    mats = linalg.sandwich(A, seen.evaluate_batch(rule.nodes), unitary_rep.matrix_inv)
+    del seen
     return UnitarizationResult(
         basis_change=A,
         unitary_rep=unitary_rep,
         invariance_residual=form.invariance_residual,
-        unitarity_residual=unitarity_audit(unitary_rep, rule),
+        unitarity_residual=unitarity_defect(mats),
     )
 
 

@@ -191,6 +191,39 @@ def test_irreducible_payload_carries_commutant_schema(runner):
     assert basis.shape == (2, 2, 2)
 
 
+def test_irreducible_reads_one_commutant(runner, tmp_path):
+    # verdict, dimension and commutant block come from the same commutant,
+    # in a unitary basis, also for an ill-conditioned input
+    rng = np.random.default_rng(0)
+    unitaries = [np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+                 for _ in range(2)]
+    basis = unitaries[0] @ np.diag(np.geomspace(1.0, 100.0, 3)) @ unitaries[1]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"kind": "conjugate", "matrix": matrix_to_json(basis),
+                                "inner": {"kind": "su2_spin", "two_j": 2}}))
+    result = runner.invoke(main, ["irreducible", "--builtin", "su2", "--rep", str(path),
+                                  "--resolution", "12", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["irreducible"] is True
+    assert payload["commutant_dimension"] == 1
+    assert payload["commutant"]["dimension"] == 1
+
+
+def test_irreducible_commutant_disagreeing_with_character_norm_exits_2(runner):
+    # the 512-node rule gives spin 1/2 a commutant of dimension 4 against a
+    # character norm of 1; the gap fails even with the commutant residual
+    # forgiven by --tol
+    result = runner.invoke(main, ["irreducible", "--spin", "1", "--resolution", "8",
+                                  "--tol", "10", "--format", "json"])
+    assert result.exit_code == 2
+    report = json.loads(result.output)
+    assert report["residuals"]["character_norm_gap"] > 2.5
+    assert report["tolerances"]["character_norm_gap"] == rk.schur.MULTIPLICITY_WINDOW
+    commutant = report["payload"]["commutant"]
+    assert commutant["dimension"] == 4 and abs(commutant["character_norm"] - 1.0) < 1e-3
+
+
 def test_characters_command(runner):
     result = runner.invoke(main, ["characters", "--builtin", "circle", "--weights", "1,-1",
                                   "--resolution", "8", "--format", "json"])

@@ -145,3 +145,24 @@ def test_invert_rejects_singular():
 def test_matrices_must_be_finite():
     with pytest.raises(ValueError):
         linalg.as_matrix([[np.nan, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 3, 3), (700, 4, 4, 4), (700, 2, 4, 2), (700, 4, 3, 5)])
+def test_sandwich_matches_one_product_bytewise(shape):
+    # the node-chunked left product gives the entries of the plain one,
+    # square or not, across chunk boundaries
+    n, a, r, s = shape
+    rng = np.random.default_rng(3)
+    A, stack, B = random_complex(rng, (a, r)), random_complex(rng, (n, r, r)), random_complex(rng, (r, s))
+    plain = np.matmul(A, (stack.reshape(n * r, r) @ B).reshape(n, r, s))
+    assert linalg.sandwich(A, stack, B).tobytes() == plain.tobytes()
+
+
+def test_max_abs_over_nodes_matches_whole_stack():
+    rng = np.random.default_rng(4)
+    stack = random_complex(rng, (3 * linalg.NODE_CHUNK + 5, 3, 3))
+    stack[-1, 2, 1] = 40.0
+
+    def defects(m):
+        return m.conj().transpose(0, 2, 1) @ m - np.eye(3)
+    assert linalg.max_abs_over_nodes(defects, stack) == linalg.max_abs(defects(stack))

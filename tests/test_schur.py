@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -331,21 +332,23 @@ def test_split_once_and_decompose_share_p(z2, su2, su2_rule):
 
 @pytest.mark.parametrize("unitary", [True, False])
 def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypatch, unitary):
-    # one route: audit the input, average its form only when the audit fails
+    # one route: audit the input once, average its form only when the audit
+    # fails, never call unitarize, and compute one commutant
     calls = {}
 
     def count(module, name):
         original = getattr(module, name)
         calls[name] = []
 
-        def counting(rep, rule):
-            calls[name].append(rep)
-            return original(rep, rule)
+        def counting(*args):
+            calls[name].append(args)
+            return original(*args)
         monkeypatch.setattr(module, name, counting)
 
     count(rk.unitarization, "unitarize")
-    count(rk.schur, "unitarity_audit")
-    count(rk.schur, "averaged_form")
+    count(rk.schur, "unitarity_defect")
+    count(rk.schur, "invariant_gram")
+    count(rk.schur, "commutant")
     if unitary:
         rep, rule = premixed_z2(z2), rk.haar_rule(z2, 1)
     else:
@@ -355,8 +358,9 @@ def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypat
         rule = su2_rule
     rk.decompose(rep, rule)
     assert calls["unitarize"] == []
-    assert len(calls["unitarity_audit"]) == 1 and calls["unitarity_audit"][0] is rep
-    assert calls["averaged_form"] == ([] if unitary else [rep])
+    assert len(calls["unitarity_defect"]) == 1
+    assert len(calls["invariant_gram"]) == (0 if unitary else 1)
+    assert len(calls["commutant"]) == 1 and isinstance(calls["commutant"][0][0], rk.Representation)
 
 
 def test_decompose_repeats_bytewise(s3):
@@ -374,6 +378,22 @@ def test_decompose_refuses_under_resolved_rule(su2):
                        np.diag([1.0, 2.0, 1.0, 1.0, 3.0]))
     with pytest.raises(rk.NotIrreducibleError, match="resolution 8"):
         rk.decompose(rep, rk.haar_rule(su2, 8))
+
+
+def test_decompose_refusal_names_the_basis_conditioning(su2, su2_rule):
+    # the default rule splits this sum under a condition-1e4 basis change
+    # but not under 1e6: the refusal reports cond(A) next to the rule
+    def conjugated(kappa):
+        rng = np.random.default_rng(0)
+        U = [np.linalg.qr(random_complex(rng, (5, 5)))[0] for _ in range(2)]
+        basis = U[0] @ np.diag(np.geomspace(1.0, kappa, 5)) @ U[1]
+        return rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)), basis)
+
+    assert sorted(b.degree for b in rk.decompose(conjugated(1e4), su2_rule).blocks) == [2, 3]
+    with pytest.raises(rk.NotIrreducibleError, match="resolution 16") as refusal:
+        rk.decompose(conjugated(1e6), su2_rule)
+    kappa = float(re.search(r"condition number ([0-9.e+]+)", str(refusal.value)).group(1))
+    assert 1e5 < kappa < 1e7
 
 
 def test_decompose_refuses_reducible_block(su2, su2_rule, monkeypatch):
@@ -530,6 +550,7 @@ def test_commutant_report_json_schema(su2, su2_rule):
     assert data["dimension"] == 1
     assert np.asarray(data["basis"][0]).shape == (2, 2, 2)  # rows of [re, im] pairs
     assert data["max_residual"] <= 1e-10
+    assert abs(data["character_norm"] - 1.0) <= 1e-8
 
 
 def test_decomposition_report_json_schema(z2):
