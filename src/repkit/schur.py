@@ -9,23 +9,20 @@ row space, and its trace is the character norm integral of |chi|^2.  The same
 contraction of rho against conj(rho) gives every matrix-element integral at
 once.  Scalar commutant (dimension one) is the irreducibility criterion.
 
-Splitting rests on Schur's lemma: the commutant of a unitary representation
-is a direct sum of full matrix algebras M_{m_i}, one per isotypic component,
-so the eigenspaces of one generic Hermitian commutant element are already
-the irreducible blocks.  ``split_once`` and ``decompose`` take one route: an
-input that fails the unitarity audit is first conjugated by the Cholesky
-factor of its averaged form, then one commutant and one eigendecomposition
-split it completely.  Every block, over any group kind, is a
-``BlockRepresentation`` of the input.  The character norms of the blocks and
-of the whole are checked against 1 and against the commutant dimension, so
-an under-resolved rule is refused instead of giving wrong blocks.
+Splitting follows the proof of Schur's lemma and never forms that
+superoperator.  ``split_once`` and ``decompose`` take one route: an input
+that fails the unitarity audit is conjugated by the Cholesky factor of its
+averaged form, then the eigenspaces of one averaged Hermitian seed T(X), a
+generic commutant element, are the irreducible blocks.  Every block is a
+``BlockRepresentation`` of the input.  Blocks whose character norms are not
+1, or whose isotypic multiplicities disagree with the character norm of the
+whole, are refused, so an under-resolved rule gives no wrong blocks.
 
 Each public call evaluates its input once at the rule nodes and, where it
 needs them, once at their inverses (``HaarRule.inverse_nodes``); the stacks
 pass from step to step in a ``TabulatedRepresentation`` that lives only as
-long as the call.  ``decompose`` is the one exception: it evaluates the rule
-nodes again for its final sandwich rather than keep that stack alive next
-to the two unitarized ones.
+long as the call.  The split needs no inverses: rho(x^-1) = W(x)^* once the
+stack W is unitary.
 
 Each discrete answer is one threshold decision against one module constant:
 ``RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for the block
@@ -166,24 +163,16 @@ def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
 def _ensure_unitary(rep: Representation, rule: HaarRule):
     """Return (unitary rep, basis change A, A^-1): the identity change when
     the input passes the unitarity audit, else the Cholesky factor of its
-    averaged form.
-
-    The input is evaluated once at the rule nodes and once at their
-    inverses, and the unitary rep is tabulated at both, so a ``commutant``
-    of it evaluates nothing.  The stack at the nodes is used up forming the
-    unitarized one before the inverse nodes are evaluated, so no more
-    stacks are alive at once than in ``commutant`` itself.
+    averaged form.  The unitary rep is tabulated at the rule nodes; other
+    nodes, such as the inverse nodes of ``commutant``, are evaluated anew.
     """
     mats = rep.evaluate_batch(rule.nodes)
     if unitarity_defect(mats) <= UNITARY_TOL:
         eye = np.eye(rep.degree, dtype=complex)
-        stacks = [(rule.nodes, mats), (rule.inverse_nodes, rep.evaluate_batch(rule.inverse_nodes))]
-        return TabulatedRepresentation(rep, stacks), eye, eye
+        return TabulatedRepresentation(rep, [(rule.nodes, mats)]), eye, eye
     work = conjugate(rep, linalg.cholesky_hermitian(invariant_gram(rule, mats)[0]))
     A, A_inv = work.matrix, work.matrix_inv
-    mats = linalg.sandwich(A, mats, A_inv)
-    mats_inv = linalg.sandwich(A, rep.evaluate_batch(rule.inverse_nodes), A_inv)
-    return TabulatedRepresentation(work, [(rule.nodes, mats), (rule.inverse_nodes, mats_inv)]), A, A_inv
+    return TabulatedRepresentation(work, [(rule.nodes, linalg.sandwich(A, mats, A_inv))]), A, A_inv
 
 
 def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
@@ -209,19 +198,49 @@ def _unresolved(rule: HaarRule, basis_change: np.ndarray) -> str:
 
 
 def _split(rep: Representation, rule: HaarRule):
-    """The route ``split_once`` and ``decompose`` share: (P, P^-1, blocks)
-    with P rho(x) P^-1 block-diagonal, P the splitting change times the
-    unitarization change from ``_ensure_unitary``, and each block a
-    ``BlockRepresentation`` of the input."""
+    """The route ``split_once`` and ``decompose`` share: (report, P^-1),
+    with P = Q A for the unitarization A and the split Q of W = A rho A^-1.
+
+    The block characters and the off-block leakage are read off Q W Q^* in
+    node chunks.  Every block's character norm must be 1, and the squared
+    multiplicities of the isotypic classes (blocks grouped by character
+    inner product) must sum to the input's character norm.
+    """
     check_rule_group(rule, rep)
     work, A, A_inv = _ensure_unitary(rep, rule)
-    try:
-        Q, sizes = _split_unitary_fully(work, rule)
-    except NotIrreducibleError as exc:
-        raise NotIrreducibleError(f"{exc}: {_unresolved(rule, A)}") from None
+    Q, sizes = _split_unitary_fully(work, rule)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
-    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-    return P, P_inv, [BlockRepresentation(rep, P, o, d, P_inv=P_inv) for o, d in zip(offsets, sizes)]
+    W = work.evaluate_batch(rule.nodes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    values = np.empty((len(sizes), len(W)), dtype=complex)
+    leakage = 0.0
+    for i in range(0, len(W), linalg.NODE_CHUNK):
+        chunk = linalg.sandwich(Q, W[i:i + linalg.NODE_CHUNK], Q.conj().T)
+        values[:, i:i + len(chunk)] = np.add.reduceat(np.einsum("nii->ni", chunk), starts, axis=1).T
+        leakage = max(leakage, linalg.max_abs(chunk[:, label[:, None] != label[None, :]]))
+    # inner[a, b] = integral of chi_a conj(chi_b): 1 inside an isotypic class
+    # and 0 across, so classes are cut at 1/2; its sum is the input's norm
+    inner = integrate_product(rule, values.T[:, None], values.T.conj()[:, None])
+    for size, norm in zip(sizes, inner.diagonal().real):
+        if abs(norm - 1.0) > MULTIPLICITY_WINDOW:
+            raise NotIrreducibleError(
+                f"a block of degree {size} has character norm {norm:.6f}, not 1: {_unresolved(rule, A)}")
+    m = np.bincount(np.argmax(np.abs(inner) > 0.5, axis=0))
+    if abs(np.sum(m ** 2) - inner.sum().real) > MULTIPLICITY_WINDOW:
+        raise NotIrreducibleError(
+            f"the blocks form isotypic classes of multiplicities {m[m > 0].tolist()} but the character "
+            f"norm is {inner.sum().real:.6f}, not {np.sum(m ** 2)}: {_unresolved(rule, A)}")
+    at_identity = P @ rep.evaluate(rep.group.identity_element()) @ P_inv
+    identity_tol = IDENTITY_TOL * np.linalg.cond(P)
+    blocks, chars = [], []
+    for offset, size, chi in zip(starts.tolist(), sizes, values):
+        ident_trace = np.trace(at_identity[offset:offset + size, offset:offset + size])
+        if abs(ident_trace - size) > identity_tol * (1 + size):
+            raise ValueError(f"character at the identity is {ident_trace}, expected degree {size}")
+        blocks.append(BlockRepresentation(rep, P, offset, size, P_inv=P_inv))
+        chars.append(Character(rep=blocks[-1], rule=rule, values=chi, degree=size))
+    return DecompositionReport(P=P, blocks=blocks, block_characters=chars, residual=leakage), P_inv
 
 
 def split_once(rep: Representation, rule: HaarRule):
@@ -232,42 +251,45 @@ def split_once(rep: Representation, rule: HaarRule):
     (P, (part_a, part_b)) with P rho(x) P^-1 block-diagonal and both parts
     ``BlockRepresentation``s of the input.  P is unitary when the input
     passes the unitarity audit; otherwise it includes the unitarization
-    change of basis.  Raises AlreadyIrreducibleError when the commutant is
-    scalar, and NotIrreducibleError when the rule under-resolves the
-    representation or the basis change to a unitary one is too
-    ill-conditioned for it (see ``_split_unitary_fully``).
+    change of basis.  Raises AlreadyIrreducibleError when the averaged seed
+    gives one block, and NotIrreducibleError as ``decompose`` does.
     """
-    P, P_inv, blocks = _split(rep, rule)
-    if len(blocks) < 2:
+    report, P_inv = _split(rep, rule)
+    if len(report.blocks) < 2:
         raise AlreadyIrreducibleError("representation has a scalar commutant")
-    first = blocks[0].degree
-    return P, (blocks[0], BlockRepresentation(rep, P, first, rep.degree - first, P_inv=P_inv))
+    first = report.blocks[0].degree
+    return report.P, (report.blocks[0],
+                      BlockRepresentation(rep, report.P, first, rep.degree - first, P_inv=P_inv))
 
 
 def _split_unitary_fully(work: Representation, rule: HaarRule):
-    """One eigen-step splitting a unitary representation into irreducibles.
+    """One averaged seed splitting a unitary representation into irreducibles.
 
-    A generic Hermitian commutant element has m_i distinct eigenvalues on
-    the isotypic component of an irreducible of multiplicity m_i, each
-    eigenspace one copy of it.  The element is the Hermitian part of a
-    complex Gaussian combination of the commutant basis, drawn from
-    ``SPLIT_SEED`` so the answer repeats exactly.  Its ascending eigenvalues
-    are cut where neighbours differ by more than ``CLUSTER_GAP`` times their
-    spread.  Returns (Q, sizes) with Q unitary and Q work Q^-1
-    block-diagonal, blocks in ascending eigenvalue order.  Raises
-    NotIrreducibleError when the commutant dimension and the character norm
-    disagree by more than ``MULTIPLICITY_WINDOW``.
+    T(X) = integral of rho(x) X rho(x)^* projects X onto the commutant, a
+    direct sum of full matrix algebras M_{m_i}.  For a generic Hermitian X,
+    drawn from ``SPLIT_SEED``, it has m_i distinct eigenvalues on the
+    isotypic component of multiplicity m_i, each eigenspace one copy.  It
+    is summed in chunks of ``linalg.NODE_CHUNK`` nodes, O(N r^3) work.  Its
+    ascending eigenvalues are cut where neighbours differ by more than
+    ``CLUSTER_GAP`` times the larger of their spread and |X|_2: on an
+    irreducible input T(X) = tr(X)/r I, and the spread is roundoff.
+    Returns (Q, sizes), Q unitary, blocks in ascending eigenvalue order.
     """
-    report = commutant(work, rule)
-    if abs(report.character_norm - report.dimension) > MULTIPLICITY_WINDOW:
-        raise NotIrreducibleError(
-            f"commutant dimension {report.dimension} but character norm {report.character_norm:.6f}")
-    if report.dimension <= 1:
-        return np.eye(work.degree, dtype=complex), [work.degree]
-    g = np.random.default_rng(SPLIT_SEED).standard_normal((2, report.dimension))
-    w, V = linalg.hermitian_eigensystem(np.tensordot(g[0] + 1j * g[1], report.basis, axes=1))
+    W = work.evaluate_batch(rule.nodes)
+    r = work.degree
+    g = np.random.default_rng(SPLIT_SEED).standard_normal((2, r, r))
+    X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
+    T = np.zeros((r, r), dtype=complex)
+    for i in range(0, len(W), linalg.NODE_CHUNK):
+        nodes = slice(i, i + linalg.NODE_CHUNK)
+        # T_ij += sum over (node n, column l) of (W_n X)_il w_n conj(W_n)_jl
+        left = (W[nodes].reshape(-1, r) @ X).reshape(-1, r, r).transpose(1, 0, 2).reshape(r, -1)
+        right = (W[nodes].conj() * rule.weights[nodes, None, None]).transpose(1, 0, 2).reshape(r, -1)
+        T += left @ right.T
+    w, V = linalg.hermitian_eigensystem(T)
     # cluster boundaries: both ends and every gap wider than the cut-off
-    bounds = np.flatnonzero(np.r_[True, np.diff(w) > CLUSTER_GAP * (w[-1] - w[0]), True])
+    cut = CLUSTER_GAP * max(w[-1] - w[0], np.linalg.norm(X, 2))
+    bounds = np.flatnonzero(np.r_[True, np.diff(w) > cut, True])
     return V.conj().T, np.diff(bounds).tolist()
 
 
@@ -293,42 +315,18 @@ class DecompositionReport:
 
 
 def decompose(rep: Representation, rule: HaarRule) -> DecompositionReport:
-    """Split into irreducible blocks in one eigen-step, on the route of
-    ``split_once``.
+    """Split into irreducible blocks with one averaged seed, on the route of
+    ``split_once``, evaluating the input once at the rule nodes.
 
-    P is the splitting basis change times the unitarization change, which is
-    the identity when the input passes the unitarity audit; every block is a
-    ``BlockRepresentation`` of the input, in ascending eigenvalue order of
-    the seeded commutant element.  The block characters and the off-block
-    leakage are read off one evaluation of P rho P^-1 at the rule nodes; the
-    degree check at the identity allows roundoff of order cond(P).  Raises
-    NotIrreducibleError, naming the rule, when a block's character norm is
-    not within ``MULTIPLICITY_WINDOW`` of 1 or the input's is not within it
-    of the commutant dimension: the rule under-resolves the representation.
+    P is the splitting change times the unitarization change A (the
+    identity when the input passes the unitarity audit); the blocks are
+    ``BlockRepresentation``s of the input in ascending eigenvalue order of
+    the seed.  The degree check at the identity allows roundoff of order
+    cond(P).  Raises NotIrreducibleError, naming the rule and cond(A), when
+    a block's character norm or the sum of squared isotypic multiplicities
+    misses its target by more than ``MULTIPLICITY_WINDOW``.
     """
-    P, P_inv, blocks = _split(rep, rule)
-    full = linalg.sandwich(P, rep.evaluate_batch(rule.nodes), P_inv)
-    at_identity = P @ rep.evaluate(rep.group.identity_element()) @ P_inv
-    identity_tol = IDENTITY_TOL * np.linalg.cond(P)
-    mask = np.ones((rep.degree, rep.degree), dtype=bool)
-    block_chars = []
-    offset = 0
-    for block in blocks:
-        sl = slice(offset, offset + block.degree)
-        offset += block.degree
-        mask[sl, sl] = False
-        ident_trace = np.trace(at_identity[sl, sl])
-        if abs(ident_trace - block.degree) > identity_tol * (1 + block.degree):
-            raise ValueError(f"character at the identity is {ident_trace}, expected degree {block.degree}")
-        values = np.einsum("nii->n", full[:, sl, sl])
-        norm = integrate_values(rule, np.abs(values) ** 2).real
-        if abs(norm - 1.0) > MULTIPLICITY_WINDOW:
-            raise NotIrreducibleError(
-                f"a block of degree {block.degree} has character norm {norm:.6f}, not 1: "
-                f"{_unresolved(rule, P)}")
-        block_chars.append(Character(rep=block, rule=rule, values=values, degree=block.degree))
-    residual = float(np.abs(full[:, mask]).max()) if mask.any() else 0.0
-    return DecompositionReport(P=P, blocks=blocks, block_characters=block_chars, residual=residual)
+    return _split(rep, rule)[0]
 
 
 def character_inner(c1: Character, c2: Character, rule: HaarRule) -> complex:

@@ -17,9 +17,9 @@ splits the invariant line off, because a non-compact group admits no
 normalized invariant integral to average with.  That is why only the compact
 group kinds are supported here.
 
-``averaged_form``, ``invariant_form_space`` and ``unitarize`` each evaluate
-their input once at the rule nodes; ``unitarize`` reads the averaged form and
-the unitarity audit of the new basis off that one stack.
+``averaged_form``, ``invariant_form_space``, ``unitarize`` and
+``specialness_report`` each evaluate their input once at the rule nodes;
+``unitarize`` reads its form and its unitarity audit off that one stack.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefiniteError
+from .errors import EvaluationFailureError, NotPositiveDefiniteError
 from .groups import HaarRule, integrate_product
 from .representations import Representation, check_rule_group, conjugate, tabulate, unitarity_defect
 
@@ -73,8 +73,15 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
 
 def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, float]:
     """The Gram matrix of ``averaged_form`` and its smallest eigenvalue, from
-    the stack of rho at the rule nodes, without the invariance residual."""
-    H = integrate_product(rule, mats.conj(), mats)
+    the stack of rho at the rule nodes, without the invariance residual: one
+    GEMM over (node, row) pairs against a weighted conjugate of the stack,
+    built in place as the one stack-sized temporary."""
+    n, r, _ = mats.shape
+    weighted = mats.conj()
+    weighted *= rule.weights[:, None, None]
+    H = weighted.reshape(n * r, r).T @ mats.reshape(n * r, r)
+    if not np.isfinite(H).all():
+        raise EvaluationFailureError("the averaged form has a non-finite entry")
     H = (H + H.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
     if w[0] <= linalg.STRUCTURAL_TOL:
@@ -89,12 +96,16 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     representation becomes unitary; the character is untouched.  The input
     is evaluated once: the averaged form and the unitarity audit of the new
     basis both read that stack."""
-    seen = tabulate(rep, rule)
+    return _unitarize(rep, tabulate(rep, rule), rule)
+
+
+def _unitarize(rep: Representation, seen: Representation, rule: HaarRule) -> UnitarizationResult:
+    """``unitarize`` read off ``seen``, the input tabulated at the rule nodes;
+    the unitary rep is built on ``rep`` and does not hold the stack."""
     form = averaged_form(seen, rule)
     A = linalg.cholesky_hermitian(form.gram)
     unitary_rep = conjugate(rep, A)
     mats = linalg.sandwich(A, seen.evaluate_batch(rule.nodes), unitary_rep.matrix_inv)
-    del seen
     return UnitarizationResult(
         basis_change=A,
         unitary_rep=unitary_rep,
@@ -179,6 +190,7 @@ class SpecialnessReport:
 
 
 def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport:
-    forms, d = invariant_form_space(rep, rule)
-    return SpecialnessReport(d=d, special=(d == 1), unitarization=unitarize(rep, rule),
+    seen = tabulate(rep, rule)
+    forms, d = invariant_form_space(seen, rule)
+    return SpecialnessReport(d=d, special=(d == 1), unitarization=_unitarize(rep, seen, rule),
                              form_basis=forms)

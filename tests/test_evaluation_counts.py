@@ -35,16 +35,27 @@ def conjugated_sum(su2, seed=7):
                         random_invertible(rng, 5, diag_boost=3.0))
 
 
-def test_decompose_evaluates_each_leaf_three_times(su2, su2_rule, evaluations):
-    # the nodes to unitarize, their inverses for the commutant, the nodes
-    # again for the final sandwich
+def test_decompose_evaluates_each_leaf_once(su2, su2_rule, evaluations):
+    # the rule nodes only: the averaged seed needs no inverse nodes once the
+    # stack is unitary, and the blocks are read off the same stack
     rk.decompose(conjugated_sum(su2), su2_rule)
-    assert sorted(evaluations) == [1, 1, 1, 2, 2, 2]
+    assert sorted(evaluations) == [1, 2]
+    evaluations.clear()
+    rk.split_once(conjugated_sum(su2), su2_rule)
+    assert sorted(evaluations) == [1, 2]
 
 
 def test_unitarize_evaluates_once(su2, su2_rule, evaluations):
     rk.unitarize(conjugated_sum(su2), su2_rule)
     assert sorted(evaluations) == [1, 2]
+
+
+def test_specialness_report_evaluates_once(su2, su2_rule, evaluations):
+    # the invariant-form space and the unitarization share one stack
+    report = rk.specialness_report(conjugated_sum(su2), su2_rule)
+    assert sorted(evaluations) == [1, 2]
+    assert report.d == 2 and report.unitarization.unitarity_residual <= 1e-8
+    assert not isinstance(report.unitarization.unitary_rep.inner, rk.representations.TabulatedRepresentation)
 
 
 def test_orthogonality_audit_evaluates_twice_per_representation(su2, su2_rule, evaluations):

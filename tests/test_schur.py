@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,7 +292,8 @@ def test_decompose_s4_regular():
     assert report.residual <= 1e-12
 
 
-def test_decompose_computes_one_commutant(su2, su2_rule, monkeypatch):
+def test_decompose_computes_no_commutant(su2, su2_rule, monkeypatch):
+    # one averaged seed splits the input: no r^2 x r^2 commutant is formed
     calls = []
     original = rk.schur.commutant
 
@@ -304,7 +306,9 @@ def test_decompose_computes_one_commutant(su2, su2_rule, monkeypatch):
         [rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2), rk.spin_irrep(1.5, su2)])
     report = rk.decompose(rep, su2_rule)
     assert sorted(b.degree for b in report.blocks) == [2, 3, 4]
-    assert calls == [9]
+    with pytest.raises(rk.AlreadyIrreducibleError):
+        rk.split_once(rk.spin_irrep(1.5, su2), su2_rule)
+    assert calls == []
 
 
 def test_decompose_blocks_project_the_input(su2, su2_rule):
@@ -333,7 +337,7 @@ def test_split_once_and_decompose_share_p(z2, su2, su2_rule):
 @pytest.mark.parametrize("unitary", [True, False])
 def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypatch, unitary):
     # one route: audit the input once, average its form only when the audit
-    # fails, never call unitarize, and compute one commutant
+    # fails, never call unitarize, and compute no commutant
     calls = {}
 
     def count(module, name):
@@ -360,7 +364,45 @@ def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypat
     assert calls["unitarize"] == []
     assert len(calls["unitarity_defect"]) == 1
     assert len(calls["invariant_gram"]) == (0 if unitary else 1)
-    assert len(calls["commutant"]) == 1 and isinstance(calls["commutant"][0][0], rk.Representation)
+    assert calls["commutant"] == []
+
+
+def test_split_diagonalizes_the_whole_stack_average(su2, su2_rule):
+    # reference: T(X) = sum of w_n W_n X W_n^* over the whole stack at once,
+    # for the seed the split draws; the chunked split must diagonalize it,
+    # with one eigenvalue per block (two equivalent copies of spin 1/2 get
+    # distinct ones), on a rule of 16 node chunks
+    rep = rk.DirectSumRepresentation(
+        [rk.spin_irrep(0.5, su2), rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)])
+    W = rep.evaluate_batch(su2_rule.nodes)
+    g = np.random.default_rng(rk.schur.SPLIT_SEED).standard_normal((2, 7, 7))
+    X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
+    reference = np.tensordot(su2_rule.weights, W @ X @ W.conj().transpose(0, 2, 1), axes=(0, 0))
+    Q, sizes = rk.schur._split_unitary_fully(rk.representations.tabulate(rep, su2_rule), su2_rule)
+    assert sorted(sizes) == [2, 2, 3]
+    D = Q @ reference @ Q.conj().T
+    assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-12 * np.linalg.norm(X, 2)
+    values = np.split(np.diag(D).real, np.cumsum(sizes)[:-1])
+    assert max(np.ptp(v) for v in values) <= 1e-12 * np.linalg.norm(X, 2)
+    assert min(np.diff(sorted(v[0] for v in values))) > 1e-3 * np.linalg.norm(X, 2)
+
+
+def test_decompose_runs_the_seed_in_node_chunks(su2, su2_rule):
+    # the averaged seed, the block characters and the leakage run over node
+    # chunks: the peak is the evaluation of the input and the averaged form
+    # (two stacks), with no whole-stack copy of W X or conj(W) on top
+    rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1.5, su2), rk.spin_irrep(2, su2)),
+                       np.diag(np.arange(1.0, 10.0)))
+    stack_bytes = su2_rule.node_count * rep.degree ** 2 * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = rk.decompose(rep, su2_rule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sorted(b.degree for b in report.blocks) == [4, 5]
+    assert peak <= 2.5 * stack_bytes
 
 
 def test_decompose_repeats_bytewise(s3):
@@ -381,8 +423,8 @@ def test_decompose_refuses_under_resolved_rule(su2):
 
 
 def test_decompose_refusal_names_the_basis_conditioning(su2, su2_rule):
-    # the default rule splits this sum under a condition-1e4 basis change
-    # but not under 1e6: the refusal reports cond(A) next to the rule
+    # the default rule splits this sum under condition-1e4 and 1e6 basis
+    # changes but not under 1e8: the refusal reports cond(A) next to the rule
     def conjugated(kappa):
         rng = np.random.default_rng(0)
         U = [np.linalg.qr(random_complex(rng, (5, 5)))[0] for _ in range(2)]
@@ -390,10 +432,75 @@ def test_decompose_refusal_names_the_basis_conditioning(su2, su2_rule):
         return rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)), basis)
 
     assert sorted(b.degree for b in rk.decompose(conjugated(1e4), su2_rule).blocks) == [2, 3]
+    report = rk.decompose(conjugated(1e6), su2_rule)
+    assert sorted(b.degree for b in report.blocks) == [2, 3]
+    for char in report.block_characters:
+        norm = rk.groups.integrate_values(su2_rule, np.abs(char.values) ** 2).real
+        assert abs(norm - 1.0) <= 1e-7
+    assert report.residual <= 1e-4
     with pytest.raises(rk.NotIrreducibleError, match="resolution 16") as refusal:
-        rk.decompose(conjugated(1e6), su2_rule)
+        rk.decompose(conjugated(1e8), su2_rule)
     kappa = float(re.search(r"condition number ([0-9.e+]+)", str(refusal.value)).group(1))
-    assert 1e5 < kappa < 1e7
+    assert 1e7 < kappa < 1e9
+
+
+@pytest.mark.parametrize("two_j, resolution", [(10, 16), (12, 24)])
+def test_decompose_refuses_under_resolved_high_spin(su2, two_j, resolution):
+    # an irreducible whose products the rule cannot integrate: the averaged
+    # seed is not scalar, and its noise blocks are refused, not returned
+    rule = rk.haar_rule(su2, resolution)
+    with pytest.raises(rk.NotIrreducibleError, match=f"resolution {resolution} "):
+        rk.decompose(rk.SpinRepresentation(su2, two_j), rule)
+
+
+def test_decompose_groups_isotypic_classes(su2, su2_rule):
+    # 1/2 + 1/2 + 1 under a non-unitary basis: blocks [2, 2, 3], and the
+    # character inner products put the two degree-2 blocks in one class of
+    # multiplicity 2, so the squared multiplicities sum to 4 + 1 = 5
+    rng = np.random.default_rng(17)
+    base = rk.DirectSumRepresentation(
+        [rk.spin_irrep(0.5, su2), rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)])
+    rep = rk.conjugate(base, random_invertible(rng, 7, diag_boost=3.0))
+    report = rk.decompose(rep, su2_rule)
+    assert sorted(b.degree for b in report.blocks) == [2, 2, 3]
+    inner = np.array([[rk.character_inner(a, b, su2_rule) for b in report.block_characters]
+                      for a in report.block_characters])
+    degrees = np.array([b.degree for b in report.blocks])
+    assert np.abs(inner - (degrees[:, None] == degrees[None, :])).max() <= 1e-8
+    norm = rk.character_inner(rk.character(rep, su2_rule), rk.character(rep, su2_rule), su2_rule)
+    assert abs(norm - 5.0) <= 1e-8
+
+
+def test_irreducible_input_gives_one_block(su2, su2_rule):
+    # spin 3/2 under a non-unitary basis: the averaged seed is scalar
+    rng = np.random.default_rng(18)
+    rep = rk.conjugate(rk.spin_irrep(1.5, su2), random_invertible(rng, 4, diag_boost=3.0))
+    report = rk.decompose(rep, su2_rule)
+    assert [b.degree for b in report.blocks] == [4]
+    assert report.residual == 0.0
+    assert np.abs(report.block_characters[0].values - spin_character(3, su2_rule)).max() <= 1e-8
+    with pytest.raises(rk.AlreadyIrreducibleError):
+        rk.split_once(rep, su2_rule)
+
+
+def test_decompose_refuses_inconsistent_multiplicities(monkeypatch):
+    # a split of the six characters of Z6 into three blocks that each carry
+    # half of four of them: every block's character norm is 1, but each
+    # pair has inner product 1/2, so no isotypic grouping gives the
+    # character norm 6 of the whole
+    z6 = rk.cyclic_group(6)
+    rep = rk.cyclic_phase_rep(z6, range(6))
+    s = np.sqrt(0.5)
+    Q = np.zeros((6, 6))
+    for row, (i, j, sign) in enumerate([(0, 1, 1), (2, 3, 1), (0, 1, -1),
+                                        (4, 5, 1), (2, 3, -1), (4, 5, -1)]):
+        Q[row, i], Q[row, j] = s, sign * s
+    monkeypatch.setattr(rk.schur, "_split_unitary_fully", lambda work, rule: (Q.astype(complex), [2, 2, 2]))
+    with pytest.raises(rk.NotIrreducibleError, match="multiplicities .* character norm is 6") as refusal:
+        rk.decompose(rep, rk.haar_rule(z6, 1))
+    assert "resolution 1" in str(refusal.value) and "condition number 1" in str(refusal.value)
+    with pytest.raises(rk.NotIrreducibleError, match="multiplicities"):
+        rk.split_once(rep, rk.haar_rule(z6, 1))
 
 
 def test_decompose_refuses_reducible_block(su2, su2_rule, monkeypatch):

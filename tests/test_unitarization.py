@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,23 @@ def test_specialness_report(su2, su2_rule):
 
     trivial = rk.spin_irrep(0, su2)
     assert rk.specialness_report(trivial, su2_rule).special
+
+
+def test_invariant_gram_holds_one_stack_sized_temporary(su2, su2_rule):
+    # the averaged form is one GEMM against a weighted conjugate of the
+    # stack: one temporary the size of the stack, not a conjugate copy
+    # plus a weighted copy of it
+    rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1.5, su2), rk.spin_irrep(2, su2)),
+                       np.diag(np.arange(1.0, 10.0)))
+    mats = rep.evaluate_batch(su2_rule.nodes)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        H, lowest = rk.unitarization.invariant_gram(su2_rule, mats)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * mats.nbytes
+    reference = np.tensordot(su2_rule.weights, mats.conj().transpose(0, 2, 1) @ mats, axes=(0, 0))
+    assert np.abs(H - reference).max() <= 1e-12
+    assert lowest > 0
