@@ -27,10 +27,10 @@ from .groups import axiom_audit, haar_rule
 from .lie_algebras import trace_form
 from .loaders import load_algebra, load_group, load_representation
 from .probes import standard_probes, standard_shifts
-from .representations import character, spin_irrep, tabulate
+from .representations import character, spin_irrep
 from .schur import MULTIPLICITY_WINDOW, decompose, orthogonality_audit, unitary_commutant
 from .serialize import complex_list_to_json, matrix_to_json, real_matrix_to_json
-from .unitarization import invariant_form_space, unitarize
+from .unitarization import unitarize
 
 DEFAULT_RESOLUTION = {"circle": 64, "su2": 16}
 EXACT_TOL = 1e-8
@@ -284,16 +284,15 @@ def unitarize_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, r
 def irreducible_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution, tol, out, fmt):
     """Scalar-commutant irreducibility test with the invariant-form count.
 
-    The verdict, the dimension and the commutant block all come from one
-    commutant, in a unitary basis of the input; its gap to the character
-    norm is a residual, so a rule that under-resolves the input exits 2.
+    The verdict, the dimension, the commutant block and d (the invariant
+    forms are its Hermitian elements) all come from one commutant, in a
+    unitary basis of the input; its gap to the character norm is a
+    residual, so a rule that under-resolves the input exits 2.
     """
     started = time.perf_counter()
     group, rep, rule, options = _rep_context(rep_file, group_path, builtin_name, rep_path,
                                              spin, weights, resolution)
-    seen = tabulate(rep, rule)
-    report = unitary_commutant(seen, rule)
-    _, d = invariant_form_space(seen, rule)
+    report = unitary_commutant(rep, rule)
     tolerance = tol if tol is not None else _default_tol(group)
     residuals = {"commutant": report.max_residual,
                  "character_norm_gap": abs(report.dimension - report.character_norm)}
@@ -302,8 +301,8 @@ def irreducible_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights,
         "irreducible": report.dimension == 1,
         "commutant": report.to_json_dict(),
         "commutant_dimension": report.dimension,
-        "invariant_form_dimension": d,
-        "special": d == 1,
+        "invariant_form_dimension": report.dimension,
+        "special": report.dimension == 1,
         "degree": rep.degree,
     }
     return _emit("irreducible", options, residuals, tolerances, payload, fmt, out, started)

@@ -421,13 +421,13 @@ def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     stacks X of shape (n, k, a) and Y of shape (n, k, b); returns (a, b).
 
     With k = 1 this is the averaged outer product of the flattened node
-    matrices (integrate X_n (x) Y_n), from which commutants, invariant forms
-    and matrix-element integrals are read off; with k > 1 it also contracts
-    the shared middle index, as in the averaged Gram matrix rho* rho.  Either
-    way it is a single GEMM of shape (a x n*k) (n*k x b) with the weights
-    folded into the narrower operand.  Sums run in BLAS over the fixed node
-    order (deterministic run to run); the scalar path keeps the stronger
-    correctly-rounded accumulation.
+    matrices (integrate X_n (x) Y_n), from which the matrix-element
+    integrals and the block-character inner products are read off; with
+    k > 1 it also contracts the shared middle index, as in the averaged
+    Gram matrix rho* rho.  Either way it is a single GEMM of shape
+    (a x n*k) (n*k x b) with the weights folded into the narrower operand.
+    Sums run in BLAS over the fixed node order (deterministic run to run);
+    the scalar path keeps the stronger correctly-rounded accumulation.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)

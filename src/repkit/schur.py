@@ -2,32 +2,32 @@
 orthogonality integrals.
 
 The workhorse is group averaging: T(A) = integral of rho(x) A sigma(x^-1) is
-an intertwiner for any seed matrix A.  For sigma = rho, the map A -> T(A) is
-the projection onto the commutant; its r^2 x r^2 matrix is one averaging
-contraction of rho against rho^-1 over the rule nodes, the commutant is its
-row space, and its trace is the character norm integral of |chi|^2.  The same
+an intertwiner for any seed matrix A.  Every commutant is read off one
+object, the averaging map B -> integral of W* B W of the unitary stack
+W = A rho A^-1 that ``unitarization._ensure_unitary`` returns (A is the
+identity when the input passes its unitarity audit): its fixed Hermitian
+matrices K span the commutant of W, the commutant of the input is
+A^-1 K A, and its trace is the character norm integral of |chi|^2.  The
 contraction of rho against conj(rho) gives every matrix-element integral at
 once.  Scalar commutant (dimension one) is the irreducibility criterion.
 
-Splitting follows the proof of Schur's lemma and never forms that
-superoperator.  ``split_once`` and ``decompose`` take one route: an input
-that fails the unitarity audit is conjugated by the Cholesky factor of its
-averaged form, then the eigenspaces of one averaged Hermitian seed T(X), a
-generic commutant element, are the irreducible blocks.  Every block is a
+Splitting follows the proof of Schur's lemma and never forms the averaging
+map.  ``split_once`` and ``decompose`` take the same unitary stack, then the
+eigenspaces of one averaged Hermitian seed T(X), a generic commutant
+element, are the irreducible blocks.  Every block is a
 ``BlockRepresentation`` of the input.  Blocks whose character norms are not
 1, or whose isotypic multiplicities disagree with the character norm of the
 whole, are refused, so an under-resolved rule gives no wrong blocks.
 
-Each public call evaluates its input once at the rule nodes and, where it
-needs them, once at their inverses (``HaarRule.inverse_nodes``); the stacks
-pass from step to step in a ``TabulatedRepresentation`` that lives only as
-long as the call.  The split needs no inverses: rho(x^-1) = W(x)^* once the
-stack W is unitary.
+Each public call evaluates its input once at the rule nodes; only
+``averaged_intertwiner`` also evaluates at their inverses
+(``HaarRule.inverse_nodes``).  Nothing else needs them: rho(x^-1) = W(x)^*
+once the stack W is unitary.
 
 Each discrete answer is one threshold decision against one module constant:
-``RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for the block
-sizes, ``UNITARY_TOL`` for whether to unitarize, ``MULTIPLICITY_WINDOW`` for
-the character-norm checks.
+``unitarization.RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for
+the block sizes, ``unitarization.UNITARY_TOL`` for whether to unitarize,
+``MULTIPLICITY_WINDOW`` for the character-norm checks.
 """
 
 from __future__ import annotations
@@ -51,16 +51,12 @@ from .representations import (
     BlockRepresentation,
     Character,
     Representation,
-    TabulatedRepresentation,
     character,
     check_rule_group,
-    conjugate,
     tabulate,
-    unitarity_defect,
 )
-from .unitarization import RANK_TOL, invariant_gram
+from .unitarization import _ensure_unitary, fixed_hermitian
 
-UNITARY_TOL = 1e-8
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
 MULTIPLICITY_WINDOW = 0.05
@@ -87,8 +83,8 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
 class CommutantReport:
     """Orthonormal basis (Frobenius) of matrices commuting with the whole
     representation, with the worst commutation defect over the rule nodes
-    and the character norm (integral of chi(x) chi(x^-1), which equals the
-    dimension when the rule resolves the representation)."""
+    and the character norm (integral of |chi|^2, the trace of the averaging
+    map, which equals the dimension when the rule resolves the input)."""
 
     dimension: int
     basis: list[np.ndarray]
@@ -106,29 +102,16 @@ class CommutantReport:
 
 
 def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
-    """Orthonormal basis of the commutant, read off the averaged superoperator.
-
-    The map A -> integral of rho(x) A rho(x^-1) projects every matrix onto
-    the commutant.  Its r^2 x r^2 matrix comes from one averaging contraction
-    of rho against rho^-1 over the rule nodes, and its row space, cut off at
-    ``RANK_TOL`` times the largest singular value, is the commutant.  Its
-    trace is the character norm.
-    """
-    check_rule_group(rule, rep)
-    r = rep.degree
-    n = rule.node_count
-    mats = rep.evaluate_batch(rule.nodes)
-    mats_inv = rep.evaluate_batch(rule.inverse_nodes)
-    # outer[i, k, l, j] = integral of rho_ik rhoinv_lj, the (i, j) entry of
-    # the average of rho E_kl rho^-1; row (k, l) of the superoperator
-    outer = integrate_product(rule, mats.reshape(n, 1, r * r), mats_inv.reshape(n, 1, r * r))
-    rows = outer.reshape(r, r, r, r).transpose(1, 2, 0, 3).reshape(r * r, r * r)
-    _, s, Vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    basis = Vh[:rank].reshape(rank, r, r)
-    residual = _commutation_residual(mats, basis)
-    return CommutantReport(dimension=rank, basis=list(basis), max_residual=residual,
-                           character_norm=float(np.trace(rows).real))
+    """Orthonormal basis of the commutant: A^-1 K A, orthonormalized, over
+    the fixed Hermitian matrices K of the averaging map of the unitary stack
+    W = A rho A^-1 (``fixed_hermitian``), with its residual on the input's
+    own stack and the trace of the map as the character norm."""
+    mats, W, A, A_inv = _ensure_unitary(rep, rule)
+    K, norm = fixed_hermitian(rule, W)
+    del W  # the residual reads the input's own stack
+    basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
+    return CommutantReport(dimension=len(K), basis=list(basis),
+                           max_residual=_commutation_residual(mats, basis), character_norm=norm)
 
 
 def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
@@ -160,29 +143,14 @@ def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
     return residual
 
 
-def _ensure_unitary(rep: Representation, rule: HaarRule):
-    """Return (unitary rep, basis change A, A^-1): the identity change when
-    the input passes the unitarity audit, else the Cholesky factor of its
-    averaged form.  The unitary rep is tabulated at the rule nodes; other
-    nodes, such as the inverse nodes of ``commutant``, are evaluated anew.
-    """
-    mats = rep.evaluate_batch(rule.nodes)
-    if unitarity_defect(mats) <= UNITARY_TOL:
-        eye = np.eye(rep.degree, dtype=complex)
-        return TabulatedRepresentation(rep, [(rule.nodes, mats)]), eye, eye
-    work = conjugate(rep, linalg.cholesky_hermitian(invariant_gram(rule, mats)[0]))
-    A, A_inv = work.matrix, work.matrix_inv
-    return TabulatedRepresentation(work, [(rule.nodes, linalg.sandwich(A, mats, A_inv))]), A, A_inv
-
-
 def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
-    """The commutant of the input in a unitary basis: of the input itself
-    when it passes the unitarity audit, else of the input conjugated by the
-    Cholesky factor of its averaged form.  Its dimension is the input's
-    commutant dimension, and its basis is orthonormal in that basis."""
-    check_rule_group(rule, rep)
-    work, _, _ = _ensure_unitary(rep, rule)
-    return commutant(work, rule)
+    """The commutant in the unitary basis W = A rho A^-1 of ``commutant``:
+    the fixed Hermitian matrices K themselves, with their residual on W;
+    its dimension is the input's commutant dimension."""
+    W = _ensure_unitary(rep, rule)[1]
+    K, norm = fixed_hermitian(rule, W)
+    return CommutantReport(dimension=len(K), basis=list(K), max_residual=_commutation_residual(W, K),
+                           character_norm=norm)
 
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
@@ -206,11 +174,9 @@ def _split(rep: Representation, rule: HaarRule):
     multiplicities of the isotypic classes (blocks grouped by character
     inner product) must sum to the input's character norm.
     """
-    check_rule_group(rule, rep)
-    work, A, A_inv = _ensure_unitary(rep, rule)
-    Q, sizes = _split_unitary_fully(work, rule)
+    W, A, A_inv = _ensure_unitary(rep, rule)[1:]
+    Q, sizes = _split_unitary_fully(W, rule)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
-    W = work.evaluate_batch(rule.nodes)
     starts = np.cumsum([0, *sizes[:-1]])
     label = np.repeat(np.arange(len(sizes)), sizes)
     values = np.empty((len(sizes), len(W)), dtype=complex)
@@ -262,11 +228,12 @@ def split_once(rep: Representation, rule: HaarRule):
                       BlockRepresentation(rep, report.P, first, rep.degree - first, P_inv=P_inv))
 
 
-def _split_unitary_fully(work: Representation, rule: HaarRule):
-    """One averaged seed splitting a unitary representation into irreducibles.
+def _split_unitary_fully(W: np.ndarray, rule: HaarRule):
+    """One averaged seed splitting the unitary stack W (n, r, r) of a
+    representation at the rule nodes into irreducibles.
 
-    T(X) = integral of rho(x) X rho(x)^* projects X onto the commutant, a
-    direct sum of full matrix algebras M_{m_i}.  For a generic Hermitian X,
+    T(X) = sum of w_n W_n X W_n^* projects X onto the commutant, a direct
+    sum of full matrix algebras M_{m_i}.  For a generic Hermitian X,
     drawn from ``SPLIT_SEED``, it has m_i distinct eigenvalues on the
     isotypic component of multiplicity m_i, each eigenspace one copy.  It
     is summed in chunks of ``linalg.NODE_CHUNK`` nodes, O(N r^3) work.  Its
@@ -275,8 +242,7 @@ def _split_unitary_fully(work: Representation, rule: HaarRule):
     irreducible input T(X) = tr(X)/r I, and the spread is roundoff.
     Returns (Q, sizes), Q unitary, blocks in ascending eigenvalue order.
     """
-    W = work.evaluate_batch(rule.nodes)
-    r = work.degree
+    r = W.shape[-1]
     g = np.random.default_rng(SPLIT_SEED).standard_normal((2, r, r))
     X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
     T = np.zeros((r, r), dtype=complex)

@@ -1,14 +1,18 @@
-"""Group averaging: invariant Hermitian forms and unitarization.
+"""Group averaging: invariant Hermitian forms, unitarization and the one
+fixed-space reader.
 
 Averaging the standard inner product over the group produces a positive
-definite Hermitian form H invariant under the representation; the Cholesky
-factor A of H (H = A* A) is a change of basis after which the representation
-is unitary.  The averaging map B -> integral of rho* B rho itself comes from
-one averaging contraction of conj(rho) against rho; written in real
-Hermitian coordinates, its fixed space is the space of *all* invariant
-Hermitian forms.  That space's real dimension d is the uniqueness
-certificate reported by ``specialness_report`` (d = 1 means the invariant
-form, hence the equivalent unitary representation, is unique up to scale).
+definite Hermitian form H invariant under the representation; its Cholesky
+factor A (H = A* A) makes W = A rho A^-1 unitary.  ``_ensure_unitary`` takes
+it only when the input fails the unitarity audit.  Each node map
+B -> W_n* B W_n is then unitary, so their average with the rule's positive
+weights, B -> integral of W* B W, fixes exactly what every node fixes, the
+commutant of W: ``fixed_hermitian`` reads that fixed space off one SVD, and
+every Schur dimension in the library is read there.  The invariant Hermitian forms of
+the input are A* K A over it, so their real dimension d, the uniqueness
+certificate of ``specialness_report`` (d = 1: the invariant form, hence the
+equivalent unitary representation, is unique up to scale), is the commutant
+dimension by construction.
 
 Compactness is what makes the averaging exist.  The classic counterexample
 to keep in mind is the 2x2 representation A -> [[1, log|det A|], [0, 1]] of
@@ -30,12 +34,13 @@ import numpy as np
 
 from . import linalg
 from .errors import EvaluationFailureError, NotPositiveDefiniteError
-from .groups import HaarRule, integrate_product
+from .groups import HaarRule
 from .representations import Representation, check_rule_group, conjugate, tabulate, unitarity_defect
 
-# the one cut-off for fixed-space dimensions read off an averaged map
-# (commutant dimension here and in ``schur``, and d)
+# the one cut-off for the fixed space of the averaged map (``fixed_hermitian``)
 RANK_TOL = 1e-7
+# the unitarity audit above which ``_ensure_unitary`` conjugates its input
+UNITARY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +94,22 @@ def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, float]
             f"averaged form has smallest eigenvalue {w[0]:.3e}; "
             "the input is not a representation or the rule is under-resolved")
     return H, float(w[0])
+
+
+def _ensure_unitary(rep: Representation, rule: HaarRule):
+    """(stack, W, A, A^-1): the input evaluated once at the rule nodes and
+    the unitary stack W = A rho A^-1.  A is the identity, and W the stack
+    itself, when the input passes the unitarity audit; otherwise A is the
+    Cholesky factor of its averaged form.  Callers that do not need the
+    input's own stack drop it, so that W alone stays alive."""
+    check_rule_group(rule, rep)
+    mats = rep.evaluate_batch(rule.nodes)
+    if unitarity_defect(mats) <= UNITARY_TOL:
+        eye = np.eye(rep.degree, dtype=complex)
+        return mats, mats, eye, eye
+    A = linalg.cholesky_hermitian(invariant_gram(rule, mats)[0])
+    A_inv = linalg.invert(A)
+    return mats, linalg.sandwich(A, mats, A_inv), A, A_inv
 
 
 def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
@@ -151,28 +172,40 @@ def _on_hermitian_basis(images: np.ndarray) -> np.ndarray:
     return np.concatenate([images[np.arange(r), np.arange(r)], pairs])
 
 
+def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
+    """(K, trace) for the averaging map B -> sum of w_n W_n* B W_n of a
+    unitary stack W (n, r, r): K (m, r, r) is a Frobenius-orthonormal real
+    basis of the Hermitian matrices it fixes, and trace, its trace, is the
+    integral of |chi|^2.
+
+    The map is one GEMM of a weighted conjugate of W, built in place as the
+    one stack-sized temporary, against W, written in ``hermitian_coords``.
+    Its fixed space is read off one SVD of (map - identity): singular values
+    at most ``RANK_TOL * max(1, largest)`` count as zero.
+    """
+    n, r, _ = W.shape
+    weighted = W.conj()
+    weighted *= rule.weights[:, None, None]
+    # outer[k, i, l, j] = sum of w_n conj(W_ki) W_lj, the (i, j) entry of
+    # the average of W* E_kl W
+    outer = weighted.reshape(n, r * r).T @ W.reshape(n, r * r)
+    if not np.isfinite(outer).all():
+        raise EvaluationFailureError("the averaged map has a non-finite entry")
+    L = hermitian_coords(_on_hermitian_basis(outer.reshape(r, r, r, r).transpose(0, 2, 1, 3))).T
+    _, s, Vh = np.linalg.svd(L - np.eye(r * r))
+    return _hermitian_from_coords(Vh[s <= RANK_TOL * max(1.0, s[0])], r), float(np.trace(L))
+
+
 def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[HermitianForm], int]:
     """Real basis of the Hermitian matrices H with rho(x)* H rho(x) = H.
 
-    The averaging map B -> integral of rho* B rho comes from one averaging
-    contraction of conj(rho) against rho over the rule nodes.  It is written
-    in ``hermitian_coords`` by index arithmetic, and the invariant forms are
-    the nullspace of (averaging - identity), read off its one SVD: singular
-    values at most ``RANK_TOL * max(1, largest)`` count as zero.  The
-    averaging map has unit scale, so a defect that is all noise leaves every
-    form fixed.
+    They are A* K A over the fixed space K of the averaging map of the
+    unitary stack W = A rho A^-1 (``fixed_hermitian``), so d is the
+    commutant dimension by construction.
     """
-    check_rule_group(rule, rep)
-    r = rep.degree
-    n = rule.node_count
-    mats = rep.evaluate_batch(rule.nodes).reshape(n, 1, r * r)
-    # outer[k, i, l, j] = integral of conj(rho_ki) rho_lj, the (i, j) entry
-    # of the average of rho* E_kl rho
-    outer = integrate_product(rule, mats.conj(), mats).reshape(r, r, r, r)
-    images = _on_hermitian_basis(outer.transpose(0, 2, 1, 3))
-    L = hermitian_coords(images).T
-    _, s, Vh = np.linalg.svd(L - np.eye(r * r))
-    grams = _hermitian_from_coords(Vh[s <= RANK_TOL * max(1.0, s[0])], r)
+    W, A, _ = _ensure_unitary(rep, rule)[1:]
+    K, _ = fixed_hermitian(rule, W)
+    grams = A.conj().T @ K @ A
     lowest = np.linalg.eigvalsh(grams)[:, 0]
     forms = [HermitianForm(gram=H, definiteness=float(w)) for H, w in zip(grams, lowest)]
     return forms, len(forms)

@@ -211,17 +211,43 @@ def test_irreducible_reads_one_commutant(runner, tmp_path):
 
 
 def test_irreducible_commutant_disagreeing_with_character_norm_exits_2(runner):
-    # the 512-node rule gives spin 1/2 a commutant of dimension 4 against a
-    # character norm of 1; the gap fails even with the commutant residual
-    # forgiven by --tol
-    result = runner.invoke(main, ["irreducible", "--spin", "1", "--resolution", "8",
+    # the 4096-node rule cannot integrate the character of spin 5: the
+    # commutant is scalar but the character norm is 0.42, and the gap fails
+    # even with the commutant residual forgiven by --tol
+    result = runner.invoke(main, ["irreducible", "--spin", "10", "--resolution", "16",
                                   "--tol", "10", "--format", "json"])
     assert result.exit_code == 2
     report = json.loads(result.output)
-    assert report["residuals"]["character_norm_gap"] > 2.5
+    assert report["residuals"]["character_norm_gap"] > 0.5
     assert report["tolerances"]["character_norm_gap"] == rk.schur.MULTIPLICITY_WINDOW
     commutant = report["payload"]["commutant"]
-    assert commutant["dimension"] == 4 and abs(commutant["character_norm"] - 1.0) < 1e-3
+    assert commutant["dimension"] == 1 and abs(commutant["character_norm"] - 0.42) < 0.01
+    # spin 1/2 on the 512-node rule, whose rank reading gave dimension 4,
+    # now agrees with its character norm
+    result = runner.invoke(main, ["irreducible", "--spin", "1", "--resolution", "8",
+                                  "--tol", "10", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["payload"]["commutant_dimension"] == 1
+    assert report["residuals"]["character_norm_gap"] <= 1e-5
+
+
+def test_irreducible_spin_5_at_the_default_resolution(runner):
+    result = runner.invoke(main, ["irreducible", "--spin", "5", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["irreducible"] is True
+    assert payload["commutant_dimension"] == 1 and payload["invariant_form_dimension"] == 1
+
+
+def test_irreducible_and_decompose_agree(runner):
+    # spin 5 at resolution 24: one block, and a scalar commutant
+    args = ["--spin", "10", "--resolution", "24", "--format", "json"]
+    irreducible = runner.invoke(main, ["irreducible", *args])
+    decomposed = runner.invoke(main, ["decompose", *args])
+    assert irreducible.exit_code == 0 and decomposed.exit_code == 0, irreducible.output
+    assert json.loads(irreducible.output)["payload"]["irreducible"] is True
+    assert json.loads(decomposed.output)["payload"]["block_degrees"] == [11]
 
 
 def test_characters_command(runner):

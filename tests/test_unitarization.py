@@ -122,23 +122,95 @@ def test_invariant_form_space_matches_bruteforce_on_finite(s3):
 
 
 def test_invariant_form_space_one_svd(z2, s3, monkeypatch):
-    # d is read off one SVD of the defect; on a trivial rep the defect is
-    # exactly zero and every form is invariant (d = r^2)
-    svds = []
-    original = np.linalg.svd
+    # d and the commutant are read off one real SVD of the defect of the
+    # averaging map, after one evaluation at the rule nodes and none at
+    # their inverses; on a trivial rep the defect is exactly zero and every
+    # form is invariant (d = r^2)
+    svds, evaluated = [], []
+    original_svd = np.linalg.svd
+    original_evaluate = rk.FiniteTableRepresentation.evaluate_batch
 
-    def counting(*args, **kwargs):
-        svds.append(args[0].shape)
-        return original(*args, **kwargs)
+    def counting_svd(*args, **kwargs):
+        svds.append((args[0].shape, args[0].dtype))
+        return original_svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    def recording(self, nodes):
+        evaluated.append(nodes)
+        return original_evaluate(self, nodes)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(rk.FiniteTableRepresentation, "evaluate_batch", recording)
     triv = rk.FiniteTableRepresentation(z2, np.stack([np.eye(2, dtype=complex)] * 2))
     for rep, rule, expected in ((triv, rk.haar_rule(z2, 1), 4),
                                 (rk.s3_standard(s3), rk.haar_rule(s3, 1), 1)):
+        for call in (rk.invariant_form_space, rk.commutant):
+            svds.clear()
+            evaluated.clear()
+            answer = call(rep, rule)
+            d = answer[1] if call is rk.invariant_form_space else answer.dimension
+            assert d == expected
+            assert svds == [((4, 4), np.float64)]
+            assert len(evaluated) == 1 and evaluated[0] is rule.nodes
+    # a non-unitary input: one real r^2 x r^2 SVD still reads the answer
+    # (the unitarizing factor's inversion check takes an r x r one)
+    rule = rk.haar_rule(s3, 1)
+    mixed = rk.FiniteTableRepresentation(
+        s3, rk.conjugate(rk.s3_standard(s3), np.array([[2.0, 1.0], [0.0, 1.0]])).evaluate_batch(rule.nodes))
+    for call in (rk.invariant_form_space, rk.commutant):
         svds.clear()
-        forms, d = rk.invariant_form_space(rep, rule)
-        assert d == expected and len(forms) == expected
-        assert svds == [(4, 4)]
+        evaluated.clear()
+        call(mixed, rule)
+        assert [svd for svd in svds if svd[0] != (2, 2)] == [((4, 4), np.float64)]
+        assert len(evaluated) == 1 and evaluated[0] is rule.nodes
+
+
+def kappa_basis(rng, n, kappa):
+    U = [np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in range(2)]
+    return U[0] @ np.diag(np.geomspace(1.0, kappa, n)) @ U[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dimensions_survive_an_ill_conditioned_basis(s3, su2, su2_rule, seed):
+    # a raw-basis reading of the averaging map loses its gap at condition
+    # number 1e4 (d came out 30, 3, 8 and 23); read in the unitary basis, d
+    # and the commutant dimension are the Schur-lemma truths and agree
+    regular = np.zeros((6, 6, 6), dtype=complex)
+    for g, row in enumerate(s3.mult_table):
+        regular[g, row, np.arange(6)] = 1.0
+    s3_rule = rk.haar_rule(s3, 1)
+    cases = [(rk.FiniteTableRepresentation(s3, regular), s3_rule, 6),
+             (rk.s3_standard(s3), s3_rule, 1),
+             (rk.spin_irrep(1, su2), su2_rule, 1),
+             (rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)), su2_rule, 2)]
+    rng = np.random.default_rng(seed)
+    for rep, rule, truth in cases:
+        conjugated = rk.conjugate(rep, kappa_basis(rng, rep.degree, 1e4))
+        forms, d = rk.invariant_form_space(conjugated, rule)
+        report = rk.commutant(conjugated, rule)
+        assert (d, report.dimension) == (truth, truth)
+        mats = conjugated.evaluate_batch(rule.nodes)
+        for form in forms:
+            defect = mats.conj().transpose(0, 2, 1) @ form.gram[None] @ mats - form.gram[None]
+            assert np.abs(defect).max() <= 1e-7 * np.abs(form.gram).max()
+
+
+@pytest.mark.parametrize("call", [rk.commutant, rk.invariant_form_space])
+def test_fixed_space_holds_two_stacks(su2, call):
+    # the averaging map is one GEMM against a weighted conjugate built in
+    # place: the input's stack and that one temporary, not a conjugate copy
+    # plus a weighted copy of it on top
+    rng = np.random.default_rng(1)
+    rep = rk.conjugate(rk.spin_irrep(4.5, su2), np.linalg.qr(rng.normal(size=(10, 10)))[0])
+    rule = rk.haar_rule(su2, 24)
+    stack_bytes = rule.node_count * rep.degree ** 2 * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(rep, rule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * stack_bytes
 
 
 def test_averaged_form_fixed_by_averaging(circle):
