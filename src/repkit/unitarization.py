@@ -23,7 +23,11 @@ group kinds are supported here.
 
 ``averaged_form``, ``invariant_form_space``, ``unitarize`` and
 ``specialness_report`` each evaluate their input once at the rule nodes;
-``unitarize`` reads its form and its unitarity audit off that one stack.
+``unitarize`` reads its form and its unitarity audit off that one stack, and
+``specialness_report`` reads its invariant forms in the basis of that one
+unitarization, so it averages the form once.  ``_ensure_unitary`` reads the
+definiteness and the conditioning of its factor off the one eigenvalue
+computation of the averaged form.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import EvaluationFailureError, NotPositiveDefiniteError
+from .errors import EvaluationFailureError, NotPositiveDefiniteError, SingularMatrixError
 from .groups import HaarRule
 from .representations import Representation, check_rule_group, conjugate, tabulate, unitarity_defect
 
@@ -70,17 +74,17 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     """
     check_rule_group(rule, rep)
     mats = rep.evaluate_batch(rule.nodes)
-    H, lowest = invariant_gram(rule, mats)
+    H, w = invariant_gram(rule, mats)
     residual = linalg.max_abs_over_nodes(lambda m: m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None],
                                          mats)
-    return HermitianForm(gram=H, definiteness=lowest, invariance_residual=residual)
+    return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
 
 
-def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, float]:
-    """The Gram matrix of ``averaged_form`` and its smallest eigenvalue, from
-    the stack of rho at the rule nodes, without the invariance residual: one
-    GEMM over (node, row) pairs against a weighted conjugate of the stack,
-    built in place as the one stack-sized temporary."""
+def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix of ``averaged_form`` and its ascending eigenvalues,
+    from the stack of rho at the rule nodes, without the invariance
+    residual: one GEMM over (node, row) pairs against a weighted conjugate
+    of the stack, built in place as the one stack-sized temporary."""
     n, r, _ = mats.shape
     weighted = mats.conj()
     weighted *= rule.weights[:, None, None]
@@ -93,7 +97,23 @@ def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, float]
         raise NotPositiveDefiniteError(
             f"averaged form has smallest eigenvalue {w[0]:.3e}; "
             "the input is not a representation or the rule is under-resolved")
-    return H, float(w[0])
+    return H, w
+
+
+def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The upper-triangular Cholesky factor A of an averaged form H = A* A,
+    and A^-1, given the ascending eigenvalues w of H (``invariant_gram``,
+    which refuses an indefinite form).  The singular values of A are the
+    square roots of w, so cond(A) = sqrt(cond(H)) and the singularity
+    refusal of ``linalg.invert`` is read off w with no further
+    decomposition; A^-1 is the inverse of the triangular factor."""
+    if np.sqrt(w[0]) <= linalg.KERNEL_TOL * np.sqrt(w[-1]):
+        raise SingularMatrixError(f"condition estimate {np.sqrt(w[-1] / w[0]):.3e} beyond threshold")
+    A = np.linalg.cholesky(H).conj().T
+    A_inv = np.linalg.inv(A)
+    if not np.isfinite(A_inv).all():
+        raise SingularMatrixError("inverse contains non-finite entries")
+    return A, A_inv
 
 
 def _ensure_unitary(rep: Representation, rule: HaarRule):
@@ -107,8 +127,7 @@ def _ensure_unitary(rep: Representation, rule: HaarRule):
     if unitarity_defect(mats) <= UNITARY_TOL:
         eye = np.eye(rep.degree, dtype=complex)
         return mats, mats, eye, eye
-    A = linalg.cholesky_hermitian(invariant_gram(rule, mats)[0])
-    A_inv = linalg.invert(A)
+    A, A_inv = _cholesky_pair(*invariant_gram(rule, mats))
     return mats, linalg.sandwich(A, mats, A_inv), A, A_inv
 
 
@@ -117,22 +136,23 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     representation becomes unitary; the character is untouched.  The input
     is evaluated once: the averaged form and the unitarity audit of the new
     basis both read that stack."""
-    return _unitarize(rep, tabulate(rep, rule), rule)
+    return _unitarize(rep, tabulate(rep, rule), rule)[0]
 
 
-def _unitarize(rep: Representation, seen: Representation, rule: HaarRule) -> UnitarizationResult:
-    """``unitarize`` read off ``seen``, the input tabulated at the rule nodes;
-    the unitary rep is built on ``rep`` and does not hold the stack."""
+def _unitarize(rep: Representation, seen: Representation, rule: HaarRule):
+    """``unitarize`` read off ``seen``, the input tabulated at the rule nodes,
+    and the unitary stack it audits; the unitary rep is built on ``rep`` and
+    does not hold the stack."""
     form = averaged_form(seen, rule)
     A = linalg.cholesky_hermitian(form.gram)
     unitary_rep = conjugate(rep, A)
-    mats = linalg.sandwich(A, seen.evaluate_batch(rule.nodes), unitary_rep.matrix_inv)
+    W = linalg.sandwich(A, seen.evaluate_batch(rule.nodes), unitary_rep.matrix_inv)
     return UnitarizationResult(
         basis_change=A,
         unitary_rep=unitary_rep,
         invariance_residual=form.invariance_residual,
-        unitarity_residual=unitarity_defect(mats),
-    )
+        unitarity_residual=unitarity_defect(W),
+    ), W
 
 
 def hermitian_coords(H: np.ndarray) -> np.ndarray:
@@ -204,11 +224,17 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     commutant dimension by construction.
     """
     W, A, _ = _ensure_unitary(rep, rule)[1:]
+    forms = _forms(rule, W, A)
+    return forms, len(forms)
+
+
+def _forms(rule: HaarRule, W: np.ndarray, A: np.ndarray) -> list[HermitianForm]:
+    """The invariant forms A* K A over the fixed space K of the unitary
+    stack W = A rho A^-1."""
     K, _ = fixed_hermitian(rule, W)
     grams = A.conj().T @ K @ A
     lowest = np.linalg.eigvalsh(grams)[:, 0]
-    forms = [HermitianForm(gram=H, definiteness=float(w)) for H, w in zip(grams, lowest)]
-    return forms, len(forms)
+    return [HermitianForm(gram=H, definiteness=float(w)) for H, w in zip(grams, lowest)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +249,17 @@ class SpecialnessReport:
 
 
 def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport:
+    """The invariant-form space and the unitarization, off one evaluation and
+    one averaged form: on input that fails the unitarity audit, the forms
+    are read in the unitarization's own basis, the one ``_ensure_unitary``
+    would build again."""
     seen = tabulate(rep, rule)
-    forms, d = invariant_form_space(seen, rule)
-    return SpecialnessReport(d=d, special=(d == 1), unitarization=_unitarize(rep, seen, rule),
+    unitarization, W = _unitarize(rep, seen, rule)
+    mats = seen.evaluate_batch(rule.nodes)
+    if unitarity_defect(mats) <= UNITARY_TOL:
+        W, A = mats, np.eye(rep.degree, dtype=complex)
+    else:
+        A = unitarization.basis_change
+    forms = _forms(rule, W, A)
+    return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,
                              form_basis=forms)

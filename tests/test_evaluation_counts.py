@@ -12,7 +12,7 @@ import repkit as rk
 from repkit.probes import standard_probes, standard_shifts
 from repkit.representations import SpinRepresentation
 
-from conftest import random_invertible
+from conftest import random_invertible, random_unitary
 
 
 @pytest.fixture()
@@ -56,6 +56,36 @@ def test_specialness_report_evaluates_once(su2, su2_rule, evaluations):
     assert sorted(evaluations) == [1, 2]
     assert report.d == 2 and report.unitarization.unitarity_residual <= 1e-8
     assert not isinstance(report.unitarization.unitary_rep.inner, rk.representations.TabulatedRepresentation)
+
+
+def test_specialness_report_averages_once(su2, su2_rule, monkeypatch):
+    # on input that fails the unitarity audit, the forms are read in the
+    # unitarization's basis: one averaged form and one unitarized stack,
+    # with the fields the two public calls give apart
+    rng = np.random.default_rng(3)
+    parts = [rk.spin_irrep(two_j / 2, su2) for two_j in (1, 2, 3, 4)]
+    basis = random_unitary(rng, 14) @ np.diag(np.geomspace(1.0, 3.0, 14)) @ random_unitary(rng, 14)
+    rep = rk.conjugate(rk.DirectSumRepresentation(parts), basis)
+    forms, d = rk.invariant_form_space(rep, su2_rule)
+    unitarization = rk.unitarize(rep, su2_rule)
+    grams = []
+    original = rk.unitarization.invariant_gram
+
+    def counting(*args):
+        grams.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rk.unitarization, "invariant_gram", counting)
+    report = rk.specialness_report(rep, su2_rule)
+    assert len(grams) == 1
+    assert report.d == d == 4 and not report.special
+    assert all(np.array_equal(a.gram, b.gram) and a.definiteness == b.definiteness
+               for a, b in zip(report.form_basis, forms, strict=True))
+    got = report.unitarization
+    assert np.array_equal(got.basis_change, unitarization.basis_change)
+    assert np.array_equal(got.unitary_rep.matrix_inv, unitarization.unitary_rep.matrix_inv)
+    assert (got.invariance_residual, got.unitarity_residual) == (
+        unitarization.invariance_residual, unitarization.unitarity_residual)
 
 
 def test_orthogonality_audit_evaluates_once_per_representation(su2, su2_rule, evaluations):

@@ -244,3 +244,108 @@ def test_audit_inventory_recorded(z3):
     assert report.inventory["probe_count"] == len(probes)
     assert report.inventory["shift_count"] == 3
     assert len(report.inventory["probe_labels"]) == len(probes)
+
+
+# --- correctly rounded summation kernel --------------------------------------
+
+def _fsum_reference(values, weights):
+    terms = weights * values
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _bits(xs):
+    return np.array(xs, dtype=float).view(np.int64)
+
+
+def _kernel_rows(n, rng):
+    """Rows that stress the kernel: wide exponents, cancellation, subnormals
+    and signed zeros."""
+    rows = [
+        rng.normal(size=n),
+        rng.normal(size=n) * 2.0 ** rng.integers(-300, 301, size=n),
+        rng.normal(size=n) * 2.0 ** rng.integers(-1074, -1000, size=n),
+        rng.normal(size=n) * 2.0 ** rng.integers(-1080, 300, size=n),
+        np.full(n, -0.0),
+        rng.choice([0.0, -0.0], size=n),
+        np.resize([1e16, 1.0, -1e16], n),
+        np.resize([1.0, 2.0 ** -53, 2.0 ** -106, -2.0 ** -53], n),
+    ]
+    paired = rng.normal(size=n) * 2.0 ** rng.integers(-60, 61, size=n)
+    paired[n // 2:] = -paired[:n - n // 2][::-1] if n > 1 else paired[n // 2:]
+    rows.append(paired)
+    cancel = rng.normal(size=n) * 1e16
+    cancel[n // 2:] = -cancel[:n - n // 2] + rng.normal(size=n - n // 2) if n > 1 else cancel[n // 2:]
+    rows.append(rng.permutation(cancel))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 24, 64, 4096, 13824])
+def test_fsum_rows_equals_math_fsum_bitwise(n):
+    rng = np.random.default_rng(n)
+    rows = _kernel_rows(n, rng)
+    for row in rows:
+        assert _bits(rk.groups._fsum_rows(row[None])) == _bits([math.fsum(row)])
+    batch = np.stack(rows)
+    assert np.array_equal(_bits(rk.groups._fsum_rows(batch)), _bits([math.fsum(row) for row in rows]))
+
+
+@pytest.mark.parametrize("row", [
+    [np.inf, 1.0], [-np.inf, 2.0, 3.0], [np.nan, 1.0], [np.inf, -np.inf], [1e308, 1e308, -1e308],
+    [1e308, -1e308], [8.9e307, 8.9e307], [1.7e308, 1.0], [1e308, 1e308], [np.inf, 1e308, 1e308]])
+def test_fsum_rows_special_values_follow_math_fsum(row):
+    row = np.array(row)
+    try:
+        expected = math.fsum(row)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            rk.groups._fsum_rows(row[None])
+    else:
+        got = rk.groups._fsum_rows(row[None])[0]
+        assert (math.isnan(got) and math.isnan(expected)) or _bits([got]) == _bits([expected])
+
+
+def test_scalar_integrals_sum_without_per_node_fsum(su2, monkeypatch):
+    # the node arrays go through the vectorized kernel: math.fsum only sees
+    # a handful of level sums, never a row of 13 824 node terms
+    sizes = []
+    original = math.fsum
+
+    def counting(xs):
+        xs = list(xs)
+        sizes.append(len(xs))
+        return original(xs)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    rule = rk.haar_rule(su2, 24)
+    chi = np.trace(rk.spin_irrep(2, su2).evaluate_batch(rule.nodes), axis1=1, axis2=2)
+    assert abs(rk.groups.integrate_values(rule, np.abs(chi) ** 2) - 1.0) <= 1e-9
+    assert abs(rk.integrate_scalar(rule, standard_probes(su2)[0])) <= 1e-9
+    assert sizes and max(sizes) <= 64
+
+
+@pytest.mark.parametrize("name, resolution", [("su2", 24), ("circle", 64), ("s3", 1)])
+def test_axiom_audit_bit_identical_to_fsum_reference(name, resolution, monkeypatch):
+    group = rk.builtin_group(name)
+    rule = rk.haar_rule(group, resolution)
+    probes, shifts = standard_probes(group), standard_shifts(group)
+    kernel = rk.axiom_audit(rule, probes, shifts).as_dict()
+    monkeypatch.setattr(rk.groups, "_weighted_fsum", _fsum_reference)
+    assert rk.axiom_audit(rule, probes, shifts).as_dict() == kernel
+
+
+def test_character_integrals_bit_identical_to_fsum_reference(su2, s3, monkeypatch):
+    rule = rk.haar_rule(su2, 16)
+    spins = [rk.spin_irrep(two_j / 2.0, su2) for two_j in range(4)]
+    s3_rule = rk.haar_rule(s3, 1)
+    irreps = [rk.s3_trivial(s3), rk.s3_sign(s3), rk.s3_standard(s3)]
+    regular = rk.DirectSumRepresentation(irreps + irreps[2:])
+
+    def answers():
+        return (rk.orthogonality_audit(spins, rule).tobytes(),
+                [rk.multiplicity(regular, irrep, s3_rule) for irrep in irreps],
+                [rk.character_inner(rk.character(regular, s3_rule), rk.character(irrep, s3_rule), s3_rule)
+                 for irrep in irreps])
+
+    kernel = answers()
+    monkeypatch.setattr(rk.groups, "_weighted_fsum", _fsum_reference)
+    assert answers() == kernel

@@ -151,8 +151,9 @@ def test_invariant_form_space_one_svd(z2, s3, monkeypatch):
             assert d == expected
             assert svds == [((4, 4), np.float64)]
             assert len(evaluated) == 1 and evaluated[0] is rule.nodes
-    # a non-unitary input: one real r^2 x r^2 SVD still reads the answer
-    # (the unitarizing factor's inversion check takes an r x r one)
+    # a non-unitary input: the one real r^2 x r^2 SVD is still the only one
+    # (the unitarizing factor's definiteness and conditioning are read off
+    # the eigenvalues of the averaged form)
     rule = rk.haar_rule(s3, 1)
     mixed = rk.FiniteTableRepresentation(
         s3, rk.conjugate(rk.s3_standard(s3), np.array([[2.0, 1.0], [0.0, 1.0]])).evaluate_batch(rule.nodes))
@@ -160,8 +161,23 @@ def test_invariant_form_space_one_svd(z2, s3, monkeypatch):
         svds.clear()
         evaluated.clear()
         call(mixed, rule)
-        assert [svd for svd in svds if svd[0] != (2, 2)] == [((4, 4), np.float64)]
+        assert svds == [((4, 4), np.float64)]
         assert len(evaluated) == 1 and evaluated[0] is rule.nodes
+
+
+def test_unitarizing_factor_refusals_keep_their_threshold(z2):
+    # Z2 with rho(s) = [[1, -2t], [0, -1]]: the averaged form has condition
+    # number about 4 t^2, so its Cholesky factor about 2 t, and the factor is
+    # refused as singular once that passes 1 / KERNEL_TOL
+    rule = rk.haar_rule(z2, 1)
+
+    def rep(t):
+        return rk.FiniteTableRepresentation(z2, np.array([np.eye(2), [[1, -2 * t], [0, -1]]], dtype=complex))
+
+    for call in (rk.invariant_form_space, rk.commutant, rk.unitarize, rk.specialness_report):
+        call(rep(3e11), rule)
+        with pytest.raises(rk.SingularMatrixError, match="condition estimate 2.000e"):
+            call(rep(1e12), rule)
 
 
 def kappa_basis(rng, n, kappa):
@@ -247,11 +263,11 @@ def test_invariant_gram_holds_one_stack_sized_temporary(su2, su2_rule):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        H, lowest = rk.unitarization.invariant_gram(su2_rule, mats)
+        H, w = rk.unitarization.invariant_gram(su2_rule, mats)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * mats.nbytes
     reference = np.tensordot(su2_rule.weights, mats.conj().transpose(0, 2, 1) @ mats, axes=(0, 0))
     assert np.abs(H - reference).max() <= 1e-12
-    assert lowest > 0
+    assert np.array_equal(w, np.linalg.eigvalsh(H)) and w[0] > 0
