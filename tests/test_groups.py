@@ -270,12 +270,11 @@ def _kernel_rows(n, rng):
         np.resize([1e16, 1.0, -1e16], n),
         np.resize([1.0, 2.0 ** -53, 2.0 ** -106, -2.0 ** -53], n),
     ]
-    paired = rng.normal(size=n) * 2.0 ** rng.integers(-60, 61, size=n)
-    paired[n // 2:] = -paired[:n - n // 2][::-1] if n > 1 else paired[n // 2:]
-    rows.append(paired)
-    cancel = rng.normal(size=n) * 1e16
-    cancel[n // 2:] = -cancel[:n - n // 2] + rng.normal(size=n - n // 2) if n > 1 else cancel[n // 2:]
-    rows.append(rng.permutation(cancel))
+    half = (n + 1) // 2
+    paired = rng.normal(size=half) * 2.0 ** rng.integers(-60, 61, size=half)
+    rows.append(np.concatenate([paired, -paired[::-1]])[:n])
+    big = rng.normal(size=half) * 1e16
+    rows.append(rng.permutation(np.concatenate([big, rng.normal(size=half) - big])[:n]))
     return rows
 
 
