@@ -192,9 +192,9 @@ class DirectSumRepresentation(Representation):
 
 class ConjugatedRepresentation(Representation):
     """x -> A rho(x) A^{-1} for a fixed invertible A (an equivalent
-    representation with the same character)."""
+    representation with the same character); A^{-1} may be given."""
 
-    def __init__(self, inner, matrix):
+    def __init__(self, inner, matrix, matrix_inv=None):
         A = linalg.as_matrix(matrix)
         if A.shape != (inner.degree, inner.degree):
             raise ShapeMismatchError(
@@ -202,7 +202,7 @@ class ConjugatedRepresentation(Representation):
         self.group = inner.group
         self.inner = inner
         self.matrix = A
-        self.matrix_inv = linalg.invert(A)
+        self.matrix_inv = linalg.invert(A) if matrix_inv is None else linalg.as_matrix(matrix_inv)
         self.degree = inner.degree
 
     def evaluate_batch(self, nodes):

@@ -104,8 +104,9 @@ class CommutantReport:
 def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     """Orthonormal basis of the commutant: A^-1 K A, orthonormalized, over
     the fixed Hermitian matrices K of the averaging map of the unitary stack
-    W = A rho A^-1 (``fixed_hermitian``), with its residual on the input's
-    own stack and the trace of the map as the character norm."""
+    W = A rho A^-1, read off one symmetric eigensolve (``fixed_hermitian``),
+    with its residual on the input's own stack and the trace of the map as
+    the character norm."""
     mats, W, A, A_inv = _ensure_unitary(rep, rule)
     K, norm = fixed_hermitian(rule, W)
     del W  # the residual reads the input's own stack
@@ -145,8 +146,9 @@ def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
 
 def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     """The commutant in the unitary basis W = A rho A^-1 of ``commutant``:
-    the fixed Hermitian matrices K themselves, with their residual on W;
-    its dimension is the input's commutant dimension."""
+    the fixed Hermitian matrices K of one symmetric eigensolve
+    (``fixed_hermitian``) themselves, with their residual on W; its
+    dimension is the input's commutant dimension."""
     W = _ensure_unitary(rep, rule)[1]
     K, norm = fixed_hermitian(rule, W)
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=_commutation_residual(W, K),

@@ -7,12 +7,12 @@ factor A (H = A* A) makes W = A rho A^-1 unitary.  ``_ensure_unitary`` takes
 it only when the input fails the unitarity audit.  Each node map
 B -> W_n* B W_n is then unitary, so their average with the rule's positive
 weights, B -> integral of W* B W, fixes exactly what every node fixes, the
-commutant of W: ``fixed_hermitian`` reads that fixed space off one SVD, and
-every Schur dimension in the library is read there.  The invariant Hermitian forms of
-the input are A* K A over it, so their real dimension d, the uniqueness
-certificate of ``specialness_report`` (d = 1: the invariant form, hence the
-equivalent unitary representation, is unique up to scale), is the commutant
-dimension by construction.
+commutant of W: ``fixed_hermitian`` reads that fixed space off one
+symmetric eigensolve, and every Schur dimension in the library is read
+there.  The invariant Hermitian forms of the input are A* K A over it, so
+their real dimension d, the uniqueness certificate of ``specialness_report``
+(d = 1: the invariant form, hence the equivalent unitary representation, is
+unique up to scale), is the commutant dimension by construction.
 
 Compactness is what makes the averaging exist.  The classic counterexample
 to keep in mind is the 2x2 representation A -> [[1, log|det A|], [0, 1]] of
@@ -25,9 +25,9 @@ group kinds are supported here.
 ``specialness_report`` each evaluate their input once at the rule nodes;
 ``unitarize`` reads its form and its unitarity audit off that one stack, and
 ``specialness_report`` reads its invariant forms in the basis of that one
-unitarization, so it averages the form once.  ``_ensure_unitary`` reads the
-definiteness and the conditioning of its factor off the one eigenvalue
-computation of the averaged form.
+unitarization, so it averages the form once.  ``_ensure_unitary`` and
+``unitarize`` read the definiteness and the conditioning of their factor
+off the one eigenvalue computation of the averaged form.
 """
 
 from __future__ import annotations
@@ -39,9 +39,17 @@ import numpy as np
 from . import linalg
 from .errors import EvaluationFailureError, NotPositiveDefiniteError, SingularMatrixError
 from .groups import HaarRule
-from .representations import Representation, check_rule_group, conjugate, tabulate, unitarity_defect
+from .representations import (
+    ConjugatedRepresentation,
+    Representation,
+    check_rule_group,
+    tabulate,
+    unitarity_defect,
+)
 
-# the one cut-off for the fixed space of the averaged map (``fixed_hermitian``)
+# the one cut-off for the fixed space of the averaged map: eigenvalues of its
+# symmetric part minus the identity at most this, relative to the largest
+# (and to 1), count as zero (``fixed_hermitian``)
 RANK_TOL = 1e-7
 # the unitarity audit above which ``_ensure_unitary`` conjugates its input
 UNITARY_TOL = 1e-8
@@ -73,11 +81,16 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     than a numerical accident.
     """
     check_rule_group(rule, rep)
-    mats = rep.evaluate_batch(rule.nodes)
+    return _averaged_form(rule, rep.evaluate_batch(rule.nodes))[0]
+
+
+def _averaged_form(rule: HaarRule, mats: np.ndarray) -> tuple[HermitianForm, np.ndarray]:
+    """``averaged_form`` of the stack of rho at the rule nodes, and the
+    ascending eigenvalues of its Gram matrix (``invariant_gram``)."""
     H, w = invariant_gram(rule, mats)
     residual = linalg.max_abs_over_nodes(lambda m: m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None],
                                          mats)
-    return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
+    return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual), w
 
 
 def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,11 +155,15 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
 def _unitarize(rep: Representation, seen: Representation, rule: HaarRule):
     """``unitarize`` read off ``seen``, the input tabulated at the rule nodes,
     and the unitary stack it audits; the unitary rep is built on ``rep`` and
-    does not hold the stack."""
-    form = averaged_form(seen, rule)
-    A = linalg.cholesky_hermitian(form.gram)
-    unitary_rep = conjugate(rep, A)
-    W = linalg.sandwich(A, seen.evaluate_batch(rule.nodes), unitary_rep.matrix_inv)
+    does not hold the stack.  The averaged form is decomposed once: A and
+    A^-1 come from the eigenvalues ``invariant_gram`` computed, and the
+    Gram matrix is exactly Hermitian, so A is the factor
+    ``linalg.cholesky_hermitian`` gives, to the byte."""
+    mats = seen.evaluate_batch(rule.nodes)
+    form, w = _averaged_form(rule, mats)
+    A, A_inv = _cholesky_pair(form.gram, w)
+    unitary_rep = ConjugatedRepresentation(rep, A, matrix_inv=A_inv)
+    W = linalg.sandwich(A, mats, A_inv)
     return UnitarizationResult(
         basis_change=A,
         unitary_rep=unitary_rep,
@@ -192,17 +209,11 @@ def _on_hermitian_basis(images: np.ndarray) -> np.ndarray:
     return np.concatenate([images[np.arange(r), np.arange(r)], pairs])
 
 
-def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
-    """(K, trace) for the averaging map B -> sum of w_n W_n* B W_n of a
-    unitary stack W (n, r, r): K (m, r, r) is a Frobenius-orthonormal real
-    basis of the Hermitian matrices it fixes, and trace, its trace, is the
-    integral of |chi|^2.
-
-    The map is one GEMM of a weighted conjugate of W, built in place as the
-    one stack-sized temporary, against W, written in ``hermitian_coords``.
-    Its fixed space is read off one SVD of (map - identity): singular values
-    at most ``RANK_TOL * max(1, largest)`` count as zero.
-    """
+def _averaging_map(rule: HaarRule, W: np.ndarray) -> np.ndarray:
+    """The real (r^2, r^2) matrix L of B -> sum of w_n W_n* B W_n in
+    ``hermitian_coords``, for a stack W (n, r, r): one GEMM of a weighted
+    conjugate of W, built in place as the one stack-sized temporary,
+    against W."""
     n, r, _ = W.shape
     weighted = W.conj()
     weighted *= rule.weights[:, None, None]
@@ -211,9 +222,30 @@ def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
     outer = weighted.reshape(n, r * r).T @ W.reshape(n, r * r)
     if not np.isfinite(outer).all():
         raise EvaluationFailureError("the averaged map has a non-finite entry")
-    L = hermitian_coords(_on_hermitian_basis(outer.reshape(r, r, r, r).transpose(0, 2, 1, 3))).T
-    _, s, Vh = np.linalg.svd(L - np.eye(r * r))
-    return _hermitian_from_coords(Vh[s <= RANK_TOL * max(1.0, s[0])], r), float(np.trace(L))
+    return hermitian_coords(_on_hermitian_basis(outer.reshape(r, r, r, r).transpose(0, 2, 1, 3))).T
+
+
+def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
+    """(K, trace) for the averaging map L: B -> sum of w_n W_n* B W_n of a
+    unitary stack W (n, r, r): K (m, r, r) is a Frobenius-orthonormal real
+    basis of the Hermitian matrices it fixes, and trace, its trace, is the
+    integral of |chi|^2.
+
+    The fixed space is read off one symmetric eigensolve of
+    (L + L^T)/2 - I: eigenvalues mu with |mu| at most
+    ``RANK_TOL * max(1, max |mu|)`` count as zero.  This is exact.  Each
+    node map is a Frobenius isometry whose transpose is the map of W_n^*,
+    so (L + L^T)/2 averages the node maps together with their inverses,
+    and an average of isometries with positive weights fixes B only if
+    every term does: the symmetric part fixes exactly what L fixes, on any
+    node set.  On a rule closed under inversion L is symmetric, and the
+    |mu| are the singular values of L - I.
+    """
+    r = W.shape[-1]
+    L = _averaging_map(rule, W)
+    mu, V = np.linalg.eigh((L + L.T) / 2.0 - np.eye(r * r))
+    size = np.abs(mu)
+    return _hermitian_from_coords(V[:, size <= RANK_TOL * max(1.0, size.max())].T, r), float(np.trace(L))
 
 
 def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[HermitianForm], int]:

@@ -332,6 +332,53 @@ def test_axiom_audit_bit_identical_to_fsum_reference(name, resolution, monkeypat
     assert rk.axiom_audit(rule, probes, shifts).as_dict() == kernel
 
 
+def _axiom_residuals_per_integral(rule, probes, shifts):
+    """The four residual families of ``axiom_audit``, one
+    ``integrate_values`` call per integral."""
+    integral = rk.groups.integrate_values
+    out = dict.fromkeys(("homogeneity", "additivity", "translation", "inversion"), 0.0)
+    for f in probes:
+        v = rk.groups.evaluate_probe(f, rule)
+        iv = integral(rule, v)
+        for alpha in (2.0, 1j, -1.0):
+            out["homogeneity"] = max(out["homogeneity"], abs(integral(rule, alpha * v) - alpha * iv))
+        out["additivity"] = max(out["additivity"], abs(integral(rule, v + v) - (iv + iv)))
+        for a in shifts:
+            for side in ("left", "right"):
+                moved = rule.group.shift_nodes(a, rule.nodes, side)
+                shifted = integral(rule, rk.groups.evaluate_probe(f, rule, nodes=moved))
+                out["translation"] = max(out["translation"], abs(shifted - iv))
+        inverted = integral(rule, rk.groups.evaluate_probe(f, rule, nodes=rule.inverse_nodes))
+        out["inversion"] = max(out["inversion"], abs(inverted - iv))
+    return out
+
+
+@pytest.mark.parametrize("name, resolution", [("su2", 12), ("circle", 64), ("s3", 1), ("z3", 1)])
+def test_axiom_audit_batches_equal_one_integral_per_row(name, resolution, monkeypatch):
+    # the residual rows go through the summation kernel in batches: one per
+    # probe (v, its scalar multiples, v + v) and one per shifted or
+    # inverted node set (every probe there); every residual is the one the
+    # per-integral audit gives, bit for bit
+    group = rk.builtin_group(name)
+    rule = rk.haar_rule(group, resolution)
+    probes, shifts = standard_probes(group), standard_shifts(group)
+    reference = _axiom_residuals_per_integral(rule, probes, shifts)
+    batches = []
+    original = rk.groups._weighted_fsum_rows
+
+    def counting(rows, weights):
+        rows = list(rows)
+        batches.append(len(rows))
+        return original(rows, weights)
+
+    monkeypatch.setattr(rk.groups, "_weighted_fsum_rows", counting)
+    report = rk.axiom_audit(rule, probes, shifts)
+    assert {key: getattr(report, key) for key in reference} == reference
+    # then the positivity margins, one per probe, and the normalization
+    p = len(probes)
+    assert batches == [5] * p + [1] * p + [p] * (2 * len(shifts) + 1) + [1]
+
+
 def test_character_integrals_bit_identical_to_fsum_reference(su2, s3, monkeypatch):
     rule = rk.haar_rule(su2, 16)
     spins = [rk.spin_irrep(two_j / 2.0, su2) for two_j in range(4)]

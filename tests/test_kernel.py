@@ -136,6 +136,68 @@ def test_invariant_form_space_matches_per_basis_reference(s3, circle, su2):
         assert np.linalg.matrix_rank(coords, tol=1e-8) == d
 
 
+def _random_su2(rng, n):
+    a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    a, b = a / norm, b / norm
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+
+
+def _weights(raw):
+    raw = np.asarray(raw, dtype=float)
+    return raw / raw.sum()
+
+
+def test_symmetric_reading_matches_reference_on_rules_not_closed_under_inversion(s3, circle, su2):
+    # the averaging map of such a node set is not symmetric, yet its
+    # symmetric part fixes exactly what the map fixes: each node map is a
+    # Frobenius isometry, so an average of them fixes B only if every term
+    # does; node sets that generate a proper subgroup give d > 1
+    rng = np.random.default_rng(5)
+    cases = [
+        (rk.HaarRule(group=circle, nodes=np.array([0.0, np.pi / 2, np.pi]),
+                     weights=_weights([5, 3, 2]), resolution=3),
+         rk.CircleWeightRepresentation(circle, [0, 4, 1]), 5),
+        (rk.HaarRule(group=su2, nodes=_random_su2(rng, 2), weights=_weights([3, 1]), resolution=2),
+         rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)), 2),
+        (rk.HaarRule(group=su2, nodes=_random_su2(rng, 5), weights=_weights(rng.uniform(1, 3, 5)),
+                     resolution=5),
+         rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(0.5, su2)), 4),
+        # the identity and one 3-cycle, without its inverse
+        (rk.HaarRule(group=s3, nodes=np.array([0, 4]), weights=_weights([1, 2]), resolution=1),
+         rk.s3_standard(s3), 2),
+    ]
+    for rule, rep, expected in cases:
+        mats = rep.evaluate_batch(rule.nodes)
+        L = rk.unitarization._averaging_map(rule, mats)
+        assert np.abs(L - L.T).max() > 1e-3
+        forms, d = rk.invariant_form_space(rep, rule)
+        ref = _invariant_forms_reference(rep, rule)
+        assert d == len(ref) == expected
+        basis = _hermitian_basis(rep.degree)
+        coords = np.array([[np.trace(C.conj().T @ f.gram).real for C in basis] for f in forms])
+        q = np.linalg.qr(coords.T)[0]
+        assert np.abs(q @ q.T - ref.T @ ref).max() <= 1e-10
+
+
+def test_symmetric_spectrum_is_the_singular_spectrum_on_builtin_rules(s3, circle, su2):
+    # on the built-in rules the map is symmetric to roundoff, so the |mu|
+    # the cut reads are the singular values of L - I
+    cases = [
+        (rk.haar_rule(s3, 1), rk.DirectSumRepresentation(rk.s3_irreps(s3) + [rk.s3_standard(s3)])),
+        (rk.haar_rule(circle, 8), rk.CircleWeightRepresentation(circle, [0, 3, -2, 3])),
+        (rk.haar_rule(circle, 64), rk.CircleWeightRepresentation(circle, [1, 1, 5])),
+        (rk.haar_rule(su2, 6), rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1.5, su2))),
+        (rk.haar_rule(su2, 12), rk.spin_irrep(2, su2)),
+    ]
+    for rule, rep in cases:
+        r = rep.degree
+        L = rk.unitarization._averaging_map(rule, rep.evaluate_batch(rule.nodes))
+        mu = np.linalg.eigvalsh((L + L.T) / 2.0 - np.eye(r * r))
+        singular = np.linalg.svd(L - np.eye(r * r), compute_uv=False)
+        assert np.abs(np.sort(np.abs(mu))[::-1] - singular).max() <= 1e-13
+
+
 def test_hermitian_coords_order():
     H = np.array([[1.0, 2 + 3j, 4j], [2 - 3j, 5.0, 6.0], [-4j, 6.0, 7.0]])
     r2 = np.sqrt(2.0)

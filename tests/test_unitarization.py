@@ -88,6 +88,39 @@ def test_unitarize_deterministic(su2, su2_rule):
     assert np.array_equal(first.basis_change, second.basis_change)
 
 
+def test_unitarize_decomposes_the_averaged_form_once(su2, su2_rule, monkeypatch):
+    # one eigvalsh of the averaged form gives its definiteness and the
+    # conditioning of its Cholesky factor A; A^-1 is the inverse of the
+    # triangular factor, with no SVD singularity check
+    rng = np.random.default_rng(23)
+    mixed = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
+                         random_invertible(rng, 5))
+    calls = []
+
+    def counting(name, original):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return original(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigvalsh", "eigh", "svd", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    result = rk.unitarize(mixed, su2_rule)
+    assert calls == [("eigvalsh", (5, 5)), ("cholesky", (5, 5)), ("inv", (5, 5))]
+    calls.clear()
+    report = rk.specialness_report(mixed, su2_rule)
+    assert report.d == 2
+    assert calls == [("eigvalsh", (5, 5)), ("cholesky", (5, 5)), ("inv", (5, 5)),
+                     ("eigh", (25, 25)), ("eigvalsh", (2, 5, 5))]
+    monkeypatch.undo()
+    # the same factor and inverse, to the byte, as the Cholesky of the
+    # averaged form and its checked inverse
+    A = rk.cholesky_hermitian(rk.averaged_form(mixed, su2_rule).gram)
+    assert result.basis_change.tobytes() == A.tobytes()
+    assert result.unitary_rep.matrix_inv.tobytes() == rk.linalg.invert(A).tobytes()
+    assert report.unitarization.basis_change.tobytes() == A.tobytes()
+
+
 def test_invariant_form_space_one_dimensional(z3, su2, su2_rule):
     rule = rk.haar_rule(z3, 1)
     forms, d = rk.invariant_form_space(rk.cyclic_phase_rep(z3, [1]), rule)
@@ -121,14 +154,18 @@ def test_invariant_form_space_matches_bruteforce_on_finite(s3):
         assert invariant_form_dim_bruteforce(rep, rule) == expected
 
 
-def test_invariant_form_space_one_svd(z2, s3, monkeypatch):
-    # d and the commutant are read off one real SVD of the defect of the
+def test_invariant_form_space_one_eigh(z2, s3, monkeypatch):
+    # d and the commutant are read off one real symmetric eigensolve of the
     # averaging map, after one evaluation at the rule nodes and none at
-    # their inverses; on a trivial rep the defect is exactly zero and every
-    # form is invariant (d = r^2)
-    svds, evaluated = [], []
-    original_svd = np.linalg.svd
+    # their inverses, with no SVD at all; on a trivial rep the map is the
+    # identity and every form is invariant (d = r^2)
+    eighs, svds, evaluated = [], [], []
+    original_eigh, original_svd = np.linalg.eigh, np.linalg.svd
     original_evaluate = rk.FiniteTableRepresentation.evaluate_batch
+
+    def counting_eigh(*args, **kwargs):
+        eighs.append((args[0].shape, args[0].dtype))
+        return original_eigh(*args, **kwargs)
 
     def counting_svd(*args, **kwargs):
         svds.append((args[0].shape, args[0].dtype))
@@ -138,31 +175,32 @@ def test_invariant_form_space_one_svd(z2, s3, monkeypatch):
         evaluated.append(nodes)
         return original_evaluate(self, nodes)
 
+    def check(call, rep, rule):
+        eighs.clear()
+        svds.clear()
+        evaluated.clear()
+        answer = call(rep, rule)
+        assert eighs == [((4, 4), np.float64)]
+        assert svds == []
+        assert len(evaluated) == 1 and evaluated[0] is rule.nodes
+        return answer[1] if call is rk.invariant_form_space else answer.dimension
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(rk.FiniteTableRepresentation, "evaluate_batch", recording)
     triv = rk.FiniteTableRepresentation(z2, np.stack([np.eye(2, dtype=complex)] * 2))
     for rep, rule, expected in ((triv, rk.haar_rule(z2, 1), 4),
                                 (rk.s3_standard(s3), rk.haar_rule(s3, 1), 1)):
         for call in (rk.invariant_form_space, rk.commutant):
-            svds.clear()
-            evaluated.clear()
-            answer = call(rep, rule)
-            d = answer[1] if call is rk.invariant_form_space else answer.dimension
-            assert d == expected
-            assert svds == [((4, 4), np.float64)]
-            assert len(evaluated) == 1 and evaluated[0] is rule.nodes
-    # a non-unitary input: the one real r^2 x r^2 SVD is still the only one
-    # (the unitarizing factor's definiteness and conditioning are read off
-    # the eigenvalues of the averaged form)
+            assert check(call, rep, rule) == expected
+    # a non-unitary input: the one real r^2 x r^2 eigensolve is still the
+    # only one (the unitarizing factor's definiteness and conditioning are
+    # read off the eigenvalues of the averaged form)
     rule = rk.haar_rule(s3, 1)
     mixed = rk.FiniteTableRepresentation(
         s3, rk.conjugate(rk.s3_standard(s3), np.array([[2.0, 1.0], [0.0, 1.0]])).evaluate_batch(rule.nodes))
     for call in (rk.invariant_form_space, rk.commutant):
-        svds.clear()
-        evaluated.clear()
-        call(mixed, rule)
-        assert svds == [((4, 4), np.float64)]
-        assert len(evaluated) == 1 and evaluated[0] is rule.nodes
+        assert check(call, mixed, rule) == 1
 
 
 def test_unitarizing_factor_refusals_keep_their_threshold(z2):
