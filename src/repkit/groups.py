@@ -305,8 +305,9 @@ class HaarRule:
 
     @cached_property
     def inverse_nodes(self):
-        """The inverses of the nodes, computed once per rule: one node array
-        that per-call stacks can be keyed on."""
+        """The inverses of the nodes, computed once per rule and shared by
+        the calls that evaluate there (``averaged_intertwiner`` and the
+        inversion axiom of ``axiom_audit``)."""
         return self.group.invert_nodes(self.nodes)
 
     def iter_nodes(self):

@@ -6,8 +6,7 @@ weight vectors over the circle (acting as diagonal phase matrices), spin
 representations of su2 built as symmetric powers of the defining action,
 direct sums, and conjugations by a fixed invertible matrix.  A sixth,
 block-projection body is produced internally when reducible representations
-are split, and a seventh, tabulated body carries the node stacks one call
-has already evaluated from step to step.
+are split.
 
 Every body supports vectorized evaluation over a whole array of group
 elements (``evaluate_batch``), which is what keeps quadrature-heavy
@@ -181,8 +180,7 @@ class DirectSumRepresentation(Representation):
         self.degree = sum(p.degree for p in parts)
 
     def evaluate_batch(self, nodes):
-        n = len(np.asarray(nodes)) if self.group.kind != "su2" else np.asarray(nodes).shape[0]
-        out = np.zeros((n, self.degree, self.degree), dtype=complex)
+        out = np.zeros((len(nodes), self.degree, self.degree), dtype=complex)
         offset = 0
         for p in self.parts:
             out[:, offset:offset + p.degree, offset:offset + p.degree] = p.evaluate_batch(nodes)
@@ -229,29 +227,6 @@ class BlockRepresentation(Representation):
     def evaluate_batch(self, nodes):
         sl = slice(self.offset, self.offset + self.degree)
         return linalg.sandwich(self.P[sl], self.parent.evaluate_batch(nodes), self.P_inv[:, sl])
-
-
-class TabulatedRepresentation(Representation):
-    """``rep`` with its node stacks computed ahead at given node arrays.
-
-    ``stacks`` pairs node arrays with the matrices of ``rep`` there.  Asked
-    for one of those arrays (the same object), it returns the stack as it
-    is; any other nodes are evaluated.  One call hands it to each of its
-    steps so that the input is evaluated once per node array; it lives only
-    as long as that call.
-    """
-
-    def __init__(self, rep, stacks):
-        self.group = rep.group
-        self.degree = rep.degree
-        self.rep = rep
-        self.stacks = list(stacks)
-
-    def evaluate_batch(self, nodes):
-        for known, stack in self.stacks:
-            if known is nodes:
-                return stack
-        return self.rep.evaluate_batch(nodes)
 
 
 def evaluate(rep: Representation, g) -> np.ndarray:
@@ -329,20 +304,23 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
             raise GroupMismatchError("representation and rule are defined over different groups")
 
 
-def tabulate(rep: Representation, rule: HaarRule) -> TabulatedRepresentation:
-    """``rep`` evaluated once at the rule nodes."""
+def tabulate(rep: Representation, rule: HaarRule) -> np.ndarray:
+    """The stack (n, r, r) of ``rep`` at the rule nodes.  A call evaluates
+    its input once with it and hands the stack to each of its steps."""
     check_rule_group(rule, rep)
-    return TabulatedRepresentation(rep, [(rule.nodes, rep.evaluate_batch(rule.nodes))])
+    return rep.evaluate_batch(rule.nodes)
 
 
 def character(rep: Representation, rule: HaarRule) -> Character:
-    check_rule_group(rule, rep)
+    return _character(rep, rule, tabulate(rep, rule))
+
+
+def _character(rep: Representation, rule: HaarRule, mats: np.ndarray) -> Character:
+    """``character`` read off ``mats``, the stack of ``rep`` at the rule nodes."""
     ident_trace = np.trace(rep.evaluate(rep.group.identity_element()))
     if abs(ident_trace - rep.degree) > IDENTITY_TOL * (1 + rep.degree):
         raise ValueError(f"character at the identity is {ident_trace}, expected degree {rep.degree}")
-    mats = rep.evaluate_batch(rule.nodes)
-    values = np.einsum("nii->n", mats)
-    return Character(rep=rep, rule=rule, values=values, degree=rep.degree)
+    return Character(rep=rep, rule=rule, values=np.einsum("nii->n", mats), degree=rep.degree)
 
 
 def class_invariance_audit(rep: Representation, rule: HaarRule, shifts) -> float:

@@ -4,12 +4,13 @@ orthogonality integrals.
 The workhorse is group averaging: T(A) = integral of rho(x) A sigma(x^-1) is
 an intertwiner for any seed matrix A.  Every commutant is read off one
 object, the averaging map B -> integral of W* B W of the unitary stack
-W = A rho A^-1 that ``unitarization._ensure_unitary`` returns (A is the
-identity when the input passes its unitarity audit): its fixed Hermitian
+W = A rho A^-1 that ``unitarization._unitary`` returns (A is the identity
+when the input passes its unitarity audit): its fixed Hermitian
 matrices K span the commutant of W, the commutant of the input is
 A^-1 K A, and its trace is the character norm integral of |chi|^2.  The
 contraction of rho against conj(rho) gives every matrix-element integral at
-once.  Scalar commutant (dimension one) is the irreducibility criterion.
+once.  Scalar commutant (dimension one) is the irreducibility criterion;
+``_irreducible`` reads only that dimension, with no commutation residual.
 
 Splitting follows the proof of Schur's lemma and never forms the averaging
 map.  ``split_once`` and ``decompose`` take the same unitary stack, then the
@@ -19,7 +20,8 @@ element, are the irreducible blocks.  Every block is a
 1, or whose isotypic multiplicities disagree with the character norm of the
 whole, are refused, so an under-resolved rule gives no wrong blocks.
 
-Each public call evaluates its input once at the rule nodes; only
+Each public call evaluates its input once at the rule nodes
+(``tabulate``) and hands that stack to its steps; only
 ``averaged_intertwiner`` also evaluates at their inverses
 (``HaarRule.inverse_nodes``).  Nothing else needs them: rho(x^-1) = W(x)^*
 once the stack W is unitary.
@@ -32,7 +34,7 @@ the block sizes, ``unitarization.UNITARY_TOL`` for whether to unitarize,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +53,12 @@ from .representations import (
     BlockRepresentation,
     Character,
     Representation,
+    _character,
     character,
     check_rule_group,
     tabulate,
 )
-from .unitarization import _ensure_unitary, fixed_hermitian
+from .unitarization import _unitary, fixed_hermitian
 
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
@@ -107,7 +110,8 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     W = A rho A^-1, read off one symmetric eigensolve (``fixed_hermitian``),
     with its residual on the input's own stack and the trace of the map as
     the character norm."""
-    mats, W, A, A_inv = _ensure_unitary(rep, rule)
+    mats = tabulate(rep, rule)
+    W, A, A_inv = _unitary(rule, mats)
     K, norm = fixed_hermitian(rule, W)
     del W  # the residual reads the input's own stack
     basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
@@ -149,7 +153,7 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of one symmetric eigensolve
     (``fixed_hermitian``) themselves, with their residual on W; its
     dimension is the input's commutant dimension."""
-    W = _ensure_unitary(rep, rule)[1]
+    W = _unitary(rule, tabulate(rep, rule))[0]
     K, norm = fixed_hermitian(rule, W)
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=_commutation_residual(W, K),
                            character_norm=norm)
@@ -157,7 +161,14 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
     """Scalar-commutant criterion; non-unitary input is unitarized first."""
-    return unitary_commutant(rep, rule).dimension == 1
+    return _irreducible(rule, tabulate(rep, rule))
+
+
+def _irreducible(rule: HaarRule, mats: np.ndarray) -> bool:
+    """``irreducibility_test`` read off ``mats``, the stack of rho at the rule
+    nodes: the dimension of the fixed space of its unitary stack, and
+    nothing else."""
+    return len(fixed_hermitian(rule, _unitary(rule, mats)[0])[0]) == 1
 
 
 def _unresolved(rule: HaarRule, basis_change: np.ndarray) -> str:
@@ -176,7 +187,7 @@ def _split(rep: Representation, rule: HaarRule):
     multiplicities of the isotypic classes (blocks grouped by character
     inner product) must sum to the input's character norm.
     """
-    W, A, A_inv = _ensure_unitary(rep, rule)[1:]
+    W, A, A_inv = _unitary(rule, tabulate(rep, rule))
     Q, sizes = _split_unitary_fully(W, rule)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     starts = np.cumsum([0, *sizes[:-1]])
@@ -312,11 +323,10 @@ def orthogonality_audit(reps, rule: HaarRule) -> np.ndarray:
     check_rule_group(rule, *reps)
     chars = []
     for i, rep in enumerate(reps):
-        seen = tabulate(rep, rule)
-        if not irreducibility_test(seen, rule):
+        mats = tabulate(rep, rule)
+        if not _irreducible(rule, mats):
             raise NotIrreducibleError(f"representation {i} is not irreducible")
-        # the character reads the stack the test evaluated, and keeps the input
-        chars.append(replace(character(seen, rule), rep=rep))
+        chars.append(_character(rep, rule, mats))
     n = len(reps)
     residual = np.empty((n, n))
     for i in range(n):
@@ -330,11 +340,11 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     """Largest deviation of integral of rho_ij conj(rho_kl) from the scalar
     orthogonality pattern delta_ik delta_jl / degree, over all index
     quadruples of an irreducible unitary representation."""
-    seen = tabulate(rep, rule)
-    if not irreducibility_test(seen, rule):
+    mats = tabulate(rep, rule)
+    if not _irreducible(rule, mats):
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     r = rep.degree
-    flat = seen.evaluate_batch(rule.nodes).reshape(rule.node_count, 1, r * r)
+    flat = mats.reshape(rule.node_count, 1, r * r)
     gram = integrate_product(rule, flat, flat.conj())
     return linalg.max_abs(gram - np.eye(r * r) / r)
 
@@ -343,10 +353,10 @@ def multiplicity(rep: Representation, irrep: Representation, rule: HaarRule) -> 
     """Nearest integer to <chi_rep, chi_irrep>; raises when the inner product
     is further than 0.05 from an integer (an under-resolved rule)."""
     check_rule_group(rule, rep, irrep)
-    seen = tabulate(irrep, rule)
-    if not irreducibility_test(seen, rule):
+    mats = tabulate(irrep, rule)
+    if not _irreducible(rule, mats):
         raise NotIrreducibleError("multiplicity requires an irreducible reference representation")
-    inner = character_inner(character(rep, rule), character(seen, rule), rule)
+    inner = character_inner(character(rep, rule), _character(irrep, rule, mats), rule)
     nearest = int(round(inner.real))
     if abs(inner - nearest) > MULTIPLICITY_WINDOW or nearest < 0:
         raise NonIntegerMultiplicityError(

@@ -3,8 +3,8 @@ fixed-space reader.
 
 Averaging the standard inner product over the group produces a positive
 definite Hermitian form H invariant under the representation; its Cholesky
-factor A (H = A* A) makes W = A rho A^-1 unitary.  ``_ensure_unitary`` takes
-it only when the input fails the unitarity audit.  Each node map
+factor A (H = A* A) makes W = A rho A^-1 unitary.  ``_unitary`` takes it
+only when the input fails the unitarity audit.  Each node map
 B -> W_n* B W_n is then unitary, so their average with the rule's positive
 weights, B -> integral of W* B W, fixes exactly what every node fixes, the
 commutant of W: ``fixed_hermitian`` reads that fixed space off one
@@ -22,12 +22,13 @@ normalized invariant integral to average with.  That is why only the compact
 group kinds are supported here.
 
 ``averaged_form``, ``invariant_form_space``, ``unitarize`` and
-``specialness_report`` each evaluate their input once at the rule nodes;
-``unitarize`` reads its form and its unitarity audit off that one stack, and
-``specialness_report`` reads its invariant forms in the basis of that one
-unitarization, so it averages the form once.  ``_ensure_unitary`` and
-``unitarize`` read the definiteness and the conditioning of their factor
-off the one eigenvalue computation of the averaged form.
+``specialness_report`` each evaluate their input once at the rule nodes
+(``tabulate``) and hand that stack to their steps; ``unitarize`` reads its
+form and its unitarity audit off it, and ``specialness_report`` reads its
+invariant forms in the basis of that one unitarization, so it averages the
+form once.  ``_unitary`` and ``unitarize`` read the definiteness and the
+conditioning of their factor off the one eigenvalue computation of the
+averaged form.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .groups import HaarRule
 from .representations import (
     ConjugatedRepresentation,
     Representation,
-    check_rule_group,
     tabulate,
     unitarity_defect,
 )
@@ -51,7 +51,7 @@ from .representations import (
 # symmetric part minus the identity at most this, relative to the largest
 # (and to 1), count as zero (``fixed_hermitian``)
 RANK_TOL = 1e-7
-# the unitarity audit above which ``_ensure_unitary`` conjugates its input
+# the unitarity audit above which ``_unitary`` conjugates its input
 UNITARY_TOL = 1e-8
 
 
@@ -80,8 +80,7 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     definite, which signals a broken input or an under-resolved rule rather
     than a numerical accident.
     """
-    check_rule_group(rule, rep)
-    return _averaged_form(rule, rep.evaluate_batch(rule.nodes))[0]
+    return _averaged_form(rule, tabulate(rep, rule))[0]
 
 
 def _averaged_form(rule: HaarRule, mats: np.ndarray) -> tuple[HermitianForm, np.ndarray]:
@@ -129,19 +128,16 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, A_inv
 
 
-def _ensure_unitary(rep: Representation, rule: HaarRule):
-    """(stack, W, A, A^-1): the input evaluated once at the rule nodes and
-    the unitary stack W = A rho A^-1.  A is the identity, and W the stack
-    itself, when the input passes the unitarity audit; otherwise A is the
-    Cholesky factor of its averaged form.  Callers that do not need the
-    input's own stack drop it, so that W alone stays alive."""
-    check_rule_group(rule, rep)
-    mats = rep.evaluate_batch(rule.nodes)
+def _unitary(rule: HaarRule, mats: np.ndarray):
+    """(W, A, A^-1): the unitary stack W = A rho A^-1 of ``mats``, the stack
+    of rho at the rule nodes.  A is the identity, and W is ``mats`` itself,
+    when the stack passes the unitarity audit; otherwise A is the Cholesky
+    factor of its averaged form."""
     if unitarity_defect(mats) <= UNITARY_TOL:
-        eye = np.eye(rep.degree, dtype=complex)
-        return mats, mats, eye, eye
+        eye = np.eye(mats.shape[-1], dtype=complex)
+        return mats, eye, eye
     A, A_inv = _cholesky_pair(*invariant_gram(rule, mats))
-    return mats, linalg.sandwich(A, mats, A_inv), A, A_inv
+    return linalg.sandwich(A, mats, A_inv), A, A_inv
 
 
 def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
@@ -149,17 +145,16 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     representation becomes unitary; the character is untouched.  The input
     is evaluated once: the averaged form and the unitarity audit of the new
     basis both read that stack."""
-    return _unitarize(rep, tabulate(rep, rule), rule)[0]
+    return _unitarize(rep, rule, tabulate(rep, rule))[0]
 
 
-def _unitarize(rep: Representation, seen: Representation, rule: HaarRule):
-    """``unitarize`` read off ``seen``, the input tabulated at the rule nodes,
-    and the unitary stack it audits; the unitary rep is built on ``rep`` and
-    does not hold the stack.  The averaged form is decomposed once: A and
-    A^-1 come from the eigenvalues ``invariant_gram`` computed, and the
-    Gram matrix is exactly Hermitian, so A is the factor
+def _unitarize(rep: Representation, rule: HaarRule, mats: np.ndarray):
+    """``unitarize`` read off ``mats``, the stack of ``rep`` at the rule
+    nodes, and the unitary stack it audits; the unitary rep is built on
+    ``rep`` and does not hold the stack.  The averaged form is decomposed
+    once: A and A^-1 come from the eigenvalues ``invariant_gram`` computed,
+    and the Gram matrix is exactly Hermitian, so A is the factor
     ``linalg.cholesky_hermitian`` gives, to the byte."""
-    mats = seen.evaluate_batch(rule.nodes)
     form, w = _averaged_form(rule, mats)
     A, A_inv = _cholesky_pair(form.gram, w)
     unitary_rep = ConjugatedRepresentation(rep, A, matrix_inv=A_inv)
@@ -255,7 +250,7 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     unitary stack W = A rho A^-1 (``fixed_hermitian``), so d is the
     commutant dimension by construction.
     """
-    W, A, _ = _ensure_unitary(rep, rule)[1:]
+    W, A, _ = _unitary(rule, tabulate(rep, rule))
     forms = _forms(rule, W, A)
     return forms, len(forms)
 
@@ -283,11 +278,10 @@ class SpecialnessReport:
 def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport:
     """The invariant-form space and the unitarization, off one evaluation and
     one averaged form: on input that fails the unitarity audit, the forms
-    are read in the unitarization's own basis, the one ``_ensure_unitary``
-    would build again."""
-    seen = tabulate(rep, rule)
-    unitarization, W = _unitarize(rep, seen, rule)
-    mats = seen.evaluate_batch(rule.nodes)
+    are read in the unitarization's own basis, the one ``_unitary`` would
+    build again."""
+    mats = tabulate(rep, rule)
+    unitarization, W = _unitarize(rep, rule, mats)
     if unitarity_defect(mats) <= UNITARY_TOL:
         W, A = mats, np.eye(rep.degree, dtype=complex)
     else:

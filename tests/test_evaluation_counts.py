@@ -52,10 +52,11 @@ def test_unitarize_evaluates_once(su2, su2_rule, evaluations):
 
 def test_specialness_report_evaluates_once(su2, su2_rule, evaluations):
     # the invariant-form space and the unitarization share one stack
-    report = rk.specialness_report(conjugated_sum(su2), su2_rule)
+    rep = conjugated_sum(su2)
+    report = rk.specialness_report(rep, su2_rule)
     assert sorted(evaluations) == [1, 2]
     assert report.d == 2 and report.unitarization.unitarity_residual <= 1e-8
-    assert not isinstance(report.unitarization.unitary_rep.inner, rk.representations.TabulatedRepresentation)
+    assert report.unitarization.unitary_rep.inner is rep
 
 
 def test_specialness_report_averages_once(su2, su2_rule, monkeypatch):
@@ -93,6 +94,21 @@ def test_orthogonality_audit_evaluates_once_per_representation(su2, su2_rule, ev
     # inverse nodes, and the character reads the same stack
     rk.orthogonality_audit([rk.spin_irrep(t / 2, su2) for t in range(4)], su2_rule)
     assert sorted(evaluations) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda su2, rule: rk.irreducibility_test(
+        rk.conjugate(rk.spin_irrep(1, su2), random_invertible(np.random.default_rng(2), 3)), rule), [2]),
+    (lambda su2, rule: rk.unitary_commutant(conjugated_sum(su2), rule), [1, 2]),
+    (lambda su2, rule: rk.matrix_element_audit(rk.spin_irrep(1, su2), rule), [2]),
+    (lambda su2, rule: rk.multiplicity(rk.direct_sum(rk.spin_irrep(0, su2), rk.spin_irrep(1, su2)),
+                                       rk.spin_irrep(0.5, su2), rule), [0, 1, 2]),
+], ids=["irreducibility_test", "unitary_commutant", "matrix_element_audit", "multiplicity"])
+def test_schur_calls_evaluate_each_input_once(su2, su2_rule, evaluations, call, expected):
+    # the input of each call, and both sides of multiplicity, once at the
+    # rule nodes: every step reads the one stack
+    call(su2, su2_rule)
+    assert sorted(evaluations) == expected
 
 
 def test_axiom_audit_evaluates_each_probe_family_once_per_node_set(su2, su2_rule, evaluations):

@@ -184,6 +184,29 @@ def test_irreducibility_unitarizes_ill_conditioned_input(su2):
     assert rk.irreducibility_test(rep, rule)
 
 
+def test_irreducibility_route_reads_only_the_dimension(s3, monkeypatch):
+    # the commutation residual belongs to the commutant reports; the
+    # irreducibility route and the calls that run it read the dimension only
+    rule = rk.haar_rule(s3, 1)
+    rep = rk.conjugate(rk.s3_standard(s3), random_invertible(np.random.default_rng(4), 2))
+    calls = []
+    original = rk.schur._commutation_residual
+
+    def counting(mats, basis):
+        calls.append(len(basis))
+        return original(mats, basis)
+
+    monkeypatch.setattr(rk.schur, "_commutation_residual", counting)
+    rk.irreducibility_test(rep, rule)
+    rk.orthogonality_audit([rep, rk.s3_standard(s3)], rule)
+    rk.multiplicity(rk.direct_sum(rep, rep), rep, rule)
+    rk.matrix_element_audit(rk.s3_standard(s3), rule)
+    assert calls == []
+    rk.commutant(rep, rule)
+    rk.unitary_commutant(rep, rule)
+    assert calls == [1, 1]
+
+
 # --- splitting ---------------------------------------------------------------
 
 def premixed_z2(z2, seed=5):
