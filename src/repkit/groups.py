@@ -18,8 +18,11 @@ finite-group translations.  They go through one vectorized kernel,
 ``_fsum_rows``, Rump, Ogita and Oishi's error-free extraction: it splits the
 node terms into a few levels whose numpy sums are exact in any order, so
 its values are those of ``math.fsum`` on the node array, bit for bit, at
-numpy speed.  Matrix integrals go through one averaging contraction,
-``integrate_product``: a single weighted GEMM over the nodes.
+numpy speed.  Every matrix integral goes through one averaging contraction,
+``integrate_product(rule, X, Y)`` = sum of w_n X_n^* Y_n: one GEMM against
+the weighted conjugate of X, the narrower operand, built in place as its
+one temporary.  It refuses a non-finite result, which is what a non-finite
+node entry or an overflowing sum produces, so no input sweep is needed.
 """
 
 from __future__ import annotations
@@ -276,11 +279,8 @@ def enumerate_or_sample(group, count, seed=0):
         return list(rng.uniform(0.0, 2 * np.pi, size=count))
     quat = rng.normal(size=(count, 4))
     quat /= np.linalg.norm(quat, axis=1, keepdims=True)
-    out = []
-    for a, b, c, d in quat:
-        alpha, beta = a + 1j * b, c + 1j * d
-        out.append(np.array([[alpha, beta], [-np.conj(beta), np.conj(alpha)]]))
-    return out
+    alpha, beta = quat[:, 0] + 1j * quat[:, 1], quat[:, 2] + 1j * quat[:, 3]
+    return list(np.stack([alpha, beta, -beta.conj(), alpha.conj()], axis=1).reshape(count, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -494,17 +494,18 @@ def integrate_values(rule: HaarRule, values: np.ndarray) -> complex:
 
 
 def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The averaging contraction: sum over nodes of w_n X_n^T Y_n, for node
+    """The averaging contraction, sum over nodes of w_n X_n^* Y_n, for node
     stacks X of shape (n, k, a) and Y of shape (n, k, b); returns (a, b).
 
-    With k = 1 this is the averaged outer product of the flattened node
-    matrices (integrate X_n (x) Y_n), from which the matrix-element
-    integrals and the block-character inner products are read off; with
-    k > 1 it also contracts the shared middle index, as in the averaged
-    Gram matrix rho* rho.  Either way it is a single GEMM of shape
-    (a x n*k) (n*k x b) with the weights folded into the narrower operand.
-    Sums run in BLAS over the fixed node order (deterministic run to run);
-    the scalar path keeps the stronger correctly-rounded accumulation.
+    Every averaged matrix is one call: with k = 1 the averaged outer product
+    of the flattened node matrices (the averaging map, the matrix-element
+    integrals, the block-character inner products), with k > 1 a
+    contraction over the middle index too (the averaged Gram rho* rho).  It
+    is one GEMM, deterministic over the fixed node order, against the
+    weighted conjugate of X built in place as the one temporary, so pass
+    the narrower operand first.  The weights are positive, so a non-finite
+    entry in either stack, like an overflowing sum, leaves the result
+    non-finite, and that is refused.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
@@ -512,26 +513,24 @@ def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     if X.ndim != 3 or Y.ndim != 3 or X.shape[:2] != Y.shape[:2] or X.shape[0] != n:
         raise ShapeMismatchError(
             f"expected ({n}, k, a) and ({n}, k, b) node stacks, got shapes {X.shape} and {Y.shape}")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise EvaluationFailureError("integrand has a non-finite entry at some node")
-    k = X.shape[1]
-    w = np.repeat(rule.weights, k)[:, None]
-    Xf, Yf = X.reshape(n * k, -1), Y.reshape(n * k, -1)
-    if Xf.shape[1] <= Yf.shape[1]:
-        return (w * Xf).T @ Yf
-    return Xf.T @ (w * Yf)
+    t = X.conj()
+    t *= rule.weights[:, None, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = t.reshape(n * X.shape[1], -1).T @ Y.reshape(n * X.shape[1], -1)
+    if not np.isfinite(out).all():
+        raise EvaluationFailureError("the averaged integrand has a non-finite entry")
+    return out
 
 
 def integrate_stacked(rule: HaarRule, stacked: np.ndarray) -> np.ndarray:
     """Entrywise weighted sum of precomputed per-node matrices (n, r, s):
-    the contraction against the constant function one."""
+    the contraction of the constant function one against them."""
     stacked = np.asarray(stacked, dtype=complex)
     if stacked.ndim != 3 or stacked.shape[0] != rule.node_count:
         raise ShapeMismatchError(
             f"expected ({rule.node_count}, r, s) node matrices, got shape {stacked.shape}")
     n, r, s = stacked.shape
-    ones = np.ones((n, 1, 1))
-    return integrate_product(rule, stacked.reshape(n, 1, r * s), ones).reshape(r, s)
+    return integrate_product(rule, np.ones((n, 1, 1)), stacked.reshape(n, 1, r * s)).reshape(r, s)
 
 
 def integrate_matrix(rule: HaarRule, F) -> np.ndarray:

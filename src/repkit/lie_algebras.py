@@ -107,7 +107,7 @@ def trace_form(alg: LieAlgebraSpec) -> TraceFormReport:
     """
     c = alg.structure_constants
     n = alg.dim
-    ads = np.stack([adjoint_matrix(alg, np.eye(n)[a]) for a in range(n)])
+    ads = c.transpose(0, 2, 1)     # ads[a] = adjoint_matrix(alg, e_a)
     gram = -np.einsum("aij,bji->ab", ads, ads)
     gram = (gram + gram.T) / 2.0
 
@@ -125,9 +125,9 @@ def trace_form(alg: LieAlgebraSpec) -> TraceFormReport:
         center = []
     else:
         candidates = [V[:, i] for i in range(n) if abs(w[i]) <= band]
-        commuting = all(
-            max(linalg.max_abs(bracket(alg, v, np.eye(n)[k])) for k in range(n)) <= CENTER_COMMUTATION_TOL
-            for v in candidates)
+        # row b of the einsum is [v, e_b]
+        commuting = all(linalg.max_abs(np.einsum("abk,a->bk", c, v)) <= CENTER_COMMUTATION_TOL
+                        for v in candidates)
         if commuting:
             classification = COMPACT_WITH_CENTER
             center = candidates
@@ -151,10 +151,7 @@ class MatrixLieAlgebra:
         basis = [linalg.as_matrix(X) for X in self.basis]
         object.__setattr__(self, "basis", basis)
         if self.gram_defining is None:
-            g = np.empty((len(basis), len(basis)))
-            for i, X in enumerate(basis):
-                for j, Y in enumerate(basis):
-                    g[i, j] = -np.trace(X @ Y).real
+            g = -np.einsum("iab,jba->ij", basis, basis).real
             object.__setattr__(self, "gram_defining", g)
         self.structure_constants()  # bracket closure is a construction invariant
 
@@ -169,20 +166,22 @@ class MatrixLieAlgebra:
         ``linalg.STRUCTURAL_TOL`` (the basis does not define a Lie algebra).
         """
         n = self.dim
-        flat = np.column_stack([X.reshape(-1) for X in self.basis])
+        basis = np.array(self.basis)
+        flat = basis.reshape(n, -1).T
+        a, b = np.triu_indices(n, 1)
+        # one column per bracket [e_a, e_b], a < b, in row-major pair order
+        rhs = (basis[a] @ basis[b] - basis[b] @ basis[a]).reshape(-1, len(flat)).T
+        coeff = np.linalg.lstsq(flat, rhs, rcond=None)[0]
+        defect = np.abs(flat @ coeff - rhs).max(axis=0, initial=0.0)
+        if (defect > linalg.STRUCTURAL_TOL).any():
+            q = np.argmax(defect > linalg.STRUCTURAL_TOL)
+            raise ValueError(f"bracket of basis elements {a[q]},{b[q]} leaves the span "
+                             f"(defect {defect[q]:.3e})")
+        if linalg.max_abs(coeff.imag) > linalg.STRUCTURAL_TOL:
+            raise ValueError("structure constants are not real")
         c = np.zeros((n, n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                rhs = (self.basis[a] @ self.basis[b] - self.basis[b] @ self.basis[a]).reshape(-1)
-                coeff, *_ = np.linalg.lstsq(flat, rhs, rcond=None)
-                defect = linalg.max_abs(flat @ coeff - rhs)
-                if defect > linalg.STRUCTURAL_TOL:
-                    raise ValueError(f"bracket of basis elements {a},{b} leaves the span "
-                                     f"(defect {defect:.3e})")
-                if linalg.max_abs(coeff.imag) > linalg.STRUCTURAL_TOL:
-                    raise ValueError("structure constants are not real")
-                c[a, b] = coeff.real
-                c[b, a] = -coeff.real
+        c[a, b] = coeff.real.T
+        c[b, a] = -coeff.real.T
         return c
 
     def to_spec(self) -> LieAlgebraSpec:

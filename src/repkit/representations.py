@@ -284,7 +284,7 @@ def unitarity_defect(mats: np.ndarray) -> float:
 
 def unitarity_audit(rep: Representation, rule: HaarRule) -> float:
     """Max over rule nodes of |rho(x)* rho(x) - I|."""
-    return unitarity_defect(rep.evaluate_batch(rule.nodes))
+    return unitarity_defect(tabulate(rep, rule))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +329,7 @@ def class_invariance_audit(rep: Representation, rule: HaarRule, shifts) -> float
     if not shifts:
         raise ValueError("at least one shift element is required")
     group = rep.group
-    base = np.einsum("nii->n", rep.evaluate_batch(rule.nodes))
+    base = np.einsum("nii->n", tabulate(rep, rule))
     worst = 0.0
     for a in shifts:
         moved = group.shift_nodes(group.inverse(a), rule.nodes, "left")

@@ -8,8 +8,8 @@ W = A rho A^-1 that ``unitarization._unitary`` returns (A is the identity
 when the input passes its unitarity audit): its fixed Hermitian
 matrices K span the commutant of W, the commutant of the input is
 A^-1 K A, and its trace is the character norm integral of |chi|^2.  The
-contraction of rho against conj(rho) gives every matrix-element integral at
-once.  Scalar commutant (dimension one) is the irreducibility criterion;
+contraction of the stack with itself, ``integrate_product``, gives every
+matrix-element integral at once.  Scalar commutant (dimension one) is the irreducibility criterion;
 ``_irreducible`` reads only that dimension, with no commutation residual.
 
 Splitting follows the proof of Schur's lemma and never forms the averaging
@@ -198,9 +198,10 @@ def _split(rep: Representation, rule: HaarRule):
         chunk = linalg.sandwich(Q, W[i:i + linalg.NODE_CHUNK], Q.conj().T)
         values[:, i:i + len(chunk)] = np.add.reduceat(np.einsum("nii->ni", chunk), starts, axis=1).T
         leakage = max(leakage, linalg.max_abs(chunk[:, label[:, None] != label[None, :]]))
-    # inner[a, b] = integral of chi_a conj(chi_b): 1 inside an isotypic class
-    # and 0 across, so classes are cut at 1/2; its sum is the input's norm
-    inner = integrate_product(rule, values.T[:, None], values.T.conj()[:, None])
+    # inner[a, b] = integral of conj(chi_a) chi_b: 1 inside an isotypic class
+    # and 0 across, so classes are cut at 1/2; its real sum is the input's norm
+    v = values.T[:, None]
+    inner = integrate_product(rule, v, v)
     for size, norm in zip(sizes, inner.diagonal().real):
         if abs(norm - 1.0) > MULTIPLICITY_WINDOW:
             raise NotIrreducibleError(
@@ -345,7 +346,7 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     r = rep.degree
     flat = mats.reshape(rule.node_count, 1, r * r)
-    gram = integrate_product(rule, flat, flat.conj())
+    gram = integrate_product(rule, flat, flat)
     return linalg.max_abs(gram - np.eye(r * r) / r)
 
 

@@ -28,7 +28,10 @@ form and its unitarity audit off it, and ``specialness_report`` reads its
 invariant forms in the basis of that one unitarization, so it averages the
 form once.  ``_unitary`` and ``unitarize`` read the definiteness and the
 conditioning of their factor off the one eigenvalue computation of the
-averaged form.
+averaged form.  Both the averaged form (``invariant_gram``) and the
+averaging map (``_averaging_map``) are one call of the averaging
+contraction ``groups.integrate_product``, which holds the weights, the one
+weighted temporary and the refusal of a non-finite average.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import EvaluationFailureError, NotPositiveDefiniteError, SingularMatrixError
-from .groups import HaarRule
+from .errors import NotPositiveDefiniteError, SingularMatrixError
+from .groups import HaarRule, integrate_product
 from .representations import (
     ConjugatedRepresentation,
     Representation,
@@ -95,14 +98,9 @@ def _averaged_form(rule: HaarRule, mats: np.ndarray) -> tuple[HermitianForm, np.
 def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix of ``averaged_form`` and its ascending eigenvalues,
     from the stack of rho at the rule nodes, without the invariance
-    residual: one GEMM over (node, row) pairs against a weighted conjugate
-    of the stack, built in place as the one stack-sized temporary."""
-    n, r, _ = mats.shape
-    weighted = mats.conj()
-    weighted *= rule.weights[:, None, None]
-    H = weighted.reshape(n * r, r).T @ mats.reshape(n * r, r)
-    if not np.isfinite(H).all():
-        raise EvaluationFailureError("the averaged form has a non-finite entry")
+    residual: the averaging contraction of the stack with itself over
+    (node, row) pairs, whose one temporary is its weighted conjugate."""
+    H = integrate_product(rule, mats, mats)
     H = (H + H.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
     if w[0] <= linalg.STRUCTURAL_TOL:
@@ -206,17 +204,13 @@ def _on_hermitian_basis(images: np.ndarray) -> np.ndarray:
 
 def _averaging_map(rule: HaarRule, W: np.ndarray) -> np.ndarray:
     """The real (r^2, r^2) matrix L of B -> sum of w_n W_n* B W_n in
-    ``hermitian_coords``, for a stack W (n, r, r): one GEMM of a weighted
-    conjugate of W, built in place as the one stack-sized temporary,
-    against W."""
+    ``hermitian_coords``, for a stack W (n, r, r): the averaged outer
+    product of the flattened stack with itself (``integrate_product``)."""
     n, r, _ = W.shape
-    weighted = W.conj()
-    weighted *= rule.weights[:, None, None]
+    flat = W.reshape(n, 1, r * r)
     # outer[k, i, l, j] = sum of w_n conj(W_ki) W_lj, the (i, j) entry of
     # the average of W* E_kl W
-    outer = weighted.reshape(n, r * r).T @ W.reshape(n, r * r)
-    if not np.isfinite(outer).all():
-        raise EvaluationFailureError("the averaged map has a non-finite entry")
+    outer = integrate_product(rule, flat, flat)
     return hermitian_coords(_on_hermitian_basis(outer.reshape(r, r, r, r).transpose(0, 2, 1, 3))).T
 
 

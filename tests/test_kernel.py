@@ -1,9 +1,14 @@
 """The averaging contraction and the code routed through it.
 
-References here are built without ``integrate_product``: node sums go
-through ``numpy.tensordot`` and the invariant-form map is assembled one
-Hermitian basis element at a time, as the per-basis implementation did.
+``integrate_product(rule, X, Y)`` is the sum over nodes of w_n X_n^* Y_n,
+the one weighted GEMM behind every averaged matrix.  References here are
+built without it: node sums go through ``numpy.tensordot`` and the
+invariant-form map is assembled one Hermitian basis element at a time, as
+the per-basis implementation did.
 """
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +33,7 @@ def test_outer_contraction_matches_tensordot(s3, circle, su2):
         n, r = rule.node_count, rep.degree
         X = rep.evaluate_batch(rule.nodes).reshape(n, r * r)
         Y = rep.evaluate_batch(rule.group.invert_nodes(rule.nodes)).reshape(n, r * r)
-        got = integrate_product(rule, X[:, None, :], Y[:, None, :].conj())
+        got = integrate_product(rule, X[:, None, :].conj(), Y[:, None, :].conj())
         ref = np.tensordot(rule.weights, X[:, :, None] * Y[:, None, :].conj(), axes=(0, 0))
         assert np.abs(got - ref).max() <= 1e-13
 
@@ -36,12 +41,55 @@ def test_outer_contraction_matches_tensordot(s3, circle, su2):
 def test_inner_contraction_matches_tensordot(s3, circle, su2):
     for rule, rep in _rules_and_reps(s3, circle, su2):
         mats = rep.evaluate_batch(rule.nodes)
-        got = integrate_product(rule, mats.conj(), mats)
+        got = integrate_product(rule, mats, mats)
         ref = np.tensordot(rule.weights, mats.conj().transpose(0, 2, 1) @ mats, axes=(0, 0))
         assert np.abs(got - ref).max() <= 1e-13
         # integrate_stacked is the contraction against the constant one
         assert np.abs(rk.groups.integrate_stacked(rule, mats)
                       - np.tensordot(rule.weights, mats, axes=(0, 0))).max() <= 1e-13
+
+
+def test_contraction_is_the_weighted_sum_of_conjugate_products(su2):
+    # X and Y differ and so do their widths, so a missing conjugate or a
+    # swapped operand shows
+    rule = rk.haar_rule(su2, 4)
+    rng = np.random.default_rng(7)
+    n = rule.node_count
+    X = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+    Y = rng.normal(size=(n, 2, 4)) + 1j * rng.normal(size=(n, 2, 4))
+    ref = np.tensordot(rule.weights, X.conj().transpose(0, 2, 1) @ Y, axes=(0, 0))
+    got = integrate_product(rule, X, Y)
+    assert got.shape == (3, 4)
+    assert np.abs(got - ref).max() <= 1e-13
+
+
+def test_overflowing_average_of_finite_stacks_is_refused_without_warnings(z3):
+    # every entry is finite, but each node product is 1e400
+    rule = rk.haar_rule(z3, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rk.EvaluationFailureError):
+            integrate_product(rule, np.full((3, 1, 2), 1e200), np.full((3, 1, 2), 1e200))
+        with pytest.raises(rk.EvaluationFailureError):
+            rk.unitarization.invariant_gram(rule, np.full((3, 2, 2), 1e200 + 0j))
+
+
+def test_matrix_element_audit_holds_one_stack_sized_temporary(su2):
+    # the Gram matrix of the matrix elements is one contraction of the
+    # flattened stack with itself: the stack and the weighted conjugate,
+    # with no conjugate copy of the stack on top
+    rule = rk.haar_rule(su2, 24)
+    rep = rk.spin_irrep(3, su2)
+    stack_bytes = rule.node_count * rep.degree ** 2 * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        deviation = rk.matrix_element_audit(rep, rule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert deviation <= 1e-12
+    assert peak <= 2.25 * stack_bytes
 
 
 def test_contraction_refuses_non_finite_entries(z3):

@@ -175,3 +175,41 @@ def test_matrix_algebra_closure_rejected():
     Y = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         rk.MatrixLieAlgebra(basis=[X, Y])
+
+
+def test_array_forms_match_the_per_element_loops():
+    # u(2) in a random real basis: brackets mix every basis element and the
+    # algebra has a centre; the references are the per-element loops
+    rng = np.random.default_rng(4)
+    M = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
+    std = rk.su2_standard().basis + [1j * np.eye(2) / SQRT2]
+    basis = [sum(m * X for m, X in zip(row, std)) for row in M]
+    alg = rk.MatrixLieAlgebra(basis=basis)
+    gram = np.array([[-np.trace(X @ Y).real for Y in basis] for X in basis])
+    assert np.abs(alg.gram_defining - gram).max() <= 1e-13 * np.abs(gram).max()
+    flat = np.column_stack([X.reshape(-1) for X in basis])
+    c = np.zeros((4, 4, 4))
+    for a in range(4):
+        for b in range(4):
+            rhs = (basis[a] @ basis[b] - basis[b] @ basis[a]).reshape(-1)
+            c[a, b] = np.linalg.lstsq(flat, rhs, rcond=None)[0].real
+    got = alg.structure_constants()
+    assert np.abs(got - c).max() <= 1e-12 * np.abs(c).max()
+    spec = rk.LieAlgebraSpec(got)
+    report = rk.trace_form(spec)
+    ads = np.stack([rk.adjoint_matrix(spec, e) for e in np.eye(4)])
+    ref = -np.einsum("aij,bji->ab", ads, ads)
+    assert np.array_equal(report.gram, (ref + ref.T) / 2.0)
+    assert report.classification == COMPACT_WITH_CENTER and len(report.center_basis) == 1
+    z = report.center_basis[0]
+    assert max(np.abs(rk.bracket(spec, z, e)).max() for e in np.eye(4)) <= 1e-12
+
+
+def test_matrix_algebra_with_complex_structure_constants_rejected():
+    # the Hermitian Pauli matrices close under brackets, [X, Y] = 2i Z, but
+    # only over the complex numbers
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Y = np.array([[0, -1j], [1j, 0]])
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(ValueError, match="not real"):
+        rk.MatrixLieAlgebra(basis=[X, Y, Z])

@@ -287,6 +287,18 @@ def test_class_invariance_s3_standard(s3):
     assert rk.class_invariance_audit(rep, rule, s3.elements()) <= 1e-12
 
 
+def test_unitarity_audit_refuses_a_rule_of_another_group(s3, circle):
+    # the finite body would index its table with the circle angles cast to
+    # int, so the group check has to come before any evaluation
+    with pytest.raises(rk.GroupMismatchError):
+        rk.unitarity_audit(rk.s3_standard(s3), rk.haar_rule(circle, 16))
+
+
+def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
+    with pytest.raises(rk.GroupMismatchError):
+        rk.class_invariance_audit(rk.s3_standard(s3), rk.haar_rule(circle, 16), s3.elements())
+
+
 # --- representation invariants across the builtin stock -----------------------
 
 def test_builtin_invariants(s3, su2, circle, su2_rule):
