@@ -45,13 +45,6 @@ from .errors import (
 SU2_UNITARITY_TOL = 1e-10
 SU2_DRIFT_TOL = 1e-12
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]]),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 class FiniteGroup:
     """A finite group as a multiplication table on indices 0..N-1.
 
@@ -318,9 +311,9 @@ class HaarRule:
         return (self.nodes[i] for i in range(self.nodes.shape[0]))
 
     def same_rule(self, other) -> bool:
-        return (self.group == other.group and self.resolution == other.resolution
-                and self.weights.shape == other.weights.shape
-                and np.array_equal(self.weights, other.weights))
+        return self is other or (self.group == other.group and self.resolution == other.resolution
+                                 and np.array_equal(self.weights, other.weights)
+                                 and np.array_equal(self.nodes, other.nodes))
 
 
 def haar_rule(group, resolution: int) -> HaarRule:
@@ -459,11 +452,7 @@ def evaluate_probe(f, rule: HaarRule, nodes=None) -> np.ndarray:
         if batch is not None:
             values = np.asarray(batch(nodes), dtype=complex)
         else:
-            if rule.group.kind == "su2":
-                it = (nodes[i] for i in range(nodes.shape[0]))
-            else:
-                it = iter(nodes)
-            values = np.fromiter((complex(f(x)) for x in it), dtype=complex, count=len(nodes))
+            values = np.fromiter((complex(f(x)) for x in nodes), dtype=complex, count=len(nodes))
     except EvaluationFailureError:
         raise
     except Exception as exc:

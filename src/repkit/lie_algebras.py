@@ -144,16 +144,16 @@ class MatrixLieAlgebra:
     the defining scalar product -tr(XY) on the chosen basis."""
 
     basis: list[np.ndarray]
-    gram_defining: np.ndarray | None = None
     labels: list[str] | None = None
 
     def __post_init__(self):
-        basis = [linalg.as_matrix(X) for X in self.basis]
-        object.__setattr__(self, "basis", basis)
-        if self.gram_defining is None:
-            g = -np.einsum("iab,jba->ij", basis, basis).real
-            object.__setattr__(self, "gram_defining", g)
+        object.__setattr__(self, "basis", [linalg.as_matrix(X) for X in self.basis])
         self.structure_constants()  # bracket closure is a construction invariant
+
+    @property
+    def gram_defining(self) -> np.ndarray:
+        """The Gram matrix -tr(X_i X_j) of the basis, read-only."""
+        return -np.einsum("iab,jba->ij", self.basis, self.basis).real
 
     @property
     def dim(self) -> int:

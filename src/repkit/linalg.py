@@ -110,13 +110,6 @@ def hermitian_eigenvalues(H) -> HermitianSpectrum:
     return HermitianSpectrum(eigenvalues=w, residual=residual)
 
 
-def hermitian_eigensystem(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of the
-    Hermitian part of H.  Internal helper: no precondition checks."""
-    H = as_matrix(H)
-    return np.linalg.eigh((H + H.conj().T) / 2.0)
-
-
 def cholesky_hermitian(H) -> np.ndarray:
     """Upper-triangular A with positive real diagonal and H = A* A.
 

@@ -104,14 +104,10 @@ def load_algebra(path) -> LieAlgebraSpec:
         raise InputParseError(f"{context}: {exc}")
 
 
-def load_representation(source, group):
-    """Parse a representation file (or already-decoded object) against the
-    group it is declared over."""
-    if isinstance(source, dict):
-        data, context = source, "representation"
-    else:
-        data, context = _read_json(source), str(source)
-    return _rep_from_data(data, group, context)
+def load_representation(path, group):
+    """Parse the representation file at ``path`` against the group it is
+    declared over."""
+    return _rep_from_data(_read_json(path), group, str(path))
 
 
 def _rep_from_data(data: dict, group, context: str):

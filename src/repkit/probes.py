@@ -47,11 +47,11 @@ class TrigProbe:
         return np.exp(1j * self.k * np.asarray(nodes, dtype=float))
 
 
-def standard_probes(group, *, max_degree: int = 8) -> list:
+def standard_probes(group) -> list:
     if group.kind == "finite":
         return [ExpIndexProbe(m, group.order) for m in range(min(group.order, 4))]
     if group.kind == "circle":
-        return [TrigProbe(k) for k in range(-max_degree, max_degree + 1)]
+        return [TrigProbe(k) for k in range(-8, 9)]
     if group.kind == "su2":
         probes = []
         for two_j in (1, 2):
@@ -60,10 +60,10 @@ def standard_probes(group, *, max_degree: int = 8) -> list:
     raise KindMismatchError(f"unsupported group kind {group.kind!r}")
 
 
-def standard_shifts(group, count: int = 4, seed: int = SHIFT_SEED) -> list:
+def standard_shifts(group, seed: int = SHIFT_SEED) -> list:
     if group.kind == "finite":
         return group.elements() if group.order <= 8 else list(
-            np.random.default_rng(seed).integers(0, group.order, size=count))
+            np.random.default_rng(seed).integers(0, group.order, size=4))
     if group.kind == "circle":
-        return [0.5, 1.25, 2 * np.pi / 7.0, 4.0][:max(1, count)]
-    return enumerate_or_sample(group, count, seed=seed)
+        return [0.5, 1.25, 2 * np.pi / 7.0, 4.0]
+    return enumerate_or_sample(group, 4, seed=seed)

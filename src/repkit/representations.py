@@ -4,9 +4,9 @@ A representation maps group elements to invertible complex matrices.  Bodies
 come in five flavours: explicit matrix tables over a finite group, integer
 weight vectors over the circle (acting as diagonal phase matrices), spin
 representations of su2 built as symmetric powers of the defining action,
-direct sums, and conjugations by a fixed invertible matrix.  A sixth,
-block-projection body is produced internally when reducible representations
-are split.
+direct sums, and conjugations by a fixed invertible matrix.  Splitting a
+reducible representation produces blocks: conjugations of it by the rows of
+the basis change P and the columns of P^-1 that each block keeps.
 
 Every body supports vectorized evaluation over a whole array of group
 elements (``evaluate_batch``), which is what keeps quadrature-heavy
@@ -54,10 +54,6 @@ class Representation:
         if kind == "circle":
             return np.array([self.group._angle(g)])
         return np.asarray(self.group._element(g))[None, :, :]
-
-    def _check_same_group(self, other):
-        if self.group != other.group:
-            raise GroupMismatchError("representations are defined over different groups")
 
 
 class FiniteTableRepresentation(Representation):
@@ -207,26 +203,24 @@ class ConjugatedRepresentation(Representation):
         return linalg.sandwich(self.matrix, self.inner.evaluate_batch(nodes), self.matrix_inv)
 
 
-class BlockRepresentation(Representation):
-    """A diagonal block of P rho(x) P^{-1}; produced when a reducible
-    representation is split along an invariant subspace."""
+class BlockRepresentation(ConjugatedRepresentation):
+    """A diagonal block of P rho(x) P^{-1}, the conjugation of the parent by
+    the rows P[sl] and the columns P^{-1}[:, sl] the block keeps; produced
+    when a reducible representation is split along an invariant subspace."""
 
-    def __init__(self, parent, P, offset: int, size: int, P_inv=None):
+    def __init__(self, parent, P, offset: int, size: int, P_inv):
         P = linalg.as_matrix(P)
         if P.shape != (parent.degree, parent.degree):
             raise ShapeMismatchError("projection basis change has the wrong shape")
         if not (0 <= offset and offset + size <= parent.degree):
             raise ShapeMismatchError("block slice outside the parent degree")
+        sl = slice(offset, offset + size)
         self.group = parent.group
-        self.parent = parent
+        self.inner = self.parent = parent
         self.P = P
-        self.P_inv = linalg.invert(P) if P_inv is None else linalg.as_matrix(P_inv)
+        self.matrix, self.matrix_inv = P[sl], linalg.as_matrix(P_inv)[:, sl]
         self.offset = offset
         self.degree = size
-
-    def evaluate_batch(self, nodes):
-        sl = slice(self.offset, self.offset + self.degree)
-        return linalg.sandwich(self.P[sl], self.parent.evaluate_batch(nodes), self.P_inv[:, sl])
 
 
 def evaluate(rep: Representation, g) -> np.ndarray:

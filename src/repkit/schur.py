@@ -122,29 +122,25 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
 def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
     """max |rho B - B rho| over every node and basis element.
 
-    Runs over chunks of (node, basis element) pairs, two GEMMs per chunk,
-    with at most n/4 pairs per chunk so the temporaries (the two products,
-    a transposed copy of the node chunk and the modulus) stay below the
-    size of ``mats``.
+    Runs over chunks of max(1, n/4m) nodes, two GEMMs per chunk against all
+    m basis elements at once, so a chunk holds at most max(n/4, m)
+    (node, element) pairs and its temporaries (the two products, a
+    transposed copy of the node chunk and the modulus) stay below the size
+    of ``mats`` unless m > n/4.
     """
     n, r, _ = mats.shape
     m = basis.shape[0]
-    pairs = max(1, n // 4)
-    per_b = max(1, min(m, pairs))
-    per_n = max(1, pairs // per_b)
+    right = basis.transpose(1, 0, 2).reshape(r, m * r)     # [k, (b, j)]
+    left = basis.reshape(m * r, r)                          # [(b, i), k]
+    per_n = max(1, n // (4 * m))
     residual = 0.0
-    for b0 in range(0, m, per_b):
-        B = basis[b0:b0 + per_b]
-        b = B.shape[0]
-        right = B.transpose(1, 0, 2).reshape(r, b * r)     # [k, (b, j)]
-        left = B.reshape(b * r, r)                          # [(b, i), k]
-        for n0 in range(0, n, per_n):
-            chunk = mats[n0:n0 + per_n]
-            c = chunk.shape[0]
-            rho_b = (chunk.reshape(c * r, r) @ right).reshape(c, r, b, r)
-            b_rho = (left @ chunk.transpose(1, 0, 2).reshape(r, c * r)).reshape(b, r, c, r)
-            rho_b -= b_rho.transpose(2, 1, 0, 3)
-            residual = max(residual, linalg.max_abs(rho_b))
+    for n0 in range(0, n, per_n):
+        chunk = mats[n0:n0 + per_n]
+        c = chunk.shape[0]
+        rho_b = (chunk.reshape(c * r, r) @ right).reshape(c, r, m, r)
+        b_rho = (left @ chunk.transpose(1, 0, 2).reshape(r, c * r)).reshape(m, r, c, r)
+        rho_b -= b_rho.transpose(2, 1, 0, 3)
+        residual = max(residual, linalg.max_abs(rho_b))
     return residual
 
 
@@ -266,7 +262,7 @@ def _split_unitary_fully(W: np.ndarray, rule: HaarRule):
         left = (W[nodes].reshape(-1, r) @ X).reshape(-1, r, r).transpose(1, 0, 2).reshape(r, -1)
         right = (W[nodes].conj() * rule.weights[nodes, None, None]).transpose(1, 0, 2).reshape(r, -1)
         T += left @ right.T
-    w, V = linalg.hermitian_eigensystem(T)
+    w, V = np.linalg.eigh((T + T.conj().T) / 2.0)
     # cluster boundaries: both ends and every gap wider than the cut-off
     cut = CLUSTER_GAP * max(w[-1] - w[0], np.linalg.norm(X, 2))
     bounds = np.flatnonzero(np.r_[True, np.diff(w) > cut, True])

@@ -127,6 +127,20 @@ def test_chunked_residual_equals_unchunked(su2):
     got = _commutation_residual(mats, others)
     assert got == pytest.approx(_residual_reference(mats, others), rel=1e-12)
     assert got > 0.1
+    # the regular representation of Z6 on its exact rule: its commutant
+    # outnumbers n/4, so each chunk is one node against every element
+    z6 = rk.cyclic_group(6)
+    regular = np.zeros((6, 6, 6), dtype=complex)
+    for g in range(6):
+        regular[g, z6.mult_table[g], np.arange(6)] = 1.0
+    report = rk.commutant(rk.FiniteTableRepresentation(z6, regular), rk.haar_rule(z6, 1))
+    assert report.dimension == 6
+    assert report.max_residual == pytest.approx(_residual_reference(regular, report.basis),
+                                                abs=1e-15)
+    others = rng.normal(size=(7, 6, 6)) + 1j * rng.normal(size=(7, 6, 6))
+    got = _commutation_residual(regular, others)
+    assert got == pytest.approx(_residual_reference(regular, others), rel=1e-12)
+    assert got > 0.1
 
 
 def _hermitian_basis(r):

@@ -361,6 +361,15 @@ def test_decompose_blocks_project_the_input(su2, su2_rule):
         assert len(report.blocks) == count
         assert all(isinstance(block, rk.representations.BlockRepresentation) and block.parent is rep
                    for block in report.blocks)
+        # one basis-change body: each block conjugates by the slices of P and
+        # P^-1 it keeps (``_split`` returns the P^-1 the blocks were built with)
+        P_inv = rk.schur._split(rep, rule)[1]
+        for block in report.blocks:
+            sl = slice(block.offset, block.offset + block.degree)
+            assert isinstance(block, rk.ConjugatedRepresentation) and block.inner is rep
+            assert block.matrix.tobytes() == report.P[sl].tobytes()
+            assert block.matrix_inv.tobytes() == P_inv[:, sl].tobytes()
+    assert "evaluate_batch" not in vars(rk.representations.BlockRepresentation)
 
 
 def test_split_once_and_decompose_share_p(z2, su2, su2_rule):
@@ -589,6 +598,17 @@ def test_character_inner_rule_mismatch(circle):
     c2 = rk.character(rk.CircleWeightRepresentation(circle, [1]), r2)
     with pytest.raises(rk.RuleMismatchError):
         rk.character_inner(c1, c2, r1)
+
+
+def test_character_inner_refuses_a_rule_on_other_nodes(circle):
+    # same group, resolution and weights; only the nodes differ
+    angles = 2 * np.pi * np.arange(3) / 3
+    r1, r2 = (rk.HaarRule(group=circle, nodes=nodes, weights=np.full(3, 1 / 3), resolution=3)
+              for nodes in (angles, angles + 0.1))
+    rep = rk.CircleWeightRepresentation(circle, [1])
+    with pytest.raises(rk.RuleMismatchError):
+        rk.character_inner(rk.character(rep, r1), rk.character(rep, r2), r1)
+    assert r1.same_rule(r1) and not r1.same_rule(r2)
 
 
 # --- orthogonality audits ----------------------------------------------------
