@@ -276,10 +276,11 @@ def enumerate_or_sample(group, count, seed=0):
     return list(np.stack([alpha, beta, -beta.conj(), alpha.conj()], axis=1).reshape(count, 2, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarRule:
     """A normalized quadrature realization of the invariant integral: nodes
-    are group elements, weights are positive and sum to one."""
+    are group elements, weights are positive and sum to one.  Rules compare
+    and hash by identity; ``same_rule`` compares their contents."""
 
     group: object
     nodes: np.ndarray
@@ -308,7 +309,7 @@ class HaarRule:
             return (int(k) for k in self.nodes)
         if self.group.kind == "circle":
             return (float(t) for t in self.nodes)
-        return (self.nodes[i] for i in range(self.nodes.shape[0]))
+        return iter(self.nodes)
 
     def same_rule(self, other) -> bool:
         return self is other or (self.group == other.group and self.resolution == other.resolution

@@ -6,10 +6,11 @@ an intertwiner for any seed matrix A.  Every commutant is read off one
 object, the averaging map B -> integral of W* B W of the unitary stack
 W = A rho A^-1 that ``unitarization._unitary`` returns (A is the identity
 when the input passes its unitarity audit): its fixed Hermitian
-matrices K span the commutant of W, the commutant of the input is
-A^-1 K A, and its trace is the character norm integral of |chi|^2.  The
-contraction of the stack with itself, ``integrate_product``, gives every
-matrix-element integral at once.  Scalar commutant (dimension one) is the irreducibility criterion;
+matrices K span the commutant of W, read by a certified Rayleigh-Ritz
+step on the map's symmetric part (``unitarization.fixed_hermitian``), the
+commutant of the input is A^-1 K A, and its trace is the character norm
+integral of |chi|^2.  The contraction of the stack with itself,
+``integrate_product``, gives every matrix-element integral at once.  Scalar commutant (dimension one) is the irreducibility criterion;
 ``_irreducible`` reads only that dimension, with no commutation residual.
 
 Splitting follows the proof of Schur's lemma and never forms the averaging
@@ -107,7 +108,7 @@ class CommutantReport:
 def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     """Orthonormal basis of the commutant: A^-1 K A, orthonormalized, over
     the fixed Hermitian matrices K of the averaging map of the unitary stack
-    W = A rho A^-1, read off one symmetric eigensolve (``fixed_hermitian``),
+    W = A rho A^-1, read by a certified Rayleigh-Ritz step (``fixed_hermitian``),
     with its residual on the input's own stack and the trace of the map as
     the character norm."""
     mats = tabulate(rep, rule)
@@ -146,7 +147,7 @@ def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
 
 def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     """The commutant in the unitary basis W = A rho A^-1 of ``commutant``:
-    the fixed Hermitian matrices K of one symmetric eigensolve
+    the fixed Hermitian matrices K of the Rayleigh-Ritz reading
     (``fixed_hermitian``) themselves, with their residual on W; its
     dimension is the input's commutant dimension."""
     W = _unitary(rule, tabulate(rep, rule))[0]

@@ -7,12 +7,14 @@ factor A (H = A* A) makes W = A rho A^-1 unitary.  ``_unitary`` takes it
 only when the input fails the unitarity audit.  Each node map
 B -> W_n* B W_n is then unitary, so their average with the rule's positive
 weights, B -> integral of W* B W, fixes exactly what every node fixes, the
-commutant of W: ``fixed_hermitian`` reads that fixed space off one
-symmetric eigensolve, and every Schur dimension in the library is read
-there.  The invariant Hermitian forms of the input are A* K A over it, so
-their real dimension d, the uniqueness certificate of ``specialness_report``
-(d = 1: the invariant form, hence the equivalent unitary representation, is
-unique up to scale), is the commutant dimension by construction.
+commutant of W: ``fixed_hermitian`` reads that fixed space by a certified
+Rayleigh-Ritz step on the symmetric part of that map, a block of about
+the fixed dimension in place of the full r^2 x r^2 eigensolve, and every
+Schur dimension in the library is read there.  The invariant Hermitian
+forms of the input are A* K A over it, so their real dimension d, the
+uniqueness certificate of ``specialness_report`` (d = 1: the invariant
+form, hence the equivalent unitary representation, is unique up to
+scale), is the commutant dimension by construction.
 
 Compactness is what makes the averaging exist.  The classic counterexample
 to keep in mind is the 2x2 representation A -> [[1, log|det A|], [0, 1]] of
@@ -50,9 +52,9 @@ from .representations import (
     unitarity_defect,
 )
 
-# the one cut-off for the fixed space of the averaged map: eigenvalues of its
-# symmetric part minus the identity at most this, relative to the largest
-# (and to 1), count as zero (``fixed_hermitian``)
+# the one cut-off for the fixed space of the averaged map: eigenvalues theta
+# of its symmetric part, whose spectral norm is at most 1, with
+# 1 - theta at most this count as fixed (``fixed_hermitian``)
 RANK_TOL = 1e-7
 # the unitarity audit above which ``_unitary`` conjugates its input
 UNITARY_TOL = 1e-8
@@ -220,21 +222,67 @@ def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
     basis of the Hermitian matrices it fixes, and trace, its trace, is the
     integral of |chi|^2.
 
-    The fixed space is read off one symmetric eigensolve of
-    (L + L^T)/2 - I: eigenvalues mu with |mu| at most
-    ``RANK_TOL * max(1, max |mu|)`` count as zero.  This is exact.  Each
-    node map is a Frobenius isometry whose transpose is the map of W_n^*,
-    so (L + L^T)/2 averages the node maps together with their inverses,
-    and an average of isometries with positive weights fixes B only if
-    every term does: the symmetric part fixes exactly what L fixes, on any
-    node set.  On a rule closed under inversion L is symmetric, and the
-    |mu| are the singular values of L - I.
+    The fixed space is the eigenspace of S = (L + L^T)/2 for the
+    eigenvalues theta with 1 - theta at most ``RANK_TOL``, read by a
+    certified Rayleigh-Ritz step (``_top_eigenspace``).  This is exact.
+    Each node map is a Frobenius isometry whose transpose is the map of
+    W_n^*, so S averages the node maps together with their inverses, and
+    an average of isometries with positive weights fixes B only if every
+    term does: S fixes exactly what L fixes, on any node set, and its
+    spectral norm is at most 1, which is the scale of the cut.
     """
     r = W.shape[-1]
     L = _averaging_map(rule, W)
-    mu, V = np.linalg.eigh((L + L.T) / 2.0 - np.eye(r * r))
-    size = np.abs(mu)
-    return _hermitian_from_coords(V[:, size <= RANK_TOL * max(1.0, size.max())].T, r), float(np.trace(L))
+    trace = float(np.trace(L))
+    return _hermitian_from_coords(_top_eigenspace((L + L.T) / 2.0, trace).T, r), trace
+
+
+def _top_eigenspace(S: np.ndarray, trace: float) -> np.ndarray:
+    """Orthonormal columns spanning the eigenvectors of the symmetric S,
+    with spectral norm at most 1, whose eigenvalues theta have
+    1 - theta <= ``RANK_TOL``; ``trace`` is tr S.
+
+    Subspace iteration V <- orth(S V) on k = min(n, ceil(trace) + 8)
+    columns from a fixed start, with a k x k Rayleigh-Ritz step each time,
+    runs until the residual S U - U Theta of the kept Ritz pairs reaches
+    roundoff or stops shrinking.  The m kept Ritz values are lower bounds
+    of the m largest eigenvalues (Cauchy interlacing), so S has at least m
+    eigenvalues in [1 - ``RANK_TOL``, 1].  It has no more when the
+    certificate ||S||_F^2 - ||S U||_F^2 < (1 - ``RANK_TOL``)^2 holds: by
+    Courant-Fischer (Ky Fan on S^2), ||S U||_F^2 is at most the sum of the
+    m largest eigenvalues of S^2, so an (m+1)-th eigenvalue of modulus at
+    least 1 - ``RANK_TOL`` would leave at least its square.  Otherwise k
+    doubles.  At k = n the Rayleigh-Ritz step is the full eigensolve, so
+    the reading always ends, with the answer the full eigensolve gives.
+    """
+    n = len(S)
+    k = min(n, int(np.ceil(trace)) + 8)
+    cut, eps = 1.0 - RANK_TOL, np.finfo(float).eps
+    norm2 = np.vdot(S, S)
+    while True:
+        # a fixed start with no random generator: correctness rests on the
+        # certificate, not on the start
+        SV = S @ np.sin(np.arange(1.0, n * k + 1.0) ** 2).reshape(n, k)
+        last = (-1, np.inf)
+        while True:
+            V = np.linalg.qr(SV)[0]
+            SV = S @ V
+            theta, Y = np.linalg.eigh(V.T @ SV)
+            U, SV = V @ Y, SV @ Y
+            # the kept pairs, or the top one while none is kept yet
+            top = theta >= min(cut, theta[-1])
+            R = SV[:, top] - U[:, top] * theta[top]
+            residual = np.linalg.norm(R)
+            # at roundoff once its root-mean-square entry is at most eps
+            at_roundoff = residual <= eps * np.sqrt(R.size)
+            if k == n or at_roundoff or (top.sum() == last[0] and residual >= last[1]):
+                break
+            last = (top.sum(), residual)
+        keep = theta >= cut
+        SU = SV[:, keep]
+        if k == n or norm2 - np.vdot(SU, SU) < cut * cut:
+            return U[:, keep]
+        k = min(n, 2 * k)
 
 
 def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[HermitianForm], int]:

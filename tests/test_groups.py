@@ -120,6 +120,27 @@ def test_su2_rule_nodes_are_group_elements(su2):
         assert abs(np.linalg.det(U) - 1.0) <= 1e-12
 
 
+def test_haar_rules_compare_and_hash_by_identity(circle):
+    # two rules with equal arrays: == neither raises on the array fields nor
+    # calls them equal; same_rule compares contents
+    r1, r2 = rk.haar_rule(circle, 4), rk.haar_rule(circle, 4)
+    assert r1 == r1 and not (r1 == r2) and r1 != r2
+    assert hash(r1) == hash(r1) and len({r1, r2, r1}) == 2
+    assert r1.same_rule(r2)
+
+
+def test_iter_nodes_yields_the_su2_node_array(su2):
+    rule = rk.haar_rule(su2, 4)
+    nodes = list(rule.iter_nodes())
+    assert len(nodes) == rule.node_count
+    assert all(U.shape == (2, 2) and np.array_equal(U, rule.nodes[i]) for i, U in enumerate(nodes))
+    # the per-node path of integrate_matrix sums the same stack as the
+    # batched one, to the byte
+    F = lambda U: U @ U + np.diag([1.0, 2.0])  # noqa: E731
+    stacked = np.stack([F(rule.nodes[i]) for i in range(rule.node_count)])
+    assert rk.integrate_matrix(rule, F).tobytes() == rk.groups.integrate_stacked(rule, stacked).tobytes()
+
+
 def test_invalid_resolution(circle):
     with pytest.raises(rk.InvalidResolutionError):
         rk.haar_rule(circle, 0)
