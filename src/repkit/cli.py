@@ -56,9 +56,12 @@ def _resolve_group(group_path, builtin_name):
 
 def _parse_weights(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        weights = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise InputParseError(f"--weights expects comma-separated integers, got {text!r}")
+    if not weights:
+        raise InputParseError(f"--weights expects at least one integer, got {text!r}")
+    return weights
 
 
 def _resolve_rep(group, rep_path, spin, weights):

@@ -168,52 +168,33 @@ def _unitarize(rep: Representation, rule: HaarRule, mats: np.ndarray):
 
 
 def hermitian_coords(H: np.ndarray) -> np.ndarray:
-    """Real coordinates of Hermitian matrices (..., r, r) in the orthonormal
-    (Frobenius) basis of the Hermitian matrices, ordered as: the r diagonal
-    entries, then sqrt(2) Re and sqrt(2) Im of each upper-triangle entry
-    (row by row)."""
+    """Real coordinates of Hermitian matrices (..., r, r): Re H + Im H, row
+    by row.  They are orthonormal: Re H is symmetric and Im H antisymmetric,
+    so the two are Frobenius-orthogonal and |Re H + Im H| = |H|.  Entry
+    (k, l) is tr(G_kl* H) for the basis G_kl = w E_kl + conj(w) E_lk,
+    w = (1 + i)/2 (G_kk = E_kk); the inverse is ``_hermitian_from_coords``."""
     H = np.asarray(H)
-    r = H.shape[-1]
-    iu, ju = np.triu_indices(r, 1)
-    upper = np.sqrt(2.0) * H[..., iu, ju]
-    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(*H.shape[:-2], -1)
-    return np.concatenate([np.diagonal(H, axis1=-2, axis2=-1).real, pairs], axis=-1)
+    return (H.real + H.imag).reshape(*H.shape[:-2], -1)
 
 
-def _hermitian_from_coords(v: np.ndarray, r: int) -> np.ndarray:
-    """Inverse of ``hermitian_coords`` on the last axis of ``v``."""
-    v = np.asarray(v)
-    iu, ju = np.triu_indices(r, 1)
-    upper = (v[..., r::2] + 1j * v[..., r + 1::2]) / np.sqrt(2.0)
-    H = np.zeros(v.shape[:-1] + (r, r), dtype=complex)
-    H[..., np.arange(r), np.arange(r)] = v[..., :r]
-    H[..., iu, ju] = upper
-    H[..., ju, iu] = upper.conj()
-    return H
-
-
-def _on_hermitian_basis(images: np.ndarray) -> np.ndarray:
-    """Values of a linear map at the Hermitian basis elements, in the
-    ``hermitian_coords`` order, from its values images[k, l] at the
-    elementary matrices E_kl."""
-    r = images.shape[0]
-    iu, ju = np.triu_indices(r, 1)
-    a, b = images[iu, ju], images[ju, iu]
-    s = np.sqrt(0.5)
-    pairs = np.stack([s * (a + b), 1j * s * (a - b)], axis=1).reshape(-1, *images.shape[2:])
-    return np.concatenate([images[np.arange(r), np.arange(r)], pairs])
+def _hermitian_from_coords(R: np.ndarray) -> np.ndarray:
+    """sym(R) + i skew(R), the sum of R_kl G_kl, for real R (..., r, r)."""
+    return ((1 + 1j) * R + (1 - 1j) * np.swapaxes(R, -1, -2)) / 2.0
 
 
 def _averaging_map(rule: HaarRule, W: np.ndarray) -> np.ndarray:
     """The real (r^2, r^2) matrix L of B -> sum of w_n W_n* B W_n in
-    ``hermitian_coords``, for a stack W (n, r, r): the averaged outer
-    product of the flattened stack with itself (``integrate_product``)."""
+    ``hermitian_coords``, for a stack W (n, r, r).  Column (k, l) is the
+    image of G_kl, w A + conj(w) A* with A = O[k, :, l, :] the average of
+    W* E_kl W, where O[k, i, l, j] = sum of w_n conj(W_ki) W_lj is the
+    averaged outer product of the flattened stack (``integrate_product``);
+    as (A*)_ij = O[l, i, k, j], L[(i, j), (k, l)] = Re O[k, i, l, j] + Im O[l, i, k, j]."""
     n, r, _ = W.shape
     flat = W.reshape(n, 1, r * r)
-    # outer[k, i, l, j] = sum of w_n conj(W_ki) W_lj, the (i, j) entry of
-    # the average of W* E_kl W
-    outer = integrate_product(rule, flat, flat)
-    return hermitian_coords(_on_hermitian_basis(outer.reshape(r, r, r, r).transpose(0, 2, 1, 3))).T
+    outer = integrate_product(rule, flat, flat).reshape(r, r, r, r)
+    # built as L^T: both terms keep the last axis j, so their sum is
+    # C-ordered and neither reshape nor transpose copies it
+    return (outer.real.transpose(0, 2, 1, 3) + outer.imag.transpose(2, 0, 1, 3)).reshape(r * r, r * r).T
 
 
 def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,7 +205,8 @@ def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
 
     The fixed space is the eigenspace of S = (L + L^T)/2 for the
     eigenvalues theta with 1 - theta at most ``RANK_TOL``, read by a
-    certified Rayleigh-Ritz step (``_top_eigenspace``).  This is exact.
+    certified Rayleigh-Ritz step (``_top_eigenspace``) whose orthonormal
+    columns are the ``hermitian_coords`` of K.  This is exact.
     Each node map is a Frobenius isometry whose transpose is the map of
     W_n^*, so S averages the node maps together with their inverses, and
     an average of isometries with positive weights fixes B only if every
@@ -234,7 +216,7 @@ def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
     r = W.shape[-1]
     L = _averaging_map(rule, W)
     trace = float(np.trace(L))
-    return _hermitian_from_coords(_top_eigenspace((L + L.T) / 2.0, trace).T, r), trace
+    return _hermitian_from_coords(_top_eigenspace((L + L.T) / 2.0, trace).T.reshape(-1, r, r)), trace
 
 
 def _top_eigenspace(S: np.ndarray, trace: float) -> np.ndarray:

@@ -275,6 +275,15 @@ def test_orthogonality_circle_weight_lists(runner):
     assert json.loads(result.output)["residuals"]["orthogonality"] <= 1e-12
 
 
+@pytest.mark.parametrize("command", ["irreducible", "characters", "orthogonality"])
+@pytest.mark.parametrize("weights", [",", ""])
+def test_weights_without_any_weight_is_an_input_error(runner, command, weights):
+    result = runner.invoke(main, [command, "--weights", weights])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "input error: --weights expects at least one integer" in result.output
+
+
 def test_orthogonality_requires_reps(runner):
     result = runner.invoke(main, ["orthogonality", "--builtin", "su2"])
     assert result.exit_code == 1

@@ -260,11 +260,56 @@ def test_symmetric_spectrum_is_the_singular_spectrum_on_builtin_rules(s3, circle
         assert np.abs(np.sort(np.abs(mu))[::-1] - singular).max() <= 1e-13
 
 
+def _coordinate_basis(r):
+    """G_kl = w E_kl + conj(w) E_lk, w = (1 + i)/2, row by row: the basis
+    dual to ``hermitian_coords``."""
+    w = (1 + 1j) / 2
+    basis = []
+    for k in range(r):
+        for l in range(r):
+            G = np.zeros((r, r), dtype=complex)
+            G[k, l] += w
+            G[l, k] += np.conj(w)
+            basis.append(G)
+    return basis
+
+
 def test_hermitian_coords_order():
     H = np.array([[1.0, 2 + 3j, 4j], [2 - 3j, 5.0, 6.0], [-4j, 6.0, 7.0]])
-    r2 = np.sqrt(2.0)
-    expected = [1, 5, 7, 2 * r2, 3 * r2, 0, 4 * r2, 6 * r2, 0]
-    assert np.allclose(rk.unitarization.hermitian_coords(H), expected)
-    basis = _hermitian_basis(3)
-    assert np.allclose(rk.unitarization.hermitian_coords(H),
-                       [np.trace(C.conj().T @ H).real for C in basis])
+    coords = rk.unitarization.hermitian_coords(H)
+    assert np.array_equal(coords, [1, 5, 4, -1, 5, 6, -4, 6, 7])
+    basis = _coordinate_basis(3)
+    assert all(np.array_equal(G, G.conj().T) for G in basis)
+    gram = np.array([[np.trace(A.conj().T @ B) for B in basis] for A in basis])
+    assert np.abs(gram - np.eye(9)).max() <= 1e-15
+    assert np.allclose(coords, [np.trace(G.conj().T @ H) for G in basis])
+    assert np.array_equal(rk.unitarization._hermitian_from_coords(coords.reshape(3, 3)), H)
+    # an isometry from the Hermitian matrices onto the real r x r matrices
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    batch = X + X.conj().transpose(0, 2, 1)
+    v = rk.unitarization.hermitian_coords(batch)
+    assert v.shape == (6, 16) and v.dtype == np.float64
+    frobenius = np.einsum("aij,bij->ab", batch.conj(), batch)
+    assert np.abs(v @ v.T - frobenius).max() <= 1e-12
+    assert np.abs(rk.unitarization._hermitian_from_coords(v.reshape(6, 4, 4)) - batch).max() <= 1e-15
+
+
+def test_averaging_map_columns_are_the_averaged_basis_images(su2):
+    # column (k, l) holds the coordinates of the sum over nodes of
+    # w_n W_n* G_kl W_n, summed node by node; the first node set is not
+    # closed under inversion, so its map is not symmetric
+    rng = np.random.default_rng(5)
+    cases = [
+        (rk.HaarRule(group=su2, nodes=_random_su2(rng, 2), weights=_weights([3, 1]), resolution=2),
+         rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)), True),
+        (rk.haar_rule(su2, 8), rk.spin_irrep(1, su2), False),
+    ]
+    for rule, rep, asymmetric in cases:
+        W = rep.evaluate_batch(rule.nodes)
+        L = rk.unitarization._averaging_map(rule, W)
+        images = [np.einsum("n,nki,kl,nlj->ij", rule.weights, W.conj(), G, W)
+                  for G in _coordinate_basis(rep.degree)]
+        ref = np.stack([rk.unitarization.hermitian_coords(B) for B in images], axis=1)
+        assert np.abs(L - ref).max() <= 1e-13
+        assert (np.abs(L - L.T).max() > 1e-3) == asymmetric
