@@ -4,10 +4,11 @@
                      [--rep PATH | --spin TWO_J | --weights W1,W2,...]
                      [--resolution N] [--tol X] [--out PATH] [--format text|json]
 
-Exit codes: 0 when every residual is within tolerance, 1 on input errors,
-2 on tolerance failures.  Text reports print residuals to three significant
-digits plus a timing line; JSON reports carry full precision and contain no
-timing, so repeated runs on the same inputs are byte-identical.
+Exit codes: 0 when every residual is within tolerance, 1 on input errors
+(usage errors and an unwritable ``--out`` included), 2 on tolerance failures.
+Text reports print residuals to three significant digits plus a timing line;
+JSON reports carry full precision and contain no timing, so repeated runs on
+the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .groups import axiom_audit, haar_rule
 from .lie_algebras import trace_form
 from .loaders import load_algebra, load_group, load_representation
 from .probes import standard_probes, standard_shifts
-from .representations import character, spin_irrep
+from .representations import CircleWeightRepresentation, character, spin_irrep
 from .schur import MULTIPLICITY_WINDOW, decompose, orthogonality_audit, unitary_commutant
 from .serialize import complex_list_to_json, matrix_to_json, real_matrix_to_json
 from .unitarization import unitarize
@@ -37,36 +38,25 @@ EXACT_TOL = 1e-8
 SU2_TOL = 1e-5
 
 
-def _default_tol(group) -> float:
-    return SU2_TOL if group.kind == "su2" else EXACT_TOL
-
-
-def _resolve_group(group_path, builtin_name):
+def _resolve_group(group_path, builtin_name, spin, weights):
+    """The group and its label in the report options.  Without --group or
+    --builtin, --spin implies su2 and --weights implies circle."""
+    if group_path is None and builtin_name is None:
+        builtin_name = "su2" if spin is not None else "circle" if weights is not None else None
     if group_path and builtin_name:
         raise InputParseError("give either --group or --builtin, not both")
     if group_path:
         # convenience: a builtin name also works where a path is expected
         if not os.path.exists(group_path) and str(group_path).lower() in BUILTIN_GROUPS:
-            return builtin_group(str(group_path))
-        return load_group(group_path)
+            return builtin_group(str(group_path)), str(group_path)
+        return load_group(group_path), str(group_path)
     if builtin_name:
-        return builtin_group(builtin_name)
+        return builtin_group(builtin_name), builtin_name
     raise InputParseError("a group is required: --group PATH or --builtin NAME")
 
 
-def _parse_weights(text: str) -> list[int]:
-    try:
-        weights = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise InputParseError(f"--weights expects comma-separated integers, got {text!r}")
-    if not weights:
-        raise InputParseError(f"--weights expects at least one integer, got {text!r}")
-    return weights
-
-
 def _resolve_rep(group, rep_path, spin, weights):
-    given = [x for x in (rep_path, spin, weights) if x is not None]
-    if len(given) != 1:
+    if sum(x is not None for x in (rep_path, spin, weights)) != 1:
         raise InputParseError("exactly one of --rep, --spin, --weights is required")
     if rep_path is not None:
         return load_representation(rep_path, group)
@@ -76,8 +66,13 @@ def _resolve_rep(group, rep_path, spin, weights):
         return spin_irrep(Fraction(int(spin), 2), group)
     if group.kind != "circle":
         raise InputParseError("--weights requires the circle group")
-    from .representations import CircleWeightRepresentation
-    return CircleWeightRepresentation(group, _parse_weights(weights))
+    try:
+        parsed = [int(part) for part in weights.split(",") if part.strip() != ""]
+    except ValueError:
+        raise InputParseError(f"--weights expects comma-separated integers, got {weights!r}")
+    if not parsed:
+        raise InputParseError(f"--weights expects at least one integer, got {weights!r}")
+    return CircleWeightRepresentation(group, parsed)
 
 
 def _rule_for(group, resolution):
@@ -128,59 +123,116 @@ def _emit(command: str, options: dict, residuals: dict, tolerances: dict,
     return 0 if not failures else 2
 
 
-def _wrap(func):
-    """Translate domain errors into the 0/1/2 exit-code contract."""
-    def runner(*args, **kwargs):
+class _Main(click.Group):
+    """Click usage errors (unknown command or option, bad option value) exit
+    1, the input-error code, not click's 2, the tolerance-failure code."""
+
+    def make_context(self, *args, **kwargs):
         try:
-            code = func(*args, **kwargs)
-        except InputParseError as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(1)
-        except RepkitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        sys.exit(code)
-    runner.__name__ = func.__name__
-    return runner
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
 
 
-group_option = click.option("--group", "group_path", type=click.Path(), default=None,
-                            help="Path to a group JSON file.")
-builtin_option = click.option("--builtin", "builtin_name", type=click.Choice(BUILTIN_GROUPS),
-                              default=None, help="Builtin group name.")
-rep_option = click.option("--rep", "rep_path", type=click.Path(), default=None,
-                          help="Path to a representation JSON file.")
-spin_option = click.option("--spin", type=int, default=None,
-                           help="Twice the spin (integer) of an su2 irreducible.")
-weights_option = click.option("--weights", type=str, default=None,
-                              help="Comma-separated integer weights of a circle representation.")
-resolution_option = click.option("--resolution", type=int, default=None,
-                                 help="Quadrature resolution (circle default 64, su2 default 16).")
-tol_option = click.option("--tol", type=float, default=None,
-                          help="Residual tolerance override.")
-out_option = click.option("--out", type=click.Path(), default=None,
-                          help="Write the JSON report to this path.")
-format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                             default="text", help="Report format on stdout.")
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Numerical representation theory of compact groups."""
 
 
-@main.command("analyze-algebra")
-@click.argument("algebra_path", type=click.Path())
-@tol_option
-@out_option
-@format_option
-@_wrap
-def analyze_algebra(algebra_path, tol, out, fmt):
+_REPORT_OPTIONS = (
+    click.option("--tol", type=float, help="Residual tolerance override."),
+    click.option("--out", type=click.Path(), help="Write the JSON report to this path."),
+    click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
+                 help="Report format on stdout."),
+)
+_GROUP_OPTIONS = (
+    click.option("--group", "group_path", type=click.Path(), help="Path to a group JSON file."),
+    click.option("--builtin", "builtin_name", type=click.Choice(BUILTIN_GROUPS),
+                 help="Builtin group name."),
+)
+_RESOLUTION_OPTION = click.option("--resolution", type=int,
+                                  help="Quadrature resolution (circle default 64, su2 default 16).")
+
+
+def _command(name, *options):
+    """Register ``repkit NAME`` with ``options`` and --tol/--out/--format.
+
+    The body takes the parsed inputs and returns (options, residuals,
+    tolerances, payload).  The runner times it, reports through ``_emit`` and
+    exits 0, or 2 on a residual above its tolerance; a refused input or an
+    unwritable ``--out`` exits 1 as an input error, any other domain error as
+    an error.
+    """
+    def register(body):
+        def run(out, fmt, **inputs):
+            started = time.perf_counter()
+            try:
+                sys.exit(_emit(name, *body(**inputs), fmt, out, started))
+            except OSError as exc:
+                if out is None or exc.filename != out:
+                    raise
+                message = f"input error: {out}: cannot write file ({exc.strerror})"
+            except InputParseError as exc:
+                message = f"input error: {exc}"
+            except RepkitError as exc:
+                message = f"error: {exc}"
+            click.echo(message, err=True)
+            sys.exit(1)
+        for option in reversed(options + _REPORT_OPTIONS):
+            run = option(run)
+        return main.command(name, help=body.__doc__, short_help=body.__doc__.splitlines()[0])(run)
+    return register
+
+
+def _rep_command(name):
+    """Register a single-representation command.  The body takes (rep, rule,
+    tol), tol given its default for the group kind, and returns (residuals,
+    tolerances, payload)."""
+    def register(body):
+        def run(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution, tol):
+            if rep_file is not None:
+                if rep_path is not None:
+                    raise InputParseError("representation given both positionally and with --rep")
+                rep_path = rep_file
+            group, label = _resolve_group(group_path, builtin_name, spin, weights)
+            rep = _resolve_rep(group, rep_path, spin, weights)
+            rule = _rule_for(group, resolution)
+            options = {"group": label, "resolution": rule.resolution,
+                       "rep": str(rep_path) if rep_path else (f"spin:{spin}" if spin is not None
+                                                              else f"weights:{weights}")}
+            if tol is None:
+                tol = SU2_TOL if group.kind == "su2" else EXACT_TOL
+            return (options, *body(rep, rule, tol))
+        run.__doc__ = body.__doc__
+        return _command(
+            name,
+            # the representation file may also be given positionally
+            click.argument("rep_file", required=False, type=click.Path()),
+            *_GROUP_OPTIONS,
+            click.option("--rep", "rep_path", type=click.Path(),
+                         help="Path to a representation JSON file."),
+            click.option("--spin", type=int,
+                         help="Twice the spin (integer) of an su2 irreducible."),
+            click.option("--weights",
+                         help="Comma-separated integer weights of a circle representation."),
+            _RESOLUTION_OPTION,
+        )(run)
+    return register
+
+
+@_command("analyze-algebra", click.argument("algebra_path", type=click.Path()))
+def analyze_algebra(algebra_path, tol):
     """Trace-form Gram matrix, compactness classification and center."""
-    started = time.perf_counter()
     alg = load_algebra(algebra_path)
     report = trace_form(alg)
-    tolerance = tol if tol is not None else EXACT_TOL
     payload = {
         "dim": alg.dim,
         "gram": real_matrix_to_json(report.gram),
@@ -188,103 +240,44 @@ def analyze_algebra(algebra_path, tol, out, fmt):
         "classification": report.classification,
         "center_basis": [[float(x) for x in v] for v in report.center_basis],
     }
-    residuals = {"invariance": report.invariance_residual}
-    return _emit("analyze-algebra", {"algebra": str(algebra_path)}, residuals,
-                 {"invariance": tolerance}, payload, fmt, out, started)
+    return ({"algebra": str(algebra_path)}, {"invariance": report.invariance_residual},
+            {"invariance": tol if tol is not None else EXACT_TOL}, payload)
 
 
-@main.command("haar-audit")
-@group_option
-@builtin_option
-@resolution_option
-@tol_option
-@out_option
-@format_option
-@_wrap
-def haar_audit(group_path, builtin_name, resolution, tol, out, fmt):
+@_command("haar-audit", *_GROUP_OPTIONS, _RESOLUTION_OPTION)
+def haar_audit(group_path, builtin_name, resolution, tol):
     """Audit the invariant-integral axioms on the standard probe inventory."""
-    started = time.perf_counter()
-    group = _resolve_group(group_path, builtin_name)
+    group, label = _resolve_group(group_path, builtin_name, None, None)
     rule = _rule_for(group, resolution)
     report = axiom_audit(rule, standard_probes(group), standard_shifts(group))
-    tolerance = tol if tol is not None else (1e-12 if group.kind == "finite"
-                                             else 1e-10 if group.kind == "circle" else SU2_TOL)
+    if tol is None:
+        tol = {"finite": 1e-12, "circle": 1e-10}.get(group.kind, SU2_TOL)
     residuals = report.as_dict()
     margin = residuals.pop("positivity_margin")
-    tolerances = {key: tolerance for key in residuals}
-    payload = {
-        "kind": group.kind,
-        "resolution": rule.resolution,
-        "node_count": rule.node_count,
-        "positivity_margin": margin,
-        "inventory": report.inventory,
-    }
-    options = {"group": str(group_path) if group_path else builtin_name,
-               "resolution": rule.resolution}
-    return _emit("haar-audit", options, residuals, tolerances, payload, fmt, out, started)
+    payload = {"kind": group.kind, "resolution": rule.resolution, "node_count": rule.node_count,
+               "positivity_margin": margin, "inventory": report.inventory}
+    return ({"group": label, "resolution": rule.resolution}, residuals,
+            dict.fromkeys(residuals, tol), payload)
 
 
-def _rep_command_options(func):
-    for deco in (group_option, builtin_option, rep_option, spin_option, weights_option,
-                 resolution_option, tol_option, out_option, format_option):
-        func = deco(func)
-    # representation file may also be given positionally: `repkit decompose rep.json ...`
-    return click.argument("rep_file", required=False, type=click.Path(), default=None)(func)
-
-
-def _rep_context(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution):
-    if rep_file is not None:
-        if rep_path is not None:
-            raise InputParseError("representation given both positionally and with --rep")
-        rep_path = rep_file
-    if group_path is None and builtin_name is None:
-        # convenience defaults: --spin implies su2, --weights implies circle
-        if spin is not None:
-            builtin_name = "su2"
-        elif weights is not None:
-            builtin_name = "circle"
-    group = _resolve_group(group_path, builtin_name)
-    rep = _resolve_rep(group, rep_path, spin, weights)
-    rule = _rule_for(group, resolution)
-    options = {
-        "group": str(group_path) if group_path else (builtin_name or group.kind),
-        "rep": str(rep_path) if rep_path else (f"spin:{spin}" if spin is not None
-                                               else f"weights:{weights}"),
-        "resolution": rule.resolution,
-    }
-    return group, rep, rule, options
-
-
-@main.command("unitarize")
-@_rep_command_options
-@_wrap
-def unitarize_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution, tol, out, fmt):
+@_rep_command("unitarize")
+def unitarize_cmd(rep, rule, tol):
     """Average the standard form over the group and change basis to unitary."""
-    started = time.perf_counter()
-    group, rep, rule, options = _rep_context(rep_file, group_path, builtin_name, rep_path,
-                                             spin, weights, resolution)
     result = unitarize(rep, rule)
     base_char = character(rep, rule).values
     new_char = character(result.unitary_rep, rule).values
-    char_drift = float(np.abs(new_char - base_char).max())
-    tolerance = tol if tol is not None else _default_tol(group)
     residuals = {
         "unitarity": result.unitarity_residual,
         "form_invariance": result.invariance_residual,
-        "character_drift": char_drift,
+        "character_drift": float(np.abs(new_char - base_char).max()),
     }
-    tolerances = {"unitarity": tolerance, "form_invariance": tolerance, "character_drift": 1e-9}
-    payload = {
-        "degree": rep.degree,
-        "basis_change": matrix_to_json(result.basis_change),
-    }
-    return _emit("unitarize", options, residuals, tolerances, payload, fmt, out, started)
+    tolerances = {"unitarity": tol, "form_invariance": tol, "character_drift": 1e-9}
+    return residuals, tolerances, {"degree": rep.degree,
+                                   "basis_change": matrix_to_json(result.basis_change)}
 
 
-@main.command("irreducible")
-@_rep_command_options
-@_wrap
-def irreducible_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution, tol, out, fmt):
+@_rep_command("irreducible")
+def irreducible_cmd(rep, rule, tol):
     """Scalar-commutant irreducibility test with the invariant-form count.
 
     The verdict, the dimension, the commutant block and d (the invariant
@@ -292,14 +285,10 @@ def irreducible_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights,
     unitary basis of the input; its gap to the character norm is a
     residual, so a rule that under-resolves the input exits 2.
     """
-    started = time.perf_counter()
-    group, rep, rule, options = _rep_context(rep_file, group_path, builtin_name, rep_path,
-                                             spin, weights, resolution)
     report = unitary_commutant(rep, rule)
-    tolerance = tol if tol is not None else _default_tol(group)
     residuals = {"commutant": report.max_residual,
                  "character_norm_gap": abs(report.dimension - report.character_norm)}
-    tolerances = {"commutant": tolerance, "character_norm_gap": MULTIPLICITY_WINDOW}
+    tolerances = {"commutant": tol, "character_norm_gap": MULTIPLICITY_WINDOW}
     payload = {
         "irreducible": report.dimension == 1,
         "commutant": report.to_json_dict(),
@@ -308,75 +297,47 @@ def irreducible_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights,
         "special": report.dimension == 1,
         "degree": rep.degree,
     }
-    return _emit("irreducible", options, residuals, tolerances, payload, fmt, out, started)
+    return residuals, tolerances, payload
 
 
-@main.command("decompose")
-@_rep_command_options
-@_wrap
-def decompose_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution, tol, out, fmt):
+@_rep_command("decompose")
+def decompose_cmd(rep, rule, tol):
     """Split a representation into irreducible blocks."""
-    started = time.perf_counter()
-    group, rep, rule, options = _rep_context(rep_file, group_path, builtin_name, rep_path,
-                                             spin, weights, resolution)
     report = decompose(rep, rule)
     total = character(rep, rule).values
     stacked = np.sum([c.values for c in report.block_characters], axis=0)
-    char_drift = float(np.abs(stacked - total).max())
-    tolerance = tol if tol is not None else _default_tol(group)
-    residuals = {"block_leakage": report.residual, "character_sum": char_drift}
-    tolerances = {"block_leakage": tolerance, "character_sum": 1e-8}
+    residuals = {"block_leakage": report.residual,
+                 "character_sum": float(np.abs(stacked - total).max())}
     payload = report.to_json_dict()
     payload["degree"] = rep.degree
-    return _emit("decompose", options, residuals, tolerances, payload, fmt, out, started)
+    return residuals, {"block_leakage": tol, "character_sum": 1e-8}, payload
 
 
-@main.command("characters")
-@_rep_command_options
-@_wrap
-def characters_cmd(rep_file, group_path, builtin_name, rep_path, spin, weights, resolution, tol, out, fmt):
+@_rep_command("characters")
+def characters_cmd(rep, rule, tol):
     """Character values of a representation at the rule nodes."""
-    started = time.perf_counter()
-    group, rep, rule, options = _rep_context(rep_file, group_path, builtin_name, rep_path,
-                                             spin, weights, resolution)
     char = character(rep, rule)
-    ident = rep.evaluate(group.identity_element())
-    identity_defect = float(abs(np.trace(ident) - rep.degree))
-    tolerance = tol if tol is not None else _default_tol(group)
-    residuals = {"identity_trace": identity_defect}
-    payload = {
-        "degree": rep.degree,
-        "node_count": rule.node_count,
-        "values": complex_list_to_json(char.values),
-    }
-    return _emit("characters", options, residuals, {"identity_trace": tolerance}, payload,
-                 fmt, out, started)
+    ident = rep.evaluate(rep.group.identity_element())
+    payload = {"degree": rep.degree, "node_count": rule.node_count,
+               "values": complex_list_to_json(char.values)}
+    return ({"identity_trace": float(abs(np.trace(ident) - rep.degree))},
+            {"identity_trace": tol}, payload)
 
 
-@main.command("orthogonality")
-@group_option
-@builtin_option
-@click.option("--rep", "rep_paths", type=click.Path(), multiple=True,
-              help="Representation file (repeatable).")
-@click.option("--spin", "spins", type=int, multiple=True,
-              help="Twice the spin of an su2 irreducible (repeatable).")
-@click.option("--weights", "weight_lists", type=str, multiple=True,
-              help="Comma-separated circle weights (repeatable).")
-@resolution_option
-@tol_option
-@out_option
-@format_option
-@_wrap
-def orthogonality_cmd(group_path, builtin_name, rep_paths, spins, weight_lists,
-                      resolution, tol, out, fmt):
+@_command(
+    "orthogonality",
+    *_GROUP_OPTIONS,
+    click.option("--rep", "rep_paths", type=click.Path(), multiple=True,
+                 help="Representation file (repeatable)."),
+    click.option("--spin", "spins", type=int, multiple=True,
+                 help="Twice the spin of an su2 irreducible (repeatable)."),
+    click.option("--weights", "weight_lists", multiple=True,
+                 help="Comma-separated circle weights (repeatable)."),
+    _RESOLUTION_OPTION,
+)
+def orthogonality_cmd(group_path, builtin_name, rep_paths, spins, weight_lists, resolution, tol):
     """Character-orthogonality residual matrix over a family of irreducibles."""
-    started = time.perf_counter()
-    if group_path is None and builtin_name is None:
-        if spins:
-            builtin_name = "su2"
-        elif weight_lists:
-            builtin_name = "circle"
-    group = _resolve_group(group_path, builtin_name)
+    group, label = _resolve_group(group_path, builtin_name, spins or None, weight_lists or None)
     rule = _rule_for(group, resolution)
     reps = [load_representation(p, group) for p in rep_paths]
     reps += [_resolve_rep(group, None, s, None) for s in spins]
@@ -385,17 +346,12 @@ def orthogonality_cmd(group_path, builtin_name, rep_paths, spins, weight_lists,
         raise InputParseError("at least one representation is required "
                               "(--rep, --spin or --weights)")
     residual_matrix = orthogonality_audit(reps, rule)
-    tolerance = tol if tol is not None else (1e-6 if group.kind == "su2" else 1e-10)
-    residuals = {"orthogonality": float(residual_matrix.max())}
-    payload = {
-        "count": len(reps),
-        "degrees": [r.degree for r in reps],
-        "residual_matrix": real_matrix_to_json(residual_matrix),
-    }
-    options = {"group": str(group_path) if group_path else builtin_name,
-               "resolution": rule.resolution}
-    return _emit("orthogonality", options, residuals, {"orthogonality": tolerance}, payload,
-                 fmt, out, started)
+    if tol is None:
+        tol = 1e-6 if group.kind == "su2" else 1e-10
+    payload = {"count": len(reps), "degrees": [r.degree for r in reps],
+               "residual_matrix": real_matrix_to_json(residual_matrix)}
+    return ({"group": label, "resolution": rule.resolution},
+            {"orthogonality": float(residual_matrix.max())}, {"orthogonality": tol}, payload)
 
 
 if __name__ == "__main__":

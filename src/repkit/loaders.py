@@ -1,14 +1,18 @@
 """Input-file parsing with eager validation.
 
 Every loader raises InputParseError with a field-level diagnostic before any
-computation starts; structural validation (Latin squares, Jacobi identity,
-identity matrices in representation tables) is delegated to the domain
-constructors and their messages are wrapped with the file context.
+computation starts.  Input is validated, never repaired: a float, string or
+boolean in an integer field, or a string or boolean as a structure constant,
+is refused, not cast.
+Structural validation (Latin squares, Jacobi identity, identity matrices in
+representation tables) is delegated to the domain constructors and their
+messages are wrapped with the file context.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +51,16 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _require_integers(value, context: str, field: str):
+    """Refuse anything but a JSON integer, or a list (of lists) of them, in
+    ``field``: a float, string or boolean is refused, never cast."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_integers(item, context, f"{field}[{i}]")
+    elif type(value) is not int:
+        raise InputParseError(f"{context}: {field} must be an integer, got {value!r}")
+
+
 def load_group(path):
     """Parse a group file: finite multiplication table, circle, or su2."""
     data = _read_json(path)
@@ -58,6 +72,9 @@ def load_group(path):
     if kind != "finite":
         raise InputParseError(f"{path}: unknown group kind {kind!r}")
     table = _require(data, "mult_table", str(path))
+    for field in ("mult_table", "identity", "inverse"):
+        if data.get(field) is not None:
+            _require_integers(data[field], str(path), field)
     try:
         return FiniteGroup(
             table,
@@ -79,7 +96,7 @@ def load_algebra(path) -> LieAlgebraSpec:
     data = _read_json(path)
     context = str(path)
     dim = _require(data, "dim", context)
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputParseError(f"{context}: 'dim' must be a positive integer, got {dim!r}")
     entries = _require(data, "structure_constants", context)
     c = np.zeros((dim, dim, dim))
@@ -88,7 +105,7 @@ def load_algebra(path) -> LieAlgebraSpec:
             raise InputParseError(
                 f"{context}: structure_constants[{row_no}] must be [alpha, beta, k, value]")
         a, b, k, value = row
-        if not all(isinstance(i, int) for i in (a, b, k)):
+        if not all(type(i) is int for i in (a, b, k)):
             raise InputParseError(f"{context}: structure_constants[{row_no}]: indices must be integers")
         if not (0 <= a < dim and 0 <= b < dim and 0 <= k < dim):
             raise InputParseError(f"{context}: structure_constants[{row_no}]: index outside 0..{dim - 1}")
@@ -96,6 +113,11 @@ def load_algebra(path) -> LieAlgebraSpec:
             raise InputParseError(
                 f"{context}: structure_constants[{row_no}]: requires alpha < beta "
                 "(the antisymmetric half is filled in automatically)")
+        # an int beyond the float range compares exactly and is refused too
+        if type(value) not in (int, float) or abs(value) > sys.float_info.max:
+            raise InputParseError(
+                f"{context}: structure_constants[{row_no}]: value must be a finite number, "
+                f"got {value!r}")
         c[a, b, k] += float(value)
         c[b, a, k] -= float(value)
     try:
@@ -121,10 +143,12 @@ def _rep_from_data(data: dict, group, context: str):
                               for i, m in enumerate(matrices)])
             return FiniteTableRepresentation(group, table)
         if kind == "circle_weights":
-            return CircleWeightRepresentation(group, _require(data, "weights", context))
+            weights = _require(data, "weights", context)
+            _require_integers(weights, context, "weights")
+            return CircleWeightRepresentation(group, weights)
         if kind == "su2_spin":
             two_j = _require(data, "two_j", context)
-            if not isinstance(two_j, int):
+            if type(two_j) is not int:
                 raise InputParseError(f"{context}: 'two_j' must be an integer")
             return SpinRepresentation(group, two_j)
         if kind == "direct_sum":

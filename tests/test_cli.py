@@ -322,3 +322,73 @@ def test_out_file_excludes_timing(runner, tmp_path, inputs):
     report = json.loads(out.read_text())
     assert "elapsed" not in json.dumps(report)
     assert "timing" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("args", [
+    ["irreducible", "--spin", "x"],
+    ["irreducible", "--bogus", "1"],
+    ["bogus"],
+    ["irreducible", "--spin", "2", "--format", "yaml"],
+    ["--bogus"],
+])
+def test_usage_errors_exit_1(runner, args):
+    # click's own code for a usage error is 2, the tolerance-failure code
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Usage:" in result.stderr and "Error:" in result.stderr
+
+
+def test_unwritable_out_is_an_input_error(runner, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, ["irreducible", "--spin", "2", "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"input error: {out}: cannot write file (No such file or directory)\n"
+    assert result.stdout == ""
+    assert not out.parent.exists()
+
+
+COMMAND_SUMMARIES = {
+    "analyze-algebra": "Trace-form Gram matrix, compactness classification and center.",
+    "haar-audit": "Audit the invariant-integral axioms on the standard probe inventory.",
+    "unitarize": "Average the standard form over the group and change basis to unitary.",
+    "irreducible": "Scalar-commutant irreducibility test with the invariant-form count.",
+    "decompose": "Split a representation into irreducible blocks.",
+    "characters": "Character values of a representation at the rule nodes.",
+    "orthogonality": "Character-orthogonality residual matrix over a family of irreducibles.",
+}
+
+
+def test_help_lists_every_command_with_its_summary(runner):
+    result = runner.invoke(main, ["--help"], terminal_width=200)
+    assert result.exit_code == 0
+    assert sorted(main.commands) == sorted(COMMAND_SUMMARIES)
+    listed = {line.split()[0]: line for line in result.output.splitlines() if line.startswith("  ")}
+    for name, summary in COMMAND_SUMMARIES.items():
+        assert listed[name].endswith(summary)
+
+
+def test_command_help_shows_its_docstring(runner):
+    result = runner.invoke(main, ["irreducible", "--help"], terminal_width=200)
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())
+    assert COMMAND_SUMMARIES["irreducible"] in text
+    assert "its gap to the character norm is a residual, so a rule that under-resolves " \
+           "the input exits 2." in text
+
+
+@pytest.mark.parametrize("command, field, data, message", [
+    ("analyze-algebra", None, {"dim": 2, "structure_constants": [[0, 1, 0, "x"]]},
+     "structure_constants[0]: value must be a finite number, got 'x'"),
+    ("analyze-algebra", None, {"dim": True, "structure_constants": []},
+     "'dim' must be a positive integer, got True"),
+    ("haar-audit", "--group", {"kind": "finite", "mult_table": [[0, 1], [1, 0.0]]},
+     "mult_table[1][1] must be an integer, got 0.0"),
+])
+def test_malformed_input_file_is_an_input_error(runner, tmp_path, command, field, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, [command, *([field] if field else []), str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"input error: {path}: {message}\n"

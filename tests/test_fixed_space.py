@@ -4,8 +4,11 @@
 averaging map L of a unitary stack by a certified Rayleigh-Ritz step on
 S = (L + L^T)/2.  The reference here is the full ``numpy.linalg.eigh`` of
 S - I with its own cut, |mu| <= RANK_TOL * max(1, max |mu|); the two must
-give the same dimension and the same subspace.  The certificate itself is
-checked on symmetric matrices with a known spectrum.
+give the same dimension and the same subspace.  Since that reference reads
+the same averaging map, each reading is also checked on its own terms:
+Hermitian, Frobenius-orthonormal, commuting with the stack at every node,
+and of the dimension sum m^2 the input was built with.  The certificate
+itself is checked on symmetric matrices with a known spectrum.
 """
 
 import itertools
@@ -179,3 +182,42 @@ def test_z48_commutant_reads_no_full_size_eigensolve(monkeypatch):
     assert report.dimension == 48
     assert report.max_residual <= 1e-12
     assert sizes and max(sizes + values) < 48 * 48
+
+
+# The multiplicities m of the inequivalent irreducible constituents of each
+# case, read off how it is built; the commutant has dimension sum m^2.  A
+# regular representation holds each irreducible of degree d d times.
+MULTIPLICITIES = {
+    "z3 phase": [1], "z2 trivial+trivial": [2],
+    "s3 irrep 0": [1], "s3 irrep 1": [1], "s3 irrep 2": [1],
+    "s3 trivial+sign": [1, 1], "s3 conj(standard+trivial)": [1, 1],
+    "s3 regular": [1, 1, 2], "z6 regular": [1] * 6,
+    "circle [1]": [1], "circle conj[1,1,2]": [2, 1],
+    # eight nodes see the weights modulo 8: 0, 3, 6 and 3 again
+    "circle [0,3,-2,3]": [1, 2, 1], "circle [1,1,5]": [2, 1],
+    **{f"2j={t}@16": [1] for t in range(4)}, **{f"2j={t}@24": [1] for t in (4, 5, 6)},
+    "1/2+1/2@16": [2], "1/2+1@16": [1, 1],
+    # the fixed space is the commutant of the node set, which generates a
+    # dense subgroup also where the rule under-resolves the character
+    "1/2@8": [1], "1/2+1/2@8": [2], "1/2+1/2@12": [2], "spin 1 kappa 100@12": [1],
+    "1/2+1/2+1+1+1@16": [2, 3], "spin 5@16": [1], "2j=12@16": [1], "2j=12@24": [1],
+    "6+6@24": [2],
+    "z24 regular": [1] * 24, "s4 regular": [1, 1, 2, 3, 3], "z48 regular": [1] * 48,
+}
+
+
+@pytest.mark.parametrize("rep, rule, multiplicities",
+                         [(*case[1:], MULTIPLICITIES[case[0]]) for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_reader_returns_an_orthonormal_hermitian_commutant(rep, rule, multiplicities):
+    # checked on K itself, not against the averaging map K is read from
+    W = _unitary(rule, tabulate(rep, rule))[0]
+    K, _ = fixed_hermitian(rule, W)
+    assert len(K) == sum(m * m for m in multiplicities)
+    assert np.abs(K - K.conj().transpose(0, 2, 1)).max() <= 1e-12
+    gram = np.einsum("iab,jab->ij", K.conj(), K)
+    assert np.abs(gram - np.eye(len(K))).max() <= 1e-12
+    for k in K:
+        commutator = (np.einsum("nab,bc->nac", W, k, optimize=True)
+                      - np.einsum("ab,nbc->nac", k, W, optimize=True))
+        assert np.abs(commutator).max() <= 1e-10

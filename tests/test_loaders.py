@@ -154,3 +154,52 @@ def test_matrix_round_trip():
 def test_matrix_from_json_shape_error():
     with pytest.raises(rk.InputParseError, match="re, im"):
         matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
+
+
+# --- validated, never repaired --------------------------------------------------
+
+@pytest.mark.parametrize("field, value, where", [
+    ("mult_table", [[0, 1.7], [1, 0]], r"mult_table\[0\]\[1\]"),
+    ("mult_table", [[0, 1], ["1", 0]], r"mult_table\[1\]\[0\]"),
+    ("mult_table", [[0, True], [1, 0]], r"mult_table\[0\]\[1\]"),
+    ("mult_table", [[0.0, 1.0], [1.0, 0.0]], r"mult_table\[0\]\[0\]"),
+    ("identity", 0.5, "identity"),
+    ("identity", False, "identity"),
+    ("inverse", [0.4, 1.2], r"inverse\[0\]"),
+    ("inverse", [0, "1"], r"inverse\[1\]"),
+])
+def test_load_group_refuses_non_integer_entries(tmp_path, field, value, where):
+    # each of these used to load as Z2, cast to int by the group constructor
+    data = {"kind": "finite", "mult_table": [[0, 1], [1, 0]], field: value}
+    with pytest.raises(rk.InputParseError, match=where + " must be an integer"):
+        rk.load_group(write(tmp_path, "bad.json", data))
+
+
+def test_load_group_null_optional_fields_are_absent(tmp_path):
+    path = write(tmp_path, "z2.json", {"kind": "finite", "mult_table": [[0, 1], [1, 0]],
+                                       "identity": None, "inverse": None})
+    assert rk.load_group(path).order == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dim": True, "structure_constants": []}, "'dim' must be a positive integer"),
+    ({"dim": 2.0, "structure_constants": []}, "'dim' must be a positive integer"),
+    ({"dim": 2, "structure_constants": [[0, 1, 0, "x"]]}, "value must be a finite number, got 'x'"),
+    ({"dim": 2, "structure_constants": [[0, 1, 0, "1.5"]]}, "value must be a finite number"),
+    ({"dim": 2, "structure_constants": [[0, 1, 0, True]]}, "value must be a finite number"),
+    ({"dim": 2, "structure_constants": [[0, 1, 0, 10 ** 400]]}, "value must be a finite number"),
+    ({"dim": 2, "structure_constants": [[0, True, 0, 1.0]]}, "indices must be integers"),
+])
+def test_load_algebra_refuses_non_numeric_fields(tmp_path, data, message):
+    with pytest.raises(rk.InputParseError, match=message):
+        rk.load_algebra(write(tmp_path, "bad.json", data))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "circle_weights", "weights": [True, 2]}, r"weights\[0\] must be an integer"),
+    ({"kind": "su2_spin", "two_j": True}, "'two_j' must be an integer"),
+])
+def test_load_rep_refuses_boolean_integers(tmp_path, circle, su2, data, message):
+    group = circle if data["kind"] == "circle_weights" else su2
+    with pytest.raises(rk.InputParseError, match=message):
+        rk.load_representation(write(tmp_path, "bad.json", data), group)
