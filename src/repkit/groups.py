@@ -19,10 +19,11 @@ finite-group translations.  They go through one vectorized kernel,
 node terms into a few levels whose numpy sums are exact in any order, so
 its values are those of ``math.fsum`` on the node array, bit for bit, at
 numpy speed.  Every matrix integral goes through one averaging contraction,
-``integrate_product(rule, X, Y)`` = sum of w_n X_n^* Y_n: one GEMM against
-the weighted conjugate of X, the narrower operand, built in place as its
-one temporary.  It refuses a non-finite result, which is what a non-finite
-node entry or an overflowing sum produces, so no input sweep is needed.
+``integrate_product(rule, X, Y)`` = sum of w_n X_n^* Y_n: one GEMM per node
+chunk against the weighted conjugate of that chunk of X, built in place, so
+it holds no stack-sized temporary.  It refuses a non-finite result, which
+is what a non-finite node entry or an overflowing sum produces, so no input
+sweep is needed.
 """
 
 from __future__ import annotations
@@ -45,17 +46,38 @@ from .errors import (
 SU2_UNITARITY_TOL = 1e-10
 SU2_DRIFT_TOL = 1e-12
 
+
+def _require_integers(value, field: str) -> None:
+    """Refuse anything but an integer, or a (nested) list or integer array of
+    them, in ``field``: a float, string or boolean is refused, never cast,
+    and the first one is named by its index."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu":
+            return
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _require_integers(item, f"{field}[{i}]")
+    elif not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 class FiniteGroup:
     """A finite group as a multiplication table on indices 0..N-1.
 
-    The table is validated on construction: it must be a Latin square with a
-    two-sided identity and two-sided inverses, and associativity is checked
-    exhaustively up to N = 64 (by at least 10^4 random triples beyond that).
+    The table is validated on construction: its entries, and the declared
+    identity and inverses, must be integers (never cast); it must be a
+    Latin square with a two-sided identity and two-sided inverses, and
+    associativity is checked exhaustively up to N = 64 (by at least 10^4
+    random triples beyond that).
     """
 
     kind = "finite"
 
     def __init__(self, mult_table, *, identity=None, inverse=None, labels=None, name=None):
+        for field, value in (("mult_table", mult_table), ("identity", identity), ("inverse", inverse)):
+            if value is not None:
+                _require_integers(value, field)
         table = np.asarray(mult_table, dtype=int)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(f"multiplication table must be square, got shape {table.shape}")
@@ -491,22 +513,30 @@ def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     of the flattened node matrices (the averaging map, the matrix-element
     integrals, the block-character inner products), with k > 1 a
     contraction over the middle index too (the averaged Gram rho* rho).  It
-    is one GEMM, deterministic over the fixed node order, against the
-    weighted conjugate of X built in place as the one temporary, so pass
-    the narrower operand first.  The weights are positive, so a non-finite
-    entry in either stack, like an overflowing sum, leaves the result
-    non-finite, and that is refused.
+    runs over chunks of ``linalg.NODE_CHUNK`` nodes, one GEMM per chunk
+    against the weighted conjugate of that chunk of X, built in place, so
+    its temporaries are chunk-sized and it holds no copy of either stack.
+    The first chunk's product is the accumulator, so a rule of one chunk
+    is one GEMM and later chunks add theirs in the fixed node order.  The
+    weights are positive, so a non-finite entry in either stack, like an
+    overflowing sum, leaves the result non-finite, and that is refused.
     """
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
+    X, Y = np.asarray(X), np.asarray(Y)
     n = rule.node_count
     if X.ndim != 3 or Y.ndim != 3 or X.shape[:2] != Y.shape[:2] or X.shape[0] != n:
         raise ShapeMismatchError(
             f"expected ({n}, k, a) and ({n}, k, b) node stacks, got shapes {X.shape} and {Y.shape}")
-    t = X.conj()
-    t *= rule.weights[:, None, None]
+    out = None
     with np.errstate(invalid="ignore", over="ignore"):
-        out = t.reshape(n * X.shape[1], -1).T @ Y.reshape(n * X.shape[1], -1)
+        for i in range(0, n, linalg.NODE_CHUNK):
+            nodes = slice(i, i + linalg.NODE_CHUNK)
+            t = np.conjugate(X[nodes], dtype=complex)
+            t *= rule.weights[nodes, None, None]
+            part = t.reshape(-1, X.shape[2]).T @ Y[nodes].reshape(-1, Y.shape[2])
+            if out is None:
+                out = part
+            else:
+                out += part
     if not np.isfinite(out).all():
         raise EvaluationFailureError("the averaged integrand has a non-finite entry")
     return out

@@ -5,7 +5,9 @@ tolerance is a module constant: ``KERNEL_TOL`` bounds pure floating-point
 defects (reconstruction, inversion residuals, the singularity threshold) and
 ``STRUCTURAL_TOL`` bounds defects that signal a wrong *input* (hermiticity,
 definiteness, bracket closure).  Values are plain ``numpy.ndarray``s and are
-never mutated after construction.
+never mutated once returned; the one exception is a node stack the library
+allocated itself, which the step that owns it may overwrite in place
+(``sandwich``), since no caller holds it yet.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .errors import (
 
 KERNEL_TOL = 1e-12
 STRUCTURAL_TOL = 1e-10
-# node chunk of the per-node products in ``sandwich`` and ``max_abs_over_nodes``
+# node chunk of every per-node loop: ``sandwich``, ``max_abs_over_nodes``,
+# the averaging contraction and the spin evaluation; it sets the size of
+# every temporary a call holds next to its one node stack
 NODE_CHUNK = 256
 
 
@@ -48,22 +52,22 @@ def max_abs(m) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def sandwich(A, stack, B) -> np.ndarray:
+def sandwich(A, stack, B, out=None) -> np.ndarray:
     """A M_n B for every matrix M_n of a stack (n, r, s).
 
-    The right factor is one reshaped GEMM over all nodes.  The left factor
-    is a broadcast product, which measured faster than a second GEMM
-    because that needs a transposed copy of the whole stack.  For a square
-    A it runs over chunks of ``NODE_CHUNK`` nodes written back into the
-    right product, so the sandwich holds one stack next to its input, not
-    two; the entries are the same to the byte.
+    Both products run per chunk of ``NODE_CHUNK`` nodes: the right one as
+    a reshaped GEMM, the left one as a broadcast product, so every
+    temporary is chunk-sized.  The result goes to ``out`` when given,
+    which may be ``stack`` itself when A and B are square: each chunk is
+    read before it is written, so a caller that owns its stack gets the
+    sandwich in place and holds one stack, not two.
     """
     n, r, s = stack.shape
-    out = (stack.reshape(n * r, s) @ B).reshape(n, r, B.shape[1])
-    if A.shape[0] != r:
-        return np.matmul(A, out)
+    if out is None:
+        out = np.empty((n, A.shape[0], B.shape[1]), dtype=np.result_type(A, stack, B))
     for i in range(0, n, NODE_CHUNK):
-        out[i:i + NODE_CHUNK] = np.matmul(A, out[i:i + NODE_CHUNK])
+        chunk = stack[i:i + NODE_CHUNK]
+        out[i:i + NODE_CHUNK] = np.matmul(A, (chunk.reshape(-1, s) @ B).reshape(len(chunk), r, -1))
     return out
 
 

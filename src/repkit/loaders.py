@@ -6,7 +6,8 @@ boolean in an integer field, or a string or boolean as a structure constant,
 is refused, not cast.
 Structural validation (Latin squares, Jacobi identity, identity matrices in
 representation tables) is delegated to the domain constructors and their
-messages are wrapped with the file context.
+messages are wrapped with the file context; so is the integer check of a
+group table, which ``FiniteGroup`` makes for library callers too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputParseError, RepkitError
-from .groups import CircleGroup, FiniteGroup, SU2Group
+from .groups import CircleGroup, FiniteGroup, SU2Group, _require_integers
 from .lie_algebras import LieAlgebraSpec
 from .representations import (
     CircleWeightRepresentation,
@@ -51,16 +52,6 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _require_integers(value, context: str, field: str):
-    """Refuse anything but a JSON integer, or a list (of lists) of them, in
-    ``field``: a float, string or boolean is refused, never cast."""
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_integers(item, context, f"{field}[{i}]")
-    elif type(value) is not int:
-        raise InputParseError(f"{context}: {field} must be an integer, got {value!r}")
-
-
 def load_group(path):
     """Parse a group file: finite multiplication table, circle, or su2."""
     data = _read_json(path)
@@ -72,9 +63,6 @@ def load_group(path):
     if kind != "finite":
         raise InputParseError(f"{path}: unknown group kind {kind!r}")
     table = _require(data, "mult_table", str(path))
-    for field in ("mult_table", "identity", "inverse"):
-        if data.get(field) is not None:
-            _require_integers(data[field], str(path), field)
     try:
         return FiniteGroup(
             table,
@@ -144,7 +132,7 @@ def _rep_from_data(data: dict, group, context: str):
             return FiniteTableRepresentation(group, table)
         if kind == "circle_weights":
             weights = _require(data, "weights", context)
-            _require_integers(weights, context, "weights")
+            _require_integers(weights, "weights")
             return CircleWeightRepresentation(group, weights)
         if kind == "su2_spin":
             two_j = _require(data, "two_j", context)

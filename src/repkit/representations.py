@@ -125,6 +125,13 @@ def _spin_terms(two_j: int):
 
 
 _SPIN_TERM_CACHE: dict[int, list] = {}
+# nodes per chunk of the spin evaluation: its power tables and products are
+# chunk-sized, and each term's update stays in cache.  On haar_rule(su2, 24)
+# on a 2-vCPU x86_64 host, 2048-node chunks took 0.008 s for spin 3 against
+# 0.009 s for the whole stack at once and 0.0007 s against 0.0023 s for
+# spin 1/2, with the same bytes; 256-node chunks were slower than the whole
+# stack from spin 9/2 up, since each chunk repeats the per-term Python loop
+SPIN_CHUNK = 8 * linalg.NODE_CHUNK
 
 
 class SpinRepresentation(Representation):
@@ -145,6 +152,14 @@ class SpinRepresentation(Representation):
 
     def evaluate_batch(self, nodes):
         U = np.asarray(nodes, dtype=complex)
+        out = np.zeros((U.shape[0], self.degree, self.degree), dtype=complex)
+        for i in range(0, len(U), SPIN_CHUNK):
+            self._fill(U[i:i + SPIN_CHUNK], out[i:i + SPIN_CHUNK])
+        return out
+
+    def _fill(self, U, out):
+        """Add every monomial term of the matrices at the nodes U into
+        ``out``, a zeroed chunk of the output stack."""
         a, b = U[:, 0, 0], U[:, 0, 1]
         c, d = U[:, 1, 0], U[:, 1, 1]
         n = self.two_j
@@ -155,10 +170,8 @@ class SpinRepresentation(Representation):
         for base, key in ((a, "a"), (b, "b"), (c, "c"), (d, "d")):
             for _ in range(n):
                 pows[key].append(pows[key][-1] * base)
-        out = np.zeros((U.shape[0], n + 1, n + 1), dtype=complex)
         for row, col, coeff, ka, kb, kc, kd in _SPIN_TERM_CACHE[n]:
             out[:, row, col] += coeff * pows["a"][ka] * pows["b"][kb] * pows["c"][kc] * pows["d"][kd]
-        return out
 
 
 class DirectSumRepresentation(Representation):
@@ -200,7 +213,9 @@ class ConjugatedRepresentation(Representation):
         self.degree = inner.degree
 
     def evaluate_batch(self, nodes):
-        return linalg.sandwich(self.matrix, self.inner.evaluate_batch(nodes), self.matrix_inv)
+        inner = self.inner.evaluate_batch(nodes)
+        in_place = self.degree == self.inner.degree and _fresh_stack(self.inner)
+        return linalg.sandwich(self.matrix, inner, self.matrix_inv, out=inner if in_place else None)
 
 
 class BlockRepresentation(ConjugatedRepresentation):
@@ -221,6 +236,20 @@ class BlockRepresentation(ConjugatedRepresentation):
         self.matrix, self.matrix_inv = P[sl], linalg.as_matrix(P_inv)[:, sl]
         self.offset = offset
         self.degree = size
+
+
+# the library bodies whose ``evaluate_batch`` returns a new complex stack on
+# every call, which no one else holds, so the caller may overwrite it
+_FRESH_BODIES = frozenset(body.evaluate_batch for body in (
+    FiniteTableRepresentation, CircleWeightRepresentation, SpinRepresentation,
+    DirectSumRepresentation, ConjugatedRepresentation))
+
+
+def _fresh_stack(rep: Representation) -> bool:
+    """Whether ``rep.evaluate_batch`` is a library body, so its stack is the
+    caller's own and may be overwritten in place.  A user-defined body may
+    return an array it still holds, so its stack is only ever read."""
+    return type(rep).evaluate_batch in _FRESH_BODIES
 
 
 def evaluate(rep: Representation, g) -> np.ndarray:

@@ -25,7 +25,11 @@ Each public call evaluates its input once at the rule nodes
 (``tabulate``) and hands that stack to its steps; only
 ``averaged_intertwiner`` also evaluates at their inverses
 (``HaarRule.inverse_nodes``).  Nothing else needs them: rho(x^-1) = W(x)^*
-once the stack W is unitary.
+once the stack W is unitary.  Every call but ``averaged_intertwiner``
+holds that one stack: W is written over it when the library allocated it,
+characters are read off it first, and every other temporary is
+node-chunked.  ``commutant`` on input that fails the unitarity audit keeps
+the input's stack next to W, since its residual is read there.
 
 Each discrete answer is one threshold decision against one module constant:
 ``unitarization.RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for
@@ -55,6 +59,7 @@ from .representations import (
     Character,
     Representation,
     _character,
+    _fresh_stack,
     character,
     check_rule_group,
     tabulate,
@@ -112,9 +117,10 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     with its residual on the input's own stack and the trace of the map as
     the character norm."""
     mats = tabulate(rep, rule)
-    W, A, A_inv = _unitary(rule, mats)
+    # the residual reads the input's own stack, so W may not overwrite it
+    W, A, A_inv = _unitary(rule, mats, overwrite=False)
     K, norm = fixed_hermitian(rule, W)
-    del W  # the residual reads the input's own stack
+    del W
     basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
     return CommutantReport(dimension=len(K), basis=list(basis),
                            max_residual=_commutation_residual(mats, basis), character_norm=norm)
@@ -123,17 +129,17 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
 def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
     """max |rho B - B rho| over every node and basis element.
 
-    Runs over chunks of max(1, n/4m) nodes, two GEMMs per chunk against all
-    m basis elements at once, so a chunk holds at most max(n/4, m)
-    (node, element) pairs and its temporaries (the two products, a
-    transposed copy of the node chunk and the modulus) stay below the size
-    of ``mats`` unless m > n/4.
+    Runs over chunks of max(1, ``linalg.NODE_CHUNK``/m) nodes, two GEMMs
+    per chunk against all m basis elements at once, so a chunk holds at
+    most max(``linalg.NODE_CHUNK``, m) (node, element) pairs and its
+    temporaries (the two products, a transposed copy of the node chunk and
+    the modulus) are chunk-sized.
     """
     n, r, _ = mats.shape
     m = basis.shape[0]
     right = basis.transpose(1, 0, 2).reshape(r, m * r)     # [k, (b, j)]
     left = basis.reshape(m * r, r)                          # [(b, i), k]
-    per_n = max(1, n // (4 * m))
+    per_n = max(1, linalg.NODE_CHUNK // m)
     residual = 0.0
     for n0 in range(0, n, per_n):
         chunk = mats[n0:n0 + per_n]
@@ -150,7 +156,7 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of the Rayleigh-Ritz reading
     (``fixed_hermitian``) themselves, with their residual on W; its
     dimension is the input's commutant dimension."""
-    W = _unitary(rule, tabulate(rep, rule))[0]
+    W = _unitary(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))[0]
     K, norm = fixed_hermitian(rule, W)
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=_commutation_residual(W, K),
                            character_norm=norm)
@@ -158,14 +164,26 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
     """Scalar-commutant criterion; non-unitary input is unitarized first."""
-    return _irreducible(rule, tabulate(rep, rule))
+    return _irreducible(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))
 
 
-def _irreducible(rule: HaarRule, mats: np.ndarray) -> bool:
+def _irreducible(rule: HaarRule, mats: np.ndarray, overwrite: bool) -> bool:
     """``irreducibility_test`` read off ``mats``, the stack of rho at the rule
     nodes: the dimension of the fixed space of its unitary stack, and
-    nothing else."""
-    return len(fixed_hermitian(rule, _unitary(rule, mats)[0])[0]) == 1
+    nothing else.  The unitary stack is written over ``mats`` when the
+    caller owns it and reads it no more (``overwrite``)."""
+    return len(fixed_hermitian(rule, _unitary(rule, mats, overwrite)[0])[0]) == 1
+
+
+def _irreducible_character(rep: Representation, rule: HaarRule, refusal: str) -> Character:
+    """The character of ``rep``, read off its stack before the
+    irreducibility test, which may overwrite it; raises
+    NotIrreducibleError(``refusal``) when the test fails."""
+    mats = tabulate(rep, rule)
+    char = _character(rep, rule, mats)
+    if not _irreducible(rule, mats, overwrite=_fresh_stack(rep)):
+        raise NotIrreducibleError(refusal)
+    return char
 
 
 def _unresolved(rule: HaarRule, basis_change: np.ndarray) -> str:
@@ -184,7 +202,7 @@ def _split(rep: Representation, rule: HaarRule):
     multiplicities of the isotypic classes (blocks grouped by character
     inner product) must sum to the input's character norm.
     """
-    W, A, A_inv = _unitary(rule, tabulate(rep, rule))
+    W, A, A_inv = _unitary(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))
     Q, sizes = _split_unitary_fully(W, rule)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     starts = np.cumsum([0, *sizes[:-1]])
@@ -319,12 +337,8 @@ def orthogonality_audit(reps, rule: HaarRule) -> np.ndarray:
     scalar-commutant test."""
     reps = list(reps)
     check_rule_group(rule, *reps)
-    chars = []
-    for i, rep in enumerate(reps):
-        mats = tabulate(rep, rule)
-        if not _irreducible(rule, mats):
-            raise NotIrreducibleError(f"representation {i} is not irreducible")
-        chars.append(_character(rep, rule, mats))
+    chars = [_irreducible_character(rep, rule, f"representation {i} is not irreducible")
+             for i, rep in enumerate(reps)]
     n = len(reps)
     residual = np.empty((n, n))
     for i in range(n):
@@ -339,11 +353,12 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     orthogonality pattern delta_ik delta_jl / degree, over all index
     quadruples of an irreducible unitary representation."""
     mats = tabulate(rep, rule)
-    if not _irreducible(rule, mats):
-        raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     r = rep.degree
     flat = mats.reshape(rule.node_count, 1, r * r)
+    # the Gram matrix first: the irreducibility test may overwrite the stack
     gram = integrate_product(rule, flat, flat)
+    if not _irreducible(rule, mats, overwrite=_fresh_stack(rep)):
+        raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     return linalg.max_abs(gram - np.eye(r * r) / r)
 
 
@@ -351,10 +366,9 @@ def multiplicity(rep: Representation, irrep: Representation, rule: HaarRule) -> 
     """Nearest integer to <chi_rep, chi_irrep>; raises when the inner product
     is further than 0.05 from an integer (an under-resolved rule)."""
     check_rule_group(rule, rep, irrep)
-    mats = tabulate(irrep, rule)
-    if not _irreducible(rule, mats):
-        raise NotIrreducibleError("multiplicity requires an irreducible reference representation")
-    inner = character_inner(character(rep, rule), _character(irrep, rule, mats), rule)
+    irrep_character = _irreducible_character(
+        irrep, rule, "multiplicity requires an irreducible reference representation")
+    inner = character_inner(character(rep, rule), irrep_character, rule)
     nearest = int(round(inner.real))
     if abs(inner - nearest) > MULTIPLICITY_WINDOW or nearest < 0:
         raise NonIntegerMultiplicityError(

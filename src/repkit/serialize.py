@@ -11,19 +11,21 @@ import numpy as np
 
 from .errors import InputParseError
 
+# the type of each entry of an object array, in one ufunc pass
+_entry_type = np.frompyfunc(type, 1, 1)
 
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+
+def _pairs(z: np.ndarray) -> list:
+    """Nested lists of [re, im] float pairs, one per entry of ``z``."""
+    return np.stack((z.real, z.imag), -1).tolist()
 
 
 def complex_list_to_json(values) -> list:
-    return [complex_to_json(z) for z in np.asarray(values).ravel()]
+    return _pairs(np.asarray(values, dtype=complex).ravel())
 
 
 def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return _pairs(np.asarray(m, dtype=complex))
 
 
 def real_matrix_to_json(m) -> list:
@@ -31,11 +33,23 @@ def real_matrix_to_json(m) -> list:
 
 
 def matrix_from_json(data, *, what: str = "matrix") -> np.ndarray:
-    """Parse a [[ [re, im], ... ], ...] nested list into a complex matrix."""
+    """Parse a [[ [re, im], ... ], ...] nested list into a complex matrix.
+
+    Every entry must be a JSON number: a string or a boolean is refused,
+    never cast, by one type check over the whole nested list."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+        entries = np.array(data, dtype=object)
+    except ValueError as exc:   # a ragged nesting
+        raise InputParseError(f"{what}: expected rows of [re, im] pairs ({exc})")
+    if entries.ndim != 3 or entries.shape[2] != 2:
+        raise InputParseError(f"{what}: expected rows of [re, im] pairs, got shape {entries.shape}")
+    types = _entry_type(entries)
+    numeric = (types == float) | (types == int)
+    if not numeric.all():
+        bad = entries[~numeric][0]
+        raise InputParseError(f"{what}: entries must be numeric [re, im] pairs, got {bad!r}")
+    try:
+        arr = entries.astype(float)
+    except OverflowError as exc:
         raise InputParseError(f"{what}: entries must be numeric [re, im] pairs ({exc})")
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise InputParseError(f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -32,8 +32,17 @@ form once.  ``_unitary`` and ``unitarize`` read the definiteness and the
 conditioning of their factor off the one eigenvalue computation of the
 averaged form.  Both the averaged form (``invariant_gram``) and the
 averaging map (``_averaging_map``) are one call of the averaging
-contraction ``groups.integrate_product``, which holds the weights, the one
-weighted temporary and the refusal of a non-finite average.
+contraction ``groups.integrate_product``, which holds the weights, the
+weighted temporary of each node chunk and the refusal of a non-finite
+average.
+
+Each call holds one node stack.  Its evaluation is the one stack; the
+unitary stack W is written over it when the library allocated it
+(``representations._fresh_stack``) and no later step reads the input
+again, ``unitarize`` audits W one node chunk at a time and never holds it,
+and every other temporary is the size of a chunk of ``linalg.NODE_CHUNK``
+nodes.  A stack a user-defined ``evaluate_batch`` returned is only read,
+so such input costs a second stack for W.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .groups import HaarRule, integrate_product
 from .representations import (
     ConjugatedRepresentation,
     Representation,
+    _fresh_stack,
     tabulate,
     unitarity_defect,
 )
@@ -101,7 +111,8 @@ def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, np.nda
     """The Gram matrix of ``averaged_form`` and its ascending eigenvalues,
     from the stack of rho at the rule nodes, without the invariance
     residual: the averaging contraction of the stack with itself over
-    (node, row) pairs, whose one temporary is its weighted conjugate."""
+    (node, row) pairs, whose temporaries are the weighted conjugates of its
+    node chunks."""
     H = integrate_product(rule, mats, mats)
     H = (H + H.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
@@ -128,16 +139,17 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, A_inv
 
 
-def _unitary(rule: HaarRule, mats: np.ndarray):
+def _unitary(rule: HaarRule, mats: np.ndarray, overwrite: bool = False):
     """(W, A, A^-1): the unitary stack W = A rho A^-1 of ``mats``, the stack
     of rho at the rule nodes.  A is the identity, and W is ``mats`` itself,
     when the stack passes the unitarity audit; otherwise A is the Cholesky
-    factor of its averaged form."""
+    factor of its averaged form, and W is written over ``mats`` when the
+    caller owns it and reads it no more (``overwrite``)."""
     if unitarity_defect(mats) <= UNITARY_TOL:
         eye = np.eye(mats.shape[-1], dtype=complex)
         return mats, eye, eye
     A, A_inv = _cholesky_pair(*invariant_gram(rule, mats))
-    return linalg.sandwich(A, mats, A_inv), A, A_inv
+    return linalg.sandwich(A, mats, A_inv, out=mats if overwrite else None), A, A_inv
 
 
 def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
@@ -145,26 +157,27 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     representation becomes unitary; the character is untouched.  The input
     is evaluated once: the averaged form and the unitarity audit of the new
     basis both read that stack."""
-    return _unitarize(rep, rule, tabulate(rep, rule))[0]
+    return _unitarize(rep, rule, tabulate(rep, rule))
 
 
-def _unitarize(rep: Representation, rule: HaarRule, mats: np.ndarray):
+def _unitarize(rep: Representation, rule: HaarRule, mats: np.ndarray) -> UnitarizationResult:
     """``unitarize`` read off ``mats``, the stack of ``rep`` at the rule
-    nodes, and the unitary stack it audits; the unitary rep is built on
-    ``rep`` and does not hold the stack.  The averaged form is decomposed
-    once: A and A^-1 come from the eigenvalues ``invariant_gram`` computed,
-    and the Gram matrix is exactly Hermitian, so A is the factor
-    ``linalg.cholesky_hermitian`` gives, to the byte."""
+    nodes, which it leaves as it is; the unitary rep is built on ``rep``
+    and does not hold the stack.  The unitary stack W = A rho A^-1 is
+    audited chunk by chunk and never held whole.  The averaged form is
+    decomposed once: A and A^-1 come from the eigenvalues
+    ``invariant_gram`` computed, and the Gram matrix is exactly Hermitian,
+    so A is the factor ``linalg.cholesky_hermitian`` gives, to the byte."""
     form, w = _averaged_form(rule, mats)
     A, A_inv = _cholesky_pair(form.gram, w)
-    unitary_rep = ConjugatedRepresentation(rep, A, matrix_inv=A_inv)
-    W = linalg.sandwich(A, mats, A_inv)
+    audit = max(unitarity_defect(linalg.sandwich(A, mats[i:i + linalg.NODE_CHUNK], A_inv))
+                for i in range(0, len(mats), linalg.NODE_CHUNK))
     return UnitarizationResult(
         basis_change=A,
-        unitary_rep=unitary_rep,
+        unitary_rep=ConjugatedRepresentation(rep, A, matrix_inv=A_inv),
         invariance_residual=form.invariance_residual,
-        unitarity_residual=unitarity_defect(W),
-    ), W
+        unitarity_residual=audit,
+    )
 
 
 def hermitian_coords(H: np.ndarray) -> np.ndarray:
@@ -274,7 +287,7 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     unitary stack W = A rho A^-1 (``fixed_hermitian``), so d is the
     commutant dimension by construction.
     """
-    W, A, _ = _unitary(rule, tabulate(rep, rule))
+    W, A, _ = _unitary(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))
     forms = _forms(rule, W, A)
     return forms, len(forms)
 
@@ -303,13 +316,15 @@ def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport
     """The invariant-form space and the unitarization, off one evaluation and
     one averaged form: on input that fails the unitarity audit, the forms
     are read in the unitarization's own basis, the one ``_unitary`` would
-    build again."""
+    build, written over the input's stack when the library owns it."""
     mats = tabulate(rep, rule)
-    unitarization, W = _unitarize(rep, rule, mats)
+    unitarization = _unitarize(rep, rule, mats)
     if unitarity_defect(mats) <= UNITARY_TOL:
-        W, A = mats, np.eye(rep.degree, dtype=complex)
+        A = np.eye(rep.degree, dtype=complex)
     else:
         A = unitarization.basis_change
-    forms = _forms(rule, W, A)
+        mats = linalg.sandwich(A, mats, unitarization.unitary_rep.matrix_inv,
+                               out=mats if _fresh_stack(rep) else None)
+    forms = _forms(rule, mats, A)
     return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,
                              form_basis=forms)

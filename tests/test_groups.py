@@ -38,6 +38,25 @@ def test_wrong_declared_inverse_rejected():
         rk.FiniteGroup([[0, 1], [1, 0]], inverse=[1, 0])
 
 
+@pytest.mark.parametrize("kwargs, where", [
+    ({"mult_table": [[0, 1.7], [1, 0]]}, r"mult_table\[0\]\[1\]"),
+    ({"mult_table": [[0, True], [1, 0]]}, r"mult_table\[0\]\[1\]"),
+    ({"mult_table": np.array([[0.0, 1.0], [1.0, 0.0]])}, r"mult_table\[0\]\[0\]"),
+    ({"mult_table": [[0, 1], [1, 0]], "identity": 0.0}, "identity"),
+    ({"mult_table": [[0, 1], [1, 0]], "inverse": [0, "1"]}, r"inverse\[1\]"),
+])
+def test_finite_group_refuses_non_integer_entries(kwargs, where):
+    # the constructor used to cast each of these to Z2; files and library
+    # calls now share its one check
+    with pytest.raises(ValueError, match=where + " must be an integer"):
+        rk.FiniteGroup(**kwargs)
+
+
+def test_finite_group_takes_integer_arrays_and_scalars():
+    z2 = rk.FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int32), identity=np.int64(0), inverse=(0, 1))
+    assert z2.order == 2 and z2.identity_index == 0
+
+
 def test_associativity_rejected():
     # order-5 loop: Latin square with two-sided identity and inverses
     # (every element is an involution) but not associative

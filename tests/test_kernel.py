@@ -17,6 +17,8 @@ import repkit as rk
 from repkit.groups import integrate_product
 from repkit.schur import _commutation_residual
 
+from conftest import random_complex
+
 
 def _rules_and_reps(s3, circle, su2):
     return [
@@ -47,6 +49,23 @@ def test_inner_contraction_matches_tensordot(s3, circle, su2):
         # integrate_stacked is the contraction against the constant one
         assert np.abs(rk.groups.integrate_stacked(rule, mats)
                       - np.tensordot(rule.weights, mats, axes=(0, 0))).max() <= 1e-13
+
+
+def test_contraction_runs_in_node_chunks(z3, su2):
+    # a rule of one chunk is one GEMM, to the byte; a longer one sums its
+    # chunks' GEMMs in node order; real stacks are taken chunk by chunk
+    rule = rk.haar_rule(z3, 1)
+    rng = np.random.default_rng(8)
+    X, Y = random_complex(rng, (3, 2, 3)), random_complex(rng, (3, 2, 4))
+    one = (X.conj() * rule.weights[:, None, None]).reshape(6, 3).T @ Y.reshape(6, 4)
+    assert integrate_product(rule, X, Y).tobytes() == one.tobytes()
+    rule = rk.haar_rule(su2, 9)
+    n = rule.node_count
+    assert n > 2 * rk.linalg.NODE_CHUNK
+    X, Y = rng.normal(size=(n, 2, 3)), rng.normal(size=(n, 2, 4))
+    ref = np.tensordot(rule.weights, X.transpose(0, 2, 1) @ Y, axes=(0, 0))
+    got = integrate_product(rule, X, Y)
+    assert got.dtype == complex and np.abs(got - ref).max() <= 1e-14
 
 
 def test_contraction_is_the_weighted_sum_of_conjugate_products(su2):

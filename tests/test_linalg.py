@@ -158,6 +158,17 @@ def test_sandwich_matches_one_product_bytewise(shape):
     assert linalg.sandwich(A, stack, B).tobytes() == plain.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 3 * linalg.NODE_CHUNK + 5])
+def test_sandwich_in_place_matches_a_new_stack(n):
+    # each chunk is read before it is written, so overwriting the caller's
+    # stack gives the bytes a new stack gets
+    rng = np.random.default_rng(6)
+    A, B, stack = random_complex(rng, (4, 4)), random_complex(rng, (4, 4)), random_complex(rng, (n, 4, 4))
+    expected = linalg.sandwich(A, stack, B)
+    assert linalg.sandwich(A, stack, B, out=stack) is stack
+    assert stack.tobytes() == expected.tobytes()
+
+
 def test_max_abs_over_nodes_matches_whole_stack():
     rng = np.random.default_rng(4)
     stack = random_complex(rng, (3 * linalg.NODE_CHUNK + 5, 3, 3))

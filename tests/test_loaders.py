@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repkit as rk
-from repkit.serialize import matrix_from_json, matrix_to_json
+from repkit.serialize import complex_list_to_json, matrix_from_json, matrix_to_json
 
 
 def write(tmp_path, name, payload):
@@ -154,6 +154,32 @@ def test_matrix_round_trip():
 def test_matrix_from_json_shape_error():
     with pytest.raises(rk.InputParseError, match="re, im"):
         matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_matrix_to_json_matches_the_per_entry_pairs():
+    # one stacked tolist gives the JSON the per-entry complex() pairs gave,
+    # byte for byte, on signed zeros, subnormals and the edge of the range
+    tiny = 5e-324
+    m = np.array([[-0.0 + 0.0j, complex(0.0, -0.0), tiny - 1j * tiny],
+                  [1e308 - 1e308j, -2.2250738585072014e-308 + 1j, 0.1 + 1e-17j]])
+    per_entry = [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+    assert json.dumps(matrix_to_json(m)) == json.dumps(per_entry)
+    flat = [[complex(z).real, complex(z).imag] for z in m.ravel()]
+    assert json.dumps(complex_list_to_json(m)) == json.dumps(flat)
+    assert json.dumps(complex_list_to_json([1, -0.0, 2.5])) == "[[1.0, 0.0], [-0.0, 0.0], [2.5, 0.0]]"
+
+
+@pytest.mark.parametrize("entry", ["1", True, None, 10 ** 400], ids=["string", "boolean", "null", "huge"])
+def test_matrix_from_json_refuses_non_numbers(entry):
+    with pytest.raises(rk.InputParseError, match="must be numeric"):
+        matrix_from_json([[[1.0, 0.0], [entry, 0]]])
+
+
+def test_load_rep_refuses_string_and_boolean_matrix_entries(tmp_path, z2):
+    # this file used to load as the trivial representation of Z2
+    data = {"kind": "finite_table", "matrices": [[[["1", 0]]], [[[True, False]]]]}
+    with pytest.raises(rk.InputParseError, match=r"matrices\[0\]: entries must be numeric"):
+        rk.load_representation(write(tmp_path, "bad.json", data), z2)
 
 
 # --- validated, never repaired --------------------------------------------------

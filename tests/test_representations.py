@@ -210,6 +210,72 @@ def test_conjugate_rejects_singular(circle):
         rk.conjugate(rep, np.eye(3))
 
 
+def test_spin_evaluation_in_node_chunks_keeps_the_bytes(su2, monkeypatch):
+    # every entry is a sum of node-wise products, so the chunks change no bit
+    rule = rk.haar_rule(su2, 24)
+    rep = rk.spin_irrep(3, su2)
+    chunked = rep.evaluate_batch(rule.nodes)
+    assert rule.node_count > 2 * rk.representations.SPIN_CHUNK
+    monkeypatch.setattr(rk.representations, "SPIN_CHUNK", rule.node_count)
+    assert rep.evaluate_batch(rule.nodes).tobytes() == chunked.tobytes()
+
+
+# --- node stacks the library may overwrite --------------------------------------
+
+class HeldStack(rk.Representation):
+    """A user-defined body that returns the one stack it holds at the rule
+    nodes, and evaluates its inner representation anywhere else."""
+
+    def __init__(self, inner, rule):
+        self.group, self.degree, self.inner = inner.group, inner.degree, inner
+        self.stack = inner.evaluate_batch(rule.nodes)
+        self.pristine = self.stack.copy()
+
+    def evaluate_batch(self, nodes):
+        return self.stack if len(nodes) == len(self.stack) else self.inner.evaluate_batch(nodes)
+
+
+def test_library_calls_never_overwrite_a_user_stack(su2, su2_rule):
+    # the sandwich is written in place only over stacks the library itself
+    # allocated; a user-defined body's array is read, never written
+    rng = np.random.default_rng(5)
+    reducible = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
+                             random_invertible(rng, 5))
+    irreducible = rk.conjugate(rk.spin_irrep(1, su2), random_invertible(rng, 3))
+    held, held_irrep = HeldStack(reducible, su2_rule), HeldStack(irreducible, su2_rule)
+    report = rk.decompose(held, su2_rule)
+    whole = rk.representations.BlockRepresentation(held, report.P, 0, held.degree,
+                                                   P_inv=np.linalg.inv(report.P))
+    calls = [
+        lambda: rk.conjugate(held, random_invertible(rng, 5)).evaluate_batch(su2_rule.nodes),
+        lambda: whole.evaluate_batch(su2_rule.nodes),
+        lambda: report.blocks[0].evaluate_batch(su2_rule.nodes),
+        lambda: rk.split_once(held, su2_rule),
+        lambda: rk.invariant_form_space(held, su2_rule),
+        lambda: rk.specialness_report(held, su2_rule),
+        lambda: rk.unitarize(held, su2_rule),
+        lambda: rk.commutant(held, su2_rule),
+        lambda: rk.unitary_commutant(held, su2_rule),
+        lambda: rk.irreducibility_test(held, su2_rule),
+        lambda: rk.orthogonality_audit([held_irrep], su2_rule),
+        lambda: rk.multiplicity(held, held_irrep, su2_rule),
+        lambda: rk.matrix_element_audit(held_irrep, su2_rule),
+    ]
+    for call in calls:
+        call()
+        assert np.array_equal(held.stack, held.pristine)
+        assert np.array_equal(held_irrep.stack, held_irrep.pristine)
+    # in place or not, a call reads the same numbers; the character is read
+    # before the unitary stack, whose trace agrees only to roundoff, is
+    # written over the input's
+    assert rk.decompose(reducible, su2_rule).P.tobytes() == report.P.tobytes()
+    assert (rk.orthogonality_audit([irreducible], su2_rule).tobytes()
+            == rk.orthogonality_audit([held_irrep], su2_rule).tobytes())
+    scale = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (rk.conjugate(reducible, scale).evaluate_batch(su2_rule.nodes).tobytes()
+            == rk.conjugate(held, scale).evaluate_batch(su2_rule.nodes).tobytes())
+
+
 # --- unitarity audit ---------------------------------------------------------
 
 def test_unitarity_audit_circle_weights(circle):

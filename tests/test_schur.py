@@ -435,9 +435,9 @@ def test_split_diagonalizes_the_whole_stack_average(su2, su2_rule):
 
 
 def test_decompose_runs_the_seed_in_node_chunks(su2, su2_rule):
-    # the averaged seed, the block characters and the leakage run over node
-    # chunks: the peak is the evaluation of the input and the averaged form
-    # (two stacks), with no whole-stack copy of W X or conj(W) on top
+    # one node stack: the basis changes are written over the stack the
+    # input's evaluation allocated, and the averaged form, the seed, the
+    # block characters and the leakage run over node chunks
     rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1.5, su2), rk.spin_irrep(2, su2)),
                        np.diag(np.arange(1.0, 10.0)))
     stack_bytes = su2_rule.node_count * rep.degree ** 2 * 16
@@ -449,7 +449,29 @@ def test_decompose_runs_the_seed_in_node_chunks(su2, su2_rule):
     finally:
         tracemalloc.stop()
     assert sorted(b.degree for b in report.blocks) == [4, 5]
-    assert peak <= 2.5 * stack_bytes
+    assert peak <= 1.5 * stack_bytes
+
+
+@pytest.mark.parametrize("call", [
+    rk.unitarize,
+    rk.irreducibility_test,
+    lambda rep, rule: rk.orthogonality_audit([rep], rule),
+], ids=["unitarize", "irreducibility_test", "orthogonality_audit"])
+def test_unitarizing_calls_hold_one_stack(su2, call):
+    # on non-unitary input: the basis changes are written over the stack
+    # the input's evaluation allocated (or, in unitarize, audited chunk by
+    # chunk), and the character is read before the stack is overwritten
+    rep = rk.conjugate(rk.spin_irrep(4.5, su2), random_invertible(np.random.default_rng(1), 10))
+    rule = rk.haar_rule(su2, 24)
+    stack_bytes = rule.node_count * rep.degree ** 2 * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(rep, rule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stack_bytes
 
 
 def test_decompose_repeats_bytewise(s3):
