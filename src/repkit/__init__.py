@@ -61,13 +61,7 @@ from .lie_algebras import (
     theta_isometry,
     trace_form,
 )
-from .linalg import (
-    HermitianSpectrum,
-    cholesky_hermitian,
-    hermitian_eigenvalues,
-    invert,
-    solve_nullspace,
-)
+from .linalg import cholesky_hermitian, invert
 from .loaders import load_algebra, load_group, load_representation
 from .probes import standard_probes, standard_shifts
 from .representations import (

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -318,13 +317,6 @@ class HaarRule:
     @property
     def node_count(self) -> int:
         return len(self.weights)
-
-    @cached_property
-    def inverse_nodes(self):
-        """The inverses of the nodes, computed once per rule and shared by
-        the calls that evaluate there (``averaged_intertwiner`` and the
-        inversion axiom of ``axiom_audit``)."""
-        return self.group.invert_nodes(self.nodes)
 
     def iter_nodes(self):
         if self.group.kind == "finite":
@@ -652,7 +644,7 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
 
     translation = max(moved(group.shift_nodes(a, rule.nodes, side))
                       for a in shifts for side in ("left", "right"))
-    inversion = moved(rule.inverse_nodes)
+    inversion = moved(group.invert_nodes(rule.nodes))
 
     ones = np.ones(rule.node_count, dtype=complex)
     normalization = abs(integrate_values(rule, ones) - 1.0)

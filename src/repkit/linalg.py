@@ -1,18 +1,20 @@
 """Dense complex matrix kernel used by every other module.
 
-Thin, contract-enforcing wrappers around numpy's LAPACK bindings.  Every
+The input contract of every matrix (``as_matrix``), the node-chunked
+products and audits over node stacks (``sandwich``, ``max_abs_over_nodes``)
+and the two factorizations with a contract of their own, wrapped around
+numpy's LAPACK bindings: ``cholesky_hermitian`` and ``invert``.  Every
+other eigen- or singular-value step calls ``np.linalg`` directly.  Every
 tolerance is a module constant: ``KERNEL_TOL`` bounds pure floating-point
-defects (reconstruction, inversion residuals, the singularity threshold) and
+defects (inversion residuals, the singularity threshold) and
 ``STRUCTURAL_TOL`` bounds defects that signal a wrong *input* (hermiticity,
 definiteness, bracket closure).  Values are plain ``numpy.ndarray``s and are
 never mutated once returned; the one exception is a node stack the library
 allocated itself, which the step that owns it may overwrite in place
-(``sandwich``), since no caller holds it yet.
+(``sandwich``, ``schur.averaged_intertwiner``), since no caller holds it yet.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,30 +92,6 @@ def _require_hermitian(H: np.ndarray) -> None:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} above tolerance")
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Ascending eigenvalues of a Hermitian matrix plus the max-norm defect of
-    reconstructing the input from its eigendecomposition."""
-
-    eigenvalues: np.ndarray
-    residual: float
-
-
-def hermitian_eigenvalues(H) -> HermitianSpectrum:
-    """Eigenvalues of a Hermitian matrix, sorted ascending.
-
-    Raises NotSquareError / NotHermitianError if the input fails its
-    preconditions.  The reported residual is max |V diag(w) V* - H|, which
-    stays below KERNEL_TOL * max|H| for any input that passes them.
-    """
-    H = as_matrix(H)
-    _require_square(H)
-    _require_hermitian(H)
-    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    residual = max_abs((V * w) @ V.conj().T - H)
-    return HermitianSpectrum(eigenvalues=w, residual=residual)
-
-
 def cholesky_hermitian(H) -> np.ndarray:
     """Upper-triangular A with positive real diagonal and H = A* A.
 
@@ -131,30 +109,6 @@ def cholesky_hermitian(H) -> np.ndarray:
             f"smallest eigenvalue {w[0]:.3e} <= definiteness tolerance {STRUCTURAL_TOL:.1e}")
     L = np.linalg.cholesky(Hs)  # lower, positive real diagonal
     return L.conj().T
-
-
-def solve_nullspace(M, tol: float) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical nullspace {v : |Mv| <= tol |M| |v|}.
-
-    Works on real or complex rectangular input; singular directions are kept
-    when their singular value is at most ``tol`` times the largest one.  The
-    empty list is the answer for injective maps.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got ndim={M.ndim}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    basis = []
-    for i in range(Vh.shape[0]):
-        sigma = s[i] if i < s.size else 0.0
-        if sigma <= cutoff:
-            basis.append(Vh[i].conj())
-    return basis
 
 
 def invert(M) -> np.ndarray:

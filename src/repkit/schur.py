@@ -22,14 +22,15 @@ element, are the irreducible blocks.  Every block is a
 whole, are refused, so an under-resolved rule gives no wrong blocks.
 
 Each public call evaluates its input once at the rule nodes
-(``tabulate``) and hands that stack to its steps; only
-``averaged_intertwiner`` also evaluates at their inverses
-(``HaarRule.inverse_nodes``).  Nothing else needs them: rho(x^-1) = W(x)^*
-once the stack W is unitary.  Every call but ``averaged_intertwiner``
-holds that one stack: W is written over it when the library allocated it,
-characters are read off it first, and every other temporary is
-node-chunked.  ``commutant`` on input that fails the unitarity audit keeps
-the input's stack next to W, since its residual is read there.
+(``tabulate``) and hands that stack to its steps.  None evaluates at their
+inverses: rho(x^-1) = W(x)^* once the stack W is unitary, and
+``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
+stack W = B psi B^-1 of its second input.  Every call holds one stack per
+input: W is written over it when the library allocated it, characters are
+read off it first, ``averaged_intertwiner`` applies its seed over the
+stack of its first input, and every other temporary is node-chunked.
+``commutant`` on input that fails the unitarity audit keeps the input's
+stack next to W, since its residual is read there.
 
 Each discrete answer is one threshold decision against one module constant:
 ``unitarization.RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for
@@ -52,7 +53,7 @@ from .errors import (
     RuleMismatchError,
     ShapeMismatchError,
 )
-from .groups import HaarRule, integrate_product, integrate_stacked, integrate_values
+from .groups import HaarRule, integrate_product, integrate_values
 from .representations import (
     IDENTITY_TOL,
     BlockRepresentation,
@@ -75,7 +76,12 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     """T = integral of phi(x) A psi(x^-1): intertwines phi and psi.
 
     Between non-equivalent irreducibles the result vanishes for every seed A;
-    for phi = psi irreducible it is tr(A)/degree times the identity.
+    for phi = psi irreducible it is tr(A)/degree times the identity.  On the
+    unitary stack W = B psi B^-1 (``_unitary``), psi(x^-1) = B^-1 W(x)^* B,
+    so T = [sum of w_n phi_n C W_n^*] B with C = A B^-1, one averaging
+    contraction of the two stacks at the rule nodes.  C is applied node
+    chunk by node chunk, over phi's stack when the library allocated it and
+    C is square.
     """
     if phi.group != psi.group:
         raise GroupMismatchError("the two representations live over different groups")
@@ -83,9 +89,15 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     A = linalg.as_matrix(A)
     if A.shape != (phi.degree, psi.degree):
         raise ShapeMismatchError(f"seed matrix must be {phi.degree}x{psi.degree}, got {A.shape}")
-    phis = phi.evaluate_batch(rule.nodes)
-    psis_inv = psi.evaluate_batch(rule.inverse_nodes)
-    return integrate_stacked(rule, phis @ A[None] @ psis_inv)
+    W, B, B_inv = _unitary(rule, tabulate(psi, rule), overwrite=_fresh_stack(psi))
+    C = A @ B_inv
+    phis = tabulate(phi, rule)
+    in_place = _fresh_stack(phi) and phi.degree == psi.degree
+    M = phis if in_place else np.empty((len(phis), *A.shape), dtype=complex)
+    for i in range(0, len(phis), linalg.NODE_CHUNK):
+        M[i:i + linalg.NODE_CHUNK] = phis[i:i + linalg.NODE_CHUNK] @ C
+    # sum of w_n M_n W_n^* is the transpose of sum of w_n conj(W_n) M_n^T
+    return integrate_product(rule, W.transpose(0, 2, 1), M.transpose(0, 2, 1)).T @ B
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,6 +111,24 @@ def test_schur_calls_evaluate_each_input_once(su2, su2_rule, evaluations, call, 
     assert sorted(evaluations) == expected
 
 
+@pytest.mark.parametrize("psi_kind", ["same", "non-unitary"])
+def test_averaged_intertwiner_evaluates_each_input_once_at_the_rule_nodes(su2, su2_rule, monkeypatch,
+                                                                          psi_kind):
+    # psi(x^-1) is read off psi's unitary stack, so no inverse nodes
+    calls = []
+    original = SpinRepresentation.evaluate_batch
+
+    def recording(self, nodes):
+        calls.append((self.two_j, np.array_equal(nodes, su2_rule.nodes)))
+        return original(self, nodes)
+
+    monkeypatch.setattr(SpinRepresentation, "evaluate_batch", recording)
+    rho = rk.spin_irrep(1, su2)
+    psi = rho if psi_kind == "same" else conjugated_sum(su2)
+    rk.averaged_intertwiner(rho, psi, np.ones((3, psi.degree)), su2_rule)
+    assert sorted(calls) == ([(2, True)] * 2 if psi_kind == "same" else [(1, True), (2, True), (2, True)])
+
+
 def test_axiom_audit_evaluates_each_probe_family_once_per_node_set(su2, su2_rule, evaluations):
     # two spins at ten node sets: the rule, four shifts on each side, inverses
     rk.axiom_audit(su2_rule, standard_probes(su2), standard_shifts(su2))

@@ -388,7 +388,8 @@ def _axiom_residuals_per_integral(rule, probes, shifts):
                 moved = rule.group.shift_nodes(a, rule.nodes, side)
                 shifted = integral(rule, rk.groups.evaluate_probe(f, rule, nodes=moved))
                 out["translation"] = max(out["translation"], abs(shifted - iv))
-        inverted = integral(rule, rk.groups.evaluate_probe(f, rule, nodes=rule.inverse_nodes))
+        inverses = rule.group.invert_nodes(rule.nodes)
+        inverted = integral(rule, rk.groups.evaluate_probe(f, rule, nodes=inverses))
         out["inversion"] = max(out["inversion"], abs(inverted - iv))
     return out
 

@@ -7,34 +7,6 @@ from repkit import linalg
 from conftest import random_complex
 
 
-def test_hermitian_eigenvalues_identity():
-    spec = rk.hermitian_eigenvalues(np.eye(2))
-    assert np.allclose(spec.eigenvalues, [1.0, 1.0])
-    assert spec.residual <= 1e-12
-
-
-def test_hermitian_eigenvalues_offdiagonal():
-    # roots of the characteristic polynomial lambda^2 - 1
-    spec = rk.hermitian_eigenvalues([[0, 1], [1, 0]])
-    assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-
-def test_hermitian_eigenvalues_zero():
-    spec = rk.hermitian_eigenvalues(np.zeros((3, 3)))
-    assert np.allclose(spec.eigenvalues, 0.0)
-    assert spec.residual == 0.0
-
-
-def test_hermitian_eigenvalues_rejects_non_square():
-    with pytest.raises(rk.NotSquareError):
-        rk.hermitian_eigenvalues(np.zeros((2, 3)))
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(rk.NotHermitianError):
-        rk.hermitian_eigenvalues([[0, 1], [0, 0]])
-
-
 def test_cholesky_identity():
     assert np.allclose(rk.cholesky_hermitian(np.eye(3)), np.eye(3))
 
@@ -52,6 +24,13 @@ def test_cholesky_textbook_2x2():
     hand = np.array([[np.sqrt(2.0), 1.0 / np.sqrt(2.0)], [0.0, np.sqrt(1.5)]])
     assert np.abs(A - hand).max() <= 1e-12
     assert np.abs(A.conj().T @ A - H).max() <= 1e-12
+
+
+def test_cholesky_rejects_non_square_and_non_hermitian():
+    with pytest.raises(rk.NotSquareError):
+        rk.cholesky_hermitian(np.zeros((2, 3)))
+    with pytest.raises(rk.NotHermitianError):
+        rk.cholesky_hermitian([[1, 1], [0, 1]])
 
 
 def test_cholesky_rejects_indefinite():
@@ -75,47 +54,7 @@ def test_cholesky_reconstruction_random(seed, n):
     assert (np.diag(A).real > 0).all() and np.abs(np.diag(A).imag).max() == 0.0
     assert np.abs(A.conj().T @ A - H).max() <= 1e-12 * np.abs(H).max()
     # spectra of A*A stay clear of negative territory
-    spec = rk.hermitian_eigenvalues(A.conj().T @ A)
-    assert spec.eigenvalues[0] > -1e-12 * np.abs(H).max()
-
-
-def test_nullspace_zero_matrix():
-    basis = rk.solve_nullspace(np.zeros((2, 2)), 1e-10)
-    assert len(basis) == 2
-
-
-def test_nullspace_identity():
-    assert rk.solve_nullspace(np.eye(2), 1e-10) == []
-
-
-def test_nullspace_rank_one():
-    basis = rk.solve_nullspace(np.ones((2, 2)), 1e-10)
-    assert len(basis) == 1
-    v = basis[0]
-    expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    phase = v[0] / expected[0]
-    assert np.abs(np.abs(phase) - 1.0) <= 1e-12
-    assert np.abs(v - phase * expected).max() <= 1e-12
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_nullspace_orthonormal_and_annihilating(seed):
-    rng = np.random.default_rng(seed)
-    # random matrix with an engineered 2-dimensional kernel
-    basis_full = np.linalg.qr(random_complex(rng, (6, 6)))[0]
-    M = random_complex(rng, (6, 4)) @ basis_full[:, :4].conj().T
-    null = rk.solve_nullspace(M, 1e-10)
-    assert len(null) == 2
-    G = np.array([[np.vdot(u, v) for v in null] for u in null])
-    assert np.abs(G - np.eye(2)).max() <= 1e-12
-    norm = np.linalg.svd(M, compute_uv=False)[0]
-    for v in null:
-        assert np.linalg.norm(M @ v) <= 1e-10 * norm
-
-
-def test_nullspace_requires_positive_tol():
-    with pytest.raises(ValueError):
-        rk.solve_nullspace(np.eye(2), 0.0)
+    assert np.linalg.eigvalsh(A.conj().T @ A)[0] > -1e-12 * np.abs(H).max()
 
 
 def test_invert_identity_and_diagonal():

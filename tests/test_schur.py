@@ -84,6 +84,44 @@ def test_schur_alpha_formula_random_seeds(su2, su2_rule):
         assert np.abs(T - (np.trace(A) / 3.0) * np.eye(3)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("phi_kind", ["same", "standard+sign"])
+def test_intertwiner_of_a_non_unitary_psi_matches_the_inverse_node_sum(s3, phi_kind):
+    # psi(x^-1) = B^-1 W(x)^* B on the unitary stack of psi: on the exact
+    # uniform rule this is the sum of w phi A psi(x^-1) at the inverse
+    # nodes, for a square seed (applied over phi's stack) and a non-square one
+    rng = np.random.default_rng(17)
+    rule = rk.haar_rule(s3, 1)
+    basis = random_unitary(rng, 2) @ np.diag([1.0, 10.0]) @ random_unitary(rng, 2)
+    psi = rk.conjugate(rk.s3_standard(s3), basis)
+    phi = psi if phi_kind == "same" else rk.direct_sum(rk.s3_standard(s3), rk.s3_sign(s3))
+    A = random_complex(rng, (phi.degree, 2))
+    T = rk.averaged_intertwiner(phi, psi, A, rule)
+    phis = phi.evaluate_batch(rule.nodes)
+    psis = psi.evaluate_batch(rule.nodes)
+    psis_inv = psi.evaluate_batch(s3.invert_nodes(rule.nodes))
+    reference = np.tensordot(rule.weights, phis @ A[None] @ psis_inv, axes=(0, 0))
+    assert np.abs(T - reference).max() <= 1e-12
+    assert np.abs(phis @ T[None] - T[None] @ psis).max() <= 1e-12
+
+
+def test_intertwiner_holds_two_stacks(su2):
+    # one stack per input: psi's stack is its unitary stack, and the seed is
+    # applied over phi's stack in node chunks
+    rep = rk.spin_irrep(4.5, su2)
+    rule = rk.haar_rule(su2, 24)
+    stack_bytes = rule.node_count * rep.degree ** 2 * 16
+    A = random_complex(np.random.default_rng(4), (10, 10))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T = rk.averaged_intertwiner(rep, rep, A, rule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.abs(T - (np.trace(A) / 10) * np.eye(10)).max() <= 1e-6
+    assert peak <= 2.25 * stack_bytes
+
+
 # --- commutant ---------------------------------------------------------------
 
 def test_commutant_one_dimensional_rep(z3):
