@@ -42,9 +42,6 @@ from .errors import (
     ShapeMismatchError,
 )
 
-SU2_UNITARITY_TOL = 1e-10
-SU2_DRIFT_TOL = 1e-12
-
 
 def _require_integers(value, field: str) -> None:
     """Refuse anything but an integer, or a (nested) list or integer array of
@@ -208,7 +205,8 @@ class SU2Group:
     """2x2 special-unitary matrices.
 
     Products of many elements are re-projected onto the group whenever the
-    unitarity drift exceeds SU2_DRIFT_TOL, so long chains cannot wander off.
+    unitarity drift exceeds ``linalg.KERNEL_TOL``, so long chains cannot
+    wander off.
     """
 
     kind = "su2"
@@ -234,9 +232,9 @@ class SU2Group:
         if U.ndim != 3 or U.shape[1:] != (2, 2):
             raise KindMismatchError(f"su2 node stacks have shape (n, 2, 2), got {U.shape}")
         U = U.astype(complex, copy=False)
-        if linalg.max_abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2)) > SU2_UNITARITY_TOL:
+        if linalg.max_abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2)) > linalg.STRUCTURAL_TOL:
             raise KindMismatchError("matrix is not unitary within tolerance")
-        if linalg.max_abs(np.linalg.det(U) - 1.0) > SU2_UNITARITY_TOL:
+        if linalg.max_abs(np.linalg.det(U) - 1.0) > linalg.STRUCTURAL_TOL:
             raise KindMismatchError("matrix determinant is not 1 within tolerance")
         return U
 
@@ -252,10 +250,10 @@ class SU2Group:
 
     def multiply_nodes(self, xs, ys):
         """Products of two validated node stacks, each re-projected onto the
-        group when its unitarity drift exceeds SU2_DRIFT_TOL."""
+        group when its unitarity drift exceeds ``linalg.KERNEL_TOL``."""
         U = self._elements(xs) @ self._elements(ys)
         drift = np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2)).max(axis=(1, 2))
-        drifted = drift > SU2_DRIFT_TOL
+        drifted = drift > linalg.KERNEL_TOL
         if drifted.any():
             U[drifted] = self.project(U[drifted])
         return U

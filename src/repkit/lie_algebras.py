@@ -17,7 +17,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError
 
-JACOBI_TOL = 1e-10
 CENTER_COMMUTATION_TOL = 1e-9
 
 COMPACT_SEMISIMPLE = "compact_semisimple"
@@ -30,7 +29,8 @@ class LieAlgebraSpec:
     """Structure constants of a finite-dimensional real Lie algebra.
 
     Input is validated, never repaired: antisymmetry must hold exactly and
-    the Jacobi identity up to JACOBI_TOL, otherwise construction fails.
+    the Jacobi identity up to ``linalg.STRUCTURAL_TOL``, otherwise
+    construction fails.
     """
 
     structure_constants: np.ndarray
@@ -46,8 +46,8 @@ class LieAlgebraSpec:
         if not np.array_equal(c, -c.transpose(1, 0, 2)):
             raise ValueError("structure constants are not antisymmetric in the first two indices")
         jac = jacobi_residual(c)
-        if jac > JACOBI_TOL:
-            raise ValueError(f"Jacobi identity residual {jac:.3e} exceeds {JACOBI_TOL:.1e}")
+        if jac > linalg.STRUCTURAL_TOL:
+            raise ValueError(f"Jacobi identity residual {jac:.3e} exceeds {linalg.STRUCTURAL_TOL:.1e}")
         if self.labels is not None and len(self.labels) != c.shape[0]:
             raise ValueError("label count does not match dimension")
 

@@ -9,9 +9,9 @@ tolerance is a module constant: ``KERNEL_TOL`` bounds pure floating-point
 defects (inversion residuals, the singularity threshold) and
 ``STRUCTURAL_TOL`` bounds defects that signal a wrong *input* (hermiticity,
 definiteness, bracket closure).  Values are plain ``numpy.ndarray``s and are
-never mutated once returned; the one exception is a node stack the library
-allocated itself, which the step that owns it may overwrite in place
-(``sandwich``, ``schur.averaged_intertwiner``), since no caller holds it yet.
+never mutated once returned, except a node stack: a step writes over it
+(``sandwich`` with ``out``) exactly when the array is writeable, and a
+user-defined body's stack is a read-only view (``representations._node_stack``).
 """
 
 from __future__ import annotations

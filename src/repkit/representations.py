@@ -30,7 +30,6 @@ from .errors import (
 )
 from .groups import HaarRule, enumerate_or_sample
 
-IDENTITY_TOL = 1e-12
 MAX_TWO_J = 12
 
 
@@ -69,7 +68,7 @@ class FiniteTableRepresentation(Representation):
         if not np.isfinite(table).all():
             raise ValueError("representation table contains non-finite entries")
         r = table.shape[1]
-        if linalg.max_abs(table[group.identity_index] - np.eye(r)) > IDENTITY_TOL:
+        if linalg.max_abs(table[group.identity_index] - np.eye(r)) > linalg.KERNEL_TOL:
             raise ValueError("identity element is not represented by the identity matrix")
         self.group = group
         self.degree = r
@@ -213,8 +212,8 @@ class ConjugatedRepresentation(Representation):
         self.degree = inner.degree
 
     def evaluate_batch(self, nodes):
-        inner = self.inner.evaluate_batch(nodes)
-        in_place = self.degree == self.inner.degree and _fresh_stack(self.inner)
+        inner = _node_stack(self.inner, nodes)
+        in_place = self.degree == self.inner.degree and inner.flags.writeable
         return linalg.sandwich(self.matrix, inner, self.matrix_inv, out=inner if in_place else None)
 
 
@@ -239,17 +238,23 @@ class BlockRepresentation(ConjugatedRepresentation):
 
 
 # the library bodies whose ``evaluate_batch`` returns a new complex stack on
-# every call, which no one else holds, so the caller may overwrite it
+# every call, which no one else holds
 _FRESH_BODIES = frozenset(body.evaluate_batch for body in (
     FiniteTableRepresentation, CircleWeightRepresentation, SpinRepresentation,
     DirectSumRepresentation, ConjugatedRepresentation))
 
 
-def _fresh_stack(rep: Representation) -> bool:
-    """Whether ``rep.evaluate_batch`` is a library body, so its stack is the
-    caller's own and may be overwritten in place.  A user-defined body may
-    return an array it still holds, so its stack is only ever read."""
-    return type(rep).evaluate_batch in _FRESH_BODIES
+def _node_stack(rep: Representation, nodes) -> np.ndarray:
+    """The stack of ``rep`` at ``nodes``, writeable exactly when the caller
+    may write over it.  A library body's stack is new and held by no one
+    else, so it comes back as it is; a user-defined body may return an
+    array it still holds, so that comes back as a read-only view, with no
+    copy, and a write into it raises."""
+    stack = rep.evaluate_batch(nodes)
+    if type(rep).evaluate_batch not in _FRESH_BODIES:
+        stack = np.asarray(stack).view()
+        stack.flags.writeable = False
+    return stack
 
 
 def evaluate(rep: Representation, g) -> np.ndarray:
@@ -329,9 +334,10 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
 
 def tabulate(rep: Representation, rule: HaarRule) -> np.ndarray:
     """The stack (n, r, r) of ``rep`` at the rule nodes.  A call evaluates
-    its input once with it and hands the stack to each of its steps."""
+    its input once with it and hands the stack to each of its steps; a step
+    writes over it exactly when it is writeable (``_node_stack``)."""
     check_rule_group(rule, rep)
-    return rep.evaluate_batch(rule.nodes)
+    return _node_stack(rep, rule.nodes)
 
 
 def character(rep: Representation, rule: HaarRule) -> Character:
@@ -341,7 +347,7 @@ def character(rep: Representation, rule: HaarRule) -> Character:
 def _character(rep: Representation, rule: HaarRule, mats: np.ndarray) -> Character:
     """``character`` read off ``mats``, the stack of ``rep`` at the rule nodes."""
     ident_trace = np.trace(rep.evaluate(rep.group.identity_element()))
-    if abs(ident_trace - rep.degree) > IDENTITY_TOL * (1 + rep.degree):
+    if abs(ident_trace - rep.degree) > linalg.KERNEL_TOL * (1 + rep.degree):
         raise ValueError(f"character at the identity is {ident_trace}, expected degree {rep.degree}")
     return Character(rep=rep, rule=rule, values=np.einsum("nii->n", mats), degree=rep.degree)
 

@@ -10,7 +10,8 @@ matrices K span the commutant of W, read by a certified Rayleigh-Ritz
 step on the map's symmetric part (``unitarization.fixed_hermitian``), the
 commutant of the input is A^-1 K A, and its trace is the character norm
 integral of |chi|^2.  The contraction of the stack with itself,
-``integrate_product``, gives every matrix-element integral at once.  Scalar commutant (dimension one) is the irreducibility criterion;
+``integrate_product``, gives every matrix-element integral at once.
+Scalar commutant (dimension one) is the irreducibility criterion;
 ``_irreducible`` reads only that dimension, with no commutation residual.
 
 Splitting follows the proof of Schur's lemma and never forms the averaging
@@ -26,11 +27,11 @@ Each public call evaluates its input once at the rule nodes
 inverses: rho(x^-1) = W(x)^* once the stack W is unitary, and
 ``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
 stack W = B psi B^-1 of its second input.  Every call holds one stack per
-input: W is written over it when the library allocated it, characters are
-read off it first, ``averaged_intertwiner`` applies its seed over the
-stack of its first input, and every other temporary is node-chunked.
-``commutant`` on input that fails the unitarity audit keeps the input's
-stack next to W, since its residual is read there.
+input and writes over a stack exactly when the array is writeable: W is
+written over the input's, characters are read off it first,
+``averaged_intertwiner`` applies its seed over the stack of its first
+input, and every other temporary is node-chunked.  ``commutant`` reads its
+residual on the input's stack, so it marks that stack read-only first.
 
 Each discrete answer is one threshold decision against one module constant:
 ``unitarization.RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for
@@ -53,14 +54,12 @@ from .errors import (
     RuleMismatchError,
     ShapeMismatchError,
 )
-from .groups import HaarRule, integrate_product, integrate_values
+from .groups import HaarRule, _weighted_fsum_rows, integrate_product, integrate_values
 from .representations import (
-    IDENTITY_TOL,
     BlockRepresentation,
     Character,
     Representation,
     _character,
-    _fresh_stack,
     character,
     check_rule_group,
     tabulate,
@@ -80,8 +79,8 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     unitary stack W = B psi B^-1 (``_unitary``), psi(x^-1) = B^-1 W(x)^* B,
     so T = [sum of w_n phi_n C W_n^*] B with C = A B^-1, one averaging
     contraction of the two stacks at the rule nodes.  C is applied node
-    chunk by node chunk, over phi's stack when the library allocated it and
-    C is square.
+    chunk by node chunk, over phi's stack when it is writeable and C is
+    square.
     """
     if phi.group != psi.group:
         raise GroupMismatchError("the two representations live over different groups")
@@ -89,10 +88,10 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     A = linalg.as_matrix(A)
     if A.shape != (phi.degree, psi.degree):
         raise ShapeMismatchError(f"seed matrix must be {phi.degree}x{psi.degree}, got {A.shape}")
-    W, B, B_inv = _unitary(rule, tabulate(psi, rule), overwrite=_fresh_stack(psi))
+    W, B, B_inv = _unitary(rule, tabulate(psi, rule))
     C = A @ B_inv
     phis = tabulate(phi, rule)
-    in_place = _fresh_stack(phi) and phi.degree == psi.degree
+    in_place = phis.flags.writeable and phi.degree == psi.degree
     M = phis if in_place else np.empty((len(phis), *A.shape), dtype=complex)
     for i in range(0, len(phis), linalg.NODE_CHUNK):
         M[i:i + linalg.NODE_CHUNK] = phis[i:i + linalg.NODE_CHUNK] @ C
@@ -130,7 +129,8 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the character norm."""
     mats = tabulate(rep, rule)
     # the residual reads the input's own stack, so W may not overwrite it
-    W, A, A_inv = _unitary(rule, mats, overwrite=False)
+    mats.flags.writeable = False
+    W, A, A_inv = _unitary(rule, mats)
     K, norm = fixed_hermitian(rule, W)
     del W
     basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
@@ -168,7 +168,7 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of the Rayleigh-Ritz reading
     (``fixed_hermitian``) themselves, with their residual on W; its
     dimension is the input's commutant dimension."""
-    W = _unitary(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))[0]
+    W = _unitary(rule, tabulate(rep, rule))[0]
     K, norm = fixed_hermitian(rule, W)
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=_commutation_residual(W, K),
                            character_norm=norm)
@@ -176,15 +176,14 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
     """Scalar-commutant criterion; non-unitary input is unitarized first."""
-    return _irreducible(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))
+    return _irreducible(rule, tabulate(rep, rule))
 
 
-def _irreducible(rule: HaarRule, mats: np.ndarray, overwrite: bool) -> bool:
+def _irreducible(rule: HaarRule, mats: np.ndarray) -> bool:
     """``irreducibility_test`` read off ``mats``, the stack of rho at the rule
-    nodes: the dimension of the fixed space of its unitary stack, and
-    nothing else.  The unitary stack is written over ``mats`` when the
-    caller owns it and reads it no more (``overwrite``)."""
-    return len(fixed_hermitian(rule, _unitary(rule, mats, overwrite)[0])[0]) == 1
+    nodes: the dimension of the fixed space of its unitary stack (written
+    over ``mats`` when that is writeable), and nothing else."""
+    return len(fixed_hermitian(rule, _unitary(rule, mats)[0])[0]) == 1
 
 
 def _irreducible_character(rep: Representation, rule: HaarRule, refusal: str) -> Character:
@@ -193,7 +192,7 @@ def _irreducible_character(rep: Representation, rule: HaarRule, refusal: str) ->
     NotIrreducibleError(``refusal``) when the test fails."""
     mats = tabulate(rep, rule)
     char = _character(rep, rule, mats)
-    if not _irreducible(rule, mats, overwrite=_fresh_stack(rep)):
+    if not _irreducible(rule, mats):
         raise NotIrreducibleError(refusal)
     return char
 
@@ -214,7 +213,7 @@ def _split(rep: Representation, rule: HaarRule):
     multiplicities of the isotypic classes (blocks grouped by character
     inner product) must sum to the input's character norm.
     """
-    W, A, A_inv = _unitary(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))
+    W, A, A_inv = _unitary(rule, tabulate(rep, rule))
     Q, sizes = _split_unitary_fully(W, rule)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     starts = np.cumsum([0, *sizes[:-1]])
@@ -239,7 +238,7 @@ def _split(rep: Representation, rule: HaarRule):
             f"the blocks form isotypic classes of multiplicities {m[m > 0].tolist()} but the character "
             f"norm is {inner.sum().real:.6f}, not {np.sum(m ** 2)}: {_unresolved(rule, A)}")
     at_identity = P @ rep.evaluate(rep.group.identity_element()) @ P_inv
-    identity_tol = IDENTITY_TOL * np.linalg.cond(P)
+    identity_tol = linalg.KERNEL_TOL * np.linalg.cond(P)
     blocks, chars = [], []
     for offset, size, chi in zip(starts.tolist(), sizes, values):
         ident_trace = np.trace(at_identity[offset:offset + size, offset:offset + size])
@@ -351,13 +350,11 @@ def orthogonality_audit(reps, rule: HaarRule) -> np.ndarray:
     check_rule_group(rule, *reps)
     chars = [_irreducible_character(rep, rule, f"representation {i} is not irreducible")
              for i, rep in enumerate(reps)]
-    n = len(reps)
-    residual = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            inner = character_inner(chars[i], chars[j], rule)
-            residual[i, j] = abs(inner - (1.0 if i == j else 0.0))
-    return residual
+    # each inner product is correctly rounded on its own, as in ``character_inner``
+    inner = _weighted_fsum_rows((a.values * np.conj(b.values) for a in chars for b in chars), rule.weights)
+    defect = np.reshape(inner, (len(chars),) * 2) - np.eye(len(chars))
+    # the modulus as Python's abs rounds it; numpy's complex abs may differ by an ulp
+    return np.hypot(defect.real, defect.imag)
 
 
 def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
@@ -369,7 +366,7 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     flat = mats.reshape(rule.node_count, 1, r * r)
     # the Gram matrix first: the irreducibility test may overwrite the stack
     gram = integrate_product(rule, flat, flat)
-    if not _irreducible(rule, mats, overwrite=_fresh_stack(rep)):
+    if not _irreducible(rule, mats):
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     return linalg.max_abs(gram - np.eye(r * r) / r)
 

@@ -36,13 +36,13 @@ contraction ``groups.integrate_product``, which holds the weights, the
 weighted temporary of each node chunk and the refusal of a non-finite
 average.
 
-Each call holds one node stack.  Its evaluation is the one stack; the
-unitary stack W is written over it when the library allocated it
-(``representations._fresh_stack``) and no later step reads the input
-again, ``unitarize`` audits W one node chunk at a time and never holds it,
-and every other temporary is the size of a chunk of ``linalg.NODE_CHUNK``
-nodes.  A stack a user-defined ``evaluate_batch`` returned is only read,
-so such input costs a second stack for W.
+Each call holds one node stack, its evaluation, and a step writes over a
+stack exactly when the array is writeable (``representations._node_stack``):
+the unitary stack W is written over the evaluation once no later step
+reads the input again, ``unitarize`` audits W one node chunk at a time and
+never holds it, and every other temporary is the size of a chunk of
+``linalg.NODE_CHUNK`` nodes.  A user-defined body's stack is a read-only
+view, so such input costs a second stack for W.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .groups import HaarRule, integrate_product
 from .representations import (
     ConjugatedRepresentation,
     Representation,
-    _fresh_stack,
     tabulate,
     unitarity_defect,
 )
@@ -139,17 +138,16 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, A_inv
 
 
-def _unitary(rule: HaarRule, mats: np.ndarray, overwrite: bool = False):
+def _unitary(rule: HaarRule, mats: np.ndarray):
     """(W, A, A^-1): the unitary stack W = A rho A^-1 of ``mats``, the stack
     of rho at the rule nodes.  A is the identity, and W is ``mats`` itself,
     when the stack passes the unitarity audit; otherwise A is the Cholesky
-    factor of its averaged form, and W is written over ``mats`` when the
-    caller owns it and reads it no more (``overwrite``)."""
+    factor of its averaged form, and W is written over ``mats`` if writeable."""
     if unitarity_defect(mats) <= UNITARY_TOL:
         eye = np.eye(mats.shape[-1], dtype=complex)
         return mats, eye, eye
     A, A_inv = _cholesky_pair(*invariant_gram(rule, mats))
-    return linalg.sandwich(A, mats, A_inv, out=mats if overwrite else None), A, A_inv
+    return linalg.sandwich(A, mats, A_inv, out=mats if mats.flags.writeable else None), A, A_inv
 
 
 def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
@@ -287,7 +285,7 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     unitary stack W = A rho A^-1 (``fixed_hermitian``), so d is the
     commutant dimension by construction.
     """
-    W, A, _ = _unitary(rule, tabulate(rep, rule), overwrite=_fresh_stack(rep))
+    W, A, _ = _unitary(rule, tabulate(rep, rule))
     forms = _forms(rule, W, A)
     return forms, len(forms)
 
@@ -316,7 +314,7 @@ def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport
     """The invariant-form space and the unitarization, off one evaluation and
     one averaged form: on input that fails the unitarity audit, the forms
     are read in the unitarization's own basis, the one ``_unitary`` would
-    build, written over the input's stack when the library owns it."""
+    build, written over the input's stack when it is writeable."""
     mats = tabulate(rep, rule)
     unitarization = _unitarize(rep, rule, mats)
     if unitarity_defect(mats) <= UNITARY_TOL:
@@ -324,7 +322,7 @@ def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport
     else:
         A = unitarization.basis_change
         mats = linalg.sandwich(A, mats, unitarization.unitary_rep.matrix_inv,
-                               out=mats if _fresh_stack(rep) else None)
+                               out=mats if mats.flags.writeable else None)
     forms = _forms(rule, mats, A)
     return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,
                              form_basis=forms)

@@ -392,3 +392,21 @@ def test_malformed_input_file_is_an_input_error(runner, tmp_path, command, field
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f"input error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["irreducible", "--spin", "2", "--group", "z2.json", "--builtin", "z2"],
+     "input error: give either --group or --builtin, not both"),
+    (["irreducible", "--builtin", "su2"], "input error: exactly one of --rep, --spin, --weights is required"),
+    (["irreducible", "--builtin", "circle", "--spin", "2"], "input error: --spin requires the su2 group"),
+    (["irreducible", "--builtin", "su2", "--weights", "1,-1"],
+     "input error: --weights requires the circle group"),
+    (["characters", "--weights", "1,a"], "input error: --weights expects comma-separated integers, got '1,a'"),
+    (["irreducible", "--spin", "2", "--resolution", "0"], "error: resolution must be a positive integer"),
+], ids=["group-and-builtin", "no-representation", "spin-on-circle", "weights-on-su2", "weights-not-integers",
+        "resolution-zero"])
+def test_refused_option_combinations_exit_1(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(message)

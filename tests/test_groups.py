@@ -436,3 +436,76 @@ def test_character_integrals_bit_identical_to_fsum_reference(su2, s3, monkeypatc
     kernel = answers()
     monkeypatch.setattr(rk.groups, "_weighted_fsum", _fsum_reference)
     assert answers() == kernel
+
+
+# --- paper objects and refusals no other test reaches --------------------------
+
+def test_module_level_group_operations_match_the_group_methods(s3, circle, su2):
+    U, V = rk.enumerate_or_sample(su2, 2, seed=4)
+    for group, g, h in ((s3, 2, 5), (circle, 1.25, 4.5), (su2, U, V)):
+        assert np.array_equal(rk.multiply(group, g, h), group.multiply(g, h))
+        assert np.array_equal(rk.inverse(group, g), group.inverse(g))
+        assert np.array_equal(rk.identity(group), group.identity_element())
+
+
+def test_integrate_matrix_batched_integrand_is_one_stacked_sum(su2):
+    rule = rk.haar_rule(su2, 6)
+
+    class Batched:
+        def batch(self, nodes):
+            return nodes @ nodes + np.diag([1.0, 2.0])
+
+    expected = rk.groups.integrate_stacked(rule, rule.nodes @ rule.nodes + np.diag([1.0, 2.0]))
+    assert rk.integrate_matrix(rule, Batched()).tobytes() == expected.tobytes()
+    with pytest.raises(rk.ShapeMismatchError, match=r"\(n, r, s\)"):
+        rk.integrate_matrix(rule, type("Flat", (), {"batch": lambda self, nodes: np.ones(len(nodes))})())
+
+
+def test_iter_nodes_yields_the_circle_angles_as_floats(circle):
+    rule = rk.haar_rule(circle, 8)
+    angles = list(rule.iter_nodes())
+    assert all(type(t) is float for t in angles)
+    assert angles == rule.nodes.tolist()
+
+
+def test_enumerate_or_sample_lists_every_finite_element(s3):
+    assert rk.enumerate_or_sample(s3, 2, seed=1) == s3.elements() == list(range(6))
+
+
+# a Latin square with a two-sided identity 0 in which 2 * 3 = 0 but 3 * 2 = 1
+ONE_SIDED_INVERSE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("table, kwargs, message", [
+    ([[0, 1, 2], [1, 2, 0]], {}, "must be square"),
+    (np.zeros((0, 0), dtype=int), {}, "empty multiplication table"),
+    ([[0, 1], [0, 1]], {}, "column 0 is not a permutation"),
+    (ONE_SIDED_INVERSE, {}, "element 2 has no two-sided inverse"),
+    ([[0, 1], [1, 0]], {"labels": ["e"]}, "label count"),
+], ids=["non-square", "empty", "non-latin-column", "one-sided-inverse", "label-count"])
+def test_finite_group_refuses_a_malformed_table(table, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        rk.FiniteGroup(table, **kwargs)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, 0.5, 0.0], "must be positive"),
+    ([0.5, 0.5, -0.25], "must be positive"),
+    ([0.25, 0.25, 0.25], "must sum to 1"),
+])
+def test_haar_rule_refuses_bad_weights(z3, weights, message):
+    with pytest.raises(ValueError, match=message):
+        rk.HaarRule(z3, np.arange(3), np.array(weights), 1)
+
+
+def test_su2_refuses_a_unitary_element_of_determinant_minus_one(su2):
+    with pytest.raises(rk.KindMismatchError, match="determinant is not 1"):
+        su2.inverse(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("name", ["s3", "circle"])
+def test_scalar_probes_match_their_batches(name):
+    group = rk.builtin_group(name)
+    nodes = rk.haar_rule(group, 8 if name == "circle" else 1).nodes
+    for probe in standard_probes(group):
+        assert np.abs([probe(x) for x in nodes] - probe.batch(nodes)).max() <= 1e-14

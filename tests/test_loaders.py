@@ -229,3 +229,24 @@ def test_load_rep_refuses_boolean_integers(tmp_path, circle, su2, data, message)
     group = circle if data["kind"] == "circle_weights" else su2
     with pytest.raises(rk.InputParseError, match=message):
         rk.load_representation(write(tmp_path, "bad.json", data), group)
+
+
+def test_load_group_refuses_a_non_object_top_level(tmp_path):
+    with pytest.raises(rk.InputParseError, match="top-level value must be an object"):
+        rk.load_group(write(tmp_path, "list.json", [{"kind": "circle"}]))
+
+
+def test_load_group_names_a_missing_required_field(tmp_path):
+    with pytest.raises(rk.InputParseError, match="missing required field 'mult_table'"):
+        rk.load_group(write(tmp_path, "finite.json", {"kind": "finite"}))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "finite_table", "matrices": {"0": [[[1, 0]]]}}, "'matrices' must be a list of matrices"),
+    ({"kind": "direct_sum", "parts": [{"kind": "circle_weights", "weights": [1]}]},
+     "'parts' must list at least two representations"),
+    ({"kind": "tensor_product", "parts": []}, "unknown representation kind 'tensor_product'"),
+], ids=["matrices-not-a-list", "one-part-sum", "unknown-kind"])
+def test_load_rep_refuses_malformed_structure(tmp_path, circle, data, message):
+    with pytest.raises(rk.InputParseError, match=message):
+        rk.load_representation(write(tmp_path, "bad.json", data), circle)

@@ -66,6 +66,17 @@ def test_evaluate_kind_mismatch(su2):
         rep.evaluate(3)
 
 
+
+def test_evaluate_and_the_scalar_entry_probe_match_the_batch(su2):
+    spin = rk.spin_irrep(1, su2)
+    nodes = rk.haar_rule(su2, 4).nodes
+    stack = spin.evaluate_batch(nodes)
+    assert all(np.array_equal(rk.evaluate(spin, U), M) for U, M in zip(nodes, stack))
+    probe = rk.MatrixEntryProbe(spin, 0, 2)
+    assert probe.label == "entry[0,2]"
+    assert np.array_equal([probe(U) for U in nodes], probe.batch(nodes))
+
+
 # --- homomorphism audit ------------------------------------------------------
 
 def test_homomorphism_audit_exact_table(s3):
@@ -274,6 +285,24 @@ def test_library_calls_never_overwrite_a_user_stack(su2, su2_rule):
     scale = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     assert (rk.conjugate(reducible, scale).evaluate_batch(su2_rule.nodes).tobytes()
             == rk.conjugate(held, scale).evaluate_batch(su2_rule.nodes).tobytes())
+
+
+
+def test_a_user_stack_comes_back_as_a_read_only_view(su2, su2_rule):
+    # whether a step may write over a stack is the array's own flag: a
+    # library body's stack is new and writeable; a user-defined body's is a
+    # view of the array its owner holds, with no copy, and a write raises
+    spin = rk.spin_irrep(1, su2)
+    assert rk.representations.tabulate(spin, su2_rule).flags.writeable
+    held = HeldStack(spin, su2_rule)
+    view = rk.representations.tabulate(held, su2_rule)
+    assert not view.flags.writeable and np.shares_memory(view, held.stack)
+    with pytest.raises(ValueError, match="read-only"):
+        view[0] = 0.0
+    assert held.stack.flags.writeable and np.array_equal(held.stack, held.pristine)
+    # a library body over the user's stack allocates a stack of its own
+    conjugated = rk.conjugate(held, np.diag([1.0, 2.0, 3.0]))
+    assert rk.representations.tabulate(conjugated, su2_rule).flags.writeable
 
 
 # --- unitarity audit ---------------------------------------------------------

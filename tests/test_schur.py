@@ -181,6 +181,19 @@ def test_commutant_survives_quadrature_error(su2, parts, resolution, expected):
     assert report.max_residual <= 1e-12
 
 
+
+def test_commutant_of_a_non_unitary_input_reads_its_residual_on_the_input(su2, su2_rule):
+    # the residual of the basis A^-1 K A is read on the input's own stack,
+    # so the unitary stack W = A rho A^-1 must not be written over it
+    rng = np.random.default_rng(11)
+    mixed = rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2))
+    rep = rk.conjugate(mixed, random_invertible(rng, 5))
+    assert rk.unitarity_audit(rep, su2_rule) > 1e-2
+    report = rk.commutant(rep, su2_rule)
+    assert report.dimension == 2
+    assert report.max_residual <= 1e-10
+
+
 # --- irreducibility ----------------------------------------------------------
 
 def test_irreducibility_spins(su2, su2_rule):
@@ -698,6 +711,21 @@ def test_orthogonality_su2_spins(su2, su2_rule):
             coarse = rk.character_inner(chars_coarse[i], chars_coarse[j], su2_rule)
             fine_v = rk.character_inner(chars_fine[i], chars_fine[j], fine)
             assert abs(coarse - fine_v) <= 1e-8
+
+
+
+@pytest.mark.parametrize("case", ["su2 spins 0-6", "s3 irreps"])
+def test_orthogonality_audit_equals_per_pair_character_inner_bytewise(su2, s3, case):
+    # every inner product is correctly rounded on its own, so summing all n^2
+    # in one batch changes no bit of the residual matrix
+    if case == "s3 irreps":
+        rule, reps = rk.haar_rule(s3, 1), rk.s3_irreps(s3)
+    else:
+        rule, reps = rk.haar_rule(su2, 12), [rk.spin_irrep(j, su2) for j in range(7)]
+    chars = [rk.character(rep, rule) for rep in reps]
+    expected = np.array([[abs(rk.character_inner(a, b, rule) - (1.0 if i == j else 0.0))
+                          for j, b in enumerate(chars)] for i, a in enumerate(chars)])
+    assert rk.orthogonality_audit(reps, rule).tobytes() == expected.tobytes()
 
 
 def test_orthogonality_single_trivial(circle, circle_rule):
