@@ -495,41 +495,64 @@ def integrate_values(rule: HaarRule, values: np.ndarray) -> complex:
     return _weighted_fsum(values, rule.weights)
 
 
+class ProductSum:
+    """The averaging contraction of ``integrate_product`` summed over node
+    chunks: ``add(nodes, X, Y)`` adds the sum over the rule nodes ``nodes``
+    (a slice) of w_n X_n^* Y_n for the chunks X (c, k, a) and Y (c, k, b)
+    of two stacks at those nodes, and ``total()`` returns the sum.
+
+    Each chunk runs over sub-chunks of ``linalg.NODE_CHUNK`` nodes, one
+    GEMM per sub-chunk against the weighted conjugate of that sub-chunk of
+    X, built in place, so its temporaries are sub-chunk-sized.  The first
+    product is the accumulator and later ones add theirs in node order, so
+    a pass whose chunks start at multiples of ``NODE_CHUNK`` adds the same
+    GEMMs in the same order as one ``add`` of the whole stack.  The weights
+    are positive, so a non-finite entry in either stack, like an
+    overflowing sum, leaves the total non-finite, and that is refused.
+    """
+
+    def __init__(self, rule: HaarRule):
+        self.weights = rule.weights
+        self.sum = None
+
+    def add(self, nodes: slice, X: np.ndarray, Y: np.ndarray) -> None:
+        weights = self.weights[nodes]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i in range(0, len(weights), linalg.NODE_CHUNK):
+                sub = slice(i, i + linalg.NODE_CHUNK)
+                t = np.conjugate(X[sub], dtype=complex)
+                t *= weights[sub, None, None]
+                part = t.reshape(-1, X.shape[2]).T @ Y[sub].reshape(-1, Y.shape[2])
+                if self.sum is None:
+                    self.sum = part
+                else:
+                    self.sum += part
+
+    def total(self) -> np.ndarray:
+        if not np.isfinite(self.sum).all():
+            raise EvaluationFailureError("the averaged integrand has a non-finite entry")
+        return self.sum
+
+
 def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The averaging contraction, sum over nodes of w_n X_n^* Y_n, for node
     stacks X of shape (n, k, a) and Y of shape (n, k, b); returns (a, b).
 
-    Every averaged matrix is one call: with k = 1 the averaged outer product
-    of the flattened node matrices (the averaging map, the matrix-element
-    integrals, the block-character inner products), with k > 1 a
-    contraction over the middle index too (the averaged Gram rho* rho).  It
-    runs over chunks of ``linalg.NODE_CHUNK`` nodes, one GEMM per chunk
-    against the weighted conjugate of that chunk of X, built in place, so
-    its temporaries are chunk-sized and it holds no copy of either stack.
-    The first chunk's product is the accumulator, so a rule of one chunk
-    is one GEMM and later chunks add theirs in the fixed node order.  The
-    weights are positive, so a non-finite entry in either stack, like an
-    overflowing sum, leaves the result non-finite, and that is refused.
+    Every averaged matrix is this contraction: with k = 1 the averaged
+    outer product of the flattened node matrices (the averaging map, the
+    matrix-element integrals, the block-character inner products), with
+    k > 1 a contraction over the middle index too (the averaged Gram
+    rho* rho).  It is one ``ProductSum`` over the whole stack, so a pass
+    that sums the same stack chunk by chunk gets the same bytes.
     """
     X, Y = np.asarray(X), np.asarray(Y)
     n = rule.node_count
     if X.ndim != 3 or Y.ndim != 3 or X.shape[:2] != Y.shape[:2] or X.shape[0] != n:
         raise ShapeMismatchError(
             f"expected ({n}, k, a) and ({n}, k, b) node stacks, got shapes {X.shape} and {Y.shape}")
-    out = None
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(0, n, linalg.NODE_CHUNK):
-            nodes = slice(i, i + linalg.NODE_CHUNK)
-            t = np.conjugate(X[nodes], dtype=complex)
-            t *= rule.weights[nodes, None, None]
-            part = t.reshape(-1, X.shape[2]).T @ Y[nodes].reshape(-1, Y.shape[2])
-            if out is None:
-                out = part
-            else:
-                out += part
-    if not np.isfinite(out).all():
-        raise EvaluationFailureError("the averaged integrand has a non-finite entry")
-    return out
+    total = ProductSum(rule)
+    total.add(slice(None), X, Y)
+    return total.total()
 
 
 def integrate_stacked(rule: HaarRule, stacked: np.ndarray) -> np.ndarray:

@@ -1,17 +1,18 @@
 """Dense complex matrix kernel used by every other module.
 
 The input contract of every matrix (``as_matrix``), the node-chunked
-products and audits over node stacks (``sandwich``, ``max_abs_over_nodes``)
-and the two factorizations with a contract of their own, wrapped around
-numpy's LAPACK bindings: ``cholesky_hermitian`` and ``invert``.  Every
-other eigen- or singular-value step calls ``np.linalg`` directly.  Every
-tolerance is a module constant: ``KERNEL_TOL`` bounds pure floating-point
-defects (inversion residuals, the singularity threshold) and
-``STRUCTURAL_TOL`` bounds defects that signal a wrong *input* (hermiticity,
-definiteness, bracket closure).  Values are plain ``numpy.ndarray``s and are
-never mutated once returned, except a node stack: a step writes over it
-(``sandwich`` with ``out``) exactly when the array is writeable, and a
-user-defined body's stack is a read-only view (``representations._node_stack``).
+products and audits over stacks of node matrices (``sandwich``,
+``max_abs_over_nodes``) and the two factorizations with a contract of
+their own, wrapped around numpy's LAPACK bindings: ``cholesky_hermitian``
+and ``invert``.  Every other eigen- or singular-value step calls
+``np.linalg`` directly.  Every tolerance is a module constant:
+``KERNEL_TOL`` bounds pure floating-point defects (inversion residuals, the
+singularity threshold) and ``STRUCTURAL_TOL`` bounds defects that signal a
+wrong *input* (hermiticity, definiteness, bracket closure).  Values are
+plain ``numpy.ndarray``s and are never mutated once returned.  The stacks
+the kernels see are the evaluation chunks of a pass
+(``representations.node_chunks``): a pass writes each chunk into the one
+buffer it owns, and ``sandwich`` with ``out`` writes a chunk over itself.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .errors import (
 
 KERNEL_TOL = 1e-12
 STRUCTURAL_TOL = 1e-10
-# node chunk of every per-node loop: ``sandwich``, ``max_abs_over_nodes``,
-# the averaging contraction and the spin evaluation; it sets the size of
-# every temporary a call holds next to its one node stack
+# node sub-chunk of every per-node kernel: ``sandwich``,
+# ``max_abs_over_nodes`` and the averaging contraction; it sets the size of
+# every temporary a call holds next to its evaluation chunk
+# (``representations.EVAL_CHUNK``, a multiple of it)
 NODE_CHUNK = 256
 
 
@@ -57,12 +59,12 @@ def max_abs(m) -> float:
 def sandwich(A, stack, B, out=None) -> np.ndarray:
     """A M_n B for every matrix M_n of a stack (n, r, s).
 
-    Both products run per chunk of ``NODE_CHUNK`` nodes: the right one as
-    a reshaped GEMM, the left one as a broadcast product, so every
-    temporary is chunk-sized.  The result goes to ``out`` when given,
-    which may be ``stack`` itself when A and B are square: each chunk is
-    read before it is written, so a caller that owns its stack gets the
-    sandwich in place and holds one stack, not two.
+    Both products run per sub-chunk of ``NODE_CHUNK`` nodes: the right
+    one as a reshaped GEMM, the left one as a broadcast product, so every
+    temporary is sub-chunk-sized.  The result goes to ``out`` when given,
+    which may be ``stack`` itself when A and B are square: each sub-chunk
+    is read before it is written, so a pass sandwiches its evaluation
+    chunk in place, in the one buffer it holds.
     """
     n, r, s = stack.shape
     if out is None:

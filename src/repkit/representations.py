@@ -10,7 +10,17 @@ the basis change P and the columns of P^-1 that each block keeps.
 
 Every body supports vectorized evaluation over a whole array of group
 elements (``evaluate_batch``), which is what keeps quadrature-heavy
-operations fast.
+operations fast.  A library body also writes its matrices into an array it
+is given (``out``): a direct sum fills its diagonal blocks in place, and a
+conjugation sandwiches its inner body's matrices in place when the two
+degrees agree.  ``node_chunks`` evaluates a representation over a Haar
+rule in chunks of ``EVAL_CHUNK`` nodes into one buffer it reuses, so the
+averaging calls of ``unitarization`` and ``schur`` read their input in
+passes and never hold its (N, r, r) node stack; only what a user-defined
+body returns is copied into that buffer.  A pass in a call's own basis,
+B rho B^-1, sandwiches each chunk once more in place; B is not composed
+with a conjugated body's own matrix, so a library representation and a
+user-defined body that returns the same matrices give the same bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +41,11 @@ from .errors import (
 from .groups import HaarRule, enumerate_or_sample
 
 MAX_TWO_J = 12
+# nodes per evaluation chunk of a pass (``node_chunks``) and of the spin
+# body: its buffer and power tables are chunk-sized.  A multiple of
+# ``linalg.NODE_CHUNK``, so every kernel's sub-chunks start at the same
+# nodes as over a whole stack and add the same GEMMs in the same order
+EVAL_CHUNK = 4 * linalg.NODE_CHUNK
 
 
 class Representation:
@@ -46,6 +61,15 @@ class Representation:
     def evaluate_batch(self, nodes) -> np.ndarray:
         raise NotImplementedError
 
+    def _evaluate_into(self, nodes, out: np.ndarray) -> np.ndarray:
+        """The matrices at ``nodes`` written into ``out``: a body that only
+        defines ``evaluate_batch`` has its result checked and copied in."""
+        stack = np.asarray(self.evaluate_batch(nodes))
+        if stack.shape != out.shape:
+            raise ShapeMismatchError(f"evaluate_batch returned shape {stack.shape}, expected {out.shape}")
+        out[...] = stack
+        return out
+
     def _pack_one(self, g):
         kind = self.group.kind
         if kind == "finite":
@@ -55,7 +79,19 @@ class Representation:
         return np.asarray(self.group._element(g))[None, :, :]
 
 
-class FiniteTableRepresentation(Representation):
+class _LibraryBody(Representation):
+    """A body whose ``evaluate_batch`` takes ``out``: it writes its
+    matrices there, with no copy."""
+
+    def _evaluate_into(self, nodes, out: np.ndarray) -> np.ndarray:
+        return self.evaluate_batch(nodes, out=out)
+
+
+def _empty(nodes, degree: int) -> np.ndarray:
+    return np.empty((len(nodes), degree, degree), dtype=complex)
+
+
+class FiniteTableRepresentation(_LibraryBody):
     """One matrix per element of a finite group, indexed like the group."""
 
     def __init__(self, group, matrices):
@@ -74,11 +110,15 @@ class FiniteTableRepresentation(Representation):
         self.degree = r
         self.table = table
 
-    def evaluate_batch(self, nodes):
-        return self.table[np.asarray(nodes, dtype=int)]
+    def evaluate_batch(self, nodes, out=None):
+        index = np.asarray(nodes, dtype=int)
+        if out is None:
+            return self.table[index]
+        out[...] = self.table[index]
+        return out
 
 
-class CircleWeightRepresentation(Representation):
+class CircleWeightRepresentation(_LibraryBody):
     """diag(exp(i n_1 t), ..., exp(i n_r t)) for integer weights n_k."""
 
     def __init__(self, group, weights):
@@ -91,10 +131,11 @@ class CircleWeightRepresentation(Representation):
         self.weights = np.array([int(w) for w in ws])
         self.degree = len(ws)
 
-    def evaluate_batch(self, nodes):
+    def evaluate_batch(self, nodes, out=None):
         angles = np.asarray(nodes, dtype=float)
         phases = np.exp(1j * np.outer(angles, self.weights))
-        out = np.zeros((len(angles), self.degree, self.degree), dtype=complex)
+        out = _empty(angles, self.degree) if out is None else out
+        out[...] = 0
         idx = np.arange(self.degree)
         out[:, idx, idx] = phases
         return out
@@ -124,16 +165,9 @@ def _spin_terms(two_j: int):
 
 
 _SPIN_TERM_CACHE: dict[int, list] = {}
-# nodes per chunk of the spin evaluation: its power tables and products are
-# chunk-sized, and each term's update stays in cache.  On haar_rule(su2, 24)
-# on a 2-vCPU x86_64 host, 2048-node chunks took 0.008 s for spin 3 against
-# 0.009 s for the whole stack at once and 0.0007 s against 0.0023 s for
-# spin 1/2, with the same bytes; 256-node chunks were slower than the whole
-# stack from spin 9/2 up, since each chunk repeats the per-term Python loop
-SPIN_CHUNK = 8 * linalg.NODE_CHUNK
 
 
-class SpinRepresentation(Representation):
+class SpinRepresentation(_LibraryBody):
     """Irreducible su2 representation of spin j = two_j / 2, realized as the
     two_j-th symmetric power of the defining action on an orthonormalized
     monomial basis (exactly unitary up to roundoff)."""
@@ -149,31 +183,38 @@ class SpinRepresentation(Representation):
         if self.two_j not in _SPIN_TERM_CACHE:
             _SPIN_TERM_CACHE[self.two_j] = _spin_terms(self.two_j)
 
-    def evaluate_batch(self, nodes):
+    def evaluate_batch(self, nodes, out=None):
+        """The matrices at ``nodes``, in chunks of ``EVAL_CHUNK`` nodes: the
+        power tables and products are chunk-sized, and each term's update
+        stays in cache."""
         U = np.asarray(nodes, dtype=complex)
-        out = np.zeros((U.shape[0], self.degree, self.degree), dtype=complex)
-        for i in range(0, len(U), SPIN_CHUNK):
-            self._fill(U[i:i + SPIN_CHUNK], out[i:i + SPIN_CHUNK])
+        out = _empty(U, self.degree) if out is None else out
+        out[...] = 0
+        for i in range(0, len(U), EVAL_CHUNK):
+            self._fill(U[i:i + EVAL_CHUNK], out[i:i + EVAL_CHUNK])
         return out
 
     def _fill(self, U, out):
-        """Add every monomial term of the matrices at the nodes U into
-        ``out``, a zeroed chunk of the output stack."""
-        a, b = U[:, 0, 0], U[:, 0, 1]
-        c, d = U[:, 1, 0], U[:, 1, 1]
+        """Add every monomial term ((coeff a^k_a) b^k_b) c^k_c d^k_d of the
+        matrices at the nodes U into ``out``, a zeroed chunk of the output
+        stack.  A zeroth power is 1, and skipping it changes no value."""
         n = self.two_j
-        pows = {
-            "a": [np.ones_like(a)], "b": [np.ones_like(a)],
-            "c": [np.ones_like(a)], "d": [np.ones_like(a)],
-        }
-        for base, key in ((a, "a"), (b, "b"), (c, "c"), (d, "d")):
-            for _ in range(n):
-                pows[key].append(pows[key][-1] * base)
-        for row, col, coeff, ka, kb, kc, kd in _SPIN_TERM_CACHE[n]:
-            out[:, row, col] += coeff * pows["a"][ka] * pows["b"][kb] * pows["c"][kc] * pows["d"][kd]
+        # powers[x][k] = x^k at each node for x = a, b, c, d (k >= 1)
+        powers = []
+        for base in (U[:, 0, 0], U[:, 0, 1], U[:, 1, 0], U[:, 1, 1]):
+            table = [None, base]
+            for _ in range(n - 1):
+                table.append(table[-1] * base)
+            powers.append(table)
+        for row, col, coeff, *exponents in _SPIN_TERM_CACHE[n]:
+            term = coeff
+            for table, k in zip(powers, exponents):
+                if k:
+                    term = term * table[k]
+            out[:, row, col] += term
 
 
-class DirectSumRepresentation(Representation):
+class DirectSumRepresentation(_LibraryBody):
     """Block-diagonal sum of representations of the same group."""
 
     def __init__(self, parts):
@@ -187,16 +228,18 @@ class DirectSumRepresentation(Representation):
         self.parts = parts
         self.degree = sum(p.degree for p in parts)
 
-    def evaluate_batch(self, nodes):
-        out = np.zeros((len(nodes), self.degree, self.degree), dtype=complex)
+    def evaluate_batch(self, nodes, out=None):
+        """Each part's matrices written into its diagonal block of ``out``."""
+        out = _empty(nodes, self.degree) if out is None else out
+        out[...] = 0
         offset = 0
         for p in self.parts:
-            out[:, offset:offset + p.degree, offset:offset + p.degree] = p.evaluate_batch(nodes)
+            p._evaluate_into(nodes, out[:, offset:offset + p.degree, offset:offset + p.degree])
             offset += p.degree
         return out
 
 
-class ConjugatedRepresentation(Representation):
+class ConjugatedRepresentation(_LibraryBody):
     """x -> A rho(x) A^{-1} for a fixed invertible A (an equivalent
     representation with the same character); A^{-1} may be given."""
 
@@ -211,10 +254,12 @@ class ConjugatedRepresentation(Representation):
         self.matrix_inv = linalg.invert(A) if matrix_inv is None else linalg.as_matrix(matrix_inv)
         self.degree = inner.degree
 
-    def evaluate_batch(self, nodes):
-        inner = _node_stack(self.inner, nodes)
-        in_place = self.degree == self.inner.degree and inner.flags.writeable
-        return linalg.sandwich(self.matrix, inner, self.matrix_inv, out=inner if in_place else None)
+    def evaluate_batch(self, nodes, out=None):
+        """A rho A^-1 at ``nodes``: the inner body's matrices sandwiched in
+        place in ``out`` when the degrees agree (a block keeps fewer rows)."""
+        out = _empty(nodes, self.degree) if out is None else out
+        inner = out if self.degree == self.inner.degree else _empty(nodes, self.inner.degree)
+        return linalg.sandwich(self.matrix, self.inner._evaluate_into(nodes, inner), self.matrix_inv, out=out)
 
 
 class BlockRepresentation(ConjugatedRepresentation):
@@ -235,26 +280,6 @@ class BlockRepresentation(ConjugatedRepresentation):
         self.matrix, self.matrix_inv = P[sl], linalg.as_matrix(P_inv)[:, sl]
         self.offset = offset
         self.degree = size
-
-
-# the library bodies whose ``evaluate_batch`` returns a new complex stack on
-# every call, which no one else holds
-_FRESH_BODIES = frozenset(body.evaluate_batch for body in (
-    FiniteTableRepresentation, CircleWeightRepresentation, SpinRepresentation,
-    DirectSumRepresentation, ConjugatedRepresentation))
-
-
-def _node_stack(rep: Representation, nodes) -> np.ndarray:
-    """The stack of ``rep`` at ``nodes``, writeable exactly when the caller
-    may write over it.  A library body's stack is new and held by no one
-    else, so it comes back as it is; a user-defined body may return an
-    array it still holds, so that comes back as a read-only view, with no
-    copy, and a write into it raises."""
-    stack = rep.evaluate_batch(nodes)
-    if type(rep).evaluate_batch not in _FRESH_BODIES:
-        stack = np.asarray(stack).view()
-        stack.flags.writeable = False
-    return stack
 
 
 def evaluate(rep: Representation, g) -> np.ndarray:
@@ -305,14 +330,14 @@ def homomorphism_audit(rep: Representation, pair_count: int = 200, seed: int = 0
 
 
 def unitarity_defect(mats: np.ndarray) -> float:
-    """Max over a node stack (n, r, r) of |M* M - I|."""
+    """Max over a node stack or chunk (n, r, r) of |M* M - I|."""
     eye = np.eye(mats.shape[-1])
     return linalg.max_abs_over_nodes(lambda m: m.conj().transpose(0, 2, 1) @ m - eye, mats)
 
 
 def unitarity_audit(rep: Representation, rule: HaarRule) -> float:
-    """Max over rule nodes of |rho(x)* rho(x) - I|."""
-    return unitarity_defect(tabulate(rep, rule))
+    """Max over rule nodes of |rho(x)* rho(x) - I|, one pass."""
+    return max(unitarity_defect(chunk) for _, chunk in node_chunks(rep, rule))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,39 +357,66 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
             raise GroupMismatchError("representation and rule are defined over different groups")
 
 
-def tabulate(rep: Representation, rule: HaarRule) -> np.ndarray:
-    """The stack (n, r, r) of ``rep`` at the rule nodes.  A call evaluates
-    its input once with it and hands the stack to each of its steps; a step
-    writes over it exactly when it is writeable (``_node_stack``)."""
+def _chunks(rep: Representation, nodes, basis=None):
+    """Yield (slice, chunk) over ``nodes`` in chunks of ``EVAL_CHUNK``:
+    chunk holds the matrices of ``rep`` at ``nodes[slice]``, B rho B^-1
+    when ``basis`` = (B, B^-1) is given (one more sandwich in place).
+    Every chunk is written into the same buffer, so a step reads a chunk
+    before it asks for the next one and keeps none of it."""
+    buffer = _empty(nodes[:EVAL_CHUNK], rep.degree)
+    for i in range(0, len(nodes), EVAL_CHUNK):
+        part = nodes[i:i + EVAL_CHUNK]
+        chunk = rep._evaluate_into(part, buffer[:len(part)])
+        if basis is not None:
+            linalg.sandwich(basis[0], chunk, basis[1], out=chunk)
+        yield slice(i, i + len(part)), chunk
+
+
+def node_chunks(rep: Representation, rule: HaarRule, basis=None):
+    """One pass over the rule: (nodes, chunk) for each chunk of
+    ``EVAL_CHUNK`` rule nodes, nodes the slice of the rule they are and
+    chunk the matrices of ``rep`` (or B rho B^-1, for ``basis`` = (B, B^-1))
+    at them, in one buffer the pass reuses (``_chunks``)."""
     check_rule_group(rule, rep)
-    return _node_stack(rep, rule.nodes)
+    return _chunks(rep, rule.nodes, basis)
 
 
 def character(rep: Representation, rule: HaarRule) -> Character:
-    return _character(rep, rule, tabulate(rep, rule))
+    """The character at the rule nodes, one pass."""
+    return _character(rep, rule, _traces(node_chunks(rep, rule), rule.node_count))
 
 
-def _character(rep: Representation, rule: HaarRule, mats: np.ndarray) -> Character:
-    """``character`` read off ``mats``, the stack of ``rep`` at the rule nodes."""
+def _traces(chunks, n: int) -> np.ndarray:
+    """The traces of the matrices of a pass of ``n`` nodes."""
+    values = np.empty(n, dtype=complex)
+    for nodes, chunk in chunks:
+        values[nodes] = np.einsum("nii->n", chunk)
+    return values
+
+
+def _character(rep: Representation, rule: HaarRule, values: np.ndarray) -> Character:
+    """``character`` from its ``values`` at the rule nodes, after the degree
+    check at the identity."""
     ident_trace = np.trace(rep.evaluate(rep.group.identity_element()))
     if abs(ident_trace - rep.degree) > linalg.KERNEL_TOL * (1 + rep.degree):
         raise ValueError(f"character at the identity is {ident_trace}, expected degree {rep.degree}")
-    return Character(rep=rep, rule=rule, values=np.einsum("nii->n", mats), degree=rep.degree)
+    return Character(rep=rep, rule=rule, values=values, degree=rep.degree)
 
 
 def class_invariance_audit(rep: Representation, rule: HaarRule, shifts) -> float:
-    """Max over nodes x and shifts a of |tr rho(a^-1 x a) - tr rho(x)|."""
+    """Max over nodes x and shifts a of |tr rho(a^-1 x a) - tr rho(x)|; one
+    pass over the rule and one over each shifted node set."""
     shifts = list(shifts)
     if not shifts:
         raise ValueError("at least one shift element is required")
     group = rep.group
-    base = np.einsum("nii->n", tabulate(rep, rule))
+    n = rule.node_count
+    base = _traces(node_chunks(rep, rule), n)
     worst = 0.0
     for a in shifts:
         moved = group.shift_nodes(group.inverse(a), rule.nodes, "left")
         moved = group.shift_nodes(a, moved, "right")
-        conj_tr = np.einsum("nii->n", rep.evaluate_batch(moved))
-        worst = max(worst, float(np.abs(conj_tr - base).max()))
+        worst = max(worst, float(np.abs(_traces(_chunks(rep, moved), n) - base).max()))
     return worst
 
 

@@ -9,8 +9,9 @@ when the input passes its unitarity audit): its fixed Hermitian
 matrices K span the commutant of W, read by a certified Rayleigh-Ritz
 step on the map's symmetric part (``unitarization.fixed_hermitian``), the
 commutant of the input is A^-1 K A, and its trace is the character norm
-integral of |chi|^2.  The contraction of the stack with itself,
-``integrate_product``, gives every matrix-element integral at once.
+integral of |chi|^2.  The averaged outer product of the flattened
+matrices the map is built from (``unitarization.MapSum``) gives every
+matrix-element integral at once.
 Scalar commutant (dimension one) is the irreducibility criterion;
 ``_irreducible`` reads only that dimension, with no commutation residual.
 
@@ -22,16 +23,20 @@ element, are the irreducible blocks.  Every block is a
 1, or whose isotypic multiplicities disagree with the character norm of the
 whole, are refused, so an under-resolved rule gives no wrong blocks.
 
-Each public call evaluates its input once at the rule nodes
-(``tabulate``) and hands that stack to its steps.  None evaluates at their
-inverses: rho(x^-1) = W(x)^* once the stack W is unitary, and
-``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
-stack W = B psi B^-1 of its second input.  Every call holds one stack per
-input and writes over a stack exactly when the array is writeable: W is
-written over the input's, characters are read off it first,
-``averaged_intertwiner`` applies its seed over the stack of its first
-input, and every other temporary is node-chunked.  ``commutant`` reads its
-residual on the input's stack, so it marks that stack read-only first.
+Every call reads its input in passes over the rule nodes
+(``representations.node_chunks``), chunks of ``EVAL_CHUNK`` nodes in one
+buffer each pass reuses, so no call holds an (N, r, r) node stack.  None
+evaluates at the inverse nodes: rho(x^-1) = W(x)^* once the stack W is
+unitary, and ``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off
+the unitary stack W = B psi B^-1 of its second input, with phi's chunks
+read in step.  On input that passes the unitarity audit, the first pass
+(``unitarization._unitary``) also sums the averaging map or the split seed
+and reads the character; other input takes a second pass in the unitary
+basis.  A step that needs a whole average before it reads the nodes again
+takes one more pass: the commutation residual of ``commutant`` and
+``unitary_commutant``, the block characters and leakage of the split, and
+the input's own matrix-element Gram of ``matrix_element_audit`` on input
+that fails the audit.
 
 Each discrete answer is one threshold decision against one module constant:
 ``unitarization.RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for
@@ -54,17 +59,18 @@ from .errors import (
     RuleMismatchError,
     ShapeMismatchError,
 )
-from .groups import HaarRule, _weighted_fsum_rows, integrate_product, integrate_values
+from .groups import HaarRule, ProductSum, _weighted_fsum_rows, integrate_product, integrate_values
 from .representations import (
     BlockRepresentation,
     Character,
+    ConjugatedRepresentation,
     Representation,
     _character,
     character,
     check_rule_group,
-    tabulate,
+    node_chunks,
 )
-from .unitarization import _unitary, fixed_hermitian
+from .unitarization import MapSum, _identity_or, _unitary, fixed_hermitian
 
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
@@ -78,9 +84,8 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     for phi = psi irreducible it is tr(A)/degree times the identity.  On the
     unitary stack W = B psi B^-1 (``_unitary``), psi(x^-1) = B^-1 W(x)^* B,
     so T = [sum of w_n phi_n C W_n^*] B with C = A B^-1, one averaging
-    contraction of the two stacks at the rule nodes.  C is applied node
-    chunk by node chunk, over phi's stack when it is writeable and C is
-    square.
+    contraction of the two inputs' chunks at the same rule nodes: one pass
+    over each when psi passes the unitarity audit, two otherwise.
     """
     if phi.group != psi.group:
         raise GroupMismatchError("the two representations live over different groups")
@@ -88,15 +93,29 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     A = linalg.as_matrix(A)
     if A.shape != (phi.degree, psi.degree):
         raise ShapeMismatchError(f"seed matrix must be {phi.degree}x{psi.degree}, got {A.shape}")
-    W, B, B_inv = _unitary(rule, tabulate(psi, rule))
-    C = A @ B_inv
-    phis = tabulate(phi, rule)
-    in_place = phis.flags.writeable and phi.degree == psi.degree
-    M = phis if in_place else np.empty((len(phis), *A.shape), dtype=complex)
-    for i in range(0, len(phis), linalg.NODE_CHUNK):
-        M[i:i + linalg.NODE_CHUNK] = phis[i:i + linalg.NODE_CHUNK] @ C
-    # sum of w_n M_n W_n^* is the transpose of sum of w_n conj(W_n) M_n^T
-    return integrate_product(rule, W.transpose(0, 2, 1), M.transpose(0, 2, 1)).T @ B
+    total, basis = _unitary(psi, rule, lambda basis: _Intertwiner(phi, rule, A, basis))
+    return total.sum.total().T @ _identity_or(basis, psi.degree)[0]
+
+
+class _Intertwiner:
+    """sum of w_n phi_n C W_n^* over the chunks of the unitary stack
+    W = B psi B^-1, C = A B^-1, with phi's chunk at the same nodes read in
+    step; C is applied a sub-chunk at a time, over phi's chunk when C is
+    square."""
+
+    def __init__(self, phi: Representation, rule: HaarRule, A: np.ndarray, basis):
+        self.phis = node_chunks(phi, rule)
+        self.C = A if basis is None else A @ basis[1]
+        self.sum = ProductSum(rule)
+
+    def add(self, nodes: slice, W: np.ndarray) -> None:
+        _, phis = next(self.phis)
+        square = self.C.shape[0] == self.C.shape[1]
+        M = phis if square else np.empty((len(phis), *self.C.shape), dtype=complex)
+        for i in range(0, len(phis), linalg.NODE_CHUNK):
+            M[i:i + linalg.NODE_CHUNK] = phis[i:i + linalg.NODE_CHUNK] @ self.C
+        # sum of w_n M_n W_n^* is the transpose of sum of w_n conj(W_n) M_n^T
+        self.sum.add(nodes, W.transpose(0, 2, 1), M.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +144,14 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     """Orthonormal basis of the commutant: A^-1 K A, orthonormalized, over
     the fixed Hermitian matrices K of the averaging map of the unitary stack
     W = A rho A^-1, read by a certified Rayleigh-Ritz step (``fixed_hermitian``),
-    with its residual on the input's own stack and the trace of the map as
-    the character norm."""
-    mats = tabulate(rep, rule)
-    # the residual reads the input's own stack, so W may not overwrite it
-    mats.flags.writeable = False
-    W, A, A_inv = _unitary(rule, mats)
-    K, norm = fixed_hermitian(rule, W)
-    del W
+    with the trace of the map as the character norm and the residual read
+    on the input's own matrices in one more pass."""
+    maps, change = _unitary(rep, rule, lambda _: MapSum(rule))
+    K, norm = fixed_hermitian(maps)
+    A, A_inv = _identity_or(change, rep.degree)
     basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
-    return CommutantReport(dimension=len(K), basis=list(basis),
-                           max_residual=_commutation_residual(mats, basis), character_norm=norm)
+    residual = max(_commutation_residual(chunk, basis) for _, chunk in node_chunks(rep, rule))
+    return CommutantReport(dimension=len(K), basis=list(basis), max_residual=residual, character_norm=norm)
 
 
 def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
@@ -166,33 +182,36 @@ def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
 def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     """The commutant in the unitary basis W = A rho A^-1 of ``commutant``:
     the fixed Hermitian matrices K of the Rayleigh-Ritz reading
-    (``fixed_hermitian``) themselves, with their residual on W; its
-    dimension is the input's commutant dimension."""
-    W = _unitary(rule, tabulate(rep, rule))[0]
-    K, norm = fixed_hermitian(rule, W)
-    return CommutantReport(dimension=len(K), basis=list(K), max_residual=_commutation_residual(W, K),
-                           character_norm=norm)
+    (``fixed_hermitian``) themselves, with their residual on W read in one
+    more pass; its dimension is the input's commutant dimension."""
+    maps, basis = _unitary(rep, rule, lambda _: MapSum(rule))
+    K, norm = fixed_hermitian(maps)
+    residual = max(_commutation_residual(chunk, K) for _, chunk in node_chunks(rep, rule, basis))
+    return CommutantReport(dimension=len(K), basis=list(K), max_residual=residual, character_norm=norm)
 
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
     """Scalar-commutant criterion; non-unitary input is unitarized first."""
-    return _irreducible(rule, tabulate(rep, rule))
+    return _irreducible(rep, rule)
 
 
-def _irreducible(rule: HaarRule, mats: np.ndarray) -> bool:
-    """``irreducibility_test`` read off ``mats``, the stack of rho at the rule
-    nodes: the dimension of the fixed space of its unitary stack (written
-    over ``mats`` when that is writeable), and nothing else."""
-    return len(fixed_hermitian(rule, _unitary(rule, mats)[0])[0]) == 1
+def _irreducible(rep: Representation, rule: HaarRule, raw=None) -> bool:
+    """``irreducibility_test``: the dimension of the fixed space of the
+    unitary stack of ``rep``, and nothing else; ``raw`` reads the input's
+    own chunks on the first pass (``_unitary``)."""
+    return len(fixed_hermitian(_unitary(rep, rule, lambda _: MapSum(rule), raw)[0])[0]) == 1
 
 
 def _irreducible_character(rep: Representation, rule: HaarRule, refusal: str) -> Character:
-    """The character of ``rep``, read off its stack before the
-    irreducibility test, which may overwrite it; raises
+    """The character of ``rep``, its degree checked first and its values
+    read on the first pass of the irreducibility test; raises
     NotIrreducibleError(``refusal``) when the test fails."""
-    mats = tabulate(rep, rule)
-    char = _character(rep, rule, mats)
-    if not _irreducible(rule, mats):
+    char = _character(rep, rule, np.empty(rule.node_count, dtype=complex))
+
+    def traces(nodes, chunk):
+        char.values[nodes] = np.einsum("nii->n", chunk)
+
+    if not _irreducible(rep, rule, traces):
         raise NotIrreducibleError(refusal)
     return char
 
@@ -208,21 +227,27 @@ def _split(rep: Representation, rule: HaarRule):
     """The route ``split_once`` and ``decompose`` share: (report, P^-1),
     with P = Q A for the unitarization A and the split Q of W = A rho A^-1.
 
-    The block characters and the off-block leakage are read off Q W Q^* in
-    node chunks.  Every block's character norm must be 1, and the squared
+    The averaged seed is read on the passes of ``_unitary``; the block
+    characters and the off-block leakage are read off P rho P^-1 = Q W Q^*
+    in one more pass.  Every block's character norm must be 1, and the squared
     multiplicities of the isotypic classes (blocks grouped by character
     inner product) must sum to the input's character norm.
     """
-    W, A, A_inv = _unitary(rule, tabulate(rep, rule))
-    Q, sizes = _split_unitary_fully(W, rule)
+    seed, basis = _unitary(rep, rule, lambda _: _Seed(rule, rep.degree))
+    Q, sizes = _split_unitary_fully(seed)
+    A, A_inv = _identity_or(basis, rep.degree)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     starts = np.cumsum([0, *sizes[:-1]])
     label = np.repeat(np.arange(len(sizes)), sizes)
-    values = np.empty((len(sizes), len(W)), dtype=complex)
+    values = np.empty((len(sizes), rule.node_count), dtype=complex)
     leakage = 0.0
-    for i in range(0, len(W), linalg.NODE_CHUNK):
-        chunk = linalg.sandwich(Q, W[i:i + linalg.NODE_CHUNK], Q.conj().T)
-        values[:, i:i + len(chunk)] = np.add.reduceat(np.einsum("nii->ni", chunk), starts, axis=1).T
+    # one sandwich per chunk: P = Q A, with a conjugated input's own change
+    # of basis composed into it
+    body, left, right = rep, P, P_inv
+    if isinstance(rep, ConjugatedRepresentation) and rep.inner.degree == rep.degree:
+        body, left, right = rep.inner, P @ rep.matrix, rep.matrix_inv @ P_inv
+    for nodes, chunk in node_chunks(body, rule, (left, right)):
+        values[:, nodes] = np.add.reduceat(np.einsum("nii->ni", chunk), starts, axis=1).T
         leakage = max(leakage, linalg.max_abs(chunk[:, label[:, None] != label[None, :]]))
     # inner[a, b] = integral of conj(chi_a) chi_b: 1 inside an isotypic class
     # and 0 across, so classes are cut at 1/2; its real sum is the input's norm
@@ -268,33 +293,45 @@ def split_once(rep: Representation, rule: HaarRule):
                       BlockRepresentation(rep, report.P, first, rep.degree - first, P_inv=P_inv))
 
 
-def _split_unitary_fully(W: np.ndarray, rule: HaarRule):
-    """One averaged seed splitting the unitary stack W (n, r, r) of a
-    representation at the rule nodes into irreducibles.
+class _Seed:
+    """T(X) = sum of w_n W_n X W_n^* over the unitary stack W (n, r, r) of a
+    representation, summed chunk by chunk, for a Hermitian X drawn from
+    ``SPLIT_SEED``: a sub-chunk of ``linalg.NODE_CHUNK`` nodes at a time,
+    two GEMMs each, O(N r^3) work."""
 
-    T(X) = sum of w_n W_n X W_n^* projects X onto the commutant, a direct
-    sum of full matrix algebras M_{m_i}.  For a generic Hermitian X,
-    drawn from ``SPLIT_SEED``, it has m_i distinct eigenvalues on the
-    isotypic component of multiplicity m_i, each eigenspace one copy.  It
-    is summed in chunks of ``linalg.NODE_CHUNK`` nodes, O(N r^3) work.  Its
-    ascending eigenvalues are cut where neighbours differ by more than
-    ``CLUSTER_GAP`` times the larger of their spread and |X|_2: on an
-    irreducible input T(X) = tr(X)/r I, and the spread is roundoff.
-    Returns (Q, sizes), Q unitary, blocks in ascending eigenvalue order.
+    def __init__(self, rule: HaarRule, r: int):
+        g = np.random.default_rng(SPLIT_SEED).standard_normal((2, r, r))
+        self.X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
+        self.T = np.zeros((r, r), dtype=complex)
+        self.weights = rule.weights
+
+    def add(self, nodes: slice, W: np.ndarray) -> None:
+        r = len(self.T)
+        weights = self.weights[nodes]
+        for i in range(0, len(W), linalg.NODE_CHUNK):
+            sub = slice(i, i + linalg.NODE_CHUNK)
+            # T_ij += sum over (node n, column l) of (W_n X)_il w_n conj(W_n)_jl
+            left = (W[sub].reshape(-1, r) @ self.X).reshape(-1, r, r).transpose(1, 0, 2).reshape(r, -1)
+            right = (W[sub].conj() * weights[sub, None, None]).transpose(1, 0, 2).reshape(r, -1)
+            self.T += left @ right.T
+
+
+def _split_unitary_fully(seed: _Seed):
+    """The split into irreducibles by one averaged seed T(X) (``_Seed``).
+
+    T(X) projects X onto the commutant, a direct sum of full matrix
+    algebras M_{m_i}.  For a generic Hermitian X it has m_i distinct
+    eigenvalues on the isotypic component of multiplicity m_i, each
+    eigenspace one copy.  Its ascending eigenvalues are cut where
+    neighbours differ by more than ``CLUSTER_GAP`` times the larger of
+    their spread and |X|_2: on an irreducible input T(X) = tr(X)/r I, and
+    the spread is roundoff.  Returns (Q, sizes), Q unitary, blocks in
+    ascending eigenvalue order.
     """
-    r = W.shape[-1]
-    g = np.random.default_rng(SPLIT_SEED).standard_normal((2, r, r))
-    X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
-    T = np.zeros((r, r), dtype=complex)
-    for i in range(0, len(W), linalg.NODE_CHUNK):
-        nodes = slice(i, i + linalg.NODE_CHUNK)
-        # T_ij += sum over (node n, column l) of (W_n X)_il w_n conj(W_n)_jl
-        left = (W[nodes].reshape(-1, r) @ X).reshape(-1, r, r).transpose(1, 0, 2).reshape(r, -1)
-        right = (W[nodes].conj() * rule.weights[nodes, None, None]).transpose(1, 0, 2).reshape(r, -1)
-        T += left @ right.T
+    T = seed.T
     w, V = np.linalg.eigh((T + T.conj().T) / 2.0)
     # cluster boundaries: both ends and every gap wider than the cut-off
-    cut = CLUSTER_GAP * max(w[-1] - w[0], np.linalg.norm(X, 2))
+    cut = CLUSTER_GAP * max(w[-1] - w[0], np.linalg.norm(seed.X, 2))
     bounds = np.flatnonzero(np.r_[True, np.diff(w) > cut, True])
     return V.conj().T, np.diff(bounds).tolist()
 
@@ -322,7 +359,8 @@ class DecompositionReport:
 
 def decompose(rep: Representation, rule: HaarRule) -> DecompositionReport:
     """Split into irreducible blocks with one averaged seed, on the route of
-    ``split_once``, evaluating the input once at the rule nodes.
+    ``split_once``: two passes over the rule on input that passes the
+    unitarity audit, three otherwise.
 
     P is the splitting change times the unitarization change A (the
     identity when the input passes the unitarity audit); the blocks are
@@ -360,14 +398,20 @@ def orthogonality_audit(reps, rule: HaarRule) -> np.ndarray:
 def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     """Largest deviation of integral of rho_ij conj(rho_kl) from the scalar
     orthogonality pattern delta_ik delta_jl / degree, over all index
-    quadruples of an irreducible unitary representation."""
-    mats = tabulate(rep, rule)
-    r = rep.degree
-    flat = mats.reshape(rule.node_count, 1, r * r)
-    # the Gram matrix first: the irreducibility test may overwrite the stack
-    gram = integrate_product(rule, flat, flat)
-    if not _irreducible(rule, mats):
+    quadruples of an irreducible unitary representation.  The integrals
+    are the averaged outer product of the input's flattened matrices, the
+    one the irreducibility test sums on input that passes the unitarity
+    audit; other input takes one more pass for it."""
+    maps, basis = _unitary(rep, rule, lambda _: MapSum(rule))
+    gram = maps.outer.total() if basis is None else None
+    if len(fixed_hermitian(maps)[0]) != 1:
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
+    if basis is not None:
+        maps = MapSum(rule)
+        for nodes, chunk in node_chunks(rep, rule):
+            maps.add(nodes, chunk)
+        gram = maps.take()
+    r = rep.degree
     return linalg.max_abs(gram - np.eye(r * r) / r)
 
 

@@ -23,41 +23,40 @@ splits the invariant line off, because a non-compact group admits no
 normalized invariant integral to average with.  That is why only the compact
 group kinds are supported here.
 
-``averaged_form``, ``invariant_form_space``, ``unitarize`` and
-``specialness_report`` each evaluate their input once at the rule nodes
-(``tabulate``) and hand that stack to their steps; ``unitarize`` reads its
-form and its unitarity audit off it, and ``specialness_report`` reads its
-invariant forms in the basis of that one unitarization, so it averages the
+Every call reads its input in passes over the rule (``node_chunks``):
+chunks of ``representations.EVAL_CHUNK`` nodes in one buffer each pass
+reuses, so no call holds the (N, r, r) node stack, and each average is
+summed chunk by chunk in the node order of one contraction over the whole
+stack (``groups.ProductSum``).  ``_unitary`` reads the unitary stack W in
+one pass on input that passes the unitarity audit: that pass audits the
+input and feeds the call's reader the input's own chunks.  On other input
+it sums the averaged Gram instead, and a second pass feeds a new reader
+the chunks of A rho A^-1.  A step that needs a whole average before it
+reads the nodes again takes one more pass: ``averaged_form`` and ``unitarize`` read the
+invariance defect rho* H rho - H of the averaged form H there, and
+``unitarize`` reads the unitarity defect of W off the same defect, as
+W* W - I = A^-* (rho* H rho - H) A^-1.  ``specialness_report`` reads its
+invariant forms in the basis of its one unitarization, so it averages the
 form once.  ``_unitary`` and ``unitarize`` read the definiteness and the
 conditioning of their factor off the one eigenvalue computation of the
-averaged form.  Both the averaged form (``invariant_gram``) and the
-averaging map (``_averaging_map``) are one call of the averaging
-contraction ``groups.integrate_product``, which holds the weights, the
-weighted temporary of each node chunk and the refusal of a non-finite
-average.
-
-Each call holds one node stack, its evaluation, and a step writes over a
-stack exactly when the array is writeable (``representations._node_stack``):
-the unitary stack W is written over the evaluation once no later step
-reads the input again, ``unitarize`` audits W one node chunk at a time and
-never holds it, and every other temporary is the size of a chunk of
-``linalg.NODE_CHUNK`` nodes.  A user-defined body's stack is a read-only
-view, so such input costs a second stack for W.
+averaged form (``invariant_gram``).  Every other temporary is the size of a
+sub-chunk of ``linalg.NODE_CHUNK`` nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import NotPositiveDefiniteError, SingularMatrixError
-from .groups import HaarRule, integrate_product
+from .groups import HaarRule, ProductSum
 from .representations import (
     ConjugatedRepresentation,
     Representation,
-    tabulate,
+    node_chunks,
     unitarity_defect,
 )
 
@@ -92,28 +91,38 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
 
     Raises NotPositiveDefiniteError if the average fails to be positive
     definite, which signals a broken input or an under-resolved rule rather
-    than a numerical accident.
+    than a numerical accident.  Two passes: the average, then its
+    invariance defect at the nodes.
     """
-    return _averaged_form(rule, tabulate(rep, rule))[0]
+    H, w = invariant_gram(_gram_sum(rep, rule))
+    residual = max(linalg.max_abs(_invariance_defects(chunk, H)) for _, chunk in node_chunks(rep, rule))
+    return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
 
 
-def _averaged_form(rule: HaarRule, mats: np.ndarray) -> tuple[HermitianForm, np.ndarray]:
-    """``averaged_form`` of the stack of rho at the rule nodes, and the
-    ascending eigenvalues of its Gram matrix (``invariant_gram``)."""
-    H, w = invariant_gram(rule, mats)
-    residual = linalg.max_abs_over_nodes(lambda m: m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None],
-                                         mats)
-    return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual), w
+def _gram_sum(rep: Representation, rule: HaarRule) -> np.ndarray:
+    """The averaged Gram sum of w_n rho_n* rho_n, one pass."""
+    gram = ProductSum(rule)
+    for nodes, chunk in node_chunks(rep, rule):
+        gram.add(nodes, chunk, chunk)
+    return gram.total()
 
 
-def invariant_gram(rule: HaarRule, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _invariance_defects(chunk: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """rho* H rho - H at every node of a chunk, a sub-chunk at a time into
+    one chunk-sized array."""
+    out = np.empty_like(chunk)
+    for i in range(0, len(chunk), linalg.NODE_CHUNK):
+        m = chunk[i:i + linalg.NODE_CHUNK]
+        out[i:i + linalg.NODE_CHUNK] = m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None]
+    return out
+
+
+def invariant_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix of ``averaged_form`` and its ascending eigenvalues,
-    from the stack of rho at the rule nodes, without the invariance
-    residual: the averaging contraction of the stack with itself over
-    (node, row) pairs, whose temporaries are the weighted conjugates of its
-    node chunks."""
-    H = integrate_product(rule, mats, mats)
-    H = (H + H.conj().T) / 2.0
+    from the averaged Gram sum of w_n rho_n* rho_n (``ProductSum`` of the
+    stack with itself over (node, row) pairs), without the invariance
+    residual: the sum made exactly Hermitian, refused unless definite."""
+    H = (gram + gram.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
     if w[0] <= linalg.STRUCTURAL_TOL:
         raise NotPositiveDefiniteError(
@@ -138,43 +147,81 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, A_inv
 
 
-def _unitary(rule: HaarRule, mats: np.ndarray):
-    """(W, A, A^-1): the unitary stack W = A rho A^-1 of ``mats``, the stack
-    of rho at the rule nodes.  A is the identity, and W is ``mats`` itself,
-    when the stack passes the unitarity audit; otherwise A is the Cholesky
-    factor of its averaged form, and W is written over ``mats`` if writeable."""
-    if unitarity_defect(mats) <= UNITARY_TOL:
-        eye = np.eye(mats.shape[-1], dtype=complex)
-        return mats, eye, eye
-    A, A_inv = _cholesky_pair(*invariant_gram(rule, mats))
-    return linalg.sandwich(A, mats, A_inv, out=mats if mats.flags.writeable else None), A, A_inv
+def _unitary(rep: Representation, rule: HaarRule, reader, raw=None):
+    """(read, basis): ``read = reader(basis)`` fed, chunk by chunk
+    (``read.add(nodes, chunk)``), the unitary stack W = A rho A^-1 of
+    ``rep`` at the rule nodes, and ``basis`` = (A, A^-1), or None when W is
+    the input's own stack.
+
+    The first pass hands each chunk of the input to ``raw(nodes, chunk)``
+    when given, and audits the input's unitarity chunk by chunk: while
+    every chunk so far passes, it feeds ``read``.  Input that passes the
+    audit is its own W, so that pass serves.  Otherwise A is the Cholesky
+    factor of the averaged form, and a second pass feeds a new reader the
+    chunks of W.  The first pass sums the averaged Gram from the first
+    chunk on when that chunk fails the audit; input that fails it only on
+    a later chunk takes one more pass for the Gram.
+    """
+    read, gram, unitary = reader(None), None, True
+    for nodes, chunk in node_chunks(rep, rule):
+        if raw is not None:
+            raw(nodes, chunk)
+        if unitary:
+            unitary = unitarity_defect(chunk) <= UNITARY_TOL
+            if unitary:
+                read.add(nodes, chunk)
+            elif nodes.start == 0:
+                gram = ProductSum(rule)
+        if gram is not None:
+            gram.add(nodes, chunk, chunk)
+    if unitary:
+        return read, None
+    basis = _cholesky_pair(*invariant_gram(_gram_sum(rep, rule) if gram is None else gram.total()))
+    read = reader(basis)
+    for nodes, chunk in node_chunks(rep, rule, basis):
+        read.add(nodes, chunk)
+    return read, basis
+
+
+def _identity_or(basis, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A^-1) of a ``_unitary`` basis, the identity for None."""
+    if basis is None:
+        eye = np.eye(r, dtype=complex)
+        return eye, eye
+    return basis
 
 
 def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     """Change basis by the Cholesky factor of the averaged form so the
-    representation becomes unitary; the character is untouched.  The input
-    is evaluated once: the averaged form and the unitarity audit of the new
-    basis both read that stack."""
-    return _unitarize(rep, rule, tabulate(rep, rule))
+    representation becomes unitary; the character is untouched.
+
+    Two passes: the averaged form, then its residuals (``_residuals``).
+    The averaged form is decomposed once: A and A^-1 come from the
+    eigenvalues ``invariant_gram`` computed, and the Gram matrix is exactly
+    Hermitian, so A is the factor ``linalg.cholesky_hermitian`` gives, to
+    the byte.  The unitary rep is built on ``rep``.
+    """
+    H, w = invariant_gram(_gram_sum(rep, rule))
+    A, A_inv = _cholesky_pair(H, w)
+    return _unitarization(rep, A, A_inv, [_residuals(chunk, H, A_inv) for _, chunk in node_chunks(rep, rule)])
 
 
-def _unitarize(rep: Representation, rule: HaarRule, mats: np.ndarray) -> UnitarizationResult:
-    """``unitarize`` read off ``mats``, the stack of ``rep`` at the rule
-    nodes, which it leaves as it is; the unitary rep is built on ``rep``
-    and does not hold the stack.  The unitary stack W = A rho A^-1 is
-    audited chunk by chunk and never held whole.  The averaged form is
-    decomposed once: A and A^-1 come from the eigenvalues
-    ``invariant_gram`` computed, and the Gram matrix is exactly Hermitian,
-    so A is the factor ``linalg.cholesky_hermitian`` gives, to the byte."""
-    form, w = _averaged_form(rule, mats)
-    A, A_inv = _cholesky_pair(form.gram, w)
-    audit = max(unitarity_defect(linalg.sandwich(A, mats[i:i + linalg.NODE_CHUNK], A_inv))
-                for i in range(0, len(mats), linalg.NODE_CHUNK))
+def _residuals(chunk: np.ndarray, H: np.ndarray, A_inv: np.ndarray) -> tuple[float, float]:
+    """The largest invariance defect D = rho* H rho - H of the averaged form
+    H = A* A at the nodes of a chunk, and the largest unitarity defect of
+    W = A rho A^-1 there, read off D as W* W - I = A^-* D A^-1, so W is
+    never formed."""
+    D = _invariance_defects(chunk, H)
+    return linalg.max_abs(D), linalg.max_abs(linalg.sandwich(A_inv.conj().T, D, A_inv, out=D))
+
+
+def _unitarization(rep: Representation, A: np.ndarray, A_inv: np.ndarray, residuals) -> UnitarizationResult:
+    """The unitarization by A, with the largest of the chunks' residuals."""
     return UnitarizationResult(
         basis_change=A,
         unitary_rep=ConjugatedRepresentation(rep, A, matrix_inv=A_inv),
-        invariance_residual=form.invariance_residual,
-        unitarity_residual=audit,
+        invariance_residual=max(invariance for invariance, _ in residuals),
+        unitarity_residual=max(unitarity for _, unitarity in residuals),
     )
 
 
@@ -193,26 +240,43 @@ def _hermitian_from_coords(R: np.ndarray) -> np.ndarray:
     return ((1 + 1j) * R + (1 - 1j) * np.swapaxes(R, -1, -2)) / 2.0
 
 
-def _averaging_map(rule: HaarRule, W: np.ndarray) -> np.ndarray:
+class MapSum:
+    """The averaged outer product O[k, i, l, j] = sum of w_n conj(W_ki) W_lj
+    of a unitary stack W, summed chunk by chunk (``add(nodes, chunk)``):
+    the one ingredient of its averaging map (``fixed_hermitian``)."""
+
+    def __init__(self, rule: HaarRule):
+        self.outer = ProductSum(rule)
+
+    def add(self, nodes: slice, W: np.ndarray) -> None:
+        flat = W.reshape(len(W), 1, -1)
+        self.outer.add(nodes, flat, flat)
+
+    def take(self) -> np.ndarray:
+        """The averaged outer product, which the sum then lets go of, so the
+        r^4 array lives no longer than its last reader."""
+        outer, self.outer = self.outer.total(), None
+        return outer
+
+
+def _averaging_map(outer: np.ndarray) -> np.ndarray:
     """The real (r^2, r^2) matrix L of B -> sum of w_n W_n* B W_n in
-    ``hermitian_coords``, for a stack W (n, r, r).  Column (k, l) is the
-    image of G_kl, w A + conj(w) A* with A = O[k, :, l, :] the average of
-    W* E_kl W, where O[k, i, l, j] = sum of w_n conj(W_ki) W_lj is the
-    averaged outer product of the flattened stack (``integrate_product``);
-    as (A*)_ij = O[l, i, k, j], L[(i, j), (k, l)] = Re O[k, i, l, j] + Im O[l, i, k, j]."""
-    n, r, _ = W.shape
-    flat = W.reshape(n, 1, r * r)
-    outer = integrate_product(rule, flat, flat).reshape(r, r, r, r)
+    ``hermitian_coords``, from the averaged outer product (r^2, r^2) of the
+    flattened stack W (``MapSum``).  Column (k, l) is the image of G_kl,
+    w A + conj(w) A* with A = O[k, :, l, :] the average of W* E_kl W; as
+    (A*)_ij = O[l, i, k, j], L[(i, j), (k, l)] = Re O[k, i, l, j] + Im O[l, i, k, j]."""
+    r = math.isqrt(len(outer))
+    outer = outer.reshape(r, r, r, r)
     # built as L^T: both terms keep the last axis j, so their sum is
     # C-ordered and neither reshape nor transpose copies it
     return (outer.real.transpose(0, 2, 1, 3) + outer.imag.transpose(2, 0, 1, 3)).reshape(r * r, r * r).T
 
 
-def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
+def fixed_hermitian(maps: MapSum) -> tuple[np.ndarray, float]:
     """(K, trace) for the averaging map L: B -> sum of w_n W_n* B W_n of a
-    unitary stack W (n, r, r): K (m, r, r) is a Frobenius-orthonormal real
-    basis of the Hermitian matrices it fixes, and trace, its trace, is the
-    integral of |chi|^2.
+    unitary stack W (n, r, r) summed in ``maps`` (taken): K (m, r, r) is a
+    Frobenius-orthonormal real basis of the Hermitian matrices it fixes,
+    and trace, its trace, is the integral of |chi|^2.
 
     The fixed space is the eigenspace of S = (L + L^T)/2 for the
     eigenvalues theta with 1 - theta at most ``RANK_TOL``, read by a
@@ -224,8 +288,8 @@ def fixed_hermitian(rule: HaarRule, W: np.ndarray) -> tuple[np.ndarray, float]:
     term does: S fixes exactly what L fixes, on any node set, and its
     spectral norm is at most 1, which is the scale of the cut.
     """
-    r = W.shape[-1]
-    L = _averaging_map(rule, W)
+    L = _averaging_map(maps.take())
+    r = math.isqrt(len(L))
     trace = float(np.trace(L))
     return _hermitian_from_coords(_top_eigenspace((L + L.T) / 2.0, trace).T.reshape(-1, r, r)), trace
 
@@ -283,17 +347,18 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
 
     They are A* K A over the fixed space K of the averaging map of the
     unitary stack W = A rho A^-1 (``fixed_hermitian``), so d is the
-    commutant dimension by construction.
+    commutant dimension by construction.  One pass on input that passes
+    the unitarity audit, two otherwise (``_unitary``).
     """
-    W, A, _ = _unitary(rule, tabulate(rep, rule))
-    forms = _forms(rule, W, A)
+    maps, basis = _unitary(rep, rule, lambda _: MapSum(rule))
+    forms = _forms(maps, _identity_or(basis, rep.degree)[0])
     return forms, len(forms)
 
 
-def _forms(rule: HaarRule, W: np.ndarray, A: np.ndarray) -> list[HermitianForm]:
+def _forms(maps: MapSum, A: np.ndarray) -> list[HermitianForm]:
     """The invariant forms A* K A over the fixed space K of the unitary
-    stack W = A rho A^-1."""
-    K, _ = fixed_hermitian(rule, W)
+    stack W = A rho A^-1 whose averaged outer product ``maps`` holds."""
+    K, _ = fixed_hermitian(maps)
     grams = A.conj().T @ K @ A
     lowest = np.linalg.eigvalsh(grams)[:, 0]
     return [HermitianForm(gram=H, definiteness=float(w)) for H, w in zip(grams, lowest)]
@@ -311,18 +376,28 @@ class SpecialnessReport:
 
 
 def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport:
-    """The invariant-form space and the unitarization, off one evaluation and
-    one averaged form: on input that fails the unitarity audit, the forms
-    are read in the unitarization's own basis, the one ``_unitary`` would
-    build, written over the input's stack when it is writeable."""
-    mats = tabulate(rep, rule)
-    unitarization = _unitarize(rep, rule, mats)
-    if unitarity_defect(mats) <= UNITARY_TOL:
-        A = np.eye(rep.degree, dtype=complex)
-    else:
-        A = unitarization.basis_change
-        mats = linalg.sandwich(A, mats, unitarization.unitary_rep.matrix_inv,
-                               out=mats if mats.flags.writeable else None)
-    forms = _forms(rule, mats, A)
+    """The invariant-form space and the unitarization, off one averaged
+    form, in two passes.  The first sums the averaged Gram, audits the
+    input and, while it passes the audit, sums its averaging map; the
+    second reads the unitarization's residuals and, on input that failed
+    the audit, the averaging map of its unitary stack, in the basis of
+    that one unitarization."""
+    maps, gram, unitary = MapSum(rule), ProductSum(rule), True
+    for nodes, chunk in node_chunks(rep, rule):
+        gram.add(nodes, chunk, chunk)
+        unitary = unitary and unitarity_defect(chunk) <= UNITARY_TOL
+        if unitary:
+            maps.add(nodes, chunk)
+    H, w = invariant_gram(gram.total())
+    A, A_inv = _cholesky_pair(H, w)
+    if not unitary:
+        maps = MapSum(rule)
+    residuals = []
+    for nodes, chunk in node_chunks(rep, rule):
+        residuals.append(_residuals(chunk, H, A_inv))
+        if not unitary:
+            maps.add(nodes, linalg.sandwich(A, chunk, A_inv, out=chunk))
+    unitarization = _unitarization(rep, A, A_inv, residuals)
+    forms = _forms(maps, np.eye(rep.degree, dtype=complex) if unitary else A)
     return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,
                              form_basis=forms)

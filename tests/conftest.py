@@ -6,10 +6,16 @@ nodes and calling the SVD directly, so the averaging-based implementations
 have something honest to disagree with.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import repkit as rk
+
+# evaluation chunks an averaging call may hold at its peak: its chunk
+# buffer, the kernels' sub-chunk temporaries and its outputs
+CHUNKS_HELD = 4
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +64,39 @@ def random_unitary(rng, n):
 
 def nodes_list(rule):
     return list(rule.iter_nodes())
+
+
+def chunk_bytes(degree):
+    """Bytes of one evaluation chunk of a degree-``degree`` representation."""
+    return rk.representations.EVAL_CHUNK * degree ** 2 * 16
+
+
+def traced_peak(call):
+    """(result, peak): what ``call()`` returns, and the most bytes it held
+    at once above what was allocated before it (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def averaging_map(rule, W):
+    """The averaging map of a whole stack W (n, r, r): the library's map of
+    the averaged outer product of the flattened stack."""
+    flat = W.reshape(len(W), 1, -1)
+    return rk.unitarization._averaging_map(rk.groups.integrate_product(rule, flat, flat))
+
+
+def unitary_stack(rep, rule):
+    """(W, maps): the unitary stack W = A rho A^-1 the library reads, put
+    together from its chunks, and the averaged outer product it summed."""
+    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization.MapSum(rule))
+    chunks = rk.representations.node_chunks(rep, rule, basis)
+    return np.concatenate([chunk.copy() for _, chunk in chunks]), maps
 
 
 def commutant_dim_bruteforce(rep, rule, tol=1e-8):

@@ -17,17 +17,14 @@ import numpy as np
 import pytest
 
 import repkit as rk
-from repkit.representations import tabulate
 from repkit.unitarization import (
     RANK_TOL,
-    _averaging_map,
     _top_eigenspace,
-    _unitary,
     fixed_hermitian,
     hermitian_coords,
 )
 
-from conftest import random_invertible, random_unitary
+from conftest import averaging_map, random_invertible, random_unitary, unitary_stack
 
 
 def _fixed_space_reference(rule, W):
@@ -35,7 +32,7 @@ def _fixed_space_reference(rule, W):
     full eigensolve of the symmetric part of the averaging map minus I, and
     the trace of the map."""
     r = W.shape[-1]
-    L = _averaging_map(rule, W)
+    L = averaging_map(rule, W)
     mu, V = np.linalg.eigh((L + L.T) / 2.0 - np.eye(r * r))
     size = np.abs(mu)
     return V[:, size <= RANK_TOL * max(1.0, size.max())], float(np.trace(L))
@@ -110,8 +107,8 @@ CASES = _cases()
 
 @pytest.mark.parametrize("rep, rule", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_reader_matches_the_full_eigensolve(rep, rule):
-    W = _unitary(rule, tabulate(rep, rule))[0]
-    K, trace = fixed_hermitian(rule, W)
+    W, maps = unitary_stack(rep, rule)
+    K, trace = fixed_hermitian(maps)
     ref, ref_trace = _fixed_space_reference(rule, W)
     assert len(K) == ref.shape[1]
     assert trace == ref_trace
@@ -211,8 +208,8 @@ MULTIPLICITIES = {
                          ids=[case[0] for case in CASES])
 def test_reader_returns_an_orthonormal_hermitian_commutant(rep, rule, multiplicities):
     # checked on K itself, not against the averaging map K is read from
-    W = _unitary(rule, tabulate(rep, rule))[0]
-    K, _ = fixed_hermitian(rule, W)
+    W, maps = unitary_stack(rep, rule)
+    K, _ = fixed_hermitian(maps)
     assert len(K) == sum(m * m for m in multiplicities)
     assert np.abs(K - K.conj().transpose(0, 2, 1)).max() <= 1e-12
     gram = np.einsum("iab,jab->ij", K.conj(), K)

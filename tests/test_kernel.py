@@ -7,7 +7,6 @@ invariant-form map is assembled one Hermitian basis element at a time, as
 the per-basis implementation did.
 """
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +16,7 @@ import repkit as rk
 from repkit.groups import integrate_product
 from repkit.schur import _commutation_residual
 
-from conftest import random_complex
+from conftest import CHUNKS_HELD, averaging_map, chunk_bytes, random_complex, traced_peak
 
 
 def _rules_and_reps(s3, circle, su2):
@@ -68,6 +67,30 @@ def test_contraction_runs_in_node_chunks(z3, su2):
     assert got.dtype == complex and np.abs(got - ref).max() <= 1e-14
 
 
+def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2):
+    # 13 824 nodes are 13.5 evaluation chunks, so the last chunk is partial:
+    # the averaged Gram and the averaging map summed chunk by chunk over a
+    # pass add the same sub-chunk GEMMs in the same node order as one
+    # contraction of the whole stack, and so are equal to it bit for bit
+    rule = rk.haar_rule(su2, 24)
+    assert rule.node_count == 13.5 * rk.representations.EVAL_CHUNK
+    rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1, su2), rk.spin_irrep(1.5, su2)),
+                       random_complex(np.random.default_rng(9), (7, 7)) + 3 * np.eye(7))
+    stack = rep.evaluate_batch(rule.nodes)
+    flat = stack.reshape(rule.node_count, 1, -1)
+    gram, maps, chunks = rk.groups.ProductSum(rule), rk.unitarization.MapSum(rule), []
+    for nodes, chunk in rk.representations.node_chunks(rep, rule):
+        chunks.append(chunk.copy())
+        gram.add(nodes, chunk, chunk)
+        maps.add(nodes, chunk)
+    assert np.concatenate(chunks).tobytes() == stack.tobytes()
+    whole_gram = integrate_product(rule, stack, stack)
+    assert gram.total().tobytes() == whole_gram.tobytes()
+    assert maps.outer.total().tobytes() == integrate_product(rule, flat, flat).tobytes()
+    assert rk.averaged_form(rep, rule).gram.tobytes() == (
+        rk.unitarization.invariant_gram(whole_gram)[0].tobytes())
+
+
 def test_contraction_is_the_weighted_sum_of_conjugate_products(su2):
     # X and Y differ and so do their widths, so a missing conjugate or a
     # swapped operand shows
@@ -90,25 +113,19 @@ def test_overflowing_average_of_finite_stacks_is_refused_without_warnings(z3):
         with pytest.raises(rk.EvaluationFailureError):
             integrate_product(rule, np.full((3, 1, 2), 1e200), np.full((3, 1, 2), 1e200))
         with pytest.raises(rk.EvaluationFailureError):
-            rk.unitarization.invariant_gram(rule, np.full((3, 2, 2), 1e200 + 0j))
+            rk.unitarization.averaged_form(rk.FiniteTableRepresentation(
+                z3, np.stack([np.eye(2)] + [np.full((2, 2), 1e200)] * 2).astype(complex)), rule)
 
 
 def test_matrix_element_audit_holds_one_stack_sized_temporary(su2):
     # the Gram matrix of the matrix elements is one contraction of the
-    # flattened stack with itself: the stack and the weighted conjugate,
-    # with no conjugate copy of the stack on top
+    # flattened chunks with themselves, summed over one pass: a chunk
+    # buffer and sub-chunk temporaries, far under one stack
     rule = rk.haar_rule(su2, 24)
     rep = rk.spin_irrep(3, su2)
-    stack_bytes = rule.node_count * rep.degree ** 2 * 16
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        deviation = rk.matrix_element_audit(rep, rule)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    deviation, peak = traced_peak(lambda: rk.matrix_element_audit(rep, rule))
     assert deviation <= 1e-12
-    assert peak <= 2.25 * stack_bytes
+    assert peak <= CHUNKS_HELD * chunk_bytes(rep.degree)
 
 
 def test_contraction_refuses_non_finite_entries(z3):
@@ -250,7 +267,7 @@ def test_symmetric_reading_matches_reference_on_rules_not_closed_under_inversion
     ]
     for rule, rep, expected in cases:
         mats = rep.evaluate_batch(rule.nodes)
-        L = rk.unitarization._averaging_map(rule, mats)
+        L = averaging_map(rule, mats)
         assert np.abs(L - L.T).max() > 1e-3
         forms, d = rk.invariant_form_space(rep, rule)
         ref = _invariant_forms_reference(rep, rule)
@@ -273,7 +290,7 @@ def test_symmetric_spectrum_is_the_singular_spectrum_on_builtin_rules(s3, circle
     ]
     for rule, rep in cases:
         r = rep.degree
-        L = rk.unitarization._averaging_map(rule, rep.evaluate_batch(rule.nodes))
+        L = averaging_map(rule, rep.evaluate_batch(rule.nodes))
         mu = np.linalg.eigvalsh((L + L.T) / 2.0 - np.eye(r * r))
         singular = np.linalg.svd(L - np.eye(r * r), compute_uv=False)
         assert np.abs(np.sort(np.abs(mu))[::-1] - singular).max() <= 1e-13
@@ -326,7 +343,7 @@ def test_averaging_map_columns_are_the_averaged_basis_images(su2):
     ]
     for rule, rep, asymmetric in cases:
         W = rep.evaluate_batch(rule.nodes)
-        L = rk.unitarization._averaging_map(rule, W)
+        L = averaging_map(rule, W)
         images = [np.einsum("n,nki,kl,nlj->ij", rule.weights, W.conj(), G, W)
                   for G in _coordinate_basis(rep.degree)]
         ref = np.stack([rk.unitarization.hermitian_coords(B) for B in images], axis=1)

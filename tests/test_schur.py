@@ -1,13 +1,20 @@
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import repkit as rk
 
-from conftest import commutant_dim_bruteforce, random_complex, random_invertible, random_unitary
+from conftest import (
+    CHUNKS_HELD,
+    chunk_bytes,
+    commutant_dim_bruteforce,
+    random_complex,
+    random_invertible,
+    random_unitary,
+    traced_peak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,21 +112,14 @@ def test_intertwiner_of_a_non_unitary_psi_matches_the_inverse_node_sum(s3, phi_k
 
 
 def test_intertwiner_holds_two_stacks(su2):
-    # one stack per input: psi's stack is its unitary stack, and the seed is
-    # applied over phi's stack in node chunks
+    # no stack at all: one chunk buffer per input, read in step, and the
+    # seed applied over phi's chunk a sub-chunk at a time
     rep = rk.spin_irrep(4.5, su2)
     rule = rk.haar_rule(su2, 24)
-    stack_bytes = rule.node_count * rep.degree ** 2 * 16
     A = random_complex(np.random.default_rng(4), (10, 10))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        T = rk.averaged_intertwiner(rep, rep, A, rule)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    T, peak = traced_peak(lambda: rk.averaged_intertwiner(rep, rep, A, rule))
     assert np.abs(T - (np.trace(A) / 10) * np.eye(10)).max() <= 1e-6
-    assert peak <= 2.25 * stack_bytes
+    assert peak <= CHUNKS_HELD * chunk_bytes(rep.degree)
 
 
 # --- commutant ---------------------------------------------------------------
@@ -434,8 +434,9 @@ def test_split_once_and_decompose_share_p(z2, su2, su2_rule):
 
 @pytest.mark.parametrize("unitary", [True, False])
 def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypatch, unitary):
-    # one route: audit the input once, average its form only when the audit
-    # fails, never call unitarize, and compute no commutant
+    # one route: audit the rule nodes once, until a chunk fails, average the
+    # form only when the audit fails, never call unitarize, and compute no
+    # commutant
     calls = {}
 
     def count(module, name):
@@ -460,7 +461,9 @@ def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypat
         rule = su2_rule
     rk.decompose(rep, rule)
     assert calls["unitarize"] == []
-    assert len(calls["unitarity_defect"]) == 1
+    # every node on unitary input; this input fails on its first chunk
+    audited = sum(len(args[0]) for args in calls["unitarity_defect"])
+    assert audited == (rule.node_count if unitary else rk.representations.EVAL_CHUNK)
     assert len(calls["invariant_gram"]) == (0 if unitary else 1)
     assert calls["commutant"] == []
 
@@ -476,7 +479,11 @@ def test_split_diagonalizes_the_whole_stack_average(su2, su2_rule):
     g = np.random.default_rng(rk.schur.SPLIT_SEED).standard_normal((2, 7, 7))
     X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
     reference = np.tensordot(su2_rule.weights, W @ X @ W.conj().transpose(0, 2, 1), axes=(0, 0))
-    Q, sizes = rk.schur._split_unitary_fully(W, su2_rule)
+    seed = rk.schur._Seed(su2_rule, 7)
+    for nodes, chunk in rk.representations.node_chunks(rep, su2_rule):
+        seed.add(nodes, chunk)
+    assert np.array_equal(seed.X, X)
+    Q, sizes = rk.schur._split_unitary_fully(seed)
     assert sorted(sizes) == [2, 2, 3]
     D = Q @ reference @ Q.conj().T
     assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-12 * np.linalg.norm(X, 2)
@@ -485,22 +492,15 @@ def test_split_diagonalizes_the_whole_stack_average(su2, su2_rule):
     assert min(np.diff(sorted(v[0] for v in values))) > 1e-3 * np.linalg.norm(X, 2)
 
 
-def test_decompose_runs_the_seed_in_node_chunks(su2, su2_rule):
-    # one node stack: the basis changes are written over the stack the
-    # input's evaluation allocated, and the averaged form, the seed, the
-    # block characters and the leakage run over node chunks
+def test_decompose_runs_the_seed_in_node_chunks(su2):
+    # no node stack: the averaged form, the seed, the block characters and
+    # the leakage are read in passes of evaluation chunks, each in the basis
+    # it needs, on a rule of 13.5 chunks
     rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1.5, su2), rk.spin_irrep(2, su2)),
                        np.diag(np.arange(1.0, 10.0)))
-    stack_bytes = su2_rule.node_count * rep.degree ** 2 * 16
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        report = rk.decompose(rep, su2_rule)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: rk.decompose(rep, rk.haar_rule(su2, 24)))
     assert sorted(b.degree for b in report.blocks) == [4, 5]
-    assert peak <= 1.5 * stack_bytes
+    assert peak <= CHUNKS_HELD * chunk_bytes(rep.degree)
 
 
 @pytest.mark.parametrize("call", [
@@ -509,20 +509,12 @@ def test_decompose_runs_the_seed_in_node_chunks(su2, su2_rule):
     lambda rep, rule: rk.orthogonality_audit([rep], rule),
 ], ids=["unitarize", "irreducibility_test", "orthogonality_audit"])
 def test_unitarizing_calls_hold_one_stack(su2, call):
-    # on non-unitary input: the basis changes are written over the stack
-    # the input's evaluation allocated (or, in unitarize, audited chunk by
-    # chunk), and the character is read before the stack is overwritten
+    # on non-unitary input: each pass, in the input's basis or the unitary
+    # one, holds one chunk buffer, so no call holds a stack
     rep = rk.conjugate(rk.spin_irrep(4.5, su2), random_invertible(np.random.default_rng(1), 10))
     rule = rk.haar_rule(su2, 24)
-    stack_bytes = rule.node_count * rep.degree ** 2 * 16
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call(rep, rule)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * stack_bytes
+    _, peak = traced_peak(lambda: call(rep, rule))
+    assert peak <= CHUNKS_HELD * chunk_bytes(rep.degree)
 
 
 def test_decompose_repeats_bytewise(s3):
@@ -615,7 +607,7 @@ def test_decompose_refuses_inconsistent_multiplicities(monkeypatch):
     for row, (i, j, sign) in enumerate([(0, 1, 1), (2, 3, 1), (0, 1, -1),
                                         (4, 5, 1), (2, 3, -1), (4, 5, -1)]):
         Q[row, i], Q[row, j] = s, sign * s
-    monkeypatch.setattr(rk.schur, "_split_unitary_fully", lambda work, rule: (Q.astype(complex), [2, 2, 2]))
+    monkeypatch.setattr(rk.schur, "_split_unitary_fully", lambda seed: (Q.astype(complex), [2, 2, 2]))
     with pytest.raises(rk.NotIrreducibleError, match="multiplicities .* character norm is 6") as refusal:
         rk.decompose(rep, rk.haar_rule(z6, 1))
     assert "resolution 1" in str(refusal.value) and "condition number 1" in str(refusal.value)
@@ -627,8 +619,8 @@ def test_decompose_refuses_reducible_block(su2, su2_rule, monkeypatch):
     # a split that merges two irreducibles has a block of character norm 2
     original = rk.schur._split_unitary_fully
 
-    def merging(work, rule):
-        Q, sizes = original(work, rule)
+    def merging(seed):
+        Q, sizes = original(seed)
         return Q, [sizes[0] + sizes[1], *sizes[2:]]
 
     monkeypatch.setattr(rk.schur, "_split_unitary_fully", merging)

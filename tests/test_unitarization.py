@@ -5,7 +5,7 @@ import pytest
 
 import repkit as rk
 
-from conftest import invariant_form_dim_bruteforce, random_invertible
+from conftest import CHUNKS_HELD, chunk_bytes, invariant_form_dim_bruteforce, random_invertible, traced_peak
 
 
 def z2_involution_rep(z2):
@@ -159,7 +159,9 @@ def test_invariant_form_space_matches_bruteforce_on_finite(s3):
 
 def test_invariant_form_space_one_eigh(z2, s3, monkeypatch):
     # d and the commutant are read off one real symmetric eigensolve, after
-    # one evaluation at the rule nodes and none at their inverses, with no
+    # passes at the rule nodes (one for the map of a unitary input, one more
+    # for its unitary basis otherwise, and one more for the commutant's
+    # residual) and none at their inverses, with no
     # SVD at all: at degree 2 the Rayleigh-Ritz block is the whole space of
     # the averaging map, so one step reads it; on a trivial rep the map is
     # the identity and every form is invariant (d = r^2)
@@ -175,18 +177,18 @@ def test_invariant_form_space_one_eigh(z2, s3, monkeypatch):
         svds.append((args[0].shape, args[0].dtype))
         return original_svd(*args, **kwargs)
 
-    def recording(self, nodes):
+    def recording(self, nodes, out=None):
         evaluated.append(nodes)
-        return original_evaluate(self, nodes)
+        return original_evaluate(self, nodes, out)
 
-    def check(call, rep, rule):
+    def check(call, rep, rule, passes):
         eighs.clear()
         svds.clear()
         evaluated.clear()
         answer = call(rep, rule)
         assert eighs == [((4, 4), np.float64)]
         assert svds == []
-        assert len(evaluated) == 1 and evaluated[0] is rule.nodes
+        assert len(evaluated) == passes and all(np.shares_memory(nodes, rule.nodes) for nodes in evaluated)
         return answer[1] if call is rk.invariant_form_space else answer.dimension
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -195,16 +197,16 @@ def test_invariant_form_space_one_eigh(z2, s3, monkeypatch):
     triv = rk.FiniteTableRepresentation(z2, np.stack([np.eye(2, dtype=complex)] * 2))
     for rep, rule, expected in ((triv, rk.haar_rule(z2, 1), 4),
                                 (rk.s3_standard(s3), rk.haar_rule(s3, 1), 1)):
-        for call in (rk.invariant_form_space, rk.commutant):
-            assert check(call, rep, rule) == expected
+        for call, passes in ((rk.invariant_form_space, 1), (rk.commutant, 2)):
+            assert check(call, rep, rule, passes) == expected
     # a non-unitary input: the one real eigensolve is still the only one
     # (the unitarizing factor's definiteness and conditioning are read off
     # the eigenvalues of the averaged form)
     rule = rk.haar_rule(s3, 1)
     mixed = rk.FiniteTableRepresentation(
         s3, rk.conjugate(rk.s3_standard(s3), np.array([[2.0, 1.0], [0.0, 1.0]])).evaluate_batch(rule.nodes))
-    for call in (rk.invariant_form_space, rk.commutant):
-        assert check(call, mixed, rule) == 1
+    for call, passes in ((rk.invariant_form_space, 2), (rk.commutant, 3)):
+        assert check(call, mixed, rule, passes) == 1
 
 
 def test_unitarizing_factor_refusals_keep_their_threshold(z2):
@@ -254,22 +256,14 @@ def test_dimensions_survive_an_ill_conditioned_basis(s3, su2, su2_rule, seed):
 
 @pytest.mark.parametrize("call", [rk.commutant, rk.invariant_form_space])
 def test_fixed_space_holds_two_stacks(su2, call):
-    # one node stack: the basis change is written over the spin's own stack,
-    # the averaging map is one GEMM per node chunk against a weighted
-    # conjugate of that chunk, and the commutation residual runs over node
-    # chunks, so every other temporary is chunk-sized
+    # no node stack: the averaging map is summed over passes of evaluation
+    # chunks, one GEMM per sub-chunk against a weighted conjugate of it,
+    # and the commutation residual is read in one more pass
     rng = np.random.default_rng(1)
     rep = rk.conjugate(rk.spin_irrep(4.5, su2), np.linalg.qr(rng.normal(size=(10, 10)))[0])
     rule = rk.haar_rule(su2, 24)
-    stack_bytes = rule.node_count * rep.degree ** 2 * 16
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call(rep, rule)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * stack_bytes
+    _, peak = traced_peak(lambda: call(rep, rule))
+    assert peak <= CHUNKS_HELD * chunk_bytes(rep.degree)
 
 
 def test_averaged_form_fixed_by_averaging(circle):
@@ -297,15 +291,16 @@ def test_specialness_report(su2, su2_rule):
 
 
 def test_invariant_gram_holds_one_stack_sized_temporary(su2, su2_rule):
-    # the averaged form is one GEMM per node chunk against a weighted
-    # conjugate of that chunk: chunk-sized temporaries, no copy of the stack
+    # the averaged form is one GEMM per node sub-chunk against a weighted
+    # conjugate of that sub-chunk: sub-chunk-sized temporaries, no copy of
+    # the stack
     rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1.5, su2), rk.spin_irrep(2, su2)),
                        np.diag(np.arange(1.0, 10.0)))
     mats = rep.evaluate_batch(su2_rule.nodes)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        H, w = rk.unitarization.invariant_gram(su2_rule, mats)
+        H, w = rk.unitarization.invariant_gram(rk.groups.integrate_product(su2_rule, mats, mats))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -313,3 +308,22 @@ def test_invariant_gram_holds_one_stack_sized_temporary(su2, su2_rule):
     reference = np.tensordot(su2_rule.weights, mats.conj().transpose(0, 2, 1) @ mats, axes=(0, 0))
     assert np.abs(H - reference).max() <= 1e-12
     assert np.array_equal(w, np.linalg.eigvalsh(H)) and w[0] > 0
+
+
+def test_input_that_fails_the_audit_after_its_first_chunk_sums_its_gram_in_one_more_pass(su2):
+    # the first evaluation chunk of nodes is the identity, where every
+    # conjugate of a representation is unitary, so the audit fails only on
+    # the second chunk: the averaged Gram then takes a pass of its own, and
+    # the unitarizing factor is that of one contraction of the whole stack
+    chunk = rk.representations.EVAL_CHUNK
+    fine = rk.haar_rule(su2, 12)
+    nodes = np.concatenate([np.broadcast_to(np.eye(2, dtype=complex), (chunk, 2, 2)), fine.nodes])
+    weights = np.r_[np.full(chunk, 0.5 / chunk), 0.5 * fine.weights]
+    rule = rk.HaarRule(group=su2, nodes=nodes, weights=weights, resolution=12)
+    rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
+                       random_invertible(np.random.default_rng(6), 5))
+    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization.MapSum(rule))
+    stack = rep.evaluate_batch(rule.nodes)
+    gram = rk.unitarization.invariant_gram(rk.groups.integrate_product(rule, stack, stack))
+    assert basis[0].tobytes() == rk.unitarization._cholesky_pair(*gram)[0].tobytes()
+    assert len(rk.unitarization.fixed_hermitian(maps)[0]) == 2
