@@ -231,7 +231,7 @@ def test_spin_evaluation_in_node_chunks_keeps_the_bytes(su2, monkeypatch):
     assert rep.evaluate_batch(rule.nodes).tobytes() == chunked.tobytes()
 
 
-# --- node stacks the library may overwrite --------------------------------------
+# --- user-defined bodies --------------------------------------------------------
 
 class HeldStack(rk.Representation):
     """A user-defined body that returns the one stack it holds at the rule
@@ -285,6 +285,19 @@ def test_library_calls_never_overwrite_a_user_stack(su2, su2_rule):
     scale = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     assert (rk.conjugate(reducible, scale).evaluate_batch(su2_rule.nodes).tobytes()
             == rk.conjugate(held, scale).evaluate_batch(su2_rule.nodes).tobytes())
+
+
+def test_a_user_body_of_the_wrong_shape_is_refused(su2, su2_rule):
+    # a pass copies what a user-defined body returns into its chunk buffer,
+    # so a result that numpy would broadcast there is refused instead
+    class OneMatrix(rk.Representation):
+        group, degree = su2, 2
+
+        def evaluate_batch(self, nodes):
+            return np.eye(2, dtype=complex)
+
+    with pytest.raises(rk.ShapeMismatchError, match="evaluate_batch returned shape"):
+        rk.commutant(OneMatrix(), su2_rule)
 
 
 # --- unitarity audit ---------------------------------------------------------
