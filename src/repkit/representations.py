@@ -18,9 +18,11 @@ rule in chunks of ``EVAL_CHUNK`` nodes into one buffer it reuses, so the
 averaging calls of ``unitarization`` and ``schur`` read their input in
 passes and never hold its (N, r, r) node stack; only what a user-defined
 body returns is copied into that buffer.  A pass in a call's own basis,
-B rho B^-1, sandwiches each chunk once more in place; B is not composed
-with a conjugated body's own matrix, so a library representation and a
-user-defined body that returns the same matrices give the same bytes.
+B rho B^-1, sandwiches each chunk once more in place; ``node_chunks`` does
+not compose B with a conjugated body's own matrix, so a library
+representation and a user-defined body that returns the same matrices
+give a call the same bytes; only ``schur._split`` composes them, in the
+pass for its block characters and leakage, which move at roundoff.
 """
 
 from __future__ import annotations
