@@ -64,15 +64,14 @@ def conjugated_spin(su2, seed=2):
 
 
 # (call, p per spin): "unitary" inputs pass the unitarity audit, the others
-# fail it
+# fail it; the unitary inputs of irreducibility_test, matrix_element_audit
+# and multiplicity are in test_schur_calls_evaluate_each_input_once
 CASES = {
     "commutant/unitary": (lambda su2, rule: rk.commutant(unitary_sum(su2), rule), {1: 2, 2: 2}),
     "commutant": (lambda su2, rule: rk.commutant(conjugated_sum(su2), rule), {1: 3, 2: 3}),
     "unitary_commutant/unitary": (lambda su2, rule: rk.unitary_commutant(unitary_sum(su2), rule),
                                   {1: 2, 2: 2}),
     "unitary_commutant": (lambda su2, rule: rk.unitary_commutant(conjugated_sum(su2), rule), {1: 3, 2: 3}),
-    "irreducibility_test/unitary": (lambda su2, rule: rk.irreducibility_test(rk.spin_irrep(1, su2), rule),
-                                    {2: 1}),
     "irreducibility_test": (lambda su2, rule: rk.irreducibility_test(conjugated_spin(su2), rule), {2: 2}),
     "invariant_form_space/unitary": (lambda su2, rule: rk.invariant_form_space(unitary_sum(su2), rule),
                                      {1: 1, 2: 1}),
@@ -92,8 +91,6 @@ CASES = {
         rk.spin_irrep(0, su2), conjugated_sum(su2), np.ones((1, 5)), rule), {0: 1, 1: 2, 2: 2}),
     "orthogonality_audit": (lambda su2, rule: rk.orthogonality_audit(
         [rk.spin_irrep(0, su2), conjugated_spin(su2)], rule), {0: 1, 2: 2}),
-    "matrix_element_audit/unitary": (lambda su2, rule: rk.matrix_element_audit(rk.spin_irrep(1, su2), rule),
-                                     {2: 1}),
     "matrix_element_audit": (lambda su2, rule: rk.matrix_element_audit(conjugated_spin(su2), rule), {2: 3}),
     "multiplicity": (lambda su2, rule: rk.multiplicity(
         rk.direct_sum(rk.spin_irrep(0, su2), rk.spin_irrep(1.5, su2)), conjugated_spin(su2), rule),
