@@ -21,9 +21,13 @@ its values are those of ``math.fsum`` on the node array, bit for bit, at
 numpy speed.  Every matrix integral goes through one averaging contraction,
 ``integrate_product(rule, X, Y)`` = sum of w_n X_n^* Y_n: one GEMM per node
 chunk against the weighted conjugate of that chunk of X, built in place, so
-it holds no stack-sized temporary.  It refuses a non-finite result, which
-is what a non-finite node entry or an overflowing sum produces, so no input
-sweep is needed.
+it holds no stack-sized temporary.  A pass that reads its input chunk by
+chunk sums the same contraction in a ``ProductSum``: every average the
+library takes (the averaging map, the Gram, the split seed, the averaged
+intertwiner) is one pair (X, Y) of views of each chunk added to one, and
+``take()`` hands the total over and drops it.  It refuses a non-finite
+result, which is what a non-finite node entry or an overflowing sum
+produces, so no input sweep is needed.
 """
 
 from __future__ import annotations
@@ -336,7 +340,7 @@ def haar_rule(group, resolution: int) -> HaarRule:
     the circle gets ``resolution`` equispaced angles; su2 gets the
     axis-angle product rule with ``resolution`` points per coordinate.
     """
-    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
+    if not isinstance(resolution, (int, np.integer)) or isinstance(resolution, bool) or resolution < 1:
         raise InvalidResolutionError(f"resolution must be a positive integer, got {resolution!r}")
     if group.kind == "finite":
         n = group.order
@@ -499,7 +503,9 @@ class ProductSum:
     """The averaging contraction of ``integrate_product`` summed over node
     chunks: ``add(nodes, X, Y)`` adds the sum over the rule nodes ``nodes``
     (a slice) of w_n X_n^* Y_n for the chunks X (c, k, a) and Y (c, k, b)
-    of two stacks at those nodes, and ``total()`` returns the sum.
+    of two stacks at those nodes, ``total()`` returns the sum and
+    ``take()`` returns it and lets go of it, so a large total (the r^4
+    averaged outer product) lives no longer than its last reader.
 
     Each chunk runs over sub-chunks of ``linalg.NODE_CHUNK`` nodes, one
     GEMM per sub-chunk against the weighted conjugate of that sub-chunk of
@@ -532,6 +538,10 @@ class ProductSum:
         if not np.isfinite(self.sum).all():
             raise EvaluationFailureError("the averaged integrand has a non-finite entry")
         return self.sum
+
+    def take(self) -> np.ndarray:
+        total, self.sum = self.total(), None
+        return total
 
 
 def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -127,7 +127,7 @@ class CircleWeightRepresentation(_LibraryBody):
         if group.kind != "circle":
             raise KindMismatchError("weight vectors require the circle group")
         ws = list(weights)
-        if not ws or any(int(w) != w for w in ws):
+        if not ws or any(isinstance(w, (bool, np.bool_)) or int(w) != w for w in ws):
             raise ValueError("weights must be a nonempty list of integers")
         self.group = group
         self.weights = np.array([int(w) for w in ws])
@@ -177,7 +177,7 @@ class SpinRepresentation(_LibraryBody):
     def __init__(self, group, two_j: int):
         if group.kind != "su2":
             raise KindMismatchError("spin representations require the su2 group")
-        if not isinstance(two_j, (int, np.integer)) or not 0 <= two_j <= MAX_TWO_J:
+        if not isinstance(two_j, (int, np.integer)) or isinstance(two_j, bool) or not 0 <= two_j <= MAX_TWO_J:
             raise SpinOutOfRangeError(f"two_j must be an integer in 0..{MAX_TWO_J}, got {two_j!r}")
         self.group = group
         self.two_j = int(two_j)

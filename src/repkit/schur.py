@@ -10,8 +10,8 @@ matrices K span the commutant of W, read by a certified Rayleigh-Ritz
 step on the map's symmetric part (``unitarization.fixed_hermitian``), the
 commutant of the input is A^-1 K A, and its trace is the character norm
 integral of |chi|^2.  The averaged outer product of the flattened
-matrices the map is built from (``unitarization.MapSum``) gives every
-matrix-element integral at once.
+matrices the map is built from (the ``groups.ProductSum`` of the pair
+``unitarization._outer``) gives every matrix-element integral at once.
 Scalar commutant (dimension one) is the irreducibility criterion;
 ``_irreducible`` reads only that dimension, with no commutation residual.
 
@@ -25,11 +25,13 @@ whole, are refused, so an under-resolved rule gives no wrong blocks.
 
 Every call reads its input in passes over the rule nodes
 (``representations.node_chunks``), chunks of ``EVAL_CHUNK`` nodes in one
-buffer each pass reuses, so no call holds an (N, r, r) node stack.  None
-evaluates at the inverse nodes: rho(x^-1) = W(x)^* once the stack W is
-unitary, and ``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off
-the unitary stack W = B psi B^-1 of its second input, with phi's chunks
-read in step.  On input that passes the unitarity audit, the first pass
+buffer each pass reuses, so no call holds an (N, r, r) node stack, and
+every average is one ``groups.ProductSum`` of a pair of views of each
+chunk (``unitarization._unitary``).  None evaluates at the inverse nodes:
+rho(x^-1) = W(x)^* once the stack W is unitary, and
+``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
+stack W = B psi B^-1 of its second input, with phi's chunks read in step.
+On input that passes the unitarity audit, the first pass
 (``unitarization._unitary``) also sums the averaging map or the split seed
 and reads the character; other input takes a second pass in the unitary
 basis.  A step that needs a whole average before it reads the nodes again
@@ -59,7 +61,7 @@ from .errors import (
     RuleMismatchError,
     ShapeMismatchError,
 )
-from .groups import HaarRule, ProductSum, _weighted_fsum_rows, integrate_product, integrate_values
+from .groups import HaarRule, _weighted_fsum_rows, integrate_product, integrate_values
 from .representations import (
     BlockRepresentation,
     Character,
@@ -70,7 +72,7 @@ from .representations import (
     check_rule_group,
     node_chunks,
 )
-from .unitarization import MapSum, _identity_or, _unitary, fixed_hermitian
+from .unitarization import _average, _identity_or, _outer, _unitary, fixed_hermitian
 
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
@@ -93,29 +95,22 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     A = linalg.as_matrix(A)
     if A.shape != (phi.degree, psi.degree):
         raise ShapeMismatchError(f"seed matrix must be {phi.degree}x{psi.degree}, got {A.shape}")
-    total, basis = _unitary(psi, rule, lambda basis: _Intertwiner(phi, rule, A, basis))
-    return total.sum.total().T @ _identity_or(basis, psi.degree)[0]
 
+    def terms(basis):
+        # sum of w_n phi_n C W_n^* is the transpose of the sum of the pairs
+        # (W_n^T, (phi_n C)^T), phi's chunk at the same nodes read in step
+        # and multiplied in place when C is square
+        phis, C = node_chunks(phi, rule), A if basis is None else A @ basis[1]
 
-class _Intertwiner:
-    """sum of w_n phi_n C W_n^* over the chunks of the unitary stack
-    W = B psi B^-1, C = A B^-1, with phi's chunk at the same nodes read in
-    step; C is applied a sub-chunk at a time, over phi's chunk when C is
-    square."""
+        def pair(W):
+            M = next(phis)[1]
+            M = np.matmul(M, C, out=M if C.shape[0] == C.shape[1] else None)
+            return W.transpose(0, 2, 1), M.transpose(0, 2, 1)
 
-    def __init__(self, phi: Representation, rule: HaarRule, A: np.ndarray, basis):
-        self.phis = node_chunks(phi, rule)
-        self.C = A if basis is None else A @ basis[1]
-        self.sum = ProductSum(rule)
+        return pair
 
-    def add(self, nodes: slice, W: np.ndarray) -> None:
-        _, phis = next(self.phis)
-        square = self.C.shape[0] == self.C.shape[1]
-        M = phis if square else np.empty((len(phis), *self.C.shape), dtype=complex)
-        for i in range(0, len(phis), linalg.NODE_CHUNK):
-            M[i:i + linalg.NODE_CHUNK] = phis[i:i + linalg.NODE_CHUNK] @ self.C
-        # sum of w_n M_n W_n^* is the transpose of sum of w_n conj(W_n) M_n^T
-        self.sum.add(nodes, W.transpose(0, 2, 1), M.transpose(0, 2, 1))
+    total, basis = _unitary(psi, rule, terms)
+    return total.take().T @ _identity_or(basis, psi.degree)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +141,7 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     W = A rho A^-1, read by a certified Rayleigh-Ritz step (``fixed_hermitian``),
     with the trace of the map as the character norm and the residual read
     on the input's own matrices in one more pass."""
-    maps, change = _unitary(rep, rule, lambda _: MapSum(rule))
+    maps, change = _unitary(rep, rule, lambda _: _outer)
     K, norm = fixed_hermitian(maps)
     A, A_inv = _identity_or(change, rep.degree)
     basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
@@ -184,7 +179,7 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of the Rayleigh-Ritz reading
     (``fixed_hermitian``) themselves, with their residual on W read in one
     more pass; its dimension is the input's commutant dimension."""
-    maps, basis = _unitary(rep, rule, lambda _: MapSum(rule))
+    maps, basis = _unitary(rep, rule, lambda _: _outer)
     K, norm = fixed_hermitian(maps)
     residual = max(_commutation_residual(chunk, K) for _, chunk in node_chunks(rep, rule, basis))
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=residual, character_norm=norm)
@@ -199,7 +194,7 @@ def _irreducible(rep: Representation, rule: HaarRule, raw=None) -> bool:
     """``irreducibility_test``: the dimension of the fixed space of the
     unitary stack of ``rep``, and nothing else; ``raw`` reads the input's
     own chunks on the first pass (``_unitary``)."""
-    return len(fixed_hermitian(_unitary(rep, rule, lambda _: MapSum(rule), raw)[0])[0]) == 1
+    return len(fixed_hermitian(_unitary(rep, rule, lambda _: _outer, raw)[0])[0]) == 1
 
 
 def _irreducible_character(rep: Representation, rule: HaarRule, refusal: str) -> Character:
@@ -227,14 +222,22 @@ def _split(rep: Representation, rule: HaarRule):
     """The route ``split_once`` and ``decompose`` share: (report, P^-1),
     with P = Q A for the unitarization A and the split Q of W = A rho A^-1.
 
-    The averaged seed is read on the passes of ``_unitary``; the block
-    characters and the off-block leakage are read off P rho P^-1 = Q W Q^*
-    in one more pass.  Every block's character norm must be 1, and the squared
-    multiplicities of the isotypic classes (blocks grouped by character
-    inner product) must sum to the input's character norm.
+    The averaged seed T(X), for a Hermitian X drawn from ``SPLIT_SEED``, is
+    the transposed sum of the pairs (W^T, (W X)^T) on the passes of
+    ``_unitary``, O(N r^3) work; the block characters and the off-block
+    leakage are read off P rho P^-1 = Q W Q^* in one more pass.  Every
+    block's character norm must be 1, and the squared multiplicities of
+    the isotypic classes (blocks grouped by character inner product) must
+    sum to the input's character norm.
     """
-    seed, basis = _unitary(rep, rule, lambda _: _Seed(rule, rep.degree))
-    Q, sizes = _split_unitary_fully(seed)
+    g = np.random.default_rng(SPLIT_SEED).standard_normal((2, rep.degree, rep.degree))
+    X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
+
+    def pair(W):
+        return W.transpose(0, 2, 1), (W @ X).transpose(0, 2, 1)
+
+    seed, basis = _unitary(rep, rule, lambda _: pair)
+    Q, sizes = _split_unitary_fully(seed.take().T, X)
     A, A_inv = _identity_or(basis, rep.degree)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     starts = np.cumsum([0, *sizes[:-1]])
@@ -293,31 +296,9 @@ def split_once(rep: Representation, rule: HaarRule):
                       BlockRepresentation(rep, report.P, first, rep.degree - first, P_inv=P_inv))
 
 
-class _Seed:
-    """T(X) = sum of w_n W_n X W_n^* over the unitary stack W (n, r, r) of a
-    representation, summed chunk by chunk, for a Hermitian X drawn from
-    ``SPLIT_SEED``: a sub-chunk of ``linalg.NODE_CHUNK`` nodes at a time,
-    two GEMMs each, O(N r^3) work."""
-
-    def __init__(self, rule: HaarRule, r: int):
-        g = np.random.default_rng(SPLIT_SEED).standard_normal((2, r, r))
-        self.X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
-        self.T = np.zeros((r, r), dtype=complex)
-        self.weights = rule.weights
-
-    def add(self, nodes: slice, W: np.ndarray) -> None:
-        r = len(self.T)
-        weights = self.weights[nodes]
-        for i in range(0, len(W), linalg.NODE_CHUNK):
-            sub = slice(i, i + linalg.NODE_CHUNK)
-            # T_ij += sum over (node n, column l) of (W_n X)_il w_n conj(W_n)_jl
-            left = (W[sub].reshape(-1, r) @ self.X).reshape(-1, r, r).transpose(1, 0, 2).reshape(r, -1)
-            right = (W[sub].conj() * weights[sub, None, None]).transpose(1, 0, 2).reshape(r, -1)
-            self.T += left @ right.T
-
-
-def _split_unitary_fully(seed: _Seed):
-    """The split into irreducibles by one averaged seed T(X) (``_Seed``).
+def _split_unitary_fully(T: np.ndarray, X: np.ndarray):
+    """The split into irreducibles by one averaged seed T = T(X), the sum
+    of w_n W_n X W_n^* over the unitary stack W (``_split``).
 
     T(X) projects X onto the commutant, a direct sum of full matrix
     algebras M_{m_i}.  For a generic Hermitian X it has m_i distinct
@@ -328,10 +309,9 @@ def _split_unitary_fully(seed: _Seed):
     the spread is roundoff.  Returns (Q, sizes), Q unitary, blocks in
     ascending eigenvalue order.
     """
-    T = seed.T
     w, V = np.linalg.eigh((T + T.conj().T) / 2.0)
     # cluster boundaries: both ends and every gap wider than the cut-off
-    cut = CLUSTER_GAP * max(w[-1] - w[0], np.linalg.norm(seed.X, 2))
+    cut = CLUSTER_GAP * max(w[-1] - w[0], np.linalg.norm(X, 2))
     bounds = np.flatnonzero(np.r_[True, np.diff(w) > cut, True])
     return V.conj().T, np.diff(bounds).tolist()
 
@@ -402,15 +382,12 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     are the averaged outer product of the input's flattened matrices, the
     one the irreducibility test sums on input that passes the unitarity
     audit; other input takes one more pass for it."""
-    maps, basis = _unitary(rep, rule, lambda _: MapSum(rule))
-    gram = maps.outer.total() if basis is None else None
+    maps, basis = _unitary(rep, rule, lambda _: _outer)
+    gram = maps.total() if basis is None else None
     if len(fixed_hermitian(maps)[0]) != 1:
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     if basis is not None:
-        maps = MapSum(rule)
-        for nodes, chunk in node_chunks(rep, rule):
-            maps.add(nodes, chunk)
-        gram = maps.take()
+        gram = _average(rep, rule, _outer).take()
     r = rep.degree
     return linalg.max_abs(gram - np.eye(r * r) / r)
 

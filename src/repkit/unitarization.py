@@ -25,22 +25,27 @@ group kinds are supported here.
 
 Every call reads its input in passes over the rule (``node_chunks``):
 chunks of ``representations.EVAL_CHUNK`` nodes in one buffer each pass
-reuses, so no call holds the (N, r, r) node stack, and each average is
-summed chunk by chunk in the node order of one contraction over the whole
-stack (``groups.ProductSum``).  ``_unitary`` reads the unitary stack W in
-one pass on input that passes the unitarity audit: that pass audits the
-input and feeds the call's reader the input's own chunks.  On other input
-it sums the averaged Gram instead, and a second pass feeds a new reader
-the chunks of A rho A^-1.  A step that needs a whole average before it
-reads the nodes again takes one more pass: ``averaged_form`` and ``unitarize`` read the
-invariance defect rho* H rho - H of the averaged form H there, and
-``unitarize`` reads the unitarity defect of W off the same defect, as
-W* W - I = A^-* (rho* H rho - H) A^-1.  ``specialness_report`` reads its
-invariant forms in the basis of its one unitarization, so it averages the
-form once.  ``_unitary`` and ``unitarize`` read the definiteness and the
+reuses, so no call holds the (N, r, r) node stack.  Every average a pass
+takes is one ``groups.ProductSum``, summed chunk by chunk in the node
+order of one contraction over the whole stack: a pair function maps each
+chunk to two views (X, Y) of it, and the pass adds sum of w_n X_n^* Y_n
+(``_average``).  The averaging map is the pair ``_outer``, the flattened
+chunk twice; the Gram is the chunk twice (``_gram``).  ``_unitary`` reads
+the unitary stack W in one pass on input that passes the unitarity audit:
+that pass audits the input and adds the pairs of the input's own chunks.
+On other input it sums the averaged Gram instead, and a second pass adds
+the pairs of the chunks of A rho A^-1 to a new sum.  A step that needs a
+whole average before it reads the nodes again takes one more pass:
+``averaged_form`` and ``unitarize`` read the invariance defect
+rho* H rho - H of the averaged form H there, and ``unitarize`` reads the
+unitarity defect of W off the same defect, as W* W - I =
+A^-* (rho* H rho - H) A^-1.  ``specialness_report`` reads its invariant
+forms in the basis of its one unitarization, so it averages the form
+once.  ``_unitary`` and ``unitarize`` read the definiteness and the
 conditioning of their factor off the one eigenvalue computation of the
-averaged form (``invariant_gram``).  Every other temporary is the size of a
-sub-chunk of ``linalg.NODE_CHUNK`` nodes.
+averaged form (``invariant_gram``).  Every other temporary is the size of
+a sub-chunk of ``linalg.NODE_CHUNK`` nodes, and the r^4 averaged outer
+product is dropped (``ProductSum.take``) before its fixed space is read.
 """
 
 from __future__ import annotations
@@ -94,17 +99,31 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     than a numerical accident.  Two passes: the average, then its
     invariance defect at the nodes.
     """
-    H, w = invariant_gram(_gram_sum(rep, rule))
+    H, w = invariant_gram(_average(rep, rule, _gram).take())
     residual = max(linalg.max_abs(_invariance_defects(chunk, H)) for _, chunk in node_chunks(rep, rule))
     return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
 
 
-def _gram_sum(rep: Representation, rule: HaarRule) -> np.ndarray:
-    """The averaged Gram sum of w_n rho_n* rho_n, one pass."""
-    gram = ProductSum(rule)
-    for nodes, chunk in node_chunks(rep, rule):
-        gram.add(nodes, chunk, chunk)
-    return gram.total()
+def _average(rep: Representation, rule: HaarRule, pair, basis=None) -> ProductSum:
+    """One pass: the ``ProductSum`` of ``pair(chunk)`` over the chunks of
+    ``rep``, or of B rho B^-1 for ``basis`` = (B, B^-1)."""
+    total = ProductSum(rule)
+    for nodes, chunk in node_chunks(rep, rule, basis):
+        total.add(nodes, *pair(chunk))
+    return total
+
+
+def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of the averaged Gram, sum of w_n rho_n* rho_n."""
+    return m, m
+
+
+def _outer(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of the averaged outer product O[k, i, l, j] = sum of
+    w_n conj(W_ki) W_lj, the flattened chunk twice: the averaging map's one
+    ingredient (``fixed_hermitian``) and the matrix-element integrals."""
+    flat = W.reshape(len(W), 1, -1)
+    return flat, flat
 
 
 def _invariance_defects(chunk: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -147,40 +166,48 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, A_inv
 
 
-def _unitary(rep: Representation, rule: HaarRule, reader, raw=None):
-    """(read, basis): ``read = reader(basis)`` fed, chunk by chunk
-    (``read.add(nodes, chunk)``), the unitary stack W = A rho A^-1 of
-    ``rep`` at the rule nodes, and ``basis`` = (A, A^-1), or None when W is
-    the input's own stack.
+def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
+    """(total, basis): ``total`` the ``ProductSum`` of ``pair(W)`` over the
+    chunks of the unitary stack W = A rho A^-1 of ``rep`` at the rule
+    nodes, for ``pair = terms(basis)``, and ``basis`` = (A, A^-1), or None
+    when W is the input's own stack.
 
-    The first pass hands each chunk of the input to ``raw(nodes, chunk)``
-    when given, and audits the input's unitarity chunk by chunk: while
-    every chunk so far passes, it feeds ``read``.  Input that passes the
-    audit is its own W, so that pass serves.  Otherwise A is the Cholesky
-    factor of the averaged form, and a second pass feeds a new reader the
-    chunks of W.  The first pass sums the averaged Gram from the first
-    chunk on when that chunk fails the audit; input that fails it only on
-    a later chunk takes one more pass for the Gram.
+    The first pass (``_audited``) hands each chunk of the input to
+    ``raw(nodes, chunk)`` when given, and audits the input's unitarity
+    chunk by chunk: while every chunk so far passes, it adds its pair.
+    Input that passes the audit is its own W, so that pass serves.
+    Otherwise A is the Cholesky factor of the averaged form, and a second
+    pass adds the pairs of the chunks of W to a new sum.  The first pass
+    sums the averaged Gram from the first chunk on when that chunk fails
+    the audit; input that fails it only on a later chunk takes one more
+    pass for the Gram.  Each pass is a call of its own, so no pass holds
+    the buffer of another.
     """
-    read, gram, unitary = reader(None), None, True
+    total, gram = _audited(rep, rule, terms(None), raw)
+    if total is not None:
+        return total, None
+    if gram is None:
+        gram = _average(rep, rule, _gram)
+    basis = _cholesky_pair(*invariant_gram(gram.take()))
+    return _average(rep, rule, terms(basis), basis), basis
+
+
+def _audited(rep: Representation, rule: HaarRule, pair, raw):
+    """The first pass of ``_unitary``: (total, None) on input that passes
+    the unitarity audit, else (None, gram), gram the averaged Gram's sum
+    when the first chunk failed and None when a later one did."""
+    total, gram = ProductSum(rule), None
     for nodes, chunk in node_chunks(rep, rule):
         if raw is not None:
             raw(nodes, chunk)
-        if unitary:
-            unitary = unitarity_defect(chunk) <= UNITARY_TOL
-            if unitary:
-                read.add(nodes, chunk)
-            elif nodes.start == 0:
-                gram = ProductSum(rule)
+        if total is not None:
+            if unitarity_defect(chunk) <= UNITARY_TOL:
+                total.add(nodes, *pair(chunk))
+            else:
+                total, gram = None, ProductSum(rule) if nodes.start == 0 else None
         if gram is not None:
             gram.add(nodes, chunk, chunk)
-    if unitary:
-        return read, None
-    basis = _cholesky_pair(*invariant_gram(_gram_sum(rep, rule) if gram is None else gram.total()))
-    read = reader(basis)
-    for nodes, chunk in node_chunks(rep, rule, basis):
-        read.add(nodes, chunk)
-    return read, basis
+    return total, gram
 
 
 def _identity_or(basis, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +228,7 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     Hermitian, so A is the factor ``linalg.cholesky_hermitian`` gives, to
     the byte.  The unitary rep is built on ``rep``.
     """
-    H, w = invariant_gram(_gram_sum(rep, rule))
+    H, w = invariant_gram(_average(rep, rule, _gram).take())
     A, A_inv = _cholesky_pair(H, w)
     return _unitarization(rep, A, A_inv, [_residuals(chunk, H, A_inv) for _, chunk in node_chunks(rep, rule)])
 
@@ -240,30 +267,11 @@ def _hermitian_from_coords(R: np.ndarray) -> np.ndarray:
     return ((1 + 1j) * R + (1 - 1j) * np.swapaxes(R, -1, -2)) / 2.0
 
 
-class MapSum:
-    """The averaged outer product O[k, i, l, j] = sum of w_n conj(W_ki) W_lj
-    of a unitary stack W, summed chunk by chunk (``add(nodes, chunk)``):
-    the one ingredient of its averaging map (``fixed_hermitian``)."""
-
-    def __init__(self, rule: HaarRule):
-        self.outer = ProductSum(rule)
-
-    def add(self, nodes: slice, W: np.ndarray) -> None:
-        flat = W.reshape(len(W), 1, -1)
-        self.outer.add(nodes, flat, flat)
-
-    def take(self) -> np.ndarray:
-        """The averaged outer product, which the sum then lets go of, so the
-        r^4 array lives no longer than its last reader."""
-        outer, self.outer = self.outer.total(), None
-        return outer
-
-
 def _averaging_map(outer: np.ndarray) -> np.ndarray:
     """The real (r^2, r^2) matrix L of B -> sum of w_n W_n* B W_n in
     ``hermitian_coords``, from the averaged outer product (r^2, r^2) of the
-    flattened stack W (``MapSum``).  Column (k, l) is the image of G_kl,
-    w A + conj(w) A* with A = O[k, :, l, :] the average of W* E_kl W; as
+    flattened stack W (the sum of ``_outer``).  Column (k, l) is the image
+    of G_kl, w A + conj(w) A* with A = O[k, :, l, :] the average of W* E_kl W; as
     (A*)_ij = O[l, i, k, j], L[(i, j), (k, l)] = Re O[k, i, l, j] + Im O[l, i, k, j]."""
     r = math.isqrt(len(outer))
     outer = outer.reshape(r, r, r, r)
@@ -272,9 +280,10 @@ def _averaging_map(outer: np.ndarray) -> np.ndarray:
     return (outer.real.transpose(0, 2, 1, 3) + outer.imag.transpose(2, 0, 1, 3)).reshape(r * r, r * r).T
 
 
-def fixed_hermitian(maps: MapSum) -> tuple[np.ndarray, float]:
+def fixed_hermitian(maps: ProductSum) -> tuple[np.ndarray, float]:
     """(K, trace) for the averaging map L: B -> sum of w_n W_n* B W_n of a
-    unitary stack W (n, r, r) summed in ``maps`` (taken): K (m, r, r) is a
+    unitary stack W (n, r, r) whose ``_outer`` pairs ``maps`` summed
+    (taken, so the r^4 total is freed before the eigensolve): K (m, r, r) is a
     Frobenius-orthonormal real basis of the Hermitian matrices it fixes,
     and trace, its trace, is the integral of |chi|^2.
 
@@ -350,14 +359,14 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     commutant dimension by construction.  One pass on input that passes
     the unitarity audit, two otherwise (``_unitary``).
     """
-    maps, basis = _unitary(rep, rule, lambda _: MapSum(rule))
+    maps, basis = _unitary(rep, rule, lambda _: _outer)
     forms = _forms(maps, _identity_or(basis, rep.degree)[0])
     return forms, len(forms)
 
 
-def _forms(maps: MapSum, A: np.ndarray) -> list[HermitianForm]:
+def _forms(maps: ProductSum, A: np.ndarray) -> list[HermitianForm]:
     """The invariant forms A* K A over the fixed space K of the unitary
-    stack W = A rho A^-1 whose averaged outer product ``maps`` holds."""
+    stack W = A rho A^-1 whose ``_outer`` pairs ``maps`` summed."""
     K, _ = fixed_hermitian(maps)
     grams = A.conj().T @ K @ A
     lowest = np.linalg.eigvalsh(grams)[:, 0]
@@ -382,21 +391,21 @@ def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport
     second reads the unitarization's residuals and, on input that failed
     the audit, the averaging map of its unitary stack, in the basis of
     that one unitarization."""
-    maps, gram, unitary = MapSum(rule), ProductSum(rule), True
+    maps, gram, unitary = ProductSum(rule), ProductSum(rule), True
     for nodes, chunk in node_chunks(rep, rule):
         gram.add(nodes, chunk, chunk)
         unitary = unitary and unitarity_defect(chunk) <= UNITARY_TOL
         if unitary:
-            maps.add(nodes, chunk)
-    H, w = invariant_gram(gram.total())
+            maps.add(nodes, *_outer(chunk))
+    H, w = invariant_gram(gram.take())
     A, A_inv = _cholesky_pair(H, w)
     if not unitary:
-        maps = MapSum(rule)
+        maps = ProductSum(rule)
     residuals = []
     for nodes, chunk in node_chunks(rep, rule):
         residuals.append(_residuals(chunk, H, A_inv))
         if not unitary:
-            maps.add(nodes, linalg.sandwich(A, chunk, A_inv, out=chunk))
+            maps.add(nodes, *_outer(linalg.sandwich(A, chunk, A_inv, out=chunk)))
     unitarization = _unitarization(rep, A, A_inv, residuals)
     forms = _forms(maps, np.eye(rep.degree, dtype=complex) if unitary else A)
     return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,

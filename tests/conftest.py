@@ -94,7 +94,7 @@ def averaging_map(rule, W):
 def unitary_stack(rep, rule):
     """(W, maps): the unitary stack W = A rho A^-1 the library reads, put
     together from its chunks, and the averaged outer product it summed."""
-    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization.MapSum(rule))
+    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._outer)
     chunks = rk.representations.node_chunks(rep, rule, basis)
     return np.concatenate([chunk.copy() for _, chunk in chunks]), maps
 

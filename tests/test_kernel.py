@@ -78,15 +78,15 @@ def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2):
                        random_complex(np.random.default_rng(9), (7, 7)) + 3 * np.eye(7))
     stack = rep.evaluate_batch(rule.nodes)
     flat = stack.reshape(rule.node_count, 1, -1)
-    gram, maps, chunks = rk.groups.ProductSum(rule), rk.unitarization.MapSum(rule), []
+    gram, maps, chunks = rk.groups.ProductSum(rule), rk.groups.ProductSum(rule), []
     for nodes, chunk in rk.representations.node_chunks(rep, rule):
         chunks.append(chunk.copy())
         gram.add(nodes, chunk, chunk)
-        maps.add(nodes, chunk)
+        maps.add(nodes, *rk.unitarization._outer(chunk))
     assert np.concatenate(chunks).tobytes() == stack.tobytes()
     whole_gram = integrate_product(rule, stack, stack)
     assert gram.total().tobytes() == whole_gram.tobytes()
-    assert maps.outer.total().tobytes() == integrate_product(rule, flat, flat).tobytes()
+    assert maps.take().tobytes() == integrate_product(rule, flat, flat).tobytes()
     assert rk.averaged_form(rep, rule).gram.tobytes() == (
         rk.unitarization.invariant_gram(whole_gram)[0].tobytes())
 

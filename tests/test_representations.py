@@ -247,8 +247,9 @@ class HeldStack(rk.Representation):
 
 
 def test_library_calls_never_overwrite_a_user_stack(su2, su2_rule):
-    # the sandwich is written in place only over stacks the library itself
-    # allocated; a user-defined body's array is read, never written
+    # a pass copies what a user-defined body returns into its own chunk
+    # buffer and does every sandwich there, so the body's array is read,
+    # never written
     rng = np.random.default_rng(5)
     reducible = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
                              random_invertible(rng, 5))
@@ -276,9 +277,10 @@ def test_library_calls_never_overwrite_a_user_stack(su2, su2_rule):
         call()
         assert np.array_equal(held.stack, held.pristine)
         assert np.array_equal(held_irrep.stack, held_irrep.pristine)
-    # in place or not, a call reads the same numbers; the character is read
-    # before the unitary stack, whose trace agrees only to roundoff, is
-    # written over the input's
+    # copied in or written in place, a chunk holds the same numbers, so a
+    # call reads the same bytes; the character is read off the input's own
+    # chunks on the first pass, not off the unitary basis, whose trace
+    # agrees only to roundoff
     assert rk.decompose(reducible, su2_rule).P.tobytes() == report.P.tobytes()
     assert (rk.orthogonality_audit([irreducible], su2_rule).tobytes()
             == rk.orthogonality_audit([held_irrep], su2_rule).tobytes())
@@ -387,6 +389,22 @@ def test_unitarity_audit_refuses_a_rule_of_another_group(s3, circle):
 def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
     with pytest.raises(rk.GroupMismatchError):
         rk.class_invariance_audit(rk.s3_standard(s3), rk.haar_rule(circle, 16), s3.elements())
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda circle, su2: rk.SpinRepresentation(su2, True), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.SpinRepresentation(su2, np.True_), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.CircleWeightRepresentation(circle, [True, 2]), ValueError),
+    (lambda circle, su2: rk.CircleWeightRepresentation(circle, [2, np.True_]), ValueError),
+    (lambda circle, su2: rk.haar_rule(circle, True), rk.InvalidResolutionError),
+    (lambda circle, su2: rk.haar_rule(su2, True), rk.InvalidResolutionError),
+    (lambda circle, su2: rk.haar_rule(su2, np.True_), rk.InvalidResolutionError),
+], ids=["spin True", "spin np.True_", "weight True", "weight np.True_",
+        "circle resolution True", "su2 resolution True", "su2 resolution np.True_"])
+def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, error):
+    # a boolean is an int to Python, but never a spin, weight or resolution
+    with pytest.raises(error):
+        build(circle, su2)
 
 
 # --- representation invariants across the builtin stock -----------------------

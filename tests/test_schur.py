@@ -468,22 +468,32 @@ def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypat
     assert calls["commutant"] == []
 
 
-def test_split_diagonalizes_the_whole_stack_average(su2, su2_rule):
+def test_split_diagonalizes_the_whole_stack_average(su2, su2_rule, monkeypatch):
     # reference: T(X) = sum of w_n W_n X W_n^* over the whole stack at once,
     # for the seed the split draws; the chunked split must diagonalize it,
     # with one eigenvalue per block (two equivalent copies of spin 1/2 get
-    # distinct ones), on a rule of 16 node chunks
+    # distinct ones), on a rule of 16 node chunks.  The seed the split reads
+    # is the one averaging contraction of the pairs (W^T, (W X)^T) over the
+    # whole stack, transposed, to the byte
     rep = rk.DirectSumRepresentation(
         [rk.spin_irrep(0.5, su2), rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)])
     W = rep.evaluate_batch(su2_rule.nodes)
     g = np.random.default_rng(rk.schur.SPLIT_SEED).standard_normal((2, 7, 7))
     X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
     reference = np.tensordot(su2_rule.weights, W @ X @ W.conj().transpose(0, 2, 1), axes=(0, 0))
-    seed = rk.schur._Seed(su2_rule, 7)
-    for nodes, chunk in rk.representations.node_chunks(rep, su2_rule):
-        seed.add(nodes, chunk)
-    assert np.array_equal(seed.X, X)
-    Q, sizes = rk.schur._split_unitary_fully(seed)
+    seeds, original = [], rk.schur._split_unitary_fully
+
+    def reading(T, X):
+        seeds.append((T, X))
+        return original(T, X)
+
+    monkeypatch.setattr(rk.schur, "_split_unitary_fully", reading)
+    rk.decompose(rep, su2_rule)
+    (T, seed_X), = seeds
+    assert np.array_equal(seed_X, X)
+    one = rk.groups.integrate_product(su2_rule, W.transpose(0, 2, 1), (W @ X).transpose(0, 2, 1)).T
+    assert T.tobytes() == one.tobytes()
+    Q, sizes = original(T, X)
     assert sorted(sizes) == [2, 2, 3]
     D = Q @ reference @ Q.conj().T
     assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-12 * np.linalg.norm(X, 2)
@@ -607,7 +617,7 @@ def test_decompose_refuses_inconsistent_multiplicities(monkeypatch):
     for row, (i, j, sign) in enumerate([(0, 1, 1), (2, 3, 1), (0, 1, -1),
                                         (4, 5, 1), (2, 3, -1), (4, 5, -1)]):
         Q[row, i], Q[row, j] = s, sign * s
-    monkeypatch.setattr(rk.schur, "_split_unitary_fully", lambda seed: (Q.astype(complex), [2, 2, 2]))
+    monkeypatch.setattr(rk.schur, "_split_unitary_fully", lambda T, X: (Q.astype(complex), [2, 2, 2]))
     with pytest.raises(rk.NotIrreducibleError, match="multiplicities .* character norm is 6") as refusal:
         rk.decompose(rep, rk.haar_rule(z6, 1))
     assert "resolution 1" in str(refusal.value) and "condition number 1" in str(refusal.value)
@@ -619,8 +629,8 @@ def test_decompose_refuses_reducible_block(su2, su2_rule, monkeypatch):
     # a split that merges two irreducibles has a block of character norm 2
     original = rk.schur._split_unitary_fully
 
-    def merging(seed):
-        Q, sizes = original(seed)
+    def merging(T, X):
+        Q, sizes = original(T, X)
         return Q, [sizes[0] + sizes[1], *sizes[2:]]
 
     monkeypatch.setattr(rk.schur, "_split_unitary_fully", merging)
