@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputParseError
-from .groups import CircleGroup, FiniteGroup, SU2Group
+from .groups import CircleGroup, FiniteGroup, SU2Group, _require_integers
 from .representations import FiniteTableRepresentation
 
 _S3_PERMS = [
@@ -29,6 +29,7 @@ def _perm_compose(p, q):
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    _require_integers(n, "n")
     k = np.arange(n)
     table = (k[:, None] + k[None, :]) % n
     return FiniteGroup(table, labels=[str(i) for i in range(n)], name=f"z{n}")
@@ -64,6 +65,7 @@ def builtin_group(name: str):
 def cyclic_phase_rep(group: FiniteGroup, exponents) -> FiniteTableRepresentation:
     """diag(omega^(e_1 k), ..., omega^(e_r k)) over the cyclic group of order
     N, with omega the primitive N-th root of unity."""
+    _require_integers(exponents, "exponents")
     exponents = np.asarray(exponents, dtype=int)
     n = group.order
     k = np.arange(n)

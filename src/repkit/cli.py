@@ -14,6 +14,7 @@ the same inputs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -147,8 +148,16 @@ def main():
     """Numerical representation theory of compact groups."""
 
 
+def _tolerance(ctx, param, value):
+    """Refuse a --tol that is not a finite number >= 0: nan would pass
+    every check and -1 fail every one."""
+    if value is not None and not 0.0 <= value < math.inf:
+        raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
+    return value
+
+
 _REPORT_OPTIONS = (
-    click.option("--tol", type=float, help="Residual tolerance override."),
+    click.option("--tol", type=float, callback=_tolerance, help="Residual tolerance override."),
     click.option("--out", type=click.Path(), help="Write the JSON report to this path."),
     click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
                  help="Report format on stdout."),

@@ -300,6 +300,8 @@ def spin_irrep(j, group=None) -> SpinRepresentation:
     """The spin-j representation of su2; j may be an int, half-integer float,
     or Fraction with 0 <= 2j <= 12."""
     from .groups import SU2Group
+    if isinstance(j, (bool, np.bool_)):
+        raise SpinOutOfRangeError(f"a spin is a number, not a boolean, got j={j!r}")
     two_j = float(2 * Fraction(j)) if isinstance(j, (str, Fraction)) else float(2 * j)
     rounded = int(round(two_j))
     if abs(two_j - rounded) > 1e-9:

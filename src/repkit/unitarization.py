@@ -39,13 +39,16 @@ whole average before it reads the nodes again takes one more pass:
 ``averaged_form`` and ``unitarize`` read the invariance defect
 rho* H rho - H of the averaged form H there, and ``unitarize`` reads the
 unitarity defect of W off the same defect, as W* W - I =
-A^-* (rho* H rho - H) A^-1.  ``specialness_report`` reads its invariant
-forms in the basis of its one unitarization, so it averages the form
-once.  ``_unitary`` and ``unitarize`` read the definiteness and the
-conditioning of their factor off the one eigenvalue computation of the
-averaged form (``invariant_gram``).  Every other temporary is the size of
-a sub-chunk of ``linalg.NODE_CHUNK`` nodes, and the r^4 averaged outer
-product is dropped (``ProductSum.take``) before its fixed space is read.
+A^-* (rho* H rho - H) A^-1.  ``specialness_report`` takes those two
+passes of ``unitarize`` (``_unitarize``) and, in the second, adds the
+pairs of the chunks of W: it reads its invariant forms in the basis of
+its one unitarization, on any input, so it audits nothing and averages
+the form once.  ``_unitary`` and ``_unitarize`` read the definiteness and
+the conditioning of their factor off the one eigenvalue computation of
+the averaged form (``invariant_gram``).  Every other temporary is the
+size of a sub-chunk of ``linalg.NODE_CHUNK`` nodes, and the r^4 averaged
+outer product is dropped (``ProductSum.take``) before its fixed space is
+read.
 """
 
 from __future__ import annotations
@@ -222,15 +225,32 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     """Change basis by the Cholesky factor of the averaged form so the
     representation becomes unitary; the character is untouched.
 
-    Two passes: the averaged form, then its residuals (``_residuals``).
+    Two passes: the averaged form, then its residuals (``_unitarize``).
     The averaged form is decomposed once: A and A^-1 come from the
     eigenvalues ``invariant_gram`` computed, and the Gram matrix is exactly
     Hermitian, so A is the factor ``linalg.cholesky_hermitian`` gives, to
     the byte.  The unitary rep is built on ``rep``.
     """
+    return _unitarize(rep, rule)[0]
+
+
+def _unitarize(rep: Representation, rule: HaarRule, pair=None):
+    """(result, total): the unitarization of ``unitarize``, and for a
+    ``pair`` the ``ProductSum`` of ``pair(W)`` over the chunks of the
+    unitary stack W = A rho A^-1, else None.  The first pass sums the
+    averaged Gram; the second reads the residuals of each chunk
+    (``_residuals``) and then sandwiches it in place into W."""
     H, w = invariant_gram(_average(rep, rule, _gram).take())
     A, A_inv = _cholesky_pair(H, w)
-    return _unitarization(rep, A, A_inv, [_residuals(chunk, H, A_inv) for _, chunk in node_chunks(rep, rule)])
+    total = None if pair is None else ProductSum(rule)
+    residuals = []
+    for nodes, chunk in node_chunks(rep, rule):
+        residuals.append(_residuals(chunk, H, A_inv))
+        if total is not None:
+            total.add(nodes, *pair(linalg.sandwich(A, chunk, A_inv, out=chunk)))
+    invariance, unitarity = map(max, zip(*residuals))
+    return UnitarizationResult(basis_change=A, unitary_rep=ConjugatedRepresentation(rep, A, matrix_inv=A_inv),
+                               invariance_residual=invariance, unitarity_residual=unitarity), total
 
 
 def _residuals(chunk: np.ndarray, H: np.ndarray, A_inv: np.ndarray) -> tuple[float, float]:
@@ -240,16 +260,6 @@ def _residuals(chunk: np.ndarray, H: np.ndarray, A_inv: np.ndarray) -> tuple[flo
     never formed."""
     D = _invariance_defects(chunk, H)
     return linalg.max_abs(D), linalg.max_abs(linalg.sandwich(A_inv.conj().T, D, A_inv, out=D))
-
-
-def _unitarization(rep: Representation, A: np.ndarray, A_inv: np.ndarray, residuals) -> UnitarizationResult:
-    """The unitarization by A, with the largest of the chunks' residuals."""
-    return UnitarizationResult(
-        basis_change=A,
-        unitary_rep=ConjugatedRepresentation(rep, A, matrix_inv=A_inv),
-        invariance_residual=max(invariance for invariance, _ in residuals),
-        unitarity_residual=max(unitarity for _, unitarity in residuals),
-    )
 
 
 def hermitian_coords(H: np.ndarray) -> np.ndarray:
@@ -386,27 +396,10 @@ class SpecialnessReport:
 
 def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport:
     """The invariant-form space and the unitarization, off one averaged
-    form, in two passes.  The first sums the averaged Gram, audits the
-    input and, while it passes the audit, sums its averaging map; the
-    second reads the unitarization's residuals and, on input that failed
-    the audit, the averaging map of its unitary stack, in the basis of
-    that one unitarization."""
-    maps, gram, unitary = ProductSum(rule), ProductSum(rule), True
-    for nodes, chunk in node_chunks(rep, rule):
-        gram.add(nodes, chunk, chunk)
-        unitary = unitary and unitarity_defect(chunk) <= UNITARY_TOL
-        if unitary:
-            maps.add(nodes, *_outer(chunk))
-    H, w = invariant_gram(gram.take())
-    A, A_inv = _cholesky_pair(H, w)
-    if not unitary:
-        maps = ProductSum(rule)
-    residuals = []
-    for nodes, chunk in node_chunks(rep, rule):
-        residuals.append(_residuals(chunk, H, A_inv))
-        if not unitary:
-            maps.add(nodes, *_outer(linalg.sandwich(A, chunk, A_inv, out=chunk)))
-    unitarization = _unitarization(rep, A, A_inv, residuals)
-    forms = _forms(maps, np.eye(rep.degree, dtype=complex) if unitary else A)
+    form, in the two passes of ``unitarize``: the forms are read in the
+    basis of that unitarization, whatever the input, so nothing is
+    audited."""
+    unitarization, maps = _unitarize(rep, rule, _outer)
+    forms = _forms(maps, unitarization.basis_change)
     return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,
                              form_basis=forms)

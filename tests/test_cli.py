@@ -297,6 +297,15 @@ def test_tolerance_failure_exit_code(runner, inputs):
     assert "tolerance_failure" in result.output
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(runner, tol):
+    # nan would pass every check and print invalid JSON; -1 would fail every one
+    result = runner.invoke(main, ["haar-audit", "--builtin", "su2", "--resolution", "4",
+                                  "--tol", tol, "--format", "json"])
+    assert result.exit_code == 1
+    assert "--tol" in result.stderr and result.stdout == ""
+
+
 def test_json_reports_byte_identical(runner, inputs, tmp_path):
     args = ["decompose", "--group", str(inputs / "z2.json"),
             "--rep", str(inputs / "z2_mixed.json"), "--format", "json"]

@@ -166,16 +166,27 @@ def test_axiom_audit_evaluates_each_probe_family_once_per_node_set(su2, su2_rule
     assert sorted(calls) == [1] * 10 + [2] * 10
 
 
+def _span_projector(forms):
+    """The orthogonal projector onto the real span of Hermitian forms, in
+    their orthonormal ``hermitian_coords``."""
+    Q = np.linalg.qr(rk.unitarization.hermitian_coords(np.array([f.gram for f in forms])).T)[0]
+    return Q @ Q.T
+
+
 def test_specialness_report_averages_once(su2, su2_rule, monkeypatch):
-    # on input that fails the unitarity audit, the forms are read in the
-    # unitarization's basis: one averaged form and one unitarized stack,
-    # with the fields the two public calls give apart
+    # the forms are read in the unitarization's basis on any input: one
+    # averaged form and one unitarized stack.  On input that fails the
+    # unitarity audit, the fields are those the two public calls give apart
     rng = np.random.default_rng(3)
     parts = [rk.spin_irrep(two_j / 2, su2) for two_j in (1, 2, 3, 4)]
     basis = random_unitary(rng, 14) @ np.diag(np.geomspace(1.0, 3.0, 14)) @ random_unitary(rng, 14)
     rep = rk.conjugate(rk.DirectSumRepresentation(parts), basis)
     forms, d = rk.invariant_form_space(rep, su2_rule)
     unitarization = rk.unitarize(rep, su2_rule)
+    # unitary input: the same form space, in a basis that may rotate within
+    # it, since spin 1/2 + 1/2 has a degenerate fixed space
+    doubled = rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(0.5, su2))
+    doubled_forms, doubled_d = rk.invariant_form_space(doubled, su2_rule)
     grams = []
     original = rk.unitarization.invariant_gram
 
@@ -194,6 +205,11 @@ def test_specialness_report_averages_once(su2, su2_rule, monkeypatch):
     assert np.array_equal(got.unitary_rep.matrix_inv, unitarization.unitary_rep.matrix_inv)
     assert (got.invariance_residual, got.unitarity_residual) == (
         unitarization.invariance_residual, unitarization.unitarity_residual)
+
+    report = rk.specialness_report(doubled, su2_rule)
+    assert len(grams) == 2
+    assert report.d == doubled_d == 4 and not report.special
+    assert np.abs(_span_projector(report.form_basis) - _span_projector(doubled_forms)).max() <= 1e-14
 
 
 def test_shared_evaluations_keep_the_answers(su2, su2_rule):

@@ -368,7 +368,9 @@ def test_axiom_audit_bit_identical_to_fsum_reference(name, resolution, monkeypat
     rule = rk.haar_rule(group, resolution)
     probes, shifts = standard_probes(group), standard_shifts(group)
     kernel = rk.axiom_audit(rule, probes, shifts).as_dict()
-    monkeypatch.setattr(rk.groups, "_weighted_fsum", _fsum_reference)
+    # every audit sum, the batched ones included, through the reference
+    monkeypatch.setattr(rk.groups, "_weighted_fsum_rows",
+                        lambda rows, weights: [_fsum_reference(row, weights) for row in rows])
     assert rk.axiom_audit(rule, probes, shifts).as_dict() == kernel
 
 
@@ -396,10 +398,10 @@ def _axiom_residuals_per_integral(rule, probes, shifts):
 
 @pytest.mark.parametrize("name, resolution", [("su2", 12), ("circle", 64), ("s3", 1), ("z3", 1)])
 def test_axiom_audit_batches_equal_one_integral_per_row(name, resolution, monkeypatch):
-    # the residual rows go through the summation kernel in batches: one per
-    # probe (v, its scalar multiples, v + v) and one per shifted or
-    # inverted node set (every probe there); every residual is the one the
-    # per-integral audit gives, bit for bit
+    # the residual rows go through the summation kernel in batches: the
+    # base integrals of every probe, their positivity margins, and one per
+    # shifted or inverted node set (every probe there); every residual is
+    # the one the per-integral audit gives, bit for bit
     group = rk.builtin_group(name)
     rule = rk.haar_rule(group, resolution)
     probes, shifts = standard_probes(group), standard_shifts(group)
@@ -415,9 +417,9 @@ def test_axiom_audit_batches_equal_one_integral_per_row(name, resolution, monkey
     monkeypatch.setattr(rk.groups, "_weighted_fsum_rows", counting)
     report = rk.axiom_audit(rule, probes, shifts)
     assert {key: getattr(report, key) for key in reference} == reference
-    # then the positivity margins, one per probe, and the normalization
+    # then the normalization
     p = len(probes)
-    assert batches == [5] * p + [1] * p + [p] * (2 * len(shifts) + 1) + [1]
+    assert batches == [p, p] + [p] * (2 * len(shifts) + 1) + [1]
 
 
 def test_character_integrals_bit_identical_to_fsum_reference(su2, s3, monkeypatch):

@@ -399,10 +399,17 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
     (lambda circle, su2: rk.haar_rule(circle, True), rk.InvalidResolutionError),
     (lambda circle, su2: rk.haar_rule(su2, True), rk.InvalidResolutionError),
     (lambda circle, su2: rk.haar_rule(su2, np.True_), rk.InvalidResolutionError),
+    (lambda circle, su2: rk.spin_irrep(True, su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(np.True_, su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.cyclic_phase_rep(rk.cyclic_group(3), [1.7]), ValueError),
+    (lambda circle, su2: rk.cyclic_phase_rep(rk.cyclic_group(3), [True]), ValueError),
+    (lambda circle, su2: rk.cyclic_group(True), ValueError),
 ], ids=["spin True", "spin np.True_", "weight True", "weight np.True_",
-        "circle resolution True", "su2 resolution True", "su2 resolution np.True_"])
+        "circle resolution True", "su2 resolution True", "su2 resolution np.True_",
+        "spin_irrep True", "spin_irrep np.True_", "exponent 1.7", "exponent True", "cyclic order True"])
 def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, error):
-    # a boolean is an int to Python, but never a spin, weight or resolution
+    # a boolean is an int to Python, but never a spin, weight, exponent,
+    # order or resolution; nor is a float an exponent
     with pytest.raises(error):
         build(circle, su2)
 
