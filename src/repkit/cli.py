@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 import click
 import numpy as np
@@ -29,7 +28,7 @@ from .groups import axiom_audit, haar_rule
 from .lie_algebras import trace_form
 from .loaders import load_algebra, load_group, load_representation
 from .probes import standard_probes, standard_shifts
-from .representations import CircleWeightRepresentation, character, spin_irrep
+from .representations import CircleWeightRepresentation, SpinRepresentation, character
 from .schur import MULTIPLICITY_WINDOW, decompose, orthogonality_audit, unitary_commutant
 from .serialize import complex_list_to_json, matrix_to_json, real_matrix_to_json
 from .unitarization import unitarize
@@ -64,7 +63,7 @@ def _resolve_rep(group, rep_path, spin, weights):
     if spin is not None:
         if group.kind != "su2":
             raise InputParseError("--spin requires the su2 group")
-        return spin_irrep(Fraction(int(spin), 2), group)
+        return SpinRepresentation(group, spin)
     if group.kind != "circle":
         raise InputParseError("--weights requires the circle group")
     try:

@@ -28,6 +28,12 @@ intertwiner) is one pair (X, Y) of views of each chunk added to one, and
 ``take()`` hands the total over and drops it.  It refuses a non-finite
 result, which is what a non-finite node entry or an overflowing sum
 produces, so no input sweep is needed.
+
+Caller input is checked once per kind, here.  ``_is_integer`` decides every
+integer the library takes (a Python or numpy int, never a bool, float or
+string, and nothing is cast), and ``_evaluate`` evaluates every caller
+integrand, for ``integrate_scalar``, ``integrate_matrix`` and the Haar
+audit alike: ``f.batch(nodes)`` when ``f`` has one, else ``f(x)`` per node.
 """
 
 from __future__ import annotations
@@ -47,6 +53,12 @@ from .errors import (
 )
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a boolean: the
+    library's one integrality test (a float or string is never cast)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_integers(value, field: str) -> None:
     """Refuse anything but an integer, or a (nested) list, range or integer
     array of them, in ``field``: a float, string or boolean is refused,
@@ -58,7 +70,7 @@ def _require_integers(value, field: str) -> None:
     if isinstance(value, (list, tuple, range)):
         for i, item in enumerate(value):
             _require_integers(item, f"{field}[{i}]")
-    elif not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    elif not _is_integer(value):
         raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
@@ -97,7 +109,7 @@ class FiniteGroup:
                 break
         if ident is None:
             raise ValueError("multiplication table has no two-sided identity")
-        if identity is not None and int(identity) != ident:
+        if identity is not None and identity != ident:
             raise ValueError(f"declared identity {identity} but the table identity is {ident}")
         inv = np.empty(n, dtype=int)
         for a in range(n):
@@ -136,15 +148,11 @@ class FiniteGroup:
         return self.identity_index
 
     def _index(self, g):
-        if isinstance(g, (bool, float, complex, np.floating, np.complexfloating)):
+        if not _is_integer(g):
             raise KindMismatchError(f"finite group elements are integer indices, got {type(g).__name__}")
-        try:
-            k = int(g)
-        except (TypeError, ValueError):
-            raise KindMismatchError(f"finite group elements are integer indices, got {type(g).__name__}")
-        if not 0 <= k < self.order:
-            raise KindMismatchError(f"element index {k} outside 0..{self.order - 1}")
-        return k
+        if not 0 <= g < self.order:
+            raise KindMismatchError(f"element index {g} outside 0..{self.order - 1}")
+        return g
 
     def multiply(self, g, h):
         return int(self.mult_table[self._index(g), self._index(h)])
@@ -182,11 +190,13 @@ class CircleGroup:
         return 0.0
 
     def _angle(self, g):
-        try:
-            theta = float(g)
-        except (TypeError, ValueError):
-            raise KindMismatchError(f"circle elements are angles, got {type(g).__name__}")
-        return theta % (2 * np.pi)
+        """``g``, a real number or 0-d array, as an angle in [0, 2pi)."""
+        if not isinstance(g, (bool, np.bool_, str, bytes)):
+            try:
+                return float(g) % (2 * np.pi)
+            except (TypeError, ValueError):
+                pass
+        raise KindMismatchError(f"circle elements are angles, got {type(g).__name__}")
 
     def multiply(self, g, h):
         return (self._angle(g) + self._angle(h)) % (2 * np.pi)
@@ -288,6 +298,8 @@ def identity(group):
 def enumerate_or_sample(group, count, seed=0):
     """All elements of a finite group, or ``count`` pseudo-random elements of
     a continuous one (deterministic for a fixed seed)."""
+    if not _is_integer(count):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if group.kind == "finite":
         return group.elements()
     rng = np.random.default_rng(seed)
@@ -321,14 +333,13 @@ class HaarRule:
         return len(self.weights)
 
     def iter_nodes(self):
-        if self.group.kind == "finite":
-            return (int(k) for k in self.nodes)
-        if self.group.kind == "circle":
-            return (float(t) for t in self.nodes)
-        return iter(self.nodes)
+        """The nodes one at a time, as a per-node integrand reads them."""
+        return iter(_per_node(self.nodes))
 
     def same_rule(self, other) -> bool:
-        return self is other or (self.group == other.group and self.resolution == other.resolution
+        """Same group, nodes and weights; a finite group ignores the
+        resolution, and on the circle and su2 the nodes fix it."""
+        return self is other or (self.group == other.group
                                  and np.array_equal(self.weights, other.weights)
                                  and np.array_equal(self.nodes, other.nodes))
 
@@ -340,7 +351,7 @@ def haar_rule(group, resolution: int) -> HaarRule:
     the circle gets ``resolution`` equispaced angles; su2 gets the
     axis-angle product rule with ``resolution`` points per coordinate.
     """
-    if not isinstance(resolution, (int, np.integer)) or isinstance(resolution, bool) or resolution < 1:
+    if not _is_integer(resolution) or resolution < 1:
         raise InvalidResolutionError(f"resolution must be a positive integer, got {resolution!r}")
     if group.kind == "finite":
         n = group.order
@@ -427,10 +438,6 @@ def _fsum_rows(rows: np.ndarray) -> list[float]:
     return out
 
 
-def _weighted_fsum(values: np.ndarray, weights: np.ndarray) -> complex:
-    return _weighted_fsum_rows([values], weights)[0]
-
-
 # complex node terms per ``_fsum_rows`` batch of ``_weighted_fsum_rows``
 # (64 KB): each extraction level sweeps its batch several times, and a
 # batch much larger than this falls out of cache (26 rows of 13 824 terms
@@ -456,36 +463,57 @@ def _weighted_fsum_rows(rows, weights: np.ndarray) -> list[complex]:
     return out
 
 
-def evaluate_probe(f, rule: HaarRule, nodes=None) -> np.ndarray:
-    """Evaluate a scalar function at every node (batched when supported).
+def _per_node(nodes):
+    """``nodes`` as a per-node integrand reads them: a 1-d array (finite
+    indices, circle angles) as a list of Python numbers, any other array
+    (su2 matrices) as it is, one element per row."""
+    nodes = np.asarray(nodes)
+    return nodes.tolist() if nodes.ndim == 1 else nodes
 
-    Functions may expose a ``batch(nodes) -> values`` method for vectorized
-    evaluation; otherwise they are called once per node.
-    """
-    if nodes is None:
-        nodes = rule.nodes
+
+def _evaluate(f, nodes) -> np.ndarray:
+    """The values of a caller's integrand ``f`` at ``nodes``, stacked on a
+    first node axis as a complex array: ``f.batch(nodes)`` when ``f`` has a
+    ``batch`` method, else ``f(x)`` at each node x as ``_per_node`` reads
+    it.  A per-node value that changes shape from one node to the next is
+    refused with ``ShapeMismatchError``; a call that raises, or a
+    non-finite value, with ``EvaluationFailureError``."""
     batch = getattr(f, "batch", None)
     try:
         if batch is not None:
             values = np.asarray(batch(nodes), dtype=complex)
         else:
-            values = np.fromiter((complex(f(x)) for x in nodes), dtype=complex, count=len(nodes))
+            values = [np.asarray(f(x), dtype=complex) for x in _per_node(nodes)]
     except EvaluationFailureError:
         raise
     except Exception as exc:
-        raise EvaluationFailureError(f"probe failed at a node: {exc}")
+        raise EvaluationFailureError(f"integrand failed at a node: {exc}") from exc
+    if batch is None:
+        for k, value in enumerate(values):
+            if value.shape != values[0].shape:
+                raise ShapeMismatchError(
+                    f"integrand shape changed at node {k}: {value.shape} != {values[0].shape}")
+        values = np.stack(values)
+    if not np.isfinite(values).all():
+        raise EvaluationFailureError("integrand returned a non-finite value at a node")
+    return values
+
+
+def evaluate_probe(f, rule: HaarRule, nodes=None) -> np.ndarray:
+    """The values of a scalar function at every rule node, or at ``nodes``
+    (``_evaluate``: batched when ``f`` has a ``batch`` method, else one
+    call per node)."""
+    nodes = rule.nodes if nodes is None else nodes
+    values = _evaluate(f, nodes)
     if values.shape != (len(nodes),):
         raise EvaluationFailureError(f"probe returned shape {values.shape}, expected ({len(nodes)},)")
-    if not np.isfinite(values).all():
-        raise EvaluationFailureError("probe returned a non-finite value at a node")
     return values
 
 
 def integrate_scalar(rule: HaarRule, f) -> complex:
-    """Invariant integral of a scalar function: the weighted node sum,
-    correctly rounded (``_fsum_rows``, the value ``math.fsum`` gives on the
-    node terms, bit for bit)."""
-    return _weighted_fsum(evaluate_probe(f, rule), rule.weights)
+    """Invariant integral of a scalar function: its node values
+    (``evaluate_probe``) summed by ``integrate_values``."""
+    return integrate_values(rule, evaluate_probe(f, rule))
 
 
 def integrate_values(rule: HaarRule, values: np.ndarray) -> complex:
@@ -496,7 +524,7 @@ def integrate_values(rule: HaarRule, values: np.ndarray) -> complex:
     values = np.asarray(values, dtype=complex)
     if values.shape != (rule.node_count,):
         raise ShapeMismatchError(f"expected {rule.node_count} node values, got shape {values.shape}")
-    return _weighted_fsum(values, rule.weights)
+    return _weighted_fsum_rows([values], rule.weights)[0]
 
 
 class ProductSum:
@@ -577,21 +605,12 @@ def integrate_stacked(rule: HaarRule, stacked: np.ndarray) -> np.ndarray:
 
 
 def integrate_matrix(rule: HaarRule, F) -> np.ndarray:
-    """Invariant integral of a matrix-valued function, entry by entry."""
-    batch = getattr(F, "batch", None)
-    if batch is not None:
-        stacked = np.asarray(batch(rule.nodes), dtype=complex)
-        if stacked.ndim != 3:
-            raise ShapeMismatchError("batched matrix integrand must return (n, r, s)")
-    else:
-        mats = [np.asarray(F(x), dtype=complex) for x in rule.iter_nodes()]
-        shape = mats[0].shape
-        if len(shape) != 2:
-            raise ShapeMismatchError(f"integrand values must be matrices, got shape {shape}")
-        for k, m in enumerate(mats):
-            if m.shape != shape:
-                raise ShapeMismatchError(f"integrand shape changed at node {k}: {m.shape} != {shape}")
-        stacked = np.stack(mats)
+    """Invariant integral of a matrix-valued function, entry by entry: its
+    node values (``_evaluate``, as for ``integrate_scalar``) summed by
+    ``integrate_stacked``."""
+    stacked = _evaluate(F, rule.nodes)
+    if stacked.ndim != 3:
+        raise ShapeMismatchError(f"matrix integrand must return (n, r, s), got shape {stacked.shape}")
     return integrate_stacked(rule, stacked)
 
 

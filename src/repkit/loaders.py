@@ -6,8 +6,10 @@ boolean in an integer field, or a string or boolean as a structure constant,
 is refused, not cast.
 Structural validation (Latin squares, Jacobi identity, identity matrices in
 representation tables) is delegated to the domain constructors and their
-messages are wrapped with the file context; so is the integer check of a
-group table, which ``FiniteGroup`` makes for library callers too.
+messages are wrapped with the file context; so are the integer checks of a
+group table, a weight list and a spin, which ``FiniteGroup``,
+``CircleWeightRepresentation`` and ``SpinRepresentation`` make for library
+callers too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputParseError, RepkitError
-from .groups import CircleGroup, FiniteGroup, SU2Group, _require_integers
+from .groups import CircleGroup, FiniteGroup, SU2Group, _is_integer
 from .lie_algebras import LieAlgebraSpec
 from .representations import (
     CircleWeightRepresentation,
@@ -84,7 +86,7 @@ def load_algebra(path) -> LieAlgebraSpec:
     data = _read_json(path)
     context = str(path)
     dim = _require(data, "dim", context)
-    if type(dim) is not int or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise InputParseError(f"{context}: 'dim' must be a positive integer, got {dim!r}")
     entries = _require(data, "structure_constants", context)
     c = np.zeros((dim, dim, dim))
@@ -93,7 +95,7 @@ def load_algebra(path) -> LieAlgebraSpec:
             raise InputParseError(
                 f"{context}: structure_constants[{row_no}] must be [alpha, beta, k, value]")
         a, b, k, value = row
-        if not all(type(i) is int for i in (a, b, k)):
+        if not all(_is_integer(i) for i in (a, b, k)):
             raise InputParseError(f"{context}: structure_constants[{row_no}]: indices must be integers")
         if not (0 <= a < dim and 0 <= b < dim and 0 <= k < dim):
             raise InputParseError(f"{context}: structure_constants[{row_no}]: index outside 0..{dim - 1}")
@@ -131,14 +133,9 @@ def _rep_from_data(data: dict, group, context: str):
                               for i, m in enumerate(matrices)])
             return FiniteTableRepresentation(group, table)
         if kind == "circle_weights":
-            weights = _require(data, "weights", context)
-            _require_integers(weights, "weights")
-            return CircleWeightRepresentation(group, weights)
+            return CircleWeightRepresentation(group, _require(data, "weights", context))
         if kind == "su2_spin":
-            two_j = _require(data, "two_j", context)
-            if type(two_j) is not int:
-                raise InputParseError(f"{context}: 'two_j' must be an integer")
-            return SpinRepresentation(group, two_j)
+            return SpinRepresentation(group, _require(data, "two_j", context))
         if kind == "direct_sum":
             parts = _require(data, "parts", context)
             if not isinstance(parts, list) or len(parts) < 2:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .errors import (
     ShapeMismatchError,
     SpinOutOfRangeError,
 )
-from .groups import HaarRule, enumerate_or_sample
+from .groups import HaarRule, _is_integer, _require_integers, enumerate_or_sample
 
 MAX_TWO_J = 12
 # nodes per evaluation chunk of a pass (``node_chunks``) and of the spin
@@ -127,10 +126,11 @@ class CircleWeightRepresentation(_LibraryBody):
         if group.kind != "circle":
             raise KindMismatchError("weight vectors require the circle group")
         ws = list(weights)
-        if not ws or any(isinstance(w, (bool, np.bool_)) or int(w) != w for w in ws):
+        _require_integers(ws, "weights")
+        self.weights = np.array(ws, dtype=int)
+        if not ws or self.weights.ndim != 1:
             raise ValueError("weights must be a nonempty list of integers")
         self.group = group
-        self.weights = np.array([int(w) for w in ws])
         self.degree = len(ws)
 
     def evaluate_batch(self, nodes, out=None):
@@ -177,7 +177,7 @@ class SpinRepresentation(_LibraryBody):
     def __init__(self, group, two_j: int):
         if group.kind != "su2":
             raise KindMismatchError("spin representations require the su2 group")
-        if not isinstance(two_j, (int, np.integer)) or isinstance(two_j, bool) or not 0 <= two_j <= MAX_TWO_J:
+        if not _is_integer(two_j) or not 0 <= two_j <= MAX_TWO_J:
             raise SpinOutOfRangeError(f"two_j must be an integer in 0..{MAX_TWO_J}, got {two_j!r}")
         self.group = group
         self.two_j = int(two_j)
@@ -297,13 +297,14 @@ def conjugate(rep: Representation, A) -> Representation:
 
 
 def spin_irrep(j, group=None) -> SpinRepresentation:
-    """The spin-j representation of su2; j may be an int, half-integer float,
-    or Fraction with 0 <= 2j <= 12."""
+    """The spin-j representation of su2 for a real number j (an int, a
+    half-integer float, a Fraction) with 0 <= 2j <= 12.  A boolean, string
+    or bytes is not a spin and is refused, not parsed."""
     from .groups import SU2Group
-    if isinstance(j, (bool, np.bool_)):
-        raise SpinOutOfRangeError(f"a spin is a number, not a boolean, got j={j!r}")
-    two_j = float(2 * Fraction(j)) if isinstance(j, (str, Fraction)) else float(2 * j)
-    rounded = int(round(two_j))
+    if isinstance(j, (bool, np.bool_, str, bytes)):
+        raise SpinOutOfRangeError(f"a spin is a number, got j={j!r}")
+    two_j = float(2 * j)
+    rounded = round(two_j)
     if abs(two_j - rounded) > 1e-9:
         raise SpinOutOfRangeError(f"twice the spin must be an integer, got j={j!r}")
     return SpinRepresentation(group if group is not None else SU2Group(), rounded)
@@ -317,8 +318,8 @@ def homomorphism_audit(rep: Representation, pair_count: int = 200, seed: int = 0
     tensor is held; larger ones on ``pair_count`` index pairs drawn with
     ``seed``.  Each side is evaluated in one batch.
     """
-    if pair_count < 1:
-        raise ValueError("pair_count must be at least 1")
+    if not _is_integer(pair_count) or pair_count < 1:
+        raise ValueError(f"pair_count must be a positive integer, got {pair_count!r}")
     group = rep.group
     if group.kind == "finite":
         if group.order ** 2 <= 10_000:
@@ -425,10 +426,16 @@ def class_invariance_audit(rep: Representation, rule: HaarRule, shifts) -> float
 
 
 class MatrixEntryProbe:
-    """Scalar probe f(x) = rho(x)[i, j] with vectorized node evaluation;
-    the shape the audit expects for representation-entry probes."""
+    """Scalar probe f(x) = rho(x)[i, j], the (i, j) matrix entry of ``rep``,
+    for integer indices 0 <= i, j < degree (any other index is refused with
+    ``ShapeMismatchError``, not wrapped around or cast).  It evaluates per
+    node (``__call__``) or over a node array (``batch``), which is how the
+    integrals and the Haar-axiom audit call it."""
 
     def __init__(self, rep: Representation, i: int, j: int, label: str | None = None):
+        if not all(_is_integer(k) and 0 <= k < rep.degree for k in (i, j)):
+            raise ShapeMismatchError(
+                f"entry ({i!r}, {j!r}) is not an index of a {rep.degree}x{rep.degree} matrix")
         self.rep = rep
         self.i = i
         self.j = j

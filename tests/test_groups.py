@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -436,7 +437,8 @@ def test_character_integrals_bit_identical_to_fsum_reference(su2, s3, monkeypatc
                  for irrep in irreps])
 
     kernel = answers()
-    monkeypatch.setattr(rk.groups, "_weighted_fsum", _fsum_reference)
+    monkeypatch.setattr(rk.groups, "_weighted_fsum_rows",
+                        lambda rows, weights: [_fsum_reference(row, weights) for row in rows])
     assert answers() == kernel
 
 
@@ -461,6 +463,47 @@ def test_integrate_matrix_batched_integrand_is_one_stacked_sum(su2):
     assert rk.integrate_matrix(rule, Batched()).tobytes() == expected.tobytes()
     with pytest.raises(rk.ShapeMismatchError, match=r"\(n, r, s\)"):
         rk.integrate_matrix(rule, type("Flat", (), {"batch": lambda self, nodes: np.ones(len(nodes))})())
+
+
+@pytest.mark.parametrize("integral, value", [(rk.integrate_scalar, 2.0), (rk.integrate_matrix, np.eye(2))],
+                         ids=["integrate_scalar", "integrate_matrix"])
+@pytest.mark.parametrize("name, resolution, node_type", [("z3", 1, int), ("circle", 8, float),
+                                                         ("su2", 4, np.ndarray)])
+def test_per_node_integrands_share_one_contract(integral, value, name, resolution, node_type):
+    # both integrals call a per-node integrand the same way: with Python
+    # numbers on finite and circle nodes and 2x2 arrays on su2, and refuse
+    # a call that raises, a non-finite value and a shape that changes
+    rule = rk.haar_rule(rk.builtin_group(name), resolution)
+    seen = []
+
+    def constant(x):
+        seen.append(type(x))
+        return value
+
+    assert np.abs(integral(rule, constant) - value).max() <= 1e-14
+    assert len(seen) == rule.node_count and set(seen) == {node_type}
+
+    def raises(x):
+        raise ArithmeticError("no value at this node")
+
+    with pytest.raises(rk.EvaluationFailureError, match="no value at this node"):
+        integral(rule, raises)
+    with pytest.raises(rk.EvaluationFailureError, match="non-finite"):
+        integral(rule, lambda x: value * np.nan)
+    calls = itertools.count()
+    with pytest.raises(rk.ShapeMismatchError, match="shape changed at node 1"):
+        integral(rule, lambda x: value if next(calls) == 0 else np.ones((3, 3)))
+
+
+def test_finite_rules_at_two_resolutions_are_the_same_rule(z3, circle):
+    # a finite group ignores the resolution: its rules sum the same terms
+    r1, r2 = rk.haar_rule(z3, 1), rk.haar_rule(z3, 2)
+    assert r1.same_rule(r2)
+    rep = rk.cyclic_phase_rep(z3, [1])
+    chi1, chi2 = rk.character(rep, r1), rk.character(rep, r2)
+    assert rk.character_inner(chi1, chi2, r1) == rk.character_inner(chi1, chi1, r1)
+    # on the circle the resolution sets the nodes
+    assert not rk.haar_rule(circle, 4).same_rule(rk.haar_rule(circle, 8))
 
 
 def test_iter_nodes_yields_the_circle_angles_as_floats(circle):

@@ -117,6 +117,7 @@ def test_overflowing_average_of_finite_stacks_is_refused_without_warnings(z3):
                 z3, np.stack([np.eye(2)] + [np.full((2, 2), 1e200)] * 2).astype(complex)), rule)
 
 
+@pytest.mark.memory
 def test_matrix_element_audit_holds_one_stack_sized_temporary(su2):
     # the Gram matrix of the matrix elements is one contraction of the
     # flattened chunks with themselves, summed over one pass: a chunk

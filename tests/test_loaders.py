@@ -223,7 +223,7 @@ def test_load_algebra_refuses_non_numeric_fields(tmp_path, data, message):
 
 @pytest.mark.parametrize("data, message", [
     ({"kind": "circle_weights", "weights": [True, 2]}, r"weights\[0\] must be an integer"),
-    ({"kind": "su2_spin", "two_j": True}, "'two_j' must be an integer"),
+    ({"kind": "su2_spin", "two_j": True}, "two_j must be an integer in 0..12"),
 ])
 def test_load_rep_refuses_boolean_integers(tmp_path, circle, su2, data, message):
     group = circle if data["kind"] == "circle_weights" else su2

@@ -52,6 +52,7 @@ def fine_rule(su2):
     return rk.haar_rule(su2, 24)
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("name", list(CALLS))
 def test_averaging_call_holds_a_few_evaluation_chunks(su2, fine_rule, name):
     irreducible, reducible = _inputs(su2)

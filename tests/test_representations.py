@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,6 +121,7 @@ def test_homomorphism_audit_exhaustive_matches_pair_tensor(s3):
     assert abs(rk.homomorphism_audit(rep) - reference) <= 1e-14
 
 
+@pytest.mark.memory
 def test_homomorphism_audit_exhaustive_holds_no_pair_tensor():
     # regular representation of Z48: the pair tensor would be 48^4 complex
     # entries (85 MB)
@@ -404,14 +406,40 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
     (lambda circle, su2: rk.cyclic_phase_rep(rk.cyclic_group(3), [1.7]), ValueError),
     (lambda circle, su2: rk.cyclic_phase_rep(rk.cyclic_group(3), [True]), ValueError),
     (lambda circle, su2: rk.cyclic_group(True), ValueError),
+    (lambda circle, su2: rk.CircleWeightRepresentation(circle, [1, 2.0]), ValueError),
+    (lambda circle, su2: rk.CircleWeightRepresentation(circle, [np.float64(3.0)]), ValueError),
+    (lambda circle, su2: rk.cyclic_group(4).multiply("3", 0), rk.KindMismatchError),
+    (lambda circle, su2: rk.cyclic_group(4).multiply(Fraction(3, 2), 0), rk.KindMismatchError),
+    (lambda circle, su2: rk.MatrixEntryProbe(rk.spin_irrep(1, su2), -1, 0), rk.ShapeMismatchError),
+    (lambda circle, su2: rk.MatrixEntryProbe(rk.spin_irrep(1, su2), 0, 0.5), rk.ShapeMismatchError),
+    (lambda circle, su2: rk.MatrixEntryProbe(rk.spin_irrep(1, su2), 3, 0), rk.ShapeMismatchError),
+    (lambda circle, su2: rk.homomorphism_audit(rk.spin_irrep(1, su2), True), ValueError),
+    (lambda circle, su2: rk.homomorphism_audit(rk.spin_irrep(1, su2), 2.5), ValueError),
+    (lambda circle, su2: rk.enumerate_or_sample(su2, True), ValueError),
+    (lambda circle, su2: rk.spin_irrep("1", su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep("1/2", su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(b"1", su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: circle.multiply(True, 0.0), rk.KindMismatchError),
+    (lambda circle, su2: circle.multiply("1.5", 0.0), rk.KindMismatchError),
 ], ids=["spin True", "spin np.True_", "weight True", "weight np.True_",
         "circle resolution True", "su2 resolution True", "su2 resolution np.True_",
-        "spin_irrep True", "spin_irrep np.True_", "exponent 1.7", "exponent True", "cyclic order True"])
+        "spin_irrep True", "spin_irrep np.True_", "exponent 1.7", "exponent True", "cyclic order True",
+        "weight 2.0", "weight np.float64(3.0)", "element '3'", "element Fraction(3, 2)",
+        "probe index -1", "probe index 0.5", "probe index degree", "pair_count True",
+        "pair_count 2.5", "count True", "spin_irrep '1'", "spin_irrep '1/2'", "spin_irrep b'1'",
+        "angle True", "angle '1.5'"])
 def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, error):
     # a boolean is an int to Python, but never a spin, weight, exponent,
-    # order or resolution; nor is a float an exponent
+    # order, resolution, count or angle; nor is a float a weight, exponent
+    # or count, even with an integer value, a string an element, spin or
+    # angle, or an index outside the matrix a probe entry
     with pytest.raises(error):
         build(circle, su2)
+
+
+def test_spins_are_read_from_any_real_number(su2):
+    for j in (1, 1.5, np.float64(0.5), Fraction(3, 2), 6):
+        assert rk.spin_irrep(j, su2).two_j == 2 * j
 
 
 # --- representation invariants across the builtin stock -----------------------

@@ -111,6 +111,7 @@ def test_intertwiner_of_a_non_unitary_psi_matches_the_inverse_node_sum(s3, phi_k
     assert np.abs(phis @ T[None] - T[None] @ psis).max() <= 1e-12
 
 
+@pytest.mark.memory
 def test_intertwiner_holds_two_stacks(su2):
     # no stack at all: one chunk buffer per input, read in step, and the
     # seed applied over phi's chunk a sub-chunk at a time
@@ -502,6 +503,7 @@ def test_split_diagonalizes_the_whole_stack_average(su2, su2_rule, monkeypatch):
     assert min(np.diff(sorted(v[0] for v in values))) > 1e-3 * np.linalg.norm(X, 2)
 
 
+@pytest.mark.memory
 def test_decompose_runs_the_seed_in_node_chunks(su2):
     # no node stack: the averaged form, the seed, the block characters and
     # the leakage are read in passes of evaluation chunks, each in the basis
@@ -517,6 +519,7 @@ def test_decompose_runs_the_seed_in_node_chunks(su2):
     assert peak <= CHUNKS_HELD * chunk_bytes(rep.degree)
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("call", [
     rk.unitarize,
     rk.irreducibility_test,

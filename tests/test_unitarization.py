@@ -254,6 +254,7 @@ def test_dimensions_survive_an_ill_conditioned_basis(s3, su2, su2_rule, seed):
             assert np.abs(defect).max() <= 1e-7 * np.abs(form.gram).max()
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("call", [rk.commutant, rk.invariant_form_space])
 def test_fixed_space_holds_two_stacks(su2, call):
     # no node stack: the averaging map is summed over passes of evaluation
@@ -290,6 +291,7 @@ def test_specialness_report(su2, su2_rule):
     assert rk.specialness_report(trivial, su2_rule).special
 
 
+@pytest.mark.memory
 def test_invariant_gram_holds_one_stack_sized_temporary(su2, su2_rule):
     # the averaged form is one GEMM per node sub-chunk against a weighted
     # conjugate of that sub-chunk: sub-chunk-sized temporaries, no copy of
