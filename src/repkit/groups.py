@@ -24,16 +24,25 @@ chunk against the weighted conjugate of that chunk of X, built in place, so
 it holds no stack-sized temporary.  A pass that reads its input chunk by
 chunk sums the same contraction in a ``ProductSum``: every average the
 library takes (the averaging map, the Gram, the split seed, the averaged
-intertwiner) is one pair (X, Y) of views of each chunk added to one, and
-``take()`` hands the total over and drops it.  It refuses a non-finite
-result, which is what a non-finite node entry or an overflowing sum
-produces, so no input sweep is needed.
+intertwiner, the integral of a representation) is one pair (X, Y) of
+views of each chunk added to one, and ``take()`` hands the total over and
+drops it.  It refuses a non-finite result, which is what a non-finite
+node entry or an overflowing sum produces, so no input sweep is needed.
 
 Caller input is checked once per kind, here.  ``_is_integer`` decides every
 integer the library takes (a Python or numpy int, never a bool, float or
-string, and nothing is cast), and ``_evaluate`` evaluates every caller
-integrand, for ``integrate_scalar``, ``integrate_matrix`` and the Haar
-audit alike: ``f.batch(nodes)`` when ``f`` has one, else ``f(x)`` per node.
+string, and nothing is cast), ``_node_array`` every batch of finite
+indices or circle angles (by its dtype kind, O(1) per batch), and
+``_evaluate`` evaluates every caller integrand, for ``integrate_scalar``,
+``integrate_matrix`` and the Haar audit alike: ``f.batch(nodes)`` when
+``f`` has one, else ``f(x)`` per node.  A ``Representation`` given to
+``integrate_matrix`` is summed in passes over its evaluation chunks
+instead.
+
+The Haar audit (``axiom_audit``) holds the probe values at the rule nodes
+only until their integrals and the positivity margin are summed: a
+probe family's values are views into its one shared stack, so once they
+are dropped each family holds the stack of one node set at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +66,24 @@ def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer, not a boolean: the
     library's one integrality test (a float or string is never cast)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# the numpy dtype kinds of a batch of nodes, by group kind, and what its
+# nodes are: a finite group's are integer indices, the circle's real angles
+_NODE_KINDS = {"finite": ("iu", "finite group elements are integer indices"),
+               "circle": ("iuf", "circle elements are angles")}
+
+
+def _node_array(nodes, group_kind: str) -> np.ndarray:
+    """A batch of nodes of a finite group or the circle as an array, refused
+    with ``KindMismatchError`` unless its dtype kind is one of that group
+    kind's ``_NODE_KINDS``: the check is O(1) per batch, and a boolean,
+    string, complex or object array is refused, never cast."""
+    kinds, what = _NODE_KINDS[group_kind]
+    nodes = np.asarray(nodes)
+    if nodes.dtype.kind not in kinds:
+        raise KindMismatchError(f"{what}, got an array of dtype {nodes.dtype}")
+    return nodes
 
 
 def _require_integers(value, field: str) -> None:
@@ -154,6 +181,15 @@ class FiniteGroup:
             raise KindMismatchError(f"element index {g} outside 0..{self.order - 1}")
         return g
 
+    def _indices(self, nodes) -> np.ndarray:
+        """``_index`` for a batch: an integer array (``_node_array``) whose
+        min and max lie in 0..order-1, never cast or wrapped around."""
+        index = _node_array(nodes, self.kind)
+        if index.size and not (index.min() >= 0 and index.max() < self.order):
+            raise KindMismatchError(
+                f"element indices {index.min()}..{index.max()} outside 0..{self.order - 1}")
+        return index
+
     def multiply(self, g, h):
         return int(self.mult_table[self._index(g), self._index(h)])
 
@@ -189,7 +225,8 @@ class CircleGroup:
     def identity_element(self):
         return 0.0
 
-    def _angle(self, g):
+    @staticmethod
+    def _angle(g):
         """``g``, a real number or 0-d array, as an angle in [0, 2pi)."""
         if not isinstance(g, (bool, np.bool_, str, bytes)):
             try:
@@ -607,7 +644,20 @@ def integrate_stacked(rule: HaarRule, stacked: np.ndarray) -> np.ndarray:
 def integrate_matrix(rule: HaarRule, F) -> np.ndarray:
     """Invariant integral of a matrix-valued function, entry by entry: its
     node values (``_evaluate``, as for ``integrate_scalar``) summed by
-    ``integrate_stacked``."""
+    ``integrate_stacked``.
+
+    For a ``Representation`` F this is the paper's integral of rho, the
+    projection onto its invariant vectors, summed in one pass over the
+    evaluation chunks of F (``node_chunks``, which refuses F over another
+    group with ``GroupMismatchError``): one ``ProductSum`` of the pair
+    (ones, flattened chunk), the sum ``integrate_stacked`` takes over the
+    whole stack, so the bytes are the same and no stack is held."""
+    from .representations import Representation, node_chunks
+    if isinstance(F, Representation):
+        total = ProductSum(rule)
+        for nodes, chunk in node_chunks(F, rule):
+            total.add(nodes, np.ones((len(chunk), 1, 1)), chunk.reshape(len(chunk), 1, -1))
+        return total.take().reshape(F.degree, F.degree)
     stacked = _evaluate(F, rule.nodes)
     if stacked.ndim != 3:
         raise ShapeMismatchError(f"matrix integrand must return (n, r, s), got shape {stacked.shape}")
@@ -671,6 +721,10 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
     # so that a probe family evaluates once per node set
     base_int = _weighted_fsum_rows(base, rule.weights)
     margin = min(s.real for s in _weighted_fsum_rows((np.abs(v) ** 2 + 0j for v in base), rule.weights))
+    # the base values are views into the probe families' stacks at the
+    # rule nodes: dropped here, each family lets go of its stack when it
+    # evaluates the first shifted node set
+    del base
 
     def moved(nodes):
         sums = _weighted_fsum_rows((evaluate_probe(f, rule, nodes=nodes) for f in probes), rule.weights)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KindMismatchError
-from .groups import enumerate_or_sample
+from .groups import CircleGroup, _is_integer, _node_array, enumerate_or_sample
 from .representations import MatrixEntryProbe, spin_irrep
 
 SHIFT_SEED = 7
@@ -27,10 +27,13 @@ class ExpIndexProbe:
         self.label = f"exp({m}k)"
 
     def __call__(self, k):
+        if not _is_integer(k):
+            raise KindMismatchError(f"finite group elements are integer indices, got {type(k).__name__}")
         return np.exp(2j * np.pi * self.m * int(k) / self.order)
 
     def batch(self, nodes):
-        return np.exp(2j * np.pi * self.m * np.asarray(nodes, dtype=int) / self.order)
+        index = _node_array(nodes, "finite")
+        return np.exp(2j * np.pi * self.m * index.astype(int, copy=False) / self.order)
 
 
 class TrigProbe:
@@ -41,10 +44,11 @@ class TrigProbe:
         self.label = f"exp({k}i theta)"
 
     def __call__(self, theta):
-        return np.exp(1j * self.k * float(theta))
+        return np.exp(1j * self.k * CircleGroup._angle(theta))
 
     def batch(self, nodes):
-        return np.exp(1j * self.k * np.asarray(nodes, dtype=float))
+        angles = _node_array(nodes, "circle")
+        return np.exp(1j * self.k * angles.astype(float, copy=False))
 
 
 def standard_probes(group) -> list:

@@ -23,6 +23,14 @@ not compose B with a conjugated body's own matrix, so a library
 representation and a user-defined body that returns the same matrices
 give a call the same bytes; only ``schur._split`` composes them, in the
 pass for its block characters and leakage, which move at roundoff.
+
+Node arrays are read as the group's elements, never cast: a finite
+table takes an integer array of indices in 0..order-1 and a circle body
+an integer or real-float array of angles (``groups._node_array``), and
+anything else is refused with ``KindMismatchError``.  The one stack a
+library object keeps is ``_LastStack``'s, which lets a probe family
+evaluate once per node array; it lets go of that stack before it
+evaluates the next, so the Haar audit holds one stack per family.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .errors import (
     ShapeMismatchError,
     SpinOutOfRangeError,
 )
-from .groups import HaarRule, _is_integer, _require_integers, enumerate_or_sample
+from .groups import HaarRule, _is_integer, _node_array, _require_integers, enumerate_or_sample
 
 MAX_TWO_J = 12
 # nodes per evaluation chunk of a pass (``node_chunks``) and of the spin
@@ -112,7 +120,7 @@ class FiniteTableRepresentation(_LibraryBody):
         self.table = table
 
     def evaluate_batch(self, nodes, out=None):
-        index = np.asarray(nodes, dtype=int)
+        index = self.group._indices(nodes)
         if out is None:
             return self.table[index]
         out[...] = self.table[index]
@@ -134,7 +142,7 @@ class CircleWeightRepresentation(_LibraryBody):
         self.degree = len(ws)
 
     def evaluate_batch(self, nodes, out=None):
-        angles = np.asarray(nodes, dtype=float)
+        angles = _node_array(nodes, "circle").astype(float, copy=False)
         phases = np.exp(1j * np.outer(angles, self.weights))
         out = _empty(angles, self.degree) if out is None else out
         out[...] = 0
@@ -463,7 +471,8 @@ class MatrixEntryProbe:
 
 
 class _LastStack:
-    """The stack of ``rep`` at the last node array asked for."""
+    """The stack of ``rep`` at the last node array asked for, released
+    before the stack at a new node array is evaluated."""
 
     def __init__(self, rep: Representation):
         self.rep = rep
@@ -471,5 +480,6 @@ class _LastStack:
 
     def __call__(self, nodes):
         if nodes is not self.nodes:
+            self.nodes = self.stack = None
             self.nodes, self.stack = nodes, self.rep.evaluate_batch(nodes)
         return self.stack

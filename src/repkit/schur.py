@@ -27,14 +27,17 @@ Every call reads its input in passes over the rule nodes
 (``representations.node_chunks``), chunks of ``EVAL_CHUNK`` nodes in one
 buffer each pass reuses, so no call holds an (N, r, r) node stack, and
 every average is one ``groups.ProductSum`` of a pair of views of each
-chunk (``unitarization._unitary``).  None evaluates at the inverse nodes:
+sub-chunk of ``linalg.NODE_CHUNK`` nodes (``unitarization._unitary``):
+the split seed forms W X one sub-chunk at a time, and the split's
+leakage is read per sub-chunk too, so every temporary but the chunk
+buffers is sub-chunk-sized.  None evaluates at the inverse nodes:
 rho(x^-1) = W(x)^* once the stack W is unitary, and
 ``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
-stack W = B psi B^-1 of its second input, with phi's chunks read in step.
-On input that passes the unitarity audit, the first pass
-(``unitarization._unitary``) also sums the averaging map or the split seed
-and reads the character; other input takes a second pass in the unitary
-basis.  A step that needs a whole average before it reads the nodes again
+stack W = B psi B^-1 of its second input, with phi's chunks read in step
+and sliced into the same sub-chunks.  On input that passes the unitarity
+audit, the first pass (``unitarization._unitary``) also sums the
+averaging map or the split seed and reads the character; other input
+takes a second pass in the unitary basis.  A step that needs a whole average before it reads the nodes again
 takes one more pass: the commutation residual of ``commutant`` and
 ``unitary_commutant``, the block characters and leakage of the split, and
 the input's own matrix-element Gram of ``matrix_element_audit`` on input
@@ -72,7 +75,7 @@ from .representations import (
     check_rule_group,
     node_chunks,
 )
-from .unitarization import _average, _identity_or, _outer, _unitary, fixed_hermitian
+from .unitarization import _average, _identity_or, _outer, _sub_chunks, _unitary, fixed_hermitian
 
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
@@ -98,12 +101,14 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
 
     def terms(basis):
         # sum of w_n phi_n C W_n^* is the transpose of the sum of the pairs
-        # (W_n^T, (phi_n C)^T), phi's chunk at the same nodes read in step
-        # and multiplied in place when C is square
-        phis, C = node_chunks(phi, rule), A if basis is None else A @ basis[1]
+        # (W_n^T, (phi_n C)^T): the pairs come a sub-chunk at a time, and
+        # phi's chunk at the same nodes, read once per chunk, is sliced in
+        # step and multiplied in place when C is square
+        C = A if basis is None else A @ basis[1]
+        phis = (M for nodes, chunk in node_chunks(phi, rule) for _, M in _sub_chunks(nodes, chunk))
 
         def pair(W):
-            M = next(phis)[1]
+            M = next(phis)
             M = np.matmul(M, C, out=M if C.shape[0] == C.shape[1] else None)
             return W.transpose(0, 2, 1), M.transpose(0, 2, 1)
 
@@ -223,12 +228,13 @@ def _split(rep: Representation, rule: HaarRule):
     with P = Q A for the unitarization A and the split Q of W = A rho A^-1.
 
     The averaged seed T(X), for a Hermitian X drawn from ``SPLIT_SEED``, is
-    the transposed sum of the pairs (W^T, (W X)^T) on the passes of
-    ``_unitary``, O(N r^3) work; the block characters and the off-block
-    leakage are read off P rho P^-1 = Q W Q^* in one more pass.  Every
-    block's character norm must be 1, and the squared multiplicities of
-    the isotypic classes (blocks grouped by character inner product) must
-    sum to the input's character norm.
+    the transposed sum of the pairs (W^T, (W X)^T) of each sub-chunk on the
+    passes of ``_unitary``, O(N r^3) work; the block characters and the
+    off-block leakage, its largest entry a sub-chunk at a time, are read
+    off P rho P^-1 = Q W Q^* in one more pass.  Every block's character
+    norm must be 1, and the squared multiplicities of the isotypic classes
+    (blocks grouped by character inner product) must sum to the input's
+    character norm.
     """
     g = np.random.default_rng(SPLIT_SEED).standard_normal((2, rep.degree, rep.degree))
     X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
@@ -249,9 +255,10 @@ def _split(rep: Representation, rule: HaarRule):
     body, left, right = rep, P, P_inv
     if isinstance(rep, ConjugatedRepresentation) and rep.inner.degree == rep.degree:
         body, left, right = rep.inner, P @ rep.matrix, rep.matrix_inv @ P_inv
+    off_block = label[:, None] != label[None, :]
     for nodes, chunk in node_chunks(body, rule, (left, right)):
         values[:, nodes] = np.add.reduceat(np.einsum("nii->ni", chunk), starts, axis=1).T
-        leakage = max(leakage, linalg.max_abs(chunk[:, label[:, None] != label[None, :]]))
+        leakage = max(leakage, linalg.max_abs_over_nodes(lambda m: m[:, off_block], chunk))
     # inner[a, b] = integral of conj(chi_a) chi_b: 1 inside an isotypic class
     # and 0 across, so classes are cut at 1/2; its real sum is the input's norm
     v = values.T[:, None]

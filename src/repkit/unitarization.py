@@ -28,27 +28,30 @@ chunks of ``representations.EVAL_CHUNK`` nodes in one buffer each pass
 reuses, so no call holds the (N, r, r) node stack.  Every average a pass
 takes is one ``groups.ProductSum``, summed chunk by chunk in the node
 order of one contraction over the whole stack: a pair function maps each
-chunk to two views (X, Y) of it, and the pass adds sum of w_n X_n^* Y_n
-(``_average``).  The averaging map is the pair ``_outer``, the flattened
-chunk twice; the Gram is the chunk twice (``_gram``).  ``_unitary`` reads
-the unitary stack W in one pass on input that passes the unitarity audit:
-that pass audits the input and adds the pairs of the input's own chunks.
-On other input it sums the averaged Gram instead, and a second pass adds
-the pairs of the chunks of A rho A^-1 to a new sum.  A step that needs a
+sub-chunk of ``linalg.NODE_CHUNK`` nodes to two views (X, Y) of it, and the
+pass adds sum of w_n X_n^* Y_n a sub-chunk at a time (``_sub_chunks``), so
+a pair that computes (the split seed's W X) holds a sub-chunk.  The
+averaging map is the pair ``_outer``, the flattened chunk twice; the Gram
+is the chunk twice (``_gram``).  ``_unitary`` reads the unitary stack W
+in one pass on input that passes the unitarity audit: that pass audits
+the input and adds the pairs of the input's own chunks.  On other input
+it sums the averaged Gram instead, and a second pass adds the pairs of
+the chunks of A rho A^-1 to a new sum.  A step that needs a
 whole average before it reads the nodes again takes one more pass:
 ``averaged_form`` and ``unitarize`` read the invariance defect
-rho* H rho - H of the averaged form H there, and ``unitarize`` reads the
-unitarity defect of W off the same defect, as W* W - I =
-A^-* (rho* H rho - H) A^-1.  ``specialness_report`` takes those two
+rho* H rho - H of the averaged form H there, a sub-chunk at a time, and
+``unitarize`` reads the unitarity defect of W off the same sub-chunk of
+defects, as W* W - I = A^-* (rho* H rho - H) A^-1, in place, before it
+sandwiches that sub-chunk into W.  ``specialness_report`` takes those two
 passes of ``unitarize`` (``_unitarize``) and, in the second, adds the
 pairs of the chunks of W: it reads its invariant forms in the basis of
 its one unitarization, on any input, so it audits nothing and averages
 the form once.  ``_unitary`` and ``_unitarize`` read the definiteness and
 the conditioning of their factor off the one eigenvalue computation of
-the averaged form (``invariant_gram``).  Every other temporary is the
-size of a sub-chunk of ``linalg.NODE_CHUNK`` nodes, and the r^4 averaged
-outer product is dropped (``ProductSum.take``) before its fixed space is
-read.
+the averaged form (``invariant_gram``).  Every call thus holds its one
+evaluation chunk, and every other temporary is the size of a sub-chunk of
+``linalg.NODE_CHUNK`` nodes; the r^4 averaged outer product is dropped
+(``ProductSum.take``) before its fixed space is read.
 """
 
 from __future__ import annotations
@@ -100,20 +103,33 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     Raises NotPositiveDefiniteError if the average fails to be positive
     definite, which signals a broken input or an under-resolved rule rather
     than a numerical accident.  Two passes: the average, then its
-    invariance defect at the nodes.
+    invariance defect at the nodes, a sub-chunk at a time.
     """
     H, w = invariant_gram(_average(rep, rule, _gram).take())
-    residual = max(linalg.max_abs(_invariance_defects(chunk, H)) for _, chunk in node_chunks(rep, rule))
+    residual = max(linalg.max_abs(m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None])
+                   for nodes, chunk in node_chunks(rep, rule) for _, m in _sub_chunks(nodes, chunk))
     return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
 
 
 def _average(rep: Representation, rule: HaarRule, pair, basis=None) -> ProductSum:
-    """One pass: the ``ProductSum`` of ``pair(chunk)`` over the chunks of
+    """One pass: the ``ProductSum`` of ``pair(W)`` over the sub-chunks W of
     ``rep``, or of B rho B^-1 for ``basis`` = (B, B^-1)."""
     total = ProductSum(rule)
     for nodes, chunk in node_chunks(rep, rule, basis):
-        total.add(nodes, *pair(chunk))
+        for sub, W in _sub_chunks(nodes, chunk):
+            total.add(sub, *pair(W))
     return total
+
+
+def _sub_chunks(nodes: slice, chunk: np.ndarray):
+    """(slice, view) for each sub-chunk of ``linalg.NODE_CHUNK`` nodes of a
+    chunk at the rule nodes ``nodes``.  A pass hands ``ProductSum.add`` the
+    pair of one sub-chunk at a time: the same GEMMs, added in the same
+    order, as the pair of the whole chunk, with the pair's own temporaries
+    (the split seed's W X) sub-chunk-sized."""
+    for i in range(0, len(chunk), linalg.NODE_CHUNK):
+        sub = chunk[i:i + linalg.NODE_CHUNK]
+        yield slice(nodes.start + i, nodes.start + i + len(sub)), sub
 
 
 def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,16 +143,6 @@ def _outer(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ingredient (``fixed_hermitian``) and the matrix-element integrals."""
     flat = W.reshape(len(W), 1, -1)
     return flat, flat
-
-
-def _invariance_defects(chunk: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """rho* H rho - H at every node of a chunk, a sub-chunk at a time into
-    one chunk-sized array."""
-    out = np.empty_like(chunk)
-    for i in range(0, len(chunk), linalg.NODE_CHUNK):
-        m = chunk[i:i + linalg.NODE_CHUNK]
-        out[i:i + linalg.NODE_CHUNK] = m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None]
-    return out
 
 
 def invariant_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +211,8 @@ def _audited(rep: Representation, rule: HaarRule, pair, raw):
             raw(nodes, chunk)
         if total is not None:
             if unitarity_defect(chunk) <= UNITARY_TOL:
-                total.add(nodes, *pair(chunk))
+                for sub, W in _sub_chunks(nodes, chunk):
+                    total.add(sub, *pair(W))
             else:
                 total, gram = None, ProductSum(rule) if nodes.start == 0 else None
         if gram is not None:
@@ -238,27 +245,28 @@ def _unitarize(rep: Representation, rule: HaarRule, pair=None):
     """(result, total): the unitarization of ``unitarize``, and for a
     ``pair`` the ``ProductSum`` of ``pair(W)`` over the chunks of the
     unitary stack W = A rho A^-1, else None.  The first pass sums the
-    averaged Gram; the second reads the residuals of each chunk
+    averaged Gram; the second reads the residuals of each sub-chunk
     (``_residuals``) and then sandwiches it in place into W."""
     H, w = invariant_gram(_average(rep, rule, _gram).take())
     A, A_inv = _cholesky_pair(H, w)
     total = None if pair is None else ProductSum(rule)
     residuals = []
     for nodes, chunk in node_chunks(rep, rule):
-        residuals.append(_residuals(chunk, H, A_inv))
-        if total is not None:
-            total.add(nodes, *pair(linalg.sandwich(A, chunk, A_inv, out=chunk)))
+        for sub, m in _sub_chunks(nodes, chunk):
+            residuals.append(_residuals(m, H, A_inv))
+            if total is not None:
+                total.add(sub, *pair(linalg.sandwich(A, m, A_inv, out=m)))
     invariance, unitarity = map(max, zip(*residuals))
     return UnitarizationResult(basis_change=A, unitary_rep=ConjugatedRepresentation(rep, A, matrix_inv=A_inv),
                                invariance_residual=invariance, unitarity_residual=unitarity), total
 
 
-def _residuals(chunk: np.ndarray, H: np.ndarray, A_inv: np.ndarray) -> tuple[float, float]:
+def _residuals(m: np.ndarray, H: np.ndarray, A_inv: np.ndarray) -> tuple[float, float]:
     """The largest invariance defect D = rho* H rho - H of the averaged form
-    H = A* A at the nodes of a chunk, and the largest unitarity defect of
-    W = A rho A^-1 there, read off D as W* W - I = A^-* D A^-1, so W is
-    never formed."""
-    D = _invariance_defects(chunk, H)
+    H = A* A at the nodes of a sub-chunk m, and the largest unitarity defect
+    of W = A rho A^-1 there, read off D as W* W - I = A^-* D A^-1 in D's
+    own sub-chunk-sized array, so W is never formed."""
+    D = m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None]
     return linalg.max_abs(D), linalg.max_abs(linalg.sandwich(A_inv.conj().T, D, A_inv, out=D))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import repkit as rk
-from repkit.probes import standard_probes, standard_shifts
+from repkit.probes import ExpIndexProbe, TrigProbe, standard_probes, standard_shifts
 
 from conftest import nodes_list
 
@@ -463,6 +463,58 @@ def test_integrate_matrix_batched_integrand_is_one_stacked_sum(su2):
     assert rk.integrate_matrix(rule, Batched()).tobytes() == expected.tobytes()
     with pytest.raises(rk.ShapeMismatchError, match=r"\(n, r, s\)"):
         rk.integrate_matrix(rule, type("Flat", (), {"batch": lambda self, nodes: np.ones(len(nodes))})())
+
+
+def test_integrate_matrix_of_a_representation_projects_on_its_invariants(s3, su2):
+    # the integral of rho is the projection onto its invariant vectors:
+    # J/6 for the regular representation of S3, whose invariants are the
+    # constant vectors, 0 for a non-trivial irreducible, 1 for the trivial one
+    mats = np.zeros((6, 6, 6))
+    for g in range(6):
+        mats[g, s3.mult_table[g], np.arange(6)] = 1.0
+    regular = rk.FiniteTableRepresentation(s3, mats)
+    assert np.abs(rk.integrate_matrix(rk.haar_rule(s3, 1), regular) - np.ones((6, 6)) / 6).max() <= 1e-15
+    rule = rk.haar_rule(su2, 24)
+    for j in (0.5, 1, 3):
+        assert np.abs(rk.integrate_matrix(rule, rk.spin_irrep(j, su2))).max() <= 1e-13
+    assert np.abs(rk.integrate_matrix(rule, rk.spin_irrep(0, su2)) - np.eye(1)).max() <= 1e-14
+
+
+def test_integrate_matrix_of_a_representation_sums_its_stack_in_chunks(s3, su2):
+    # 13.5 evaluation chunks summed as one contraction over the whole stack
+    rule = rk.haar_rule(su2, 24)
+    rep = rk.conjugate(rk.spin_irrep(2, su2), np.diag(np.arange(1.0, 6.0)))
+    whole = type("Whole", (), {"batch": lambda self, nodes: rep.evaluate_batch(nodes)})()
+    assert rk.integrate_matrix(rule, rep).tobytes() == rk.integrate_matrix(rule, whole).tobytes()
+    with pytest.raises(rk.GroupMismatchError):
+        rk.integrate_matrix(rule, rk.s3_sign(s3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExpIndexProbe(1, 3)(1.5),
+    lambda: ExpIndexProbe(1, 3)(True),
+    lambda: ExpIndexProbe(1, 3)("1"),
+    lambda: ExpIndexProbe(1, 3).batch(np.array([1.5])),
+    lambda: ExpIndexProbe(1, 3).batch(np.array([True])),
+    lambda: TrigProbe(2)("0.5"),
+    lambda: TrigProbe(2)(True),
+    lambda: TrigProbe(2).batch(np.array(["0.5"])),
+    lambda: TrigProbe(2).batch(np.array([True])),
+    lambda: TrigProbe(2).batch(np.array([0.5j])),
+], ids=["index 1.5", "index True", "index '1'", "indices [1.5]", "indices [True]", "angle '0.5'",
+        "angle True", "angles ['0.5']", "angles [True]", "angles [0.5j]"])
+def test_probes_refuse_what_they_would_cast(call):
+    # a probe reads its nodes as its group does: indices are integers and
+    # angles real numbers, never cast from a float, boolean or string
+    with pytest.raises(rk.KindMismatchError):
+        call()
+
+
+def test_probes_take_integer_and_real_nodes():
+    assert ExpIndexProbe(1, 3)(np.int64(1)) == ExpIndexProbe(1, 3)(1)
+    assert ExpIndexProbe(1, 3).batch(np.array([1], dtype=np.uint8))[0] == ExpIndexProbe(1, 3)(1)
+    assert TrigProbe(2)(np.float64(0.5)) == TrigProbe(2)(0.5)
+    assert TrigProbe(2).batch(np.array([1], dtype=np.int32))[0] == TrigProbe(2).batch(np.array([1.0]))[0]
 
 
 @pytest.mark.parametrize("integral, value", [(rk.integrate_scalar, 2.0), (rk.integrate_matrix, np.eye(2))],

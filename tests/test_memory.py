@@ -1,21 +1,24 @@
 """No averaging call holds a node stack.
 
 Every public call that averages over a rule reads its input in passes of
-``representations.EVAL_CHUNK`` nodes into one buffer it reuses, so its
-tracemalloc peak is a few evaluation chunks whatever the rule's node count.
-On ``haar_rule(su2, 24)`` (13 824 nodes, 13.5 chunks) at degree 10, one
-node stack is 22 MB and ``CHUNKS_HELD`` chunks are 6.6 MB, under a third of
-it.  Each call runs on input that fails the unitarity audit, the case with
-the most passes and a basis change in each.
+``representations.EVAL_CHUNK`` nodes into one buffer it reuses, and every
+other temporary is a sub-chunk of ``linalg.NODE_CHUNK`` nodes, so its
+tracemalloc peak is its chunk buffers and a fraction of a chunk whatever
+the rule's node count.  On ``haar_rule(su2, 24)`` (13 824 nodes, 13.5
+chunks) at degree 10, one node stack is 22 MB and one chunk 1.6 MB.  Each
+call runs on input that fails the unitarity audit, the case with the most
+passes and a basis change in each.  ``PEAK_CHUNKS`` bounds each call: one
+chunk buffer and sub-chunk temporaries for every call but two, which hold
+two buffers at once.
 """
 
 import numpy as np
 import pytest
 
 import repkit as rk
-from repkit.probes import standard_shifts
+from repkit.probes import standard_probes, standard_shifts
 
-from conftest import CHUNKS_HELD, chunk_bytes, random_invertible, traced_peak
+from conftest import chunk_bytes, random_invertible, traced_peak
 
 
 def _inputs(su2):
@@ -44,6 +47,16 @@ CALLS = {
     "class_invariance_audit": lambda irrep, red, rule: rk.class_invariance_audit(
         red, rule, standard_shifts(rule.group)),
     "unitarity_audit": lambda irrep, red, rule: rk.unitarity_audit(red, rule),
+    "integrate_matrix": lambda irrep, red, rule: rk.integrate_matrix(rule, red),
+}
+
+# evaluation chunks each call may hold at its peak
+PEAK_CHUNKS = dict.fromkeys(CALLS, 2.25) | {
+    # the chunk buffers of both inputs, read in step
+    "averaged_intertwiner": 3.0,
+    # the chunk buffer, the traces at the rule nodes and at a shifted node
+    # set, and that node set
+    "class_invariance_audit": 2.5,
 }
 
 
@@ -58,4 +71,15 @@ def test_averaging_call_holds_a_few_evaluation_chunks(su2, fine_rule, name):
     irreducible, reducible = _inputs(su2)
     stack_bytes = fine_rule.node_count * 10 ** 2 * 16
     _, peak = traced_peak(lambda: CALLS[name](irreducible, reducible, fine_rule))
-    assert peak <= CHUNKS_HELD * chunk_bytes(10) < stack_bytes / 3
+    assert peak <= PEAK_CHUNKS[name] * chunk_bytes(10) < stack_bytes / 3
+
+
+@pytest.mark.memory
+def test_axiom_audit_holds_one_stack_per_probe_family(su2, fine_rule):
+    # the standard su2 probes are the entries of spins 1/2 and 1, one
+    # family each sharing one stack (2.9 MB together at these nodes); the
+    # base values are dropped once summed, and a family lets go of its
+    # stack before it evaluates the next node set
+    probes, shifts = standard_probes(su2), standard_shifts(su2)
+    _, peak = traced_peak(lambda: rk.axiom_audit(fine_rule, probes, shifts))
+    assert peak <= 6.5 * 2 ** 20

@@ -437,6 +437,36 @@ def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, erro
         build(circle, su2)
 
 
+@pytest.mark.parametrize("kind, nodes", [
+    ("finite", np.array([1.7, 2.2])),
+    ("finite", np.array([-1])),
+    ("finite", np.array([6])),
+    ("finite", np.array([True])),
+    ("finite", np.array(["1"])),
+    ("circle", np.array(["1.5"])),
+    ("circle", np.array([True])),
+    ("circle", np.array([1.5j])),
+    ("circle", np.array([1.5], dtype=object)),
+], ids=["index 1.7", "index -1", "index order", "index True", "index '1'", "angle '1.5'",
+        "angle True", "angle 1.5j", "angle object"])
+def test_node_arrays_are_refused_not_cast(s3, circle, kind, nodes):
+    # a finite table reads integer indices in 0..order-1 and a circle body
+    # real angles; anything else was read as some other element
+    rep = rk.s3_standard(s3) if kind == "finite" else rk.CircleWeightRepresentation(circle, [1, -2])
+    with pytest.raises(rk.KindMismatchError):
+        rep.evaluate_batch(nodes)
+
+
+def test_node_arrays_of_any_integer_or_real_dtype_are_taken(s3, circle):
+    table = rk.s3_standard(s3)
+    for dtype in (np.int32, np.uint8, np.int64):
+        assert np.array_equal(table.evaluate_batch(np.arange(6, dtype=dtype)), table.table)
+    weights = rk.CircleWeightRepresentation(circle, [1, -2])
+    expected = weights.evaluate_batch(np.array([0.0, 1.0]))
+    for dtype in (np.int32, np.float32):
+        assert np.array_equal(weights.evaluate_batch(np.array([0, 1], dtype=dtype)), expected)
+
+
 def test_spins_are_read_from_any_real_number(su2):
     for j in (1, 1.5, np.float64(0.5), Fraction(3, 2), 6):
         assert rk.spin_irrep(j, su2).two_j == 2 * j
