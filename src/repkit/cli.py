@@ -72,7 +72,10 @@ def _resolve_rep(group, rep_path, spin, weights):
         raise InputParseError(f"--weights expects comma-separated integers, got {weights!r}")
     if not parsed:
         raise InputParseError(f"--weights expects at least one integer, got {weights!r}")
-    return CircleWeightRepresentation(group, parsed)
+    try:
+        return CircleWeightRepresentation(group, parsed)
+    except ValueError as exc:
+        raise InputParseError(f"--weights: {exc}")
 
 
 def _rule_for(group, resolution):

@@ -19,25 +19,24 @@ finite-group translations.  They go through one vectorized kernel,
 node terms into a few levels whose numpy sums are exact in any order, so
 its values are those of ``math.fsum`` on the node array, bit for bit, at
 numpy speed.  Every matrix integral goes through one averaging contraction,
-``integrate_product(rule, X, Y)`` = sum of w_n X_n^* Y_n: one GEMM per node
-chunk against the weighted conjugate of that chunk of X, built in place, so
-it holds no stack-sized temporary.  A pass that reads its input chunk by
-chunk sums the same contraction in a ``ProductSum``: every average the
-library takes (the averaging map, the Gram, the split seed, the averaged
-intertwiner, the integral of a representation) is one pair (X, Y) of
-views of each chunk added to one, and ``take()`` hands the total over and
-drops it.  It refuses a non-finite result, which is what a non-finite
-node entry or an overflowing sum produces, so no input sweep is needed.
+``integrate_product(rule, X, Y)`` = sum of w_n X_n^* Y_n: one GEMM per
+node sub-chunk against the weighted conjugate of that sub-chunk of X,
+built in place, so it holds no stack-sized temporary.  A pass
+(``representations.node_chunks``) hands out the same sub-chunks and sums
+the same contraction in a ``ProductSum``: every average the library
+takes is one pair (X, Y) of views of each sub-chunk added to one, and
+``take()`` hands the total over and drops it.  It refuses a non-finite
+result, which is what a non-finite node entry or an overflowing sum
+produces, so no input sweep is needed.
 
 Caller input is checked once per kind, here.  ``_is_integer`` decides every
 integer the library takes (a Python or numpy int, never a bool, float or
-string, and nothing is cast), ``_node_array`` every batch of finite
-indices or circle angles (by its dtype kind, O(1) per batch), and
+string, and nothing is cast), ``_node_array`` every batch of nodes (by
+its dtype kind, and on su2 its shape, O(1) per batch), and
 ``_evaluate`` evaluates every caller integrand, for ``integrate_scalar``,
 ``integrate_matrix`` and the Haar audit alike: ``f.batch(nodes)`` when
 ``f`` has one, else ``f(x)`` per node.  A ``Representation`` given to
-``integrate_matrix`` is summed in passes over its evaluation chunks
-instead.
+``integrate_matrix`` is summed in one pass over its sub-chunks instead.
 
 The Haar audit (``axiom_audit``) holds the probe values at the rule nodes
 only until their integrals and the positivity margin are summed: a
@@ -69,29 +68,31 @@ def _is_integer(value) -> bool:
 
 
 # the numpy dtype kinds of a batch of nodes, by group kind, and what its
-# nodes are: a finite group's are integer indices, the circle's real angles
+# nodes are
 _NODE_KINDS = {"finite": ("iu", "finite group elements are integer indices"),
-               "circle": ("iuf", "circle elements are angles")}
+               "circle": ("iuf", "circle elements are angles"),
+               "su2": ("iufc", "su2 elements are numeric matrices")}
 
 
 def _node_array(nodes, group_kind: str) -> np.ndarray:
-    """A batch of nodes of a finite group or the circle as an array, refused
-    with ``KindMismatchError`` unless its dtype kind is one of that group
-    kind's ``_NODE_KINDS``: the check is O(1) per batch, and a boolean,
-    string, complex or object array is refused, never cast."""
+    """A batch of nodes as an array, refused with ``KindMismatchError``
+    unless its dtype kind is one of that group kind's ``_NODE_KINDS`` and,
+    on su2, its shape is (n, 2, 2): O(1) per batch, never cast."""
     kinds, what = _NODE_KINDS[group_kind]
     nodes = np.asarray(nodes)
     if nodes.dtype.kind not in kinds:
         raise KindMismatchError(f"{what}, got an array of dtype {nodes.dtype}")
+    if group_kind == "su2" and (nodes.ndim != 3 or nodes.shape[1:] != (2, 2)):
+        raise KindMismatchError(f"su2 node stacks have shape (n, 2, 2), got {nodes.shape}")
     return nodes
 
 
 def _require_integers(value, field: str) -> None:
-    """Refuse anything but an integer, or a (nested) list, range or integer
-    array of them, in ``field``: a float, string or boolean is refused,
-    never cast, and the first one is named by its index."""
+    """Refuse anything but an int64 integer, or a (nested) list, range or
+    integer array of them, in ``field``: a float, string or boolean is
+    refused, never cast, and the first one is named by its index."""
     if isinstance(value, np.ndarray):
-        if value.dtype.kind in "iu":
+        if value.dtype.kind in "iu" and np.can_cast(value.dtype, np.int64):
             return
         value = value.tolist()
     if isinstance(value, (list, tuple, range)):
@@ -99,6 +100,8 @@ def _require_integers(value, field: str) -> None:
             _require_integers(item, f"{field}[{i}]")
     elif not _is_integer(value):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    elif not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{field} must be an integer in the int64 range, got {value!r}")
 
 
 class FiniteGroup:
@@ -278,11 +281,9 @@ class SU2Group:
         return self._elements(U[None])[0]
 
     def _elements(self, nodes):
-        """Validate a stack of group elements (n, 2, 2)."""
-        U = np.asarray(nodes)
-        if U.ndim != 3 or U.shape[1:] != (2, 2):
-            raise KindMismatchError(f"su2 node stacks have shape (n, 2, 2), got {U.shape}")
-        U = U.astype(complex, copy=False)
+        """Validate a stack of group elements (n, 2, 2): ``_node_array``,
+        then unitarity and determinant."""
+        U = _node_array(nodes, self.kind).astype(complex, copy=False)
         if linalg.max_abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2)) > linalg.STRUCTURAL_TOL:
             raise KindMismatchError("matrix is not unitary within tolerance")
         if linalg.max_abs(np.linalg.det(U) - 1.0) > linalg.STRUCTURAL_TOL:
@@ -566,20 +567,18 @@ def integrate_values(rule: HaarRule, values: np.ndarray) -> complex:
 
 class ProductSum:
     """The averaging contraction of ``integrate_product`` summed over node
-    chunks: ``add(nodes, X, Y)`` adds the sum over the rule nodes ``nodes``
-    (a slice) of w_n X_n^* Y_n for the chunks X (c, k, a) and Y (c, k, b)
-    of two stacks at those nodes, ``total()`` returns the sum and
-    ``take()`` returns it and lets go of it, so a large total (the r^4
+    sub-chunks: ``add(nodes, X, Y)`` adds the sum over the rule nodes
+    ``nodes`` (a slice) of w_n X_n^* Y_n for the sub-chunks X (c, k, a) and
+    Y (c, k, b) of two stacks at those nodes, ``total()`` returns the sum
+    and ``take()`` returns it and lets go of it, so a large total (the r^4
     averaged outer product) lives no longer than its last reader.
 
-    Each chunk runs over sub-chunks of ``linalg.NODE_CHUNK`` nodes, one
-    GEMM per sub-chunk against the weighted conjugate of that sub-chunk of
-    X, built in place, so its temporaries are sub-chunk-sized.  The first
-    product is the accumulator and later ones add theirs in node order, so
-    a pass whose chunks start at multiples of ``NODE_CHUNK`` adds the same
-    GEMMs in the same order as one ``add`` of the whole stack.  The weights
-    are positive, so a non-finite entry in either stack, like an
-    overflowing sum, leaves the total non-finite, and that is refused.
+    Each ``add`` is one GEMM against the weighted conjugate of X, built in
+    place.  The first product is the accumulator and later ones add theirs
+    in node order, so a pass and ``integrate_product`` add the same GEMMs
+    in the same order.  The weights are positive, so a non-finite entry in
+    either stack, like an overflowing sum, leaves the total non-finite,
+    and that is refused.
     """
 
     def __init__(self, rule: HaarRule):
@@ -587,17 +586,14 @@ class ProductSum:
         self.sum = None
 
     def add(self, nodes: slice, X: np.ndarray, Y: np.ndarray) -> None:
-        weights = self.weights[nodes]
         with np.errstate(invalid="ignore", over="ignore"):
-            for i in range(0, len(weights), linalg.NODE_CHUNK):
-                sub = slice(i, i + linalg.NODE_CHUNK)
-                t = np.conjugate(X[sub], dtype=complex)
-                t *= weights[sub, None, None]
-                part = t.reshape(-1, X.shape[2]).T @ Y[sub].reshape(-1, Y.shape[2])
-                if self.sum is None:
-                    self.sum = part
-                else:
-                    self.sum += part
+            t = np.conjugate(X, dtype=complex)
+            t *= self.weights[nodes, None, None]
+            part = t.reshape(-1, X.shape[2]).T @ Y.reshape(-1, Y.shape[2])
+            if self.sum is None:
+                self.sum = part
+            else:
+                self.sum += part
 
     def total(self) -> np.ndarray:
         if not np.isfinite(self.sum).all():
@@ -617,8 +613,8 @@ def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     outer product of the flattened node matrices (the averaging map, the
     matrix-element integrals, the block-character inner products), with
     k > 1 a contraction over the middle index too (the averaged Gram
-    rho* rho).  It is one ``ProductSum`` over the whole stack, so a pass
-    that sums the same stack chunk by chunk gets the same bytes.
+    rho* rho).  It is one ``ProductSum`` over the ``linalg.NODE_CHUNK``-node
+    sub-chunks of the stacks, so a pass over them gets the same bytes.
     """
     X, Y = np.asarray(X), np.asarray(Y)
     n = rule.node_count
@@ -626,7 +622,9 @@ def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarra
         raise ShapeMismatchError(
             f"expected ({n}, k, a) and ({n}, k, b) node stacks, got shapes {X.shape} and {Y.shape}")
     total = ProductSum(rule)
-    total.add(slice(None), X, Y)
+    for i in range(0, n, linalg.NODE_CHUNK):
+        nodes = slice(i, i + linalg.NODE_CHUNK)
+        total.add(nodes, X[nodes], Y[nodes])
     return total.total()
 
 
@@ -647,16 +645,13 @@ def integrate_matrix(rule: HaarRule, F) -> np.ndarray:
     ``integrate_stacked``.
 
     For a ``Representation`` F this is the paper's integral of rho, the
-    projection onto its invariant vectors, summed in one pass over the
-    evaluation chunks of F (``node_chunks``, which refuses F over another
-    group with ``GroupMismatchError``): one ``ProductSum`` of the pair
-    (ones, flattened chunk), the sum ``integrate_stacked`` takes over the
-    whole stack, so the bytes are the same and no stack is held."""
-    from .representations import Representation, node_chunks
+    projection onto its invariant vectors, summed in one pass over F
+    (``representations._average``, which refuses F over another group
+    with ``GroupMismatchError``): the pair (ones, flattened sub-chunk),
+    the sum ``integrate_stacked`` takes, so no stack is held."""
+    from .representations import Representation, _average
     if isinstance(F, Representation):
-        total = ProductSum(rule)
-        for nodes, chunk in node_chunks(F, rule):
-            total.add(nodes, np.ones((len(chunk), 1, 1)), chunk.reshape(len(chunk), 1, -1))
+        total = _average(F, rule, lambda W: (np.ones((len(W), 1, 1)), W.reshape(len(W), 1, -1)))
         return total.take().reshape(F.degree, F.degree)
     stacked = _evaluate(F, rule.nodes)
     if stacked.ndim != 3:

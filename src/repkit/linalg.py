@@ -1,18 +1,20 @@
 """Dense complex matrix kernel used by every other module.
 
 The input contract of every matrix (``as_matrix``), the node-chunked
-products and audits over stacks of node matrices (``sandwich``,
-``max_abs_over_nodes``) and the two factorizations with a contract of
-their own, wrapped around numpy's LAPACK bindings: ``cholesky_hermitian``
-and ``invert``.  Every other eigen- or singular-value step calls
-``np.linalg`` directly.  Every tolerance is a module constant:
-``KERNEL_TOL`` bounds pure floating-point defects (inversion residuals, the
-singularity threshold) and ``STRUCTURAL_TOL`` bounds defects that signal a
-wrong *input* (hermiticity, definiteness, bracket closure).  Values are
-plain ``numpy.ndarray``s and are never mutated once returned.  The stacks
-the kernels see are the evaluation chunks of a pass
-(``representations.node_chunks``): a pass writes each chunk into the one
-buffer it owns, and ``sandwich`` with ``out`` writes a chunk over itself.
+product over a stack of node matrices (``sandwich``) and the two
+factorizations with a contract of their own, wrapped around numpy's LAPACK
+bindings: ``cholesky_hermitian`` and ``invert``.  Every other eigen- or
+singular-value step calls ``np.linalg`` directly.  Every tolerance is a
+module constant: ``KERNEL_TOL`` bounds pure floating-point defects
+(inversion residuals, the singularity threshold) and ``STRUCTURAL_TOL``
+bounds defects that signal a wrong *input* (hermiticity, definiteness,
+bracket closure).  Values are plain ``numpy.ndarray``s and are never
+mutated once returned.  A pass
+over a rule (``representations.node_chunks``) hands its steps sub-chunks
+of ``NODE_CHUNK`` nodes of the one buffer it owns, so a step's kernels
+(``max_abs`` of a defect, ``sandwich`` with ``out`` writing a sub-chunk
+over itself) see sub-chunks; ``sandwich`` cuts a whole stack a caller
+gives it into the same sub-chunks.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .errors import (
 
 KERNEL_TOL = 1e-12
 STRUCTURAL_TOL = 1e-10
-# node sub-chunk of every per-node kernel: ``sandwich``,
-# ``max_abs_over_nodes`` and the averaging contraction; it sets the size of
-# every temporary a call holds next to its evaluation chunk
+# nodes per sub-chunk: a pass hands out its nodes in sub-chunks of this
+# size (``representations.node_chunks``), and ``sandwich`` and
+# ``groups.integrate_product`` cut a whole stack into them; it sets the
+# size of every temporary a call holds next to its evaluation chunk
 # (``representations.EVAL_CHUNK``, a multiple of it)
 NODE_CHUNK = 256
 
@@ -61,10 +64,11 @@ def sandwich(A, stack, B, out=None) -> np.ndarray:
 
     Both products run per sub-chunk of ``NODE_CHUNK`` nodes: the right
     one as a reshaped GEMM, the left one as a broadcast product, so every
-    temporary is sub-chunk-sized.  The result goes to ``out`` when given,
-    which may be ``stack`` itself when A and B are square: each sub-chunk
-    is read before it is written, so a pass sandwiches its evaluation
-    chunk in place, in the one buffer it holds.
+    temporary is sub-chunk-sized whatever stack a caller gives.  The
+    result goes to ``out`` when given, which may be ``stack`` itself when
+    A and B are square: each sub-chunk is read before it is written, so a
+    pass sandwiches each of its sub-chunks in place, in the one buffer it
+    holds.
     """
     n, r, s = stack.shape
     if out is None:
@@ -73,14 +77,6 @@ def sandwich(A, stack, B, out=None) -> np.ndarray:
         chunk = stack[i:i + NODE_CHUNK]
         out[i:i + NODE_CHUNK] = np.matmul(A, (chunk.reshape(-1, s) @ B).reshape(len(chunk), r, -1))
     return out
-
-
-def max_abs_over_nodes(defects, stack) -> float:
-    """``max_abs(defects(stack))`` for a map acting node by node on a stack
-    (n, ...), applied to chunks of ``NODE_CHUNK`` nodes so that its
-    temporaries stay chunk-sized."""
-    return max((max_abs(defects(stack[i:i + NODE_CHUNK])) for i in range(0, len(stack), NODE_CHUNK)),
-               default=0.0)
 
 
 def _require_square(H: np.ndarray) -> None:

@@ -13,21 +13,25 @@ elements (``evaluate_batch``), which is what keeps quadrature-heavy
 operations fast.  A library body also writes its matrices into an array it
 is given (``out``): a direct sum fills its diagonal blocks in place, and a
 conjugation sandwiches its inner body's matrices in place when the two
-degrees agree.  ``node_chunks`` evaluates a representation over a Haar
-rule in chunks of ``EVAL_CHUNK`` nodes into one buffer it reuses, so the
-averaging calls of ``unitarization`` and ``schur`` read their input in
-passes and never hold its (N, r, r) node stack; only what a user-defined
-body returns is copied into that buffer.  A pass in a call's own basis,
-B rho B^-1, sandwiches each chunk once more in place; ``node_chunks`` does
-not compose B with a conjugated body's own matrix, so a library
+degrees agree.  ``node_chunks`` is the one place that cuts a pass over a
+Haar rule: it evaluates a representation in chunks of ``EVAL_CHUNK``
+nodes into one buffer it reuses and hands them out in sub-chunks of
+``linalg.NODE_CHUNK`` nodes, so the averaging calls of ``unitarization``
+and ``schur`` read their input in passes, one sub-chunk per step, and
+never hold its (N, r, r) node stack; only what a user-defined body
+returns is copied into that buffer.  ``_average`` sums one average over
+such a pass.  A pass in a call's own basis, B rho B^-1, sandwiches each
+sub-chunk once more in place; ``node_chunks`` does not compose B with a
+conjugated body's own matrix, so a library
 representation and a user-defined body that returns the same matrices
 give a call the same bytes; only ``schur._split`` composes them, in the
 pass for its block characters and leakage, which move at roundoff.
 
 Node arrays are read as the group's elements, never cast: a finite
-table takes an integer array of indices in 0..order-1 and a circle body
-an integer or real-float array of angles (``groups._node_array``), and
-anything else is refused with ``KindMismatchError``.  The one stack a
+table takes an integer array of indices in 0..order-1, a circle body an
+integer or real-float array of angles and a spin body a numeric array of
+shape (n, 2, 2) (``groups._node_array``), and anything else is refused
+with ``KindMismatchError``.  The one stack a
 library object keeps is ``_LastStack``'s, which lets a probe family
 evaluate once per node array; it lets go of that stack before it
 evaluates the next, so the Haar audit holds one stack per family.
@@ -47,13 +51,13 @@ from .errors import (
     ShapeMismatchError,
     SpinOutOfRangeError,
 )
-from .groups import HaarRule, _is_integer, _node_array, _require_integers, enumerate_or_sample
+from .groups import HaarRule, ProductSum, _is_integer, _node_array, _require_integers, enumerate_or_sample
 
 MAX_TWO_J = 12
 # nodes per evaluation chunk of a pass (``node_chunks``) and of the spin
 # body: its buffer and power tables are chunk-sized.  A multiple of
-# ``linalg.NODE_CHUNK``, so every kernel's sub-chunks start at the same
-# nodes as over a whole stack and add the same GEMMs in the same order
+# ``linalg.NODE_CHUNK``, so a pass's sub-chunks start at the same nodes as
+# those of a whole stack and add the same GEMMs in the same order
 EVAL_CHUNK = 4 * linalg.NODE_CHUNK
 
 
@@ -194,10 +198,11 @@ class SpinRepresentation(_LibraryBody):
             _SPIN_TERM_CACHE[self.two_j] = _spin_terms(self.two_j)
 
     def evaluate_batch(self, nodes, out=None):
-        """The matrices at ``nodes``, in chunks of ``EVAL_CHUNK`` nodes: the
-        power tables and products are chunk-sized, and each term's update
-        stays in cache."""
-        U = np.asarray(nodes, dtype=complex)
+        """The matrices at ``nodes``, a numeric (n, 2, 2) array
+        (``groups._node_array``; unitarity is not checked per batch), in
+        chunks of ``EVAL_CHUNK`` nodes: the power tables and products are
+        chunk-sized, and each term's update stays in cache."""
+        U = _node_array(nodes, "su2").astype(complex, copy=False)
         out = _empty(U, self.degree) if out is None else out
         out[...] = 0
         for i in range(0, len(U), EVAL_CHUNK):
@@ -343,14 +348,13 @@ def homomorphism_audit(rep: Representation, pair_count: int = 200, seed: int = 0
 
 
 def unitarity_defect(mats: np.ndarray) -> float:
-    """Max over a node stack or chunk (n, r, r) of |M* M - I|."""
-    eye = np.eye(mats.shape[-1])
-    return linalg.max_abs_over_nodes(lambda m: m.conj().transpose(0, 2, 1) @ m - eye, mats)
+    """Max over a stack (n, r, r) of |M* M - I|; a pass hands it one sub-chunk."""
+    return linalg.max_abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[-1]))
 
 
 def unitarity_audit(rep: Representation, rule: HaarRule) -> float:
     """Max over rule nodes of |rho(x)* rho(x) - I|, one pass."""
-    return max(unitarity_defect(chunk) for _, chunk in node_chunks(rep, rule))
+    return max(unitarity_defect(sub) for _, sub in node_chunks(rep, rule))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,27 +375,41 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
 
 
 def _chunks(rep: Representation, nodes, basis=None):
-    """Yield (slice, chunk) over ``nodes`` in chunks of ``EVAL_CHUNK``:
-    chunk holds the matrices of ``rep`` at ``nodes[slice]``, B rho B^-1
-    when ``basis`` = (B, B^-1) is given (one more sandwich in place).
-    Every chunk is written into the same buffer, so a step reads a chunk
-    before it asks for the next one and keeps none of it."""
+    """Yield (slice, sub) over ``nodes``, the one place a pass is cut: the
+    matrices of ``rep`` are evaluated ``EVAL_CHUNK`` nodes at a time into
+    one buffer, and handed out a sub-chunk of ``linalg.NODE_CHUNK`` nodes
+    at a time, sub the matrices at ``nodes[slice]``, B rho B^-1 when
+    ``basis`` = (B, B^-1) is given (sandwiched in place, one sub-chunk at
+    a time).  A step reads a sub-chunk before it asks for the next one and
+    keeps none of it, and every temporary it makes is sub-chunk-sized."""
     buffer = _empty(nodes[:EVAL_CHUNK], rep.degree)
     for i in range(0, len(nodes), EVAL_CHUNK):
         part = nodes[i:i + EVAL_CHUNK]
         chunk = rep._evaluate_into(part, buffer[:len(part)])
-        if basis is not None:
-            linalg.sandwich(basis[0], chunk, basis[1], out=chunk)
-        yield slice(i, i + len(part)), chunk
+        for j in range(0, len(part), linalg.NODE_CHUNK):
+            sub = chunk[j:j + linalg.NODE_CHUNK]
+            if basis is not None:
+                linalg.sandwich(basis[0], sub, basis[1], out=sub)
+            yield slice(i + j, i + j + len(sub)), sub
 
 
 def node_chunks(rep: Representation, rule: HaarRule, basis=None):
-    """One pass over the rule: (nodes, chunk) for each chunk of
-    ``EVAL_CHUNK`` rule nodes, nodes the slice of the rule they are and
-    chunk the matrices of ``rep`` (or B rho B^-1, for ``basis`` = (B, B^-1))
-    at them, in one buffer the pass reuses (``_chunks``)."""
+    """One pass over the rule: (nodes, sub) for each sub-chunk of
+    ``linalg.NODE_CHUNK`` rule nodes, nodes the slice of the rule they are
+    and sub the matrices of ``rep`` (or B rho B^-1, for ``basis`` =
+    (B, B^-1)) at them, in one buffer of ``EVAL_CHUNK`` nodes the pass
+    reuses (``_chunks``)."""
     check_rule_group(rule, rep)
     return _chunks(rep, rule.nodes, basis)
+
+
+def _average(rep: Representation, rule: HaarRule, pair, basis=None) -> ProductSum:
+    """One pass: the ``ProductSum`` of ``pair(W)`` over the sub-chunks W of
+    ``rep``, or of B rho B^-1 for ``basis`` = (B, B^-1)."""
+    total = ProductSum(rule)
+    for nodes, W in node_chunks(rep, rule, basis):
+        total.add(nodes, *pair(W))
+    return total
 
 
 def character(rep: Representation, rule: HaarRule) -> Character:

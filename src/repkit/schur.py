@@ -25,20 +25,22 @@ whole, are refused, so an under-resolved rule gives no wrong blocks.
 
 Every call reads its input in passes over the rule nodes
 (``representations.node_chunks``), chunks of ``EVAL_CHUNK`` nodes in one
-buffer each pass reuses, so no call holds an (N, r, r) node stack, and
-every average is one ``groups.ProductSum`` of a pair of views of each
-sub-chunk of ``linalg.NODE_CHUNK`` nodes (``unitarization._unitary``):
-the split seed forms W X one sub-chunk at a time, and the split's
-leakage is read per sub-chunk too, so every temporary but the chunk
-buffers is sub-chunk-sized.  None evaluates at the inverse nodes:
-rho(x^-1) = W(x)^* once the stack W is unitary, and
-``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
-stack W = B psi B^-1 of its second input, with phi's chunks read in step
-and sliced into the same sub-chunks.  On input that passes the unitarity
-audit, the first pass (``unitarization._unitary``) also sums the
-averaging map or the split seed and reads the character; other input
-takes a second pass in the unitary basis.  A step that needs a whole average before it reads the nodes again
-takes one more pass: the commutation residual of ``commutant`` and
+buffer each pass reuses, handed out in sub-chunks of ``linalg.NODE_CHUNK``
+nodes, so no call holds an (N, r, r) node stack, and every average is one
+``groups.ProductSum`` of a pair of views of each sub-chunk
+(``unitarization._unitary``): the split seed forms W X one sub-chunk at a
+time, and the split's leakage is read per sub-chunk too, so every
+temporary but the chunk buffers is sub-chunk-sized.  Only
+``_commutation_residual`` cuts its sub-chunk again, by the number of
+basis elements.  None evaluates at the inverse nodes: rho(x^-1) = W(x)^*
+once the stack W is unitary, and ``averaged_intertwiner`` reads
+psi(x^-1) = B^-1 W(x)^* B off the unitary stack W = B psi B^-1 of its
+second input, with phi's sub-chunks read in step.  On input that passes
+the unitarity audit, the first pass (``unitarization._unitary``) also
+sums the averaging map or the split seed and reads the character; other
+input takes a second pass in the unitary basis.  A step that needs a
+whole average before it reads the nodes again takes one more pass: the
+commutation residual of ``commutant`` and
 ``unitary_commutant``, the block characters and leakage of the split, and
 the input's own matrix-element Gram of ``matrix_element_audit`` on input
 that fails the audit.
@@ -70,12 +72,13 @@ from .representations import (
     Character,
     ConjugatedRepresentation,
     Representation,
+    _average,
     _character,
     character,
     check_rule_group,
     node_chunks,
 )
-from .unitarization import _average, _identity_or, _outer, _sub_chunks, _unitary, fixed_hermitian
+from .unitarization import _identity_or, _outer, _unitary, fixed_hermitian
 
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
@@ -89,7 +92,7 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     for phi = psi irreducible it is tr(A)/degree times the identity.  On the
     unitary stack W = B psi B^-1 (``_unitary``), psi(x^-1) = B^-1 W(x)^* B,
     so T = [sum of w_n phi_n C W_n^*] B with C = A B^-1, one averaging
-    contraction of the two inputs' chunks at the same rule nodes: one pass
+    contraction of the two inputs' sub-chunks at the same rule nodes: one pass
     over each when psi passes the unitarity audit, two otherwise.
     """
     if phi.group != psi.group:
@@ -102,10 +105,10 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     def terms(basis):
         # sum of w_n phi_n C W_n^* is the transpose of the sum of the pairs
         # (W_n^T, (phi_n C)^T): the pairs come a sub-chunk at a time, and
-        # phi's chunk at the same nodes, read once per chunk, is sliced in
-        # step and multiplied in place when C is square
+        # phi's sub-chunk at the same nodes comes in step, multiplied in
+        # place when C is square
         C = A if basis is None else A @ basis[1]
-        phis = (M for nodes, chunk in node_chunks(phi, rule) for _, M in _sub_chunks(nodes, chunk))
+        phis = (M for _, M in node_chunks(phi, rule))
 
         def pair(W):
             M = next(phis)
@@ -150,18 +153,19 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     K, norm = fixed_hermitian(maps)
     A, A_inv = _identity_or(change, rep.degree)
     basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
-    residual = max(_commutation_residual(chunk, basis) for _, chunk in node_chunks(rep, rule))
+    residual = max(_commutation_residual(sub, basis) for _, sub in node_chunks(rep, rule))
     return CommutantReport(dimension=len(K), basis=list(basis), max_residual=residual, character_norm=norm)
 
 
 def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
     """max |rho B - B rho| over every node and basis element.
 
-    Runs over chunks of max(1, ``linalg.NODE_CHUNK``/m) nodes, two GEMMs
-    per chunk against all m basis elements at once, so a chunk holds at
-    most max(``linalg.NODE_CHUNK``, m) (node, element) pairs and its
-    temporaries (the two products, a transposed copy of the node chunk and
-    the modulus) are chunk-sized.
+    ``mats`` is a sub-chunk of a pass, cut once more into pieces of
+    max(1, ``linalg.NODE_CHUNK``/m) nodes, two GEMMs per piece against all
+    m basis elements at once, so a piece holds at most
+    max(``linalg.NODE_CHUNK``, m) (node, element) pairs and its
+    temporaries (the two products, a transposed copy of the nodes and the
+    modulus) are sub-chunk-sized.
     """
     n, r, _ = mats.shape
     m = basis.shape[0]
@@ -186,7 +190,7 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     more pass; its dimension is the input's commutant dimension."""
     maps, basis = _unitary(rep, rule, lambda _: _outer)
     K, norm = fixed_hermitian(maps)
-    residual = max(_commutation_residual(chunk, K) for _, chunk in node_chunks(rep, rule, basis))
+    residual = max(_commutation_residual(sub, K) for _, sub in node_chunks(rep, rule, basis))
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=residual, character_norm=norm)
 
 
@@ -198,7 +202,7 @@ def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
 def _irreducible(rep: Representation, rule: HaarRule, raw=None) -> bool:
     """``irreducibility_test``: the dimension of the fixed space of the
     unitary stack of ``rep``, and nothing else; ``raw`` reads the input's
-    own chunks on the first pass (``_unitary``)."""
+    own sub-chunks on the first pass (``_unitary``)."""
     return len(fixed_hermitian(_unitary(rep, rule, lambda _: _outer, raw)[0])[0]) == 1
 
 
@@ -250,15 +254,15 @@ def _split(rep: Representation, rule: HaarRule):
     label = np.repeat(np.arange(len(sizes)), sizes)
     values = np.empty((len(sizes), rule.node_count), dtype=complex)
     leakage = 0.0
-    # one sandwich per chunk: P = Q A, with a conjugated input's own change
+    # one sandwich per sub-chunk: P = Q A, with a conjugated input's own change
     # of basis composed into it
     body, left, right = rep, P, P_inv
     if isinstance(rep, ConjugatedRepresentation) and rep.inner.degree == rep.degree:
         body, left, right = rep.inner, P @ rep.matrix, rep.matrix_inv @ P_inv
     off_block = label[:, None] != label[None, :]
-    for nodes, chunk in node_chunks(body, rule, (left, right)):
-        values[:, nodes] = np.add.reduceat(np.einsum("nii->ni", chunk), starts, axis=1).T
-        leakage = max(leakage, linalg.max_abs_over_nodes(lambda m: m[:, off_block], chunk))
+    for nodes, m in node_chunks(body, rule, (left, right)):
+        values[:, nodes] = np.add.reduceat(np.einsum("nii->ni", m), starts, axis=1).T
+        leakage = max(leakage, linalg.max_abs(m[:, off_block]))
     # inner[a, b] = integral of conj(chi_a) chi_b: 1 inside an isotypic class
     # and 0 across, so classes are cut at 1/2; its real sum is the input's norm
     v = values.T[:, None]

@@ -25,18 +25,20 @@ group kinds are supported here.
 
 Every call reads its input in passes over the rule (``node_chunks``):
 chunks of ``representations.EVAL_CHUNK`` nodes in one buffer each pass
-reuses, so no call holds the (N, r, r) node stack.  Every average a pass
-takes is one ``groups.ProductSum``, summed chunk by chunk in the node
-order of one contraction over the whole stack: a pair function maps each
-sub-chunk of ``linalg.NODE_CHUNK`` nodes to two views (X, Y) of it, and the
-pass adds sum of w_n X_n^* Y_n a sub-chunk at a time (``_sub_chunks``), so
-a pair that computes (the split seed's W X) holds a sub-chunk.  The
-averaging map is the pair ``_outer``, the flattened chunk twice; the Gram
-is the chunk twice (``_gram``).  ``_unitary`` reads the unitary stack W
-in one pass on input that passes the unitarity audit: that pass audits
-the input and adds the pairs of the input's own chunks.  On other input
-it sums the averaged Gram instead, and a second pass adds the pairs of
-the chunks of A rho A^-1 to a new sum.  A step that needs a
+reuses, handed out in sub-chunks of ``linalg.NODE_CHUNK`` nodes, so no
+call holds the (N, r, r) node stack, and every step of a pass reads one
+sub-chunk.  Every average a pass takes is one ``groups.ProductSum``,
+summed sub-chunk by sub-chunk in the node order of one contraction over
+the whole stack (``representations._average``): a pair function maps
+each sub-chunk to two views (X, Y) of it, and the pass adds sum of
+w_n X_n^* Y_n, so a pair that computes (the split seed's W X) holds a
+sub-chunk.  The averaging map is the pair ``_outer``, the flattened
+sub-chunk twice; the Gram is the sub-chunk twice (``_gram``).
+``_unitary`` reads the unitary stack W in one pass on input that passes
+the unitarity audit: that pass audits the input a sub-chunk at a time
+and adds the pairs of the input's own sub-chunks.  On other input it sums
+the averaged Gram instead, and a second pass adds the pairs of the
+sub-chunks of A rho A^-1 to a new sum.  A step that needs a
 whole average before it reads the nodes again takes one more pass:
 ``averaged_form`` and ``unitarize`` read the invariance defect
 rho* H rho - H of the averaged form H there, a sub-chunk at a time, and
@@ -44,7 +46,7 @@ rho* H rho - H of the averaged form H there, a sub-chunk at a time, and
 defects, as W* W - I = A^-* (rho* H rho - H) A^-1, in place, before it
 sandwiches that sub-chunk into W.  ``specialness_report`` takes those two
 passes of ``unitarize`` (``_unitarize``) and, in the second, adds the
-pairs of the chunks of W: it reads its invariant forms in the basis of
+pairs of the sub-chunks of W: it reads its invariant forms in the basis of
 its one unitarization, on any input, so it audits nothing and averages
 the form once.  ``_unitary`` and ``_unitarize`` read the definiteness and
 the conditioning of their factor off the one eigenvalue computation of
@@ -67,6 +69,7 @@ from .groups import HaarRule, ProductSum
 from .representations import (
     ConjugatedRepresentation,
     Representation,
+    _average,
     node_chunks,
     unitarity_defect,
 )
@@ -107,29 +110,8 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     """
     H, w = invariant_gram(_average(rep, rule, _gram).take())
     residual = max(linalg.max_abs(m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None])
-                   for nodes, chunk in node_chunks(rep, rule) for _, m in _sub_chunks(nodes, chunk))
+                   for _, m in node_chunks(rep, rule))
     return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
-
-
-def _average(rep: Representation, rule: HaarRule, pair, basis=None) -> ProductSum:
-    """One pass: the ``ProductSum`` of ``pair(W)`` over the sub-chunks W of
-    ``rep``, or of B rho B^-1 for ``basis`` = (B, B^-1)."""
-    total = ProductSum(rule)
-    for nodes, chunk in node_chunks(rep, rule, basis):
-        for sub, W in _sub_chunks(nodes, chunk):
-            total.add(sub, *pair(W))
-    return total
-
-
-def _sub_chunks(nodes: slice, chunk: np.ndarray):
-    """(slice, view) for each sub-chunk of ``linalg.NODE_CHUNK`` nodes of a
-    chunk at the rule nodes ``nodes``.  A pass hands ``ProductSum.add`` the
-    pair of one sub-chunk at a time: the same GEMMs, added in the same
-    order, as the pair of the whole chunk, with the pair's own temporaries
-    (the split seed's W X) sub-chunk-sized."""
-    for i in range(0, len(chunk), linalg.NODE_CHUNK):
-        sub = chunk[i:i + linalg.NODE_CHUNK]
-        yield slice(nodes.start + i, nodes.start + i + len(sub)), sub
 
 
 def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +121,7 @@ def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _outer(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair of the averaged outer product O[k, i, l, j] = sum of
-    w_n conj(W_ki) W_lj, the flattened chunk twice: the averaging map's one
+    w_n conj(W_ki) W_lj, the flattened sub-chunk twice: the averaging map's one
     ingredient (``fixed_hermitian``) and the matrix-element integrals."""
     flat = W.reshape(len(W), 1, -1)
     return flat, flat
@@ -177,20 +159,21 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
     """(total, basis): ``total`` the ``ProductSum`` of ``pair(W)`` over the
-    chunks of the unitary stack W = A rho A^-1 of ``rep`` at the rule
+    sub-chunks of the unitary stack W = A rho A^-1 of ``rep`` at the rule
     nodes, for ``pair = terms(basis)``, and ``basis`` = (A, A^-1), or None
     when W is the input's own stack.
 
-    The first pass (``_audited``) hands each chunk of the input to
-    ``raw(nodes, chunk)`` when given, and audits the input's unitarity
-    chunk by chunk: while every chunk so far passes, it adds its pair.
-    Input that passes the audit is its own W, so that pass serves.
-    Otherwise A is the Cholesky factor of the averaged form, and a second
-    pass adds the pairs of the chunks of W to a new sum.  The first pass
-    sums the averaged Gram from the first chunk on when that chunk fails
-    the audit; input that fails it only on a later chunk takes one more
-    pass for the Gram.  Each pass is a call of its own, so no pass holds
-    the buffer of another.
+    The first pass (``_audited``) hands each sub-chunk of the input to
+    ``raw(nodes, sub)`` when given, and audits the input's unitarity
+    sub-chunk by sub-chunk: while every sub-chunk so far passes, it adds
+    its pair.  Input that passes the audit is its own W, so that pass
+    serves.  Otherwise A is the Cholesky factor of the averaged form, and a
+    second pass adds the pairs of the sub-chunks of W to a new sum.  The
+    first pass sums the averaged Gram from the first sub-chunk on when that
+    sub-chunk fails the audit; input that fails it only on a later one
+    (past its first ``linalg.NODE_CHUNK`` nodes) takes one more pass for
+    the Gram.  Each pass is a call of its own, so no pass holds the buffer
+    of another.
     """
     total, gram = _audited(rep, rule, terms(None), raw)
     if total is not None:
@@ -204,19 +187,18 @@ def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
 def _audited(rep: Representation, rule: HaarRule, pair, raw):
     """The first pass of ``_unitary``: (total, None) on input that passes
     the unitarity audit, else (None, gram), gram the averaged Gram's sum
-    when the first chunk failed and None when a later one did."""
+    when the first sub-chunk failed and None when a later one did."""
     total, gram = ProductSum(rule), None
-    for nodes, chunk in node_chunks(rep, rule):
+    for nodes, W in node_chunks(rep, rule):
         if raw is not None:
-            raw(nodes, chunk)
+            raw(nodes, W)
         if total is not None:
-            if unitarity_defect(chunk) <= UNITARY_TOL:
-                for sub, W in _sub_chunks(nodes, chunk):
-                    total.add(sub, *pair(W))
+            if unitarity_defect(W) <= UNITARY_TOL:
+                total.add(nodes, *pair(W))
             else:
                 total, gram = None, ProductSum(rule) if nodes.start == 0 else None
         if gram is not None:
-            gram.add(nodes, chunk, chunk)
+            gram.add(nodes, W, W)
     return total, gram
 
 
@@ -243,7 +225,7 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
 
 def _unitarize(rep: Representation, rule: HaarRule, pair=None):
     """(result, total): the unitarization of ``unitarize``, and for a
-    ``pair`` the ``ProductSum`` of ``pair(W)`` over the chunks of the
+    ``pair`` the ``ProductSum`` of ``pair(W)`` over the sub-chunks of the
     unitary stack W = A rho A^-1, else None.  The first pass sums the
     averaged Gram; the second reads the residuals of each sub-chunk
     (``_residuals``) and then sandwiches it in place into W."""
@@ -251,11 +233,10 @@ def _unitarize(rep: Representation, rule: HaarRule, pair=None):
     A, A_inv = _cholesky_pair(H, w)
     total = None if pair is None else ProductSum(rule)
     residuals = []
-    for nodes, chunk in node_chunks(rep, rule):
-        for sub, m in _sub_chunks(nodes, chunk):
-            residuals.append(_residuals(m, H, A_inv))
-            if total is not None:
-                total.add(sub, *pair(linalg.sandwich(A, m, A_inv, out=m)))
+    for nodes, m in node_chunks(rep, rule):
+        residuals.append(_residuals(m, H, A_inv))
+        if total is not None:
+            total.add(nodes, *pair(linalg.sandwich(A, m, A_inv, out=m)))
     invariance, unitarity = map(max, zip(*residuals))
     return UnitarizationResult(basis_change=A, unitary_rep=ConjugatedRepresentation(rep, A, matrix_inv=A_inv),
                                invariance_residual=invariance, unitarity_residual=unitarity), total

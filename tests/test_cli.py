@@ -403,6 +403,22 @@ def test_malformed_input_file_is_an_input_error(runner, tmp_path, command, field
     assert result.stderr == f"input error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["weights", "finite table"])
+def test_integers_beyond_int64_are_input_errors(runner, tmp_path, kind):
+    # numpy's int64 cast of this integer raised OverflowError, a traceback
+    huge = 99999999999999999999
+    if kind == "weights":
+        args, where = ["irreducible", "--weights", f"1,{huge}"], "--weights: weights[1]"
+    else:
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"kind": "finite", "mult_table": [[0, 1], [1, huge]]}))
+        args, where = ["haar-audit", "--group", str(path)], f"{path}: mult_table[1][1]"
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"input error: {where} must be an integer in the int64 range, got {huge}\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["irreducible", "--spin", "2", "--group", "z2.json", "--builtin", "z2"],
      "input error: give either --group or --builtin, not both"),

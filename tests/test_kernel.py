@@ -67,28 +67,39 @@ def test_contraction_runs_in_node_chunks(z3, su2):
     assert got.dtype == complex and np.abs(got - ref).max() <= 1e-14
 
 
-def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2):
-    # 13 824 nodes are 13.5 evaluation chunks, so the last chunk is partial:
-    # the averaged Gram and the averaging map summed chunk by chunk over a
-    # pass add the same sub-chunk GEMMs in the same node order as one
-    # contraction of the whole stack, and so are equal to it bit for bit
-    rule = rk.haar_rule(su2, 24)
-    assert rule.node_count == 13.5 * rk.representations.EVAL_CHUNK
+@pytest.mark.parametrize("resolution", [24, 11])
+def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2, resolution):
+    # 13 824 nodes are 13.5 evaluation chunks; 1331 nodes end in an
+    # evaluation chunk of 307 nodes whose last sub-chunk has 51.  A pass
+    # hands out sub-chunks that tile the rule in order, each of at most
+    # NODE_CHUNK nodes from a multiple of it, so the averaged Gram and the
+    # averaging map summed over them add the same GEMMs in the same node
+    # order as one contraction of the whole stack, and are equal to it bit
+    # for bit; a pass in a basis B is the sandwich of the whole stack
+    rule = rk.haar_rule(su2, resolution)
+    n, size = rule.node_count, rk.linalg.NODE_CHUNK
+    rng = np.random.default_rng(9)
     rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1, su2), rk.spin_irrep(1.5, su2)),
-                       random_complex(np.random.default_rng(9), (7, 7)) + 3 * np.eye(7))
+                       random_complex(rng, (7, 7)) + 3 * np.eye(7))
     stack = rep.evaluate_batch(rule.nodes)
-    flat = stack.reshape(rule.node_count, 1, -1)
-    gram, maps, chunks = rk.groups.ProductSum(rule), rk.groups.ProductSum(rule), []
+    flat = stack.reshape(n, 1, -1)
+    gram, maps, slices, chunks = rk.groups.ProductSum(rule), rk.groups.ProductSum(rule), [], []
     for nodes, chunk in rk.representations.node_chunks(rep, rule):
+        slices.append((nodes.start, nodes.stop))
         chunks.append(chunk.copy())
         gram.add(nodes, chunk, chunk)
         maps.add(nodes, *rk.unitarization._outer(chunk))
+    assert slices == [(i, min(i + size, n)) for i in range(0, n, size)]
     assert np.concatenate(chunks).tobytes() == stack.tobytes()
     whole_gram = integrate_product(rule, stack, stack)
     assert gram.total().tobytes() == whole_gram.tobytes()
     assert maps.take().tobytes() == integrate_product(rule, flat, flat).tobytes()
     assert rk.averaged_form(rep, rule).gram.tobytes() == (
         rk.unitarization.invariant_gram(whole_gram)[0].tobytes())
+    B = random_complex(rng, (7, 7)) + 3 * np.eye(7)
+    basis = (B, np.linalg.inv(B))
+    in_basis = [chunk.copy() for _, chunk in rk.representations.node_chunks(rep, rule, basis)]
+    assert np.concatenate(in_basis).tobytes() == rk.linalg.sandwich(B, stack, basis[1]).tobytes()
 
 
 def test_contraction_is_the_weighted_sum_of_conjugate_products(su2):

@@ -106,13 +106,3 @@ def test_sandwich_in_place_matches_a_new_stack(n):
     expected = linalg.sandwich(A, stack, B)
     assert linalg.sandwich(A, stack, B, out=stack) is stack
     assert stack.tobytes() == expected.tobytes()
-
-
-def test_max_abs_over_nodes_matches_whole_stack():
-    rng = np.random.default_rng(4)
-    stack = random_complex(rng, (3 * linalg.NODE_CHUNK + 5, 3, 3))
-    stack[-1, 2, 1] = 40.0
-
-    def defects(m):
-        return m.conj().transpose(0, 2, 1) @ m - np.eye(3)
-    assert linalg.max_abs_over_nodes(defects, stack) == linalg.max_abs(defects(stack))

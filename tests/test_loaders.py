@@ -193,6 +193,8 @@ def test_load_rep_refuses_string_and_boolean_matrix_entries(tmp_path, z2):
     ("identity", False, "identity"),
     ("inverse", [0.4, 1.2], r"inverse\[0\]"),
     ("inverse", [0, "1"], r"inverse\[1\]"),
+    ("mult_table", [[0, 1], [1, 99999999999999999999]], r"mult_table\[1\]\[1\]"),
+    ("identity", -2 ** 63 - 1, "identity"),
 ])
 def test_load_group_refuses_non_integer_entries(tmp_path, field, value, where):
     # each of these used to load as Z2, cast to int by the group constructor
@@ -224,6 +226,7 @@ def test_load_algebra_refuses_non_numeric_fields(tmp_path, data, message):
 @pytest.mark.parametrize("data, message", [
     ({"kind": "circle_weights", "weights": [True, 2]}, r"weights\[0\] must be an integer"),
     ({"kind": "su2_spin", "two_j": True}, "two_j must be an integer in 0..12"),
+    ({"kind": "circle_weights", "weights": [1, 99999999999999999999]}, r"weights\[1\] must be an integer"),
 ])
 def test_load_rep_refuses_boolean_integers(tmp_path, circle, su2, data, message):
     group = circle if data["kind"] == "circle_weights" else su2

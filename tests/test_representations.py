@@ -319,6 +319,30 @@ def test_spin_unitarity_all_spins(su2, two_j):
     assert rk.unitarity_audit(rep, rule) <= 1e-10
 
 
+def test_unitarity_audit_is_the_maximum_over_the_whole_stack(su2):
+    # the audit reads one sub-chunk at a time; 1331 nodes end in a partial
+    # sub-chunk, and the largest defect is put at the last node
+    rule = rk.haar_rule(su2, 11)
+    rep = rk.conjugate(rk.spin_irrep(1, su2), random_invertible(np.random.default_rng(4), 3))
+    stack = rep.evaluate_batch(rule.nodes)
+    defects = stack.conj().transpose(0, 2, 1) @ stack - np.eye(3)
+    worst = np.abs(defects).max()
+    assert np.abs(defects[-1]).max() < worst
+
+    class LastNodeScaled(rk.Representation):
+        group, degree = su2, 3
+
+        def evaluate_batch(self, nodes):
+            mats = rep.evaluate_batch(nodes)
+            if np.array_equal(nodes[-1:], rule.nodes[-1:]):
+                mats[-1] *= 40.0
+            return mats
+    assert rk.unitarity_audit(rep, rule) == worst
+    stack[-1] *= 40.0
+    scaled = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(3)).max()
+    assert rk.unitarity_audit(LastNodeScaled(), rule) == scaled
+
+
 # --- characters --------------------------------------------------------------
 
 def test_character_trivial_rep_constant(circle):
@@ -447,14 +471,23 @@ def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, erro
     ("circle", np.array([True])),
     ("circle", np.array([1.5j])),
     ("circle", np.array([1.5], dtype=object)),
+    ("su2", np.eye(2, dtype=bool)[None]),
+    ("su2", np.array([[["1", "0"], ["0", "1"]]])),
+    ("su2", np.eye(3)[None]),
+    ("su2", np.eye(2)),
+    ("su2", np.eye(2, dtype=complex)[None].astype(object)),
 ], ids=["index 1.7", "index -1", "index order", "index True", "index '1'", "angle '1.5'",
-        "angle True", "angle 1.5j", "angle object"])
-def test_node_arrays_are_refused_not_cast(s3, circle, kind, nodes):
-    # a finite table reads integer indices in 0..order-1 and a circle body
-    # real angles; anything else was read as some other element
-    rep = rk.s3_standard(s3) if kind == "finite" else rk.CircleWeightRepresentation(circle, [1, -2])
+        "angle True", "angle 1.5j", "angle object", "matrix True", "matrix '1'", "shape (1, 3, 3)",
+        "shape (2, 2)", "matrix object"])
+def test_node_arrays_are_refused_not_cast(s3, circle, su2, kind, nodes):
+    # a finite table reads integer indices in 0..order-1, a circle body
+    # real angles and a spin body numeric (n, 2, 2) stacks; anything else
+    # was read as some other element (a spin body took a boolean or string
+    # identity for the identity)
+    reps = {"finite": rk.s3_standard(s3), "circle": rk.CircleWeightRepresentation(circle, [1, -2]),
+            "su2": rk.spin_irrep(1, su2)}
     with pytest.raises(rk.KindMismatchError):
-        rep.evaluate_batch(nodes)
+        reps[kind].evaluate_batch(nodes)
 
 
 def test_node_arrays_of_any_integer_or_real_dtype_are_taken(s3, circle):

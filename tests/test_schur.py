@@ -435,9 +435,9 @@ def test_split_once_and_decompose_share_p(z2, su2, su2_rule):
 
 @pytest.mark.parametrize("unitary", [True, False])
 def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypatch, unitary):
-    # one route: audit the rule nodes once, until a chunk fails, average the
-    # form only when the audit fails, never call unitarize, and compute no
-    # commutant
+    # one route: audit the rule nodes once, until a sub-chunk fails, average
+    # the form only when the audit fails, never call unitarize, and compute
+    # no commutant
     calls = {}
 
     def count(module, name):
@@ -462,9 +462,9 @@ def test_decompose_audits_once_and_never_unitarizes(z2, su2, su2_rule, monkeypat
         rule = su2_rule
     rk.decompose(rep, rule)
     assert calls["unitarize"] == []
-    # every node on unitary input; this input fails on its first chunk
+    # every node on unitary input; this input fails on its first sub-chunk
     audited = sum(len(args[0]) for args in calls["unitarity_defect"])
-    assert audited == (rule.node_count if unitary else rk.representations.EVAL_CHUNK)
+    assert audited == (rule.node_count if unitary else rk.linalg.NODE_CHUNK)
     assert len(calls["invariant_gram"]) == (0 if unitary else 1)
     assert calls["commutant"] == []
 
