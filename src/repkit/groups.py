@@ -24,10 +24,12 @@ node sub-chunk against the weighted conjugate of that sub-chunk of X,
 built in place, so it holds no stack-sized temporary.  A pass
 (``representations.node_chunks``) hands out the same sub-chunks and sums
 the same contraction in a ``ProductSum``: every average the library
-takes is one pair (X, Y) of views of each sub-chunk added to one, and
-``take()`` hands the total over and drops it.  It refuses a non-finite
-result, which is what a non-finite node entry or an overflowing sum
-produces, so no input sweep is needed.
+takes is one pair (X, Y) of views of each sub-chunk added to one, but
+for the averaging map, whose ``ProductSum`` sums the real map itself
+(``unitarization._AveragingMap``), and ``take()`` hands the total over
+and drops it.  It refuses a non-finite result, which is what a
+non-finite node entry or an overflowing sum produces, so no input sweep
+is needed.
 
 Caller input is checked once per kind, here.  ``_is_integer`` decides every
 integer the library takes (a Python or numpy int, never a bool, float or
@@ -352,8 +354,10 @@ def enumerate_or_sample(group, count, seed=0):
 @dataclass(frozen=True, eq=False)
 class HaarRule:
     """A normalized quadrature realization of the invariant integral: nodes
-    are group elements, weights are positive and sum to one.  Rules compare
-    and hash by identity; ``same_rule`` compares their contents."""
+    are group elements, one per weight, and weights are positive and sum to
+    one.  The nodes pass the O(1) ``_node_array`` check of the group kind,
+    not a per-node one.  Rules compare and hash by identity;
+    ``same_rule`` compares their contents."""
 
     group: object
     nodes: np.ndarray
@@ -361,6 +365,10 @@ class HaarRule:
     resolution: int
 
     def __post_init__(self):
+        shape = _node_array(self.nodes, self.group.kind).shape
+        if np.ndim(self.weights) != 1 or np.shape(self.weights) != shape[:1]:
+            raise ShapeMismatchError(f"a rule takes one weight per node, got nodes of shape {shape} "
+                                     f"and weights of shape {np.shape(self.weights)}")
         if (self.weights <= 0).any():
             raise ValueError("all quadrature weights must be positive")
         if abs(_fsum_rows(self.weights[None])[0] - 1.0) > 1e-14:
@@ -387,7 +395,9 @@ def haar_rule(group, resolution: int) -> HaarRule:
 
     Finite groups ignore the resolution (the exact uniform average is used);
     the circle gets ``resolution`` equispaced angles; su2 gets the
-    axis-angle product rule with ``resolution`` points per coordinate.
+    axis-angle product rule with ``resolution`` points per coordinate.  A
+    resolution whose rule cannot be allocated is refused with
+    ``InvalidResolutionError``, naming its node count.
     """
     if not _is_integer(resolution) or resolution < 1:
         raise InvalidResolutionError(f"resolution must be a positive integer, got {resolution!r}")
@@ -395,12 +405,17 @@ def haar_rule(group, resolution: int) -> HaarRule:
         n = group.order
         return HaarRule(group=group, nodes=np.arange(n), weights=np.full(n, 1.0 / n),
                         resolution=resolution)
-    if group.kind == "circle":
-        angles = 2 * np.pi * np.arange(resolution) / resolution
-        return HaarRule(group=group, nodes=angles, weights=np.full(resolution, 1.0 / resolution),
-                        resolution=resolution)
-    if group.kind == "su2":
-        return _su2_rule(group, resolution)
+    try:
+        if group.kind == "circle":
+            angles = 2 * np.pi * np.arange(resolution) / resolution
+            return HaarRule(group=group, nodes=angles, weights=np.full(resolution, 1.0 / resolution),
+                            resolution=resolution)
+        if group.kind == "su2":
+            return _su2_rule(group, resolution)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        count = resolution ** 3 if group.kind == "su2" else resolution
+        raise InvalidResolutionError(
+            f"resolution {resolution} asks for a rule of {count} nodes, which cannot be allocated") from exc
     raise KindMismatchError(f"unsupported group kind {group.kind!r}")
 
 
@@ -570,8 +585,9 @@ class ProductSum:
     sub-chunks: ``add(nodes, X, Y)`` adds the sum over the rule nodes
     ``nodes`` (a slice) of w_n X_n^* Y_n for the sub-chunks X (c, k, a) and
     Y (c, k, b) of two stacks at those nodes, ``total()`` returns the sum
-    and ``take()`` returns it and lets go of it, so a large total (the r^4
-    averaged outer product) lives no longer than its last reader.
+    and ``take()`` returns it and lets go of it, so a large total (the
+    r^4 averaging map of ``unitarization._AveragingMap``, which sums into
+    the same slot) lives no longer than its last reader.
 
     Each ``add`` is one GEMM against the weighted conjugate of X, built in
     place.  The first product is the accumulator and later ones add theirs
@@ -609,12 +625,14 @@ def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     """The averaging contraction, sum over nodes of w_n X_n^* Y_n, for node
     stacks X of shape (n, k, a) and Y of shape (n, k, b); returns (a, b).
 
-    Every averaged matrix is this contraction: with k = 1 the averaged
-    outer product of the flattened node matrices (the averaging map, the
-    matrix-element integrals, the block-character inner products), with
-    k > 1 a contraction over the middle index too (the averaged Gram
-    rho* rho).  It is one ``ProductSum`` over the ``linalg.NODE_CHUNK``-node
-    sub-chunks of the stacks, so a pass over them gets the same bytes.
+    Every averaged matrix but the averaging map is this contraction: with
+    k = 1 the averaged outer product of the flattened node matrices (the
+    block-character inner products, the integral of a representation),
+    with k > 1 a contraction over the middle index too (the averaged Gram
+    rho* rho).  The averaging map is summed from blocks of such outer
+    products (``unitarization._AveragingMap``).  It is one ``ProductSum``
+    over the ``linalg.NODE_CHUNK``-node sub-chunks of the stacks, so a pass
+    over them gets the same bytes.
     """
     X, Y = np.asarray(X), np.asarray(Y)
     n = rule.node_count
@@ -649,10 +667,10 @@ def integrate_matrix(rule: HaarRule, F) -> np.ndarray:
     (``representations._average``, which refuses F over another group
     with ``GroupMismatchError``): the pair (ones, flattened sub-chunk),
     the sum ``integrate_stacked`` takes, so no stack is held."""
-    from .representations import Representation, _average
+    from .representations import Representation, _average, _PairSum
     if isinstance(F, Representation):
-        total = _average(F, rule, lambda W: (np.ones((len(W), 1, 1)), W.reshape(len(W), 1, -1)))
-        return total.take().reshape(F.degree, F.degree)
+        total = _PairSum(rule, lambda W: (np.ones((len(W), 1, 1)), W.reshape(len(W), 1, -1)))
+        return _average(F, rule, total).take().reshape(F.degree, F.degree)
     stacked = _evaluate(F, rule.nodes)
     if stacked.ndim != 3:
         raise ShapeMismatchError(f"matrix integrand must return (n, r, s), got shape {stacked.shape}")

@@ -403,12 +403,24 @@ def node_chunks(rep: Representation, rule: HaarRule, basis=None):
     return _chunks(rep, rule.nodes, basis)
 
 
-def _average(rep: Representation, rule: HaarRule, pair, basis=None) -> ProductSum:
-    """One pass: the ``ProductSum`` of ``pair(W)`` over the sub-chunks W of
-    ``rep``, or of B rho B^-1 for ``basis`` = (B, B^-1)."""
-    total = ProductSum(rule)
+class _PairSum(ProductSum):
+    """The ``ProductSum`` of ``pair(W)`` over the sub-chunks W a pass adds
+    (``add(nodes, W)``), for a pair function mapping a sub-chunk to two
+    views (X, Y) of it."""
+
+    def __init__(self, rule: HaarRule, pair):
+        super().__init__(rule)
+        self.pair = pair
+
+    def add(self, nodes: slice, W: np.ndarray) -> None:
+        super().add(nodes, *self.pair(W))
+
+
+def _average(rep: Representation, rule: HaarRule, total, basis=None):
+    """One pass: ``total.add(nodes, W)`` for the sub-chunks W of ``rep``, or
+    of B rho B^-1 for ``basis`` = (B, B^-1); returns ``total``."""
     for nodes, W in node_chunks(rep, rule, basis):
-        total.add(nodes, *pair(W))
+        total.add(nodes, W)
     return total
 
 

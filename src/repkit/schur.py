@@ -9,9 +9,10 @@ when the input passes its unitarity audit): its fixed Hermitian
 matrices K span the commutant of W, read by a certified Rayleigh-Ritz
 step on the map's symmetric part (``unitarization.fixed_hermitian``), the
 commutant of the input is A^-1 K A, and its trace is the character norm
-integral of |chi|^2.  The averaged outer product of the flattened
-matrices the map is built from (the ``groups.ProductSum`` of the pair
-``unitarization._outer``) gives every matrix-element integral at once.
+integral of |chi|^2.  The map is summed block by block from the averaged
+outer product of the flattened matrices (``unitarization._AveragingMap``),
+and that outer product, every matrix-element integral at once, is read
+back off it.
 Scalar commutant (dimension one) is the irreducibility criterion;
 ``_irreducible`` reads only that dimension, with no commutation residual.
 
@@ -26,16 +27,18 @@ whole, are refused, so an under-resolved rule gives no wrong blocks.
 Every call reads its input in passes over the rule nodes
 (``representations.node_chunks``), chunks of ``EVAL_CHUNK`` nodes in one
 buffer each pass reuses, handed out in sub-chunks of ``linalg.NODE_CHUNK``
-nodes, so no call holds an (N, r, r) node stack, and every average is one
-``groups.ProductSum`` of a pair of views of each sub-chunk
-(``unitarization._unitary``): the split seed forms W X one sub-chunk at a
-time, and the split's leakage is read per sub-chunk too, so every
-temporary but the chunk buffers is sub-chunk-sized.  Only
-``_commutation_residual`` cuts its sub-chunk again, by the number of
-basis elements.  None evaluates at the inverse nodes: rho(x^-1) = W(x)^*
-once the stack W is unitary, and ``averaged_intertwiner`` reads
-psi(x^-1) = B^-1 W(x)^* B off the unitary stack W = B psi B^-1 of its
-second input, with phi's sub-chunks read in step.  On input that passes
+nodes, so no call holds an (N, r, r) node stack, and every average but
+the averaging map is one ``groups.ProductSum`` of a pair of views of each
+sub-chunk (``unitarization._unitary``): the split seed forms W X one
+sub-chunk at a time, and the split's leakage is read per sub-chunk too,
+so every temporary but the chunk buffers and the one real r^4 map is
+sub-chunk-sized.  Only ``_commutation_residual`` cuts its sub-chunk
+again, by the number of basis elements, into pieces of at most as many
+(node, element) pairs as the sub-chunk has nodes.  None evaluates at the
+inverse nodes: rho(x^-1) = W(x)^* once the stack W is unitary, and
+``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
+stack W = B psi B^-1 of its second input, with phi's sub-chunks read in
+step.  On input that passes
 the unitarity audit, the first pass (``unitarization._unitary``) also
 sums the averaging map or the split seed and reads the character; other
 input takes a second pass in the unitary basis.  A step that needs a
@@ -74,11 +77,12 @@ from .representations import (
     Representation,
     _average,
     _character,
+    _PairSum,
     character,
     check_rule_group,
     node_chunks,
 )
-from .unitarization import _identity_or, _outer, _unitary, fixed_hermitian
+from .unitarization import _AveragingMap, _identity_or, _unitary, fixed_hermitian
 
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
@@ -115,7 +119,7 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
             M = np.matmul(M, C, out=M if C.shape[0] == C.shape[1] else None)
             return W.transpose(0, 2, 1), M.transpose(0, 2, 1)
 
-        return pair
+        return _PairSum(rule, pair)
 
     total, basis = _unitary(psi, rule, terms)
     return total.take().T @ _identity_or(basis, psi.degree)[0]
@@ -149,7 +153,7 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     W = A rho A^-1, read by a certified Rayleigh-Ritz step (``fixed_hermitian``),
     with the trace of the map as the character norm and the residual read
     on the input's own matrices in one more pass."""
-    maps, change = _unitary(rep, rule, lambda _: _outer)
+    maps, change = _unitary(rep, rule, lambda _: _AveragingMap(rule))
     K, norm = fixed_hermitian(maps)
     A, A_inv = _identity_or(change, rep.degree)
     basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
@@ -160,18 +164,17 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
 def _commutation_residual(mats: np.ndarray, basis: np.ndarray) -> float:
     """max |rho B - B rho| over every node and basis element.
 
-    ``mats`` is a sub-chunk of a pass, cut once more into pieces of
-    max(1, ``linalg.NODE_CHUNK``/m) nodes, two GEMMs per piece against all
-    m basis elements at once, so a piece holds at most
-    max(``linalg.NODE_CHUNK``, m) (node, element) pairs and its
-    temporaries (the two products, a transposed copy of the nodes and the
-    modulus) are sub-chunk-sized.
+    ``mats`` is a sub-chunk of a pass of c nodes, cut once more into
+    pieces of max(1, c/m) nodes, two GEMMs per piece against all m basis
+    elements at once, so a piece holds at most max(c, m) (node, element)
+    pairs and its temporaries (the two products, a transposed copy of the
+    nodes and the modulus) are sub-chunk-sized.
     """
     n, r, _ = mats.shape
     m = basis.shape[0]
     right = basis.transpose(1, 0, 2).reshape(r, m * r)     # [k, (b, j)]
     left = basis.reshape(m * r, r)                          # [(b, i), k]
-    per_n = max(1, linalg.NODE_CHUNK // m)
+    per_n = max(1, n // m)
     residual = 0.0
     for n0 in range(0, n, per_n):
         chunk = mats[n0:n0 + per_n]
@@ -188,7 +191,7 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of the Rayleigh-Ritz reading
     (``fixed_hermitian``) themselves, with their residual on W read in one
     more pass; its dimension is the input's commutant dimension."""
-    maps, basis = _unitary(rep, rule, lambda _: _outer)
+    maps, basis = _unitary(rep, rule, lambda _: _AveragingMap(rule))
     K, norm = fixed_hermitian(maps)
     residual = max(_commutation_residual(sub, K) for _, sub in node_chunks(rep, rule, basis))
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=residual, character_norm=norm)
@@ -203,7 +206,7 @@ def _irreducible(rep: Representation, rule: HaarRule, raw=None) -> bool:
     """``irreducibility_test``: the dimension of the fixed space of the
     unitary stack of ``rep``, and nothing else; ``raw`` reads the input's
     own sub-chunks on the first pass (``_unitary``)."""
-    return len(fixed_hermitian(_unitary(rep, rule, lambda _: _outer, raw)[0])[0]) == 1
+    return len(fixed_hermitian(_unitary(rep, rule, lambda _: _AveragingMap(rule), raw)[0])[0]) == 1
 
 
 def _irreducible_character(rep: Representation, rule: HaarRule, refusal: str) -> Character:
@@ -246,7 +249,7 @@ def _split(rep: Representation, rule: HaarRule):
     def pair(W):
         return W.transpose(0, 2, 1), (W @ X).transpose(0, 2, 1)
 
-    seed, basis = _unitary(rep, rule, lambda _: pair)
+    seed, basis = _unitary(rep, rule, lambda _: _PairSum(rule, pair))
     Q, sizes = _split_unitary_fully(seed.take().T, X)
     A, A_inv = _identity_or(basis, rep.degree)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
@@ -392,15 +395,26 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     quadruples of an irreducible unitary representation.  The integrals
     are the averaged outer product of the input's flattened matrices, the
     one the irreducibility test sums on input that passes the unitarity
-    audit; other input takes one more pass for it."""
-    maps, basis = _unitary(rep, rule, lambda _: _outer)
-    gram = maps.total() if basis is None else None
+    audit; other input takes one more pass for it.  They are read off the
+    summed averaging map (``_AveragingMap``) before the fixed-space reading
+    makes it symmetric."""
+    maps, basis = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    deviation = _matrix_element_deviation(maps.total()) if basis is None else None
     if len(fixed_hermitian(maps)[0]) != 1:
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
     if basis is not None:
-        gram = _average(rep, rule, _outer).take()
-    r = rep.degree
-    return linalg.max_abs(gram - np.eye(r * r) / r)
+        deviation = _matrix_element_deviation(_average(rep, rule, _AveragingMap(rule)).take())
+    return deviation
+
+
+def _matrix_element_deviation(T: np.ndarray) -> float:
+    """max |O[k, i, l, j] - delta_kl delta_ij / r| over the averaged outer
+    product O, read off the sum T[k, l, i, j] = Re O[k, i, l, j] +
+    Im O[l, i, k, j] of ``_AveragingMap``: O is Hermitian, so
+    T[l, k, j, i] = Re O[k, i, l, j] - Im O[l, i, k, j], and the two give
+    2 Re O[k, i, l, j] and 2 Im O[l, i, k, j] at [k, l, i, j]."""
+    re = T + T.transpose(1, 0, 3, 2) - np.multiply.outer(np.eye(len(T)), np.eye(len(T)) * (2.0 / len(T)))
+    return float(np.hypot(re, T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)).max()) / 2.0
 
 
 def multiplicity(rep: Representation, irrep: Representation, rule: HaarRule) -> int:

@@ -27,18 +27,21 @@ Every call reads its input in passes over the rule (``node_chunks``):
 chunks of ``representations.EVAL_CHUNK`` nodes in one buffer each pass
 reuses, handed out in sub-chunks of ``linalg.NODE_CHUNK`` nodes, so no
 call holds the (N, r, r) node stack, and every step of a pass reads one
-sub-chunk.  Every average a pass takes is one ``groups.ProductSum``,
-summed sub-chunk by sub-chunk in the node order of one contraction over
-the whole stack (``representations._average``): a pair function maps
-each sub-chunk to two views (X, Y) of it, and the pass adds sum of
-w_n X_n^* Y_n, so a pair that computes (the split seed's W X) holds a
-sub-chunk.  The averaging map is the pair ``_outer``, the flattened
-sub-chunk twice; the Gram is the sub-chunk twice (``_gram``).
+sub-chunk.  Every average a pass takes is a sum it adds each sub-chunk
+to (``representations._average``), in the node order of one contraction
+over the whole stack.  Most are one ``groups.ProductSum`` of a pair
+(``representations._PairSum``): a pair function maps each sub-chunk to
+two views (X, Y) of it, and the pass adds sum of w_n X_n^* Y_n, so a
+pair that computes (the split seed's W X) holds a sub-chunk; the Gram
+is the sub-chunk twice (``_gram``).  The averaging map is summed as the
+real r^2 x r^2 map itself (``_AveragingMap``), block by block from the
+averaged outer product of each sub-chunk, so no complex r^4 total is
+formed.
 ``_unitary`` reads the unitary stack W in one pass on input that passes
 the unitarity audit: that pass audits the input a sub-chunk at a time
-and adds the pairs of the input's own sub-chunks.  On other input it sums
-the averaged Gram instead, and a second pass adds the pairs of the
-sub-chunks of A rho A^-1 to a new sum.  A step that needs a
+and adds the input's own sub-chunks to its sum.  On other input it sums
+the averaged Gram instead, and a second pass adds the sub-chunks of
+A rho A^-1 to a new sum.  A step that needs a
 whole average before it reads the nodes again takes one more pass:
 ``averaged_form`` and ``unitarize`` read the invariance defect
 rho* H rho - H of the averaged form H there, a sub-chunk at a time, and
@@ -46,19 +49,19 @@ rho* H rho - H of the averaged form H there, a sub-chunk at a time, and
 defects, as W* W - I = A^-* (rho* H rho - H) A^-1, in place, before it
 sandwiches that sub-chunk into W.  ``specialness_report`` takes those two
 passes of ``unitarize`` (``_unitarize``) and, in the second, adds the
-pairs of the sub-chunks of W: it reads its invariant forms in the basis of
+sub-chunks of W to its averaging map: it reads its invariant forms in the basis of
 its one unitarization, on any input, so it audits nothing and averages
 the form once.  ``_unitary`` and ``_unitarize`` read the definiteness and
 the conditioning of their factor off the one eigenvalue computation of
 the averaged form (``invariant_gram``).  Every call thus holds its one
 evaluation chunk, and every other temporary is the size of a sub-chunk of
-``linalg.NODE_CHUNK`` nodes; the r^4 averaged outer product is dropped
-(``ProductSum.take``) before its fixed space is read.
+``linalg.NODE_CHUNK`` nodes, but for the one real r^4 averaging map,
+which ``fixed_hermitian`` takes (``ProductSum.take``) and makes symmetric
+in place.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +73,7 @@ from .representations import (
     ConjugatedRepresentation,
     Representation,
     _average,
+    _PairSum,
     node_chunks,
     unitarity_defect,
 )
@@ -108,7 +112,7 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     than a numerical accident.  Two passes: the average, then its
     invariance defect at the nodes, a sub-chunk at a time.
     """
-    H, w = invariant_gram(_average(rep, rule, _gram).take())
+    H, w = invariant_gram(_average(rep, rule, _PairSum(rule, _gram)).take())
     residual = max(linalg.max_abs(m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None])
                    for _, m in node_chunks(rep, rule))
     return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
@@ -119,12 +123,35 @@ def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, m
 
 
-def _outer(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of the averaged outer product O[k, i, l, j] = sum of
-    w_n conj(W_ki) W_lj, the flattened sub-chunk twice: the averaging map's one
-    ingredient (``fixed_hermitian``) and the matrix-element integrals."""
-    flat = W.reshape(len(W), 1, -1)
-    return flat, flat
+class _AveragingMap(ProductSum):
+    """The averaging map L: B -> sum of w_n W_n* B W_n of a stack W in
+    ``hermitian_coords``, summed over the sub-chunks a pass adds
+    (``add(nodes, W)``) into one real (r, r, r, r) array T whose
+    (r^2, r^2) matrix is L^T: T[k, l] holds the coordinates of the image of
+    G_kl, so T[k, l, i, j] = L[(i, j), (k, l)].
+
+    That image is w A + conj(w) A* with A = O[k, :, l, :] for the averaged
+    outer product O[k, i, l, j] = sum of w_n conj(W_ki) W_lj, so
+    T[k, l, i, j] = Re O[k, i, l, j] + Im O[l, i, k, j].  A sub-chunk of c
+    nodes runs one GEMM per block of b = max(1, c // r) rows k of O, whose
+    result holds at most max(c, r) r^2 entries, and adds its real part to
+    T[k] and its imaginary part to T[:, k], both along the last axis j of
+    O, so no complex r^4 total is formed.  ``take()`` refuses a non-finite
+    map.
+    """
+
+    def add(self, nodes: slice, W: np.ndarray) -> None:
+        c, r, _ = W.shape
+        if self.sum is None:
+            self.sum = np.zeros((r, r, r, r))
+        b = max(1, c // r)
+        with np.errstate(invalid="ignore", over="ignore"):
+            t = np.conjugate(W, dtype=complex)
+            t *= self.weights[nodes, None, None]
+            for k in range(0, r, b):
+                O = (t[:, k:k + b].reshape(c, -1).T @ W.reshape(c, -1)).reshape(-1, r, r, r)
+                self.sum[k:k + b] += O.real.transpose(0, 2, 1, 3)
+                self.sum[:, k:k + b] += O.imag.transpose(2, 0, 1, 3)
 
 
 def invariant_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,43 +185,44 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
-    """(total, basis): ``total`` the ``ProductSum`` of ``pair(W)`` over the
-    sub-chunks of the unitary stack W = A rho A^-1 of ``rep`` at the rule
-    nodes, for ``pair = terms(basis)``, and ``basis`` = (A, A^-1), or None
-    when W is the input's own stack.
+    """(total, basis): ``total`` the sum ``terms(basis)`` (a ``_PairSum`` or
+    an ``_AveragingMap``) over the sub-chunks of the unitary stack
+    W = A rho A^-1 of ``rep`` at the rule nodes, and ``basis`` = (A, A^-1),
+    or None when W is the input's own stack.
 
     The first pass (``_audited``) hands each sub-chunk of the input to
     ``raw(nodes, sub)`` when given, and audits the input's unitarity
     sub-chunk by sub-chunk: while every sub-chunk so far passes, it adds
-    its pair.  Input that passes the audit is its own W, so that pass
+    the sub-chunk.  Input that passes the audit is its own W, so that pass
     serves.  Otherwise A is the Cholesky factor of the averaged form, and a
-    second pass adds the pairs of the sub-chunks of W to a new sum.  The
-    first pass sums the averaged Gram from the first sub-chunk on when that
-    sub-chunk fails the audit; input that fails it only on a later one
-    (past its first ``linalg.NODE_CHUNK`` nodes) takes one more pass for
-    the Gram.  Each pass is a call of its own, so no pass holds the buffer
-    of another.
+    second pass adds the sub-chunks of W to a new sum.  The first pass
+    sums the averaged Gram from the first sub-chunk on when that sub-chunk
+    fails the audit; input that fails it only on a later one (past its
+    first ``linalg.NODE_CHUNK`` nodes) takes one more pass for the Gram.
+    Each pass is a call of its own, so no pass holds the buffer of
+    another.
     """
     total, gram = _audited(rep, rule, terms(None), raw)
     if total is not None:
         return total, None
     if gram is None:
-        gram = _average(rep, rule, _gram)
+        gram = _average(rep, rule, _PairSum(rule, _gram))
     basis = _cholesky_pair(*invariant_gram(gram.take()))
     return _average(rep, rule, terms(basis), basis), basis
 
 
-def _audited(rep: Representation, rule: HaarRule, pair, raw):
-    """The first pass of ``_unitary``: (total, None) on input that passes
-    the unitarity audit, else (None, gram), gram the averaged Gram's sum
-    when the first sub-chunk failed and None when a later one did."""
-    total, gram = ProductSum(rule), None
+def _audited(rep: Representation, rule: HaarRule, total, raw):
+    """The first pass of ``_unitary``, adding to ``total``: (total, None) on
+    input that passes the unitarity audit, else (None, gram), gram the
+    averaged Gram's sum when the first sub-chunk failed and None when a
+    later one did."""
+    gram = None
     for nodes, W in node_chunks(rep, rule):
         if raw is not None:
             raw(nodes, W)
         if total is not None:
             if unitarity_defect(W) <= UNITARY_TOL:
-                total.add(nodes, *pair(W))
+                total.add(nodes, W)
             else:
                 total, gram = None, ProductSum(rule) if nodes.start == 0 else None
         if gram is not None:
@@ -223,20 +251,19 @@ def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     return _unitarize(rep, rule)[0]
 
 
-def _unitarize(rep: Representation, rule: HaarRule, pair=None):
-    """(result, total): the unitarization of ``unitarize``, and for a
-    ``pair`` the ``ProductSum`` of ``pair(W)`` over the sub-chunks of the
-    unitary stack W = A rho A^-1, else None.  The first pass sums the
-    averaged Gram; the second reads the residuals of each sub-chunk
-    (``_residuals``) and then sandwiches it in place into W."""
-    H, w = invariant_gram(_average(rep, rule, _gram).take())
+def _unitarize(rep: Representation, rule: HaarRule, total=None):
+    """(result, total): the unitarization of ``unitarize``, and ``total``
+    (an ``_AveragingMap``, or None) with the sub-chunks of the unitary
+    stack W = A rho A^-1 added.  The first pass sums the averaged Gram; the
+    second reads the residuals of each sub-chunk (``_residuals``) and then
+    sandwiches it in place into W."""
+    H, w = invariant_gram(_average(rep, rule, _PairSum(rule, _gram)).take())
     A, A_inv = _cholesky_pair(H, w)
-    total = None if pair is None else ProductSum(rule)
     residuals = []
     for nodes, m in node_chunks(rep, rule):
         residuals.append(_residuals(m, H, A_inv))
         if total is not None:
-            total.add(nodes, *pair(linalg.sandwich(A, m, A_inv, out=m)))
+            total.add(nodes, linalg.sandwich(A, m, A_inv, out=m))
     invariance, unitarity = map(max, zip(*residuals))
     return UnitarizationResult(basis_change=A, unitary_rep=ConjugatedRepresentation(rep, A, matrix_inv=A_inv),
                                invariance_residual=invariance, unitarity_residual=unitarity), total
@@ -266,40 +293,32 @@ def _hermitian_from_coords(R: np.ndarray) -> np.ndarray:
     return ((1 + 1j) * R + (1 - 1j) * np.swapaxes(R, -1, -2)) / 2.0
 
 
-def _averaging_map(outer: np.ndarray) -> np.ndarray:
-    """The real (r^2, r^2) matrix L of B -> sum of w_n W_n* B W_n in
-    ``hermitian_coords``, from the averaged outer product (r^2, r^2) of the
-    flattened stack W (the sum of ``_outer``).  Column (k, l) is the image
-    of G_kl, w A + conj(w) A* with A = O[k, :, l, :] the average of W* E_kl W; as
-    (A*)_ij = O[l, i, k, j], L[(i, j), (k, l)] = Re O[k, i, l, j] + Im O[l, i, k, j]."""
-    r = math.isqrt(len(outer))
-    outer = outer.reshape(r, r, r, r)
-    # built as L^T: both terms keep the last axis j, so their sum is
-    # C-ordered and neither reshape nor transpose copies it
-    return (outer.real.transpose(0, 2, 1, 3) + outer.imag.transpose(2, 0, 1, 3)).reshape(r * r, r * r).T
-
-
-def fixed_hermitian(maps: ProductSum) -> tuple[np.ndarray, float]:
+def fixed_hermitian(maps: _AveragingMap) -> tuple[np.ndarray, float]:
     """(K, trace) for the averaging map L: B -> sum of w_n W_n* B W_n of a
-    unitary stack W (n, r, r) whose ``_outer`` pairs ``maps`` summed
-    (taken, so the r^4 total is freed before the eigensolve): K (m, r, r) is a
+    unitary stack W (n, r, r) that ``maps`` summed: K (m, r, r) is a
     Frobenius-orthonormal real basis of the Hermitian matrices it fixes,
     and trace, its trace, is the integral of |chi|^2.
 
     The fixed space is the eigenspace of S = (L + L^T)/2 for the
     eigenvalues theta with 1 - theta at most ``RANK_TOL``, read by a
     certified Rayleigh-Ritz step (``_top_eigenspace``) whose orthonormal
-    columns are the ``hermitian_coords`` of K.  This is exact.
+    columns are the ``hermitian_coords`` of K.  S and the trace are those
+    of the L^T that ``maps`` summed, taken from it and made symmetric in
+    place, r rows and the r matching columns at a time, so the reading
+    holds one real r^4 array.  This is exact.
     Each node map is a Frobenius isometry whose transpose is the map of
     W_n^*, so S averages the node maps together with their inverses, and
     an average of isometries with positive weights fixes B only if every
     term does: S fixes exactly what L fixes, on any node set, and its
     spectral norm is at most 1, which is the scale of the cut.
     """
-    L = _averaging_map(maps.take())
-    r = math.isqrt(len(L))
-    trace = float(np.trace(L))
-    return _hermitian_from_coords(_top_eigenspace((L + L.T) / 2.0, trace).T.reshape(-1, r, r)), trace
+    L = maps.take()
+    r, S = len(L), L.reshape(len(L) ** 2, -1)
+    trace = float(np.trace(S))
+    for i in range(0, r * r, r):
+        s = (S[i:i + r, i:] + S[i:, i:i + r].T) / 2.0
+        S[i:i + r, i:], S[i:, i:i + r] = s, s.T
+    return _hermitian_from_coords(_top_eigenspace(S, trace).T.reshape(-1, r, r)), trace
 
 
 def _top_eigenspace(S: np.ndarray, trace: float) -> np.ndarray:
@@ -358,14 +377,14 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     commutant dimension by construction.  One pass on input that passes
     the unitarity audit, two otherwise (``_unitary``).
     """
-    maps, basis = _unitary(rep, rule, lambda _: _outer)
+    maps, basis = _unitary(rep, rule, lambda _: _AveragingMap(rule))
     forms = _forms(maps, _identity_or(basis, rep.degree)[0])
     return forms, len(forms)
 
 
-def _forms(maps: ProductSum, A: np.ndarray) -> list[HermitianForm]:
+def _forms(maps: _AveragingMap, A: np.ndarray) -> list[HermitianForm]:
     """The invariant forms A* K A over the fixed space K of the unitary
-    stack W = A rho A^-1 whose ``_outer`` pairs ``maps`` summed."""
+    stack W = A rho A^-1 whose averaging map ``maps`` summed."""
     K, _ = fixed_hermitian(maps)
     grams = A.conj().T @ K @ A
     lowest = np.linalg.eigvalsh(grams)[:, 0]
@@ -388,7 +407,7 @@ def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport
     form, in the two passes of ``unitarize``: the forms are read in the
     basis of that unitarization, whatever the input, so nothing is
     audited."""
-    unitarization, maps = _unitarize(rep, rule, _outer)
+    unitarization, maps = _unitarize(rep, rule, _AveragingMap(rule))
     forms = _forms(maps, unitarization.basis_change)
     return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,
                              form_basis=forms)

@@ -85,18 +85,45 @@ def traced_peak(call):
 
 
 def averaging_map(rule, W):
-    """The averaging map of a whole stack W (n, r, r): the library's map of
-    the averaged outer product of the flattened stack."""
+    """The averaging map B -> sum of w_n W_n* B W_n of a whole stack W
+    (n, r, r) in ``hermitian_coords``, as an (r^2, r^2) matrix whose column
+    (k, l) is the image of G_kl: the averaged outer product O of the
+    flattened stack, one contraction over every node, realigned as
+    L[(i, j), (k, l)] = Re O[k, i, l, j] + Im O[l, i, k, j] (the image is
+    w A + conj(w) A* with A = O[k, :, l, :], w = (1 + i)/2)."""
+    r = W.shape[-1]
     flat = W.reshape(len(W), 1, -1)
-    return rk.unitarization._averaging_map(rk.groups.integrate_product(rule, flat, flat))
+    O = rk.groups.integrate_product(rule, flat, flat).reshape(r, r, r, r)
+    return (O.real.transpose(1, 3, 0, 2) + O.imag.transpose(1, 3, 2, 0)).reshape(r * r, r * r)
+
+
+def library_map(rule, W, size=rk.linalg.NODE_CHUNK):
+    """The library's averaging map of a whole stack W (n, r, r), summed by
+    ``unitarization._AveragingMap`` over its slices of ``size`` nodes, as
+    an (r^2, r^2) matrix (the transpose of the sum it holds)."""
+    maps = rk.unitarization._AveragingMap(rule)
+    for i in range(0, len(W), size):
+        maps.add(slice(i, i + size), W[i:i + size])
+    r = W.shape[-1]
+    return maps.take().reshape(r * r, r * r).T
 
 
 def unitary_stack(rep, rule):
     """(W, maps): the unitary stack W = A rho A^-1 the library reads, put
-    together from its chunks, and the averaged outer product it summed."""
-    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._outer)
+    together from its chunks, and the averaging map it summed."""
+    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._AveragingMap(rule))
     chunks = rk.representations.node_chunks(rep, rule, basis)
     return np.concatenate([chunk.copy() for _, chunk in chunks]), maps
+
+
+def regular_representation(group):
+    """The left regular representation of a finite group: g acts on the
+    basis e_h as e_h -> e_gh."""
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=complex)
+    for g in range(n):
+        mats[g, group.mult_table[g], np.arange(n)] = 1.0
+    return rk.FiniteTableRepresentation(group, mats)
 
 
 def commutant_dim_bruteforce(rep, rule, tol=1e-8):

@@ -403,6 +403,16 @@ def test_malformed_input_file_is_an_input_error(runner, tmp_path, command, field
     assert result.stderr == f"input error: {path}: {message}\n"
 
 
+def test_a_resolution_beyond_memory_is_refused_without_a_traceback(runner):
+    # numpy's arange of this many angles raised ValueError, a traceback
+    huge = 99999999999999999999
+    result = runner.invoke(main, ["irreducible", "--weights", "1", "--resolution", str(huge)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == (f"error: resolution {huge} asks for a rule of {huge} nodes, "
+                             "which cannot be allocated\n")
+
+
 @pytest.mark.parametrize("kind", ["weights", "finite table"])
 def test_integers_beyond_int64_are_input_errors(runner, tmp_path, kind):
     # numpy's int64 cast of this integer raised OverflowError, a traceback

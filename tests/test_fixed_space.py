@@ -3,8 +3,9 @@
 ``unitarization.fixed_hermitian`` reads the fixed Hermitian matrices of the
 averaging map L of a unitary stack by a certified Rayleigh-Ritz step on
 S = (L + L^T)/2.  The reference here is the full ``numpy.linalg.eigh`` of
-S - I with its own cut, |mu| <= RANK_TOL * max(1, max |mu|); the two must
-give the same dimension and the same subspace.  Since that reference reads
+S - I, for the same map L, with its own cut,
+|mu| <= RANK_TOL * max(1, max |mu|); the two must give the same dimension
+and the same subspace.  Since that reference reads
 the same averaging map, each reading is also checked on its own terms:
 Hermitian, Frobenius-orthonormal, commuting with the stack at every node,
 and of the dimension sum m^2 the input was built with.  The certificate
@@ -24,26 +25,16 @@ from repkit.unitarization import (
     hermitian_coords,
 )
 
-from conftest import averaging_map, random_invertible, random_unitary, unitary_stack
+from conftest import random_invertible, random_unitary, regular_representation, unitary_stack
 
 
-def _fixed_space_reference(rule, W):
+def _fixed_space_reference(L):
     """Orthonormal real coordinates (columns) of the fixed space, from the
-    full eigensolve of the symmetric part of the averaging map minus I, and
-    the trace of the map."""
-    r = W.shape[-1]
-    L = averaging_map(rule, W)
-    mu, V = np.linalg.eigh((L + L.T) / 2.0 - np.eye(r * r))
+    full eigensolve of the symmetric part of the averaging map L (r^2, r^2)
+    minus I, and the trace of the map."""
+    mu, V = np.linalg.eigh((L + L.T) / 2.0 - np.eye(len(L)))
     size = np.abs(mu)
     return V[:, size <= RANK_TOL * max(1.0, size.max())], float(np.trace(L))
-
-
-def _regular(group):
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        mats[g, group.mult_table[g], np.arange(n)] = 1.0
-    return rk.FiniteTableRepresentation(group, mats)
 
 
 def _s4():
@@ -74,8 +65,8 @@ def _cases():
         ("s3 conj(standard+trivial)",
          rk.conjugate(rk.direct_sum(rk.s3_standard(s3), rk.s3_trivial(s3)), random_invertible(rng, 3)),
          s3_rule),
-        ("s3 regular", _regular(s3), s3_rule),
-        ("z6 regular", _regular(rk.cyclic_group(6)), rk.haar_rule(rk.cyclic_group(6), 1)),
+        ("s3 regular", regular_representation(s3), s3_rule),
+        ("z6 regular", regular_representation(rk.cyclic_group(6)), rk.haar_rule(rk.cyclic_group(6), 1)),
         ("circle [1]", rk.CircleWeightRepresentation(circle, [1]), rk.haar_rule(circle, 64)),
         ("circle conj[1,1,2]",
          rk.conjugate(rk.CircleWeightRepresentation(circle, [1, 1, 2]),
@@ -96,9 +87,9 @@ def _cases():
         ("2j=12@16", _spins(su2, 6), su2_rule),
         ("2j=12@24", _spins(su2, 6), fine),
         ("6+6@24", _spins(su2, 6, 6), fine),
-        ("z24 regular", _regular(rk.cyclic_group(24)), rk.haar_rule(rk.cyclic_group(24), 1)),
-        ("s4 regular", _regular(_s4()), rk.haar_rule(_s4(), 1)),
-        ("z48 regular", _regular(rk.cyclic_group(48)), rk.haar_rule(rk.cyclic_group(48), 1)),
+        ("z24 regular", regular_representation(rk.cyclic_group(24)), rk.haar_rule(rk.cyclic_group(24), 1)),
+        ("s4 regular", regular_representation(_s4()), rk.haar_rule(_s4(), 1)),
+        ("z48 regular", regular_representation(rk.cyclic_group(48)), rk.haar_rule(rk.cyclic_group(48), 1)),
     ]
 
 
@@ -107,9 +98,10 @@ CASES = _cases()
 
 @pytest.mark.parametrize("rep, rule", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_reader_matches_the_full_eigensolve(rep, rule):
-    W, maps = unitary_stack(rep, rule)
+    _, maps = unitary_stack(rep, rule)
+    # a copy of the summed map, which the reading makes symmetric in place
+    ref, ref_trace = _fixed_space_reference(maps.total().reshape(rep.degree ** 2, -1).T.copy())
     K, trace = fixed_hermitian(maps)
-    ref, ref_trace = _fixed_space_reference(rule, W)
     assert len(K) == ref.shape[1]
     assert trace == ref_trace
     got = hermitian_coords(K).T
@@ -175,7 +167,7 @@ def test_z48_commutant_reads_no_full_size_eigensolve(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    report = rk.commutant(_regular(z48), rk.haar_rule(z48, 1))
+    report = rk.commutant(regular_representation(z48), rk.haar_rule(z48, 1))
     assert report.dimension == 48
     assert report.max_residual <= 1e-12
     assert sizes and max(sizes + values) < 48 * 48

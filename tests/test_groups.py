@@ -168,6 +168,30 @@ def test_invalid_resolution(circle):
         rk.haar_rule(circle, -3)
 
 
+@pytest.mark.parametrize("name, count", [("circle", 10 ** 20), ("su2", 10 ** 60)], ids=["circle", "su2"])
+def test_a_rule_that_cannot_be_allocated_is_refused_with_its_node_count(name, count):
+    # numpy refuses these sizes before it allocates anything
+    with pytest.raises(rk.InvalidResolutionError, match=f"a rule of {count} nodes"):
+        rk.haar_rule(rk.builtin_group(name), 10 ** 20)
+
+
+def test_haar_rule_refuses_nodes_that_do_not_match_its_weights(su2, circle):
+    # 100 nodes against 512 weights used to build, and commutant then
+    # failed inside numpy; the node array gets its group kind's O(1)
+    # check, as a batch of nodes does
+    rule = rk.haar_rule(su2, 8)
+    for nodes, weights in [(rule.nodes[:100], rule.weights), (rule.nodes, rule.weights[None])]:
+        with pytest.raises(rk.ShapeMismatchError, match="one weight per node"):
+            rk.HaarRule(group=su2, nodes=nodes, weights=weights, resolution=8)
+    with pytest.raises(rk.ShapeMismatchError, match="one weight per node"):
+        rk.HaarRule(group=circle, nodes=np.array(0.5), weights=np.ones(1), resolution=1)
+    for nodes in [rule.nodes[0], rule.nodes[:, 0], rule.nodes.real > 0]:
+        with pytest.raises(rk.KindMismatchError):
+            rk.HaarRule(group=su2, nodes=nodes, weights=rule.weights, resolution=8)
+    with pytest.raises(rk.KindMismatchError):
+        rk.HaarRule(group=circle, nodes=np.array(["0.5"]), weights=np.ones(1), resolution=1)
+
+
 # --- integration -------------------------------------------------------------
 
 def test_integrate_constant_is_one(z3, circle, su2):

@@ -16,7 +16,16 @@ import repkit as rk
 from repkit.groups import integrate_product
 from repkit.schur import _commutation_residual
 
-from conftest import CHUNKS_HELD, averaging_map, chunk_bytes, random_complex, traced_peak
+from conftest import (
+    CHUNKS_HELD,
+    averaging_map,
+    chunk_bytes,
+    library_map,
+    random_complex,
+    random_unitary,
+    regular_representation,
+    traced_peak,
+)
 
 
 def _rules_and_reps(s3, circle, su2):
@@ -75,25 +84,25 @@ def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2, resolution):
     # NODE_CHUNK nodes from a multiple of it, so the averaged Gram and the
     # averaging map summed over them add the same GEMMs in the same node
     # order as one contraction of the whole stack, and are equal to it bit
-    # for bit; a pass in a basis B is the sandwich of the whole stack
+    # for bit (the map as the library sums it over the whole stack's
+    # sub-chunks); a pass in a basis B is the sandwich of the whole stack
     rule = rk.haar_rule(su2, resolution)
     n, size = rule.node_count, rk.linalg.NODE_CHUNK
     rng = np.random.default_rng(9)
     rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(1, su2), rk.spin_irrep(1.5, su2)),
                        random_complex(rng, (7, 7)) + 3 * np.eye(7))
     stack = rep.evaluate_batch(rule.nodes)
-    flat = stack.reshape(n, 1, -1)
-    gram, maps, slices, chunks = rk.groups.ProductSum(rule), rk.groups.ProductSum(rule), [], []
+    gram, maps, slices, chunks = rk.groups.ProductSum(rule), rk.unitarization._AveragingMap(rule), [], []
     for nodes, chunk in rk.representations.node_chunks(rep, rule):
         slices.append((nodes.start, nodes.stop))
         chunks.append(chunk.copy())
         gram.add(nodes, chunk, chunk)
-        maps.add(nodes, *rk.unitarization._outer(chunk))
+        maps.add(nodes, chunk)
     assert slices == [(i, min(i + size, n)) for i in range(0, n, size)]
     assert np.concatenate(chunks).tobytes() == stack.tobytes()
     whole_gram = integrate_product(rule, stack, stack)
     assert gram.total().tobytes() == whole_gram.tobytes()
-    assert maps.take().tobytes() == integrate_product(rule, flat, flat).tobytes()
+    assert maps.take().reshape(49, 49).T.tobytes() == library_map(rule, stack).tobytes()
     assert rk.averaged_form(rep, rule).gram.tobytes() == (
         rk.unitarization.invariant_gram(whole_gram)[0].tobytes())
     B = random_complex(rng, (7, 7)) + 3 * np.eye(7)
@@ -165,7 +174,9 @@ def test_chunked_residual_equals_unchunked(su2):
     report = rk.commutant(rep, rule)
     assert report.dimension == 4
     mats = rep.evaluate_batch(rule.nodes)
-    # 1728 nodes x 4 elements run in chunks of at most 432 pairs
+    # commutant hands it 256-node sub-chunks, cut into pieces of 64 nodes
+    # against the 4 elements; a whole stack of 1728 nodes is cut into
+    # pieces of 1728 // m nodes
     assert report.max_residual == pytest.approx(_residual_reference(mats, report.basis),
                                                 abs=1e-15)
     # on matrices that do not commute the residual is O(1), so chunking
@@ -355,9 +366,42 @@ def test_averaging_map_columns_are_the_averaged_basis_images(su2):
     ]
     for rule, rep, asymmetric in cases:
         W = rep.evaluate_batch(rule.nodes)
-        L = averaging_map(rule, W)
+        L = library_map(rule, W)
         images = [np.einsum("n,nki,kl,nlj->ij", rule.weights, W.conj(), G, W)
                   for G in _coordinate_basis(rep.degree)]
         ref = np.stack([rk.unitarization.hermitian_coords(B) for B in images], axis=1)
         assert np.abs(L - ref).max() <= 1e-13
         assert (np.abs(L - L.T).max() > 1e-3) == asymmetric
+
+
+def test_averaging_map_sum_equals_the_dense_map_of_the_whole_stack(su2):
+    # the library sums L sub-chunk by sub-chunk, one GEMM per block of
+    # max(1, c // r) rows k of the outer product O, each block's real and
+    # imaginary parts added where they belong; the reference realigns one
+    # contraction over the whole stack.  1331 nodes of spin 3/2 + 1 are
+    # six sub-chunks and a short seventh, one block each; the 24 nodes of
+    # the Z24 regular representation in a random unitary basis are one
+    # sub-chunk cut into 24 blocks
+    z24 = rk.cyclic_group(24)
+    regular = regular_representation(z24).evaluate_batch(np.arange(24))
+    rng = np.random.default_rng(11)
+    su2_rule = rk.haar_rule(su2, 11)
+    sheared = rk.conjugate(rk.direct_sum(rk.spin_irrep(1.5, su2), rk.spin_irrep(1, su2)),
+                           random_complex(rng, (7, 7)) + 3 * np.eye(7))
+    U = random_unitary(rng, 24)
+    cases = [(su2_rule, sheared.evaluate_batch(su2_rule.nodes)),
+             (rk.haar_rule(z24, 1), U @ regular @ U.conj().T)]
+    for rule, W in cases:
+        got, ref = library_map(rule, W), averaging_map(rule, W)
+        assert got.shape == ref.shape == (W.shape[-1] ** 2,) * 2 and got.dtype == np.float64
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    # a non-finite entry, or products that overflow, leave the map
+    # non-finite, and taking it is refused without a warning
+    W = sheared.evaluate_batch(su2_rule.nodes)
+    W[700, 3, 5] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rk.EvaluationFailureError):
+            library_map(su2_rule, W)
+        with pytest.raises(rk.EvaluationFailureError):
+            library_map(rk.haar_rule(z24, 1), np.full((24, 24, 24), 1e200))

@@ -18,7 +18,7 @@ import pytest
 import repkit as rk
 from repkit.probes import standard_probes, standard_shifts
 
-from conftest import chunk_bytes, random_invertible, traced_peak
+from conftest import chunk_bytes, random_invertible, regular_representation, traced_peak
 
 
 def _inputs(su2):
@@ -83,3 +83,18 @@ def test_axiom_audit_holds_one_stack_per_probe_family(su2, fine_rule):
     probes, shifts = standard_probes(su2), standard_shifts(su2)
     _, peak = traced_peak(lambda: rk.axiom_audit(fine_rule, probes, shifts))
     assert peak <= 6.5 * 2 ** 20
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("order", [24, 48])
+@pytest.mark.parametrize("name", ["commutant", "invariant_form_space"])
+def test_fixed_space_reading_holds_one_real_map(name, order):
+    # on the regular representation of Z_r (r = order nodes of degree r)
+    # the r^2 x r^2 averaging map, r^4 doubles, is the largest object: the
+    # reading holds that one real map, block temporaries of at most r^3
+    # complex entries, and the Rayleigh-Ritz block of r + 8 columns of r^2
+    # entries, a third of the map at r = 24.  A complex r^4 total beside
+    # it would hold three maps
+    rep = regular_representation(rk.cyclic_group(order))
+    _, peak = traced_peak(lambda: getattr(rk, name)(rep, rk.haar_rule(rep.group, 1)))
+    assert peak <= 1.4 * order ** 4 * 8

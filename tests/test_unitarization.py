@@ -324,7 +324,7 @@ def test_input_that_fails_the_audit_after_its_first_chunk_sums_its_gram_in_one_m
     rule = rk.HaarRule(group=su2, nodes=nodes, weights=weights, resolution=12)
     rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
                        random_invertible(np.random.default_rng(6), 5))
-    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._outer)
+    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._AveragingMap(rule))
     stack = rep.evaluate_batch(rule.nodes)
     gram = rk.unitarization.invariant_gram(rk.groups.integrate_product(rule, stack, stack))
     assert basis[0].tobytes() == rk.unitarization._cholesky_pair(*gram)[0].tobytes()
