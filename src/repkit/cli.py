@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from .builtin import BUILTIN_GROUPS, builtin_group
-from .errors import InputParseError, RepkitError
+from .errors import InputParseError, InvalidResolutionError, RepkitError, SpinOutOfRangeError
 from .groups import axiom_audit, haar_rule
 from .lie_algebras import trace_form
 from .loaders import load_algebra, load_group, load_representation
@@ -63,7 +63,10 @@ def _resolve_rep(group, rep_path, spin, weights):
     if spin is not None:
         if group.kind != "su2":
             raise InputParseError("--spin requires the su2 group")
-        return SpinRepresentation(group, spin)
+        try:
+            return SpinRepresentation(group, spin)
+        except SpinOutOfRangeError as exc:
+            raise InputParseError(f"--spin: {exc}")
     if group.kind != "circle":
         raise InputParseError("--weights requires the circle group")
     try:
@@ -80,8 +83,11 @@ def _resolve_rep(group, rep_path, spin, weights):
 
 def _rule_for(group, resolution):
     if resolution is None:
-        resolution = DEFAULT_RESOLUTION.get(group.kind, 1)
-    return haar_rule(group, resolution)
+        return haar_rule(group, DEFAULT_RESOLUTION.get(group.kind, 1))
+    try:
+        return haar_rule(group, resolution)
+    except InvalidResolutionError as exc:
+        raise InputParseError(f"--resolution: {exc}")
 
 
 def _emit(command: str, options: dict, residuals: dict, tolerances: dict,

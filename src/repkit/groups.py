@@ -40,10 +40,11 @@ its dtype kind, and on su2 its shape, O(1) per batch), and
 ``f`` has one, else ``f(x)`` per node.  A ``Representation`` given to
 ``integrate_matrix`` is summed in one pass over its sub-chunks instead.
 
-The Haar audit (``axiom_audit``) holds the probe values at the rule nodes
-only until their integrals and the positivity margin are summed: a
-probe family's values are views into its one shared stack, so once they
-are dropped each family holds the stack of one node set at a time.
+The Haar audit (``axiom_audit``) reads each node set in evaluation
+chunks, moving the rule nodes one chunk at a time: a probe family's
+values are views into its one shared stack of one chunk, and each
+integral's exact parts are merged chunk by chunk, so the audit holds
+no node array and its peak does not grow with the rule.
 """
 
 from __future__ import annotations
@@ -420,10 +421,10 @@ def haar_rule(group, resolution: int) -> HaarRule:
 
 
 def _su2_rule(group, resolution: int) -> HaarRule:
-    x, wx = np.polynomial.legendre.leggauss(resolution)
-    t = np.pi * (x + 1.0)                      # class angle on [0, 2pi]
-    wt = wx * np.sin(t / 2.0) ** 2             # pi from the interval map cancels 1/pi in the density
-    u, wu = np.polynomial.legendre.leggauss(resolution)   # polar cosine on [-1, 1]
+    # one Gauss-Legendre rule for the class angle and the polar cosine
+    u, wu = linalg._leggauss(resolution)
+    t = np.pi * (u + 1.0)                      # class angle on [0, 2pi]
+    wt = wu * np.sin(t / 2.0) ** 2             # pi from the interval map cancels 1/pi in the density
     phi = 2 * np.pi * np.arange(resolution) / resolution  # uniform azimuth
 
     half = t / 2.0
@@ -448,20 +449,29 @@ def _su2_rule(group, resolution: int) -> HaarRule:
 
 
 def _fsum_rows(rows: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of a (k, n) float array, bit for bit, in
-    whole-array numpy operations: Rump, Ogita and Oishi's error-free
-    extraction (Accurate floating-point summation, SIAM J. Sci. Comput. 2008).
+    """``math.fsum`` of each row of a (k, n) float array, bit for bit: the
+    ``math.fsum`` of its ``_fsum_parts``."""
+    return [math.fsum(parts) for parts in _fsum_parts(rows)]
+
+
+def _fsum_parts(rows: np.ndarray) -> list[list[float]]:
+    """For each row of a (k, n) float array, a few floats whose
+    ``math.fsum`` is that of the row, bit for bit, also with the parts of
+    further rows appended: the ``math.fsum`` of the parts of a row's pieces
+    is that of the whole row.  Whole-array numpy operations compute them:
+    Rump, Ogita and Oishi's error-free extraction (Accurate floating-point
+    summation, SIAM J. Sci. Comput. 2008).
 
     Each level splits each row v into q = (sigma + v) - sigma and the
     leftover v - q, where sigma is 2^ceil(log2(n + 2)) times a power of two
     above max|v|.  Both parts are exact; every q is a multiple of
     2^-53 sigma and their absolute sum is below sigma, so numpy sums q
     exactly in any order; the leftover is at most 2^-53 sigma, so a few
-    levels exhaust the row.  The level sums then add up to the row's exact
-    sum, and ``math.fsum`` of them is its correctly rounded value.  A row
-    with a non-finite term, or whose sigma would overflow, goes to
-    ``math.fsum`` itself (same value or same exception); a row without a
-    non-zero term gets the zero ``math.fsum`` gives it.
+    levels exhaust the row.  The level sums, a row's parts, then add up to
+    its exact sum, and ``math.fsum`` of them is its correctly rounded value.
+    A row with a non-finite term, or whose sigma would overflow, is its own
+    parts (``math.fsum`` gives the same value or the same exception); a row
+    without a non-zero term has the one zero that stands for it.
     """
     spread = (rows.shape[1] + 1).bit_length()   # ceil(log2(n + 2))
     top = np.abs(rows).max(axis=1, initial=0.0)
@@ -483,15 +493,15 @@ def _fsum_rows(rows: np.ndarray) -> list[float]:
     out = []
     for row, t, ok in zip(rows, top, usable):
         if ok:
-            out.append(math.fsum(next(sums)))
+            out.append(next(sums))
         elif t:
-            out.append(math.fsum(row))
+            out.append(row.tolist())
         else:   # no non-zero term: fsum's zero depends only on whether all are -0.0
-            out.append(math.fsum(row[:1] if np.signbit(row).all() else (0.0,)))
+            out.append(row[:1].tolist() if np.signbit(row).all() else [0.0])
     return out
 
 
-# complex node terms per ``_fsum_rows`` batch of ``_weighted_fsum_rows``
+# complex node terms per ``_fsum_parts`` batch of ``_weighted_fsum_parts``
 # (64 KB): each extraction level sweeps its batch several times, and a
 # batch much larger than this falls out of cache (26 rows of 13 824 terms
 # measured 3 times slower in one batch than in 13) and holds more
@@ -501,9 +511,15 @@ FSUM_CHUNK = 1 << 12
 
 def _weighted_fsum_rows(rows, weights: np.ndarray) -> list[complex]:
     """The correctly rounded weighted sum of each complex node-value row of
-    an iterable: the real and imaginary rows of node terms go through
-    ``_fsum_rows`` in batches of about ``FSUM_CHUNK`` terms, and the rows
-    are drawn one batch at a time, so a generator holds one batch."""
+    an iterable: the ``math.fsum`` of its ``_weighted_fsum_parts``."""
+    return [complex(math.fsum(re), math.fsum(im)) for re, im in _weighted_fsum_parts(rows, weights)]
+
+
+def _weighted_fsum_parts(rows, weights: np.ndarray) -> list[tuple[list, list]]:
+    """The ``_fsum_parts`` of the real and imaginary weighted node terms of
+    each complex row of an iterable, in batches of about ``FSUM_CHUNK``
+    terms; the rows are drawn one batch at a time, so a generator holds
+    one batch."""
     rows = iter(rows)
     step = max(1, FSUM_CHUNK // len(weights))
     out = []
@@ -511,9 +527,20 @@ def _weighted_fsum_rows(rows, weights: np.ndarray) -> list[complex]:
         terms = np.empty((len(batch), len(weights)), dtype=complex)
         for row, t in zip(batch, terms):
             np.multiply(weights, row, out=t)
-        sums = _fsum_rows(np.concatenate((terms.real, terms.imag)))
-        out += [complex(re, im) for re, im in zip(sums[:len(batch)], sums[len(batch):])]
+        parts = _fsum_parts(np.concatenate((terms.real, terms.imag)))
+        out += zip(parts[:len(batch)], parts[len(batch):])
     return out
+
+
+def _merged_parts(parts: list[tuple[list, list]], more: list[tuple[list, list]]) -> list[tuple[list, list]]:
+    """The ``_weighted_fsum_parts`` of rows read in two pieces, from the
+    parts of each piece: the ``_fsum_parts`` of both, as one row padded
+    with -0.0, which changes no ``math.fsum``, so a row read in many
+    pieces keeps a few parts."""
+    rows = [a + b for pair, other in zip(parts, more) for a, b in zip(pair, other)]
+    width = max(map(len, rows))
+    merged = _fsum_parts(np.array([row + [-0.0] * (width - len(row)) for row in rows]))
+    return list(zip(merged[::2], merged[1::2]))
 
 
 def _per_node(nodes):
@@ -603,7 +630,7 @@ class ProductSum:
 
     def add(self, nodes: slice, X: np.ndarray, Y: np.ndarray) -> None:
         with np.errstate(invalid="ignore", over="ignore"):
-            t = np.conjugate(X, dtype=complex)
+            t = np.conjugate(X, dtype=complex, order="C")
             t *= self.weights[nodes, None, None]
             part = t.reshape(-1, X.shape[2]).T @ Y.reshape(-1, Y.shape[2])
             if self.sum is None:
@@ -719,7 +746,17 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
     invariance with the node inverses; with correctly rounded sums these
     read exactly 0 on finite groups.  The audit is sampled, not proven: the
     returned inventory records what was used.
+
+    Each node set (the rule nodes, each shift on each side, the inverses)
+    is read in chunks of ``representations.EVAL_CHUNK`` rule nodes: the
+    chunk is shifted or inverted, every probe is evaluated there (a probe
+    family once, so its ``_LastStack`` holds one chunk), and the exact
+    ``_weighted_fsum_parts`` of every row are merged chunk by chunk
+    (``_merged_parts``), so each integral is one ``math.fsum`` per row, the
+    value ``integrate_values`` gives.  The rule nodes add the rows of the
+    positivity margin and the constant one of the normalization.
     """
+    from .representations import EVAL_CHUNK
     probes = list(probes)
     shifts = list(shifts)
     if not probes:
@@ -728,27 +765,29 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
         raise ValueError("at least one shift element is required")
 
     group = rule.group
-    base = [evaluate_probe(f, rule) for f in probes]
-    # the kernel batches: the base integrals, the positivity margins, and
-    # per shifted or inverted node set every probe there, evaluated in turn
-    # so that a probe family evaluates once per node set
-    base_int = _weighted_fsum_rows(base, rule.weights)
-    margin = min(s.real for s in _weighted_fsum_rows((np.abs(v) ** 2 + 0j for v in base), rule.weights))
-    # the base values are views into the probe families' stacks at the
-    # rule nodes: dropped here, each family lets go of its stack when it
-    # evaluates the first shifted node set
-    del base
 
-    def moved(nodes):
-        sums = _weighted_fsum_rows((evaluate_probe(f, rule, nodes=nodes) for f in probes), rule.weights)
-        return max(abs(s - iv) for s, iv in zip(sums, base_int))
+    def integrals(move, base=False):
+        parts = None
+        for i in range(0, rule.node_count, EVAL_CHUNK):
+            nodes = move(rule.nodes[i:i + EVAL_CHUNK])
+            rows = [evaluate_probe(f, rule, nodes=nodes) for f in probes]
+            if base:
+                rows += [np.abs(v) ** 2 + 0j for v in rows] + [np.ones(len(nodes), dtype=complex)]
+            chunk = _weighted_fsum_parts(rows, rule.weights[i:i + EVAL_CHUNK])
+            parts = chunk if parts is None else _merged_parts(parts, chunk)
+        return [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
 
-    translation = max(moved(group.shift_nodes(a, rule.nodes, side))
+    p = len(probes)
+    sums = integrals(lambda nodes: nodes, base=True)
+    base_int, normalization = sums[:p], abs(sums[-1] - 1.0)
+    margin = min(s.real for s in sums[p:-1])
+
+    def moved(move):
+        return max(abs(s - iv) for s, iv in zip(integrals(move), base_int))
+
+    translation = max(moved(lambda nodes: group.shift_nodes(a, nodes, side))
                       for a in shifts for side in ("left", "right"))
-    inversion = moved(group.invert_nodes(rule.nodes))
-
-    ones = np.ones(rule.node_count, dtype=complex)
-    normalization = abs(integrate_values(rule, ones) - 1.0)
+    inversion = moved(group.invert_nodes)
 
     inventory = {
         "probe_count": len(probes),

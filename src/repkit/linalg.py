@@ -4,7 +4,8 @@ The input contract of every matrix (``as_matrix``), the node-chunked
 product over a stack of node matrices (``sandwich``) and the two
 factorizations with a contract of their own, wrapped around numpy's LAPACK
 bindings: ``cholesky_hermitian`` and ``invert``.  Every other eigen- or
-singular-value step calls ``np.linalg`` directly.  Every tolerance is a
+singular-value step calls ``np.linalg`` directly, the Gauss-Legendre
+rule of the su2 quadrature (``_leggauss``) included.  Every tolerance is a
 module constant: ``KERNEL_TOL`` bounds pure floating-point defects
 (inversion residuals, the singularity threshold) and ``STRUCTURAL_TOL``
 bounds defects that signal a wrong *input* (hermiticity, definiteness,
@@ -63,20 +64,68 @@ def sandwich(A, stack, B, out=None) -> np.ndarray:
     """A M_n B for every matrix M_n of a stack (n, r, s).
 
     Both products run per sub-chunk of ``NODE_CHUNK`` nodes: the right
-    one as a reshaped GEMM, the left one as a broadcast product, so every
-    temporary is sub-chunk-sized whatever stack a caller gives.  The
-    result goes to ``out`` when given, which may be ``stack`` itself when
-    A and B are square: each sub-chunk is read before it is written, so a
-    pass sandwiches each of its sub-chunks in place, in the one buffer it
-    holds.
+    one as a reshaped GEMM into one sub-chunk-sized temporary, the left
+    one as a broadcast product written straight into ``out``, so that
+    temporary is the only one whatever stack a caller gives.  ``out``,
+    when given, may be ``stack`` itself when A and B are square: each
+    sub-chunk is read before it is written, so a pass sandwiches each of
+    its sub-chunks in place, in the one buffer it holds.
     """
     n, r, s = stack.shape
     if out is None:
         out = np.empty((n, A.shape[0], B.shape[1]), dtype=np.result_type(A, stack, B))
     for i in range(0, n, NODE_CHUNK):
         chunk = stack[i:i + NODE_CHUNK]
-        out[i:i + NODE_CHUNK] = np.matmul(A, (chunk.reshape(-1, s) @ B).reshape(len(chunk), r, -1))
+        np.matmul(A, (chunk.reshape(-1, s) @ B).reshape(len(chunk), r, -1), out=out[i:i + NODE_CHUNK])
     return out
+
+
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], as
+    ``numpy.polynomial.legendre.leggauss(n)`` computes them, to the byte,
+    without importing ``numpy.polynomial``: the eigenvalues of the
+    symmetric companion matrix of the Legendre polynomial P_n, one Newton
+    step, and the weights from P_n' and P_(n-1), each series summed by
+    the Clenshaw recurrence of ``legval``."""
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+
+    def legval(x, c):
+        c = c.reshape(-1, 1)
+        if len(c) < 3:
+            return c[0] + (c[1] if len(c) == 2 else 0) * x
+        nd, c0, c1 = len(c), c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            nd -= 1
+            c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+        return c0 + c1 * x
+
+    if n == 1:
+        companion = np.array([[-c[0] / c[1]]])
+    else:
+        scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+        companion = np.zeros((n, n))
+        companion.reshape(-1)[1::n + 1] = companion.reshape(-1)[n::n + 1] = (
+            np.arange(1, n) * scale[:n - 1] * scale[1:n])
+    x = np.linalg.eigvalsh(companion)
+    # the Legendre series of P_n' (``legder``)
+    d, der = c.copy(), np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * d[j]
+        d[j - 2] += d[j]
+    if n > 1:
+        der[1] = 3 * d[2]
+    der[0] = d[1]
+    df = legval(x, der)
+    x -= legval(x, c) / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
 
 
 def _require_square(H: np.ndarray) -> None:

@@ -34,7 +34,8 @@ shape (n, 2, 2) (``groups._node_array``), and anything else is refused
 with ``KindMismatchError``.  The one stack a
 library object keeps is ``_LastStack``'s, which lets a probe family
 evaluate once per node array; it lets go of that stack before it
-evaluates the next, so the Haar audit holds one stack per family.
+evaluates the next, and the Haar audit hands it one evaluation chunk at
+a time, so a family holds the stack of one chunk.
 """
 
 from __future__ import annotations
@@ -448,18 +449,22 @@ def _character(rep: Representation, rule: HaarRule, values: np.ndarray) -> Chara
 
 def class_invariance_audit(rep: Representation, rule: HaarRule, shifts) -> float:
     """Max over nodes x and shifts a of |tr rho(a^-1 x a) - tr rho(x)|; one
-    pass over the rule and one over each shifted node set."""
+    pass over the rule and one over each shifted node set, which is
+    shifted one evaluation chunk at a time, so only the traces at the rule
+    nodes are held beside a chunk."""
     shifts = list(shifts)
     if not shifts:
         raise ValueError("at least one shift element is required")
     group = rep.group
-    n = rule.node_count
-    base = _traces(node_chunks(rep, rule), n)
+    base = _traces(node_chunks(rep, rule), rule.node_count)
     worst = 0.0
     for a in shifts:
-        moved = group.shift_nodes(group.inverse(a), rule.nodes, "left")
-        moved = group.shift_nodes(a, moved, "right")
-        worst = max(worst, float(np.abs(_traces(_chunks(rep, moved), n) - base).max()))
+        inverse = group.inverse(a)
+        for i in range(0, rule.node_count, EVAL_CHUNK):
+            moved = group.shift_nodes(inverse, rule.nodes[i:i + EVAL_CHUNK], "left")
+            moved = group.shift_nodes(a, moved, "right")
+            traces = _traces(_chunks(rep, moved), len(moved))
+            worst = max(worst, float(np.abs(traces - base[i:i + EVAL_CHUNK]).max()))
     return worst
 
 
@@ -502,7 +507,9 @@ class MatrixEntryProbe:
 
 class _LastStack:
     """The stack of ``rep`` at the last node array asked for, released
-    before the stack at a new node array is evaluated."""
+    before the stack at a new node array is evaluated: the probes of a
+    family read one evaluation per node array, and the Haar audit asks
+    for one chunk of ``EVAL_CHUNK`` nodes at a time."""
 
     def __init__(self, rep: Representation):
         self.rep = rep

@@ -247,14 +247,15 @@ def _split(rep: Representation, rule: HaarRule):
     X = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
 
     def pair(W):
-        return W.transpose(0, 2, 1), (W @ X).transpose(0, 2, 1)
+        # (W X)^T laid out in C order, so W X is let go of before the sum
+        # and the sum reshapes it with no copy
+        return W.transpose(0, 2, 1), np.ascontiguousarray((W @ X).transpose(0, 2, 1))
 
     seed, basis = _unitary(rep, rule, lambda _: _PairSum(rule, pair))
     Q, sizes = _split_unitary_fully(seed.take().T, X)
     A, A_inv = _identity_or(basis, rep.degree)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     starts = np.cumsum([0, *sizes[:-1]])
-    label = np.repeat(np.arange(len(sizes)), sizes)
     values = np.empty((len(sizes), rule.node_count), dtype=complex)
     leakage = 0.0
     # one sandwich per sub-chunk: P = Q A, with a conjugated input's own change
@@ -262,10 +263,13 @@ def _split(rep: Representation, rule: HaarRule):
     body, left, right = rep, P, P_inv
     if isinstance(rep, ConjugatedRepresentation) and rep.inner.degree == rep.degree:
         body, left, right = rep.inner, P @ rep.matrix, rep.matrix_inv @ P_inv
-    off_block = label[:, None] != label[None, :]
     for nodes, m in node_chunks(body, rule, (left, right)):
         values[:, nodes] = np.add.reduceat(np.einsum("nii->ni", m), starts, axis=1).T
-        leakage = max(leakage, linalg.max_abs(m[:, off_block]))
+        # the pass keeps none of its sub-chunk: its diagonal blocks are
+        # zeroed in place, and the largest entry left is the leakage
+        for offset, size in zip(starts.tolist(), sizes):
+            m[:, offset:offset + size, offset:offset + size] = 0
+        leakage = max(leakage, linalg.max_abs(m))
     # inner[a, b] = integral of conj(chi_a) chi_b: 1 inside an isotypic class
     # and 0 across, so classes are cut at 1/2; its real sum is the input's norm
     v = values.T[:, None]

@@ -54,10 +54,14 @@ its one unitarization, on any input, so it audits nothing and averages
 the form once.  ``_unitary`` and ``_unitarize`` read the definiteness and
 the conditioning of their factor off the one eigenvalue computation of
 the averaged form (``invariant_gram``).  Every call thus holds its one
-evaluation chunk, and every other temporary is the size of a sub-chunk of
-``linalg.NODE_CHUNK`` nodes, but for the one real r^4 averaging map,
-which ``fixed_hermitian`` takes (``ProductSum.take``) and makes symmetric
-in place.
+evaluation chunk, and each step of a pass at most one or two temporaries
+the size of a sub-chunk of ``linalg.NODE_CHUNK`` nodes: the residuals
+form the defect in place and sandwich it with one more, and the
+averaging map weights the conjugate of one block of rows at a time.  The
+one larger array is the real r^4 averaging map, which
+``fixed_hermitian`` takes (``ProductSum.take``), makes symmetric in
+place and lets go of once its Rayleigh-Ritz reading, at most three
+blocks beside it, is done.
 """
 
 from __future__ import annotations
@@ -136,8 +140,9 @@ class _AveragingMap(ProductSum):
     nodes runs one GEMM per block of b = max(1, c // r) rows k of O, whose
     result holds at most max(c, r) r^2 entries, and adds its real part to
     T[k] and its imaginary part to T[:, k], both along the last axis j of
-    O, so no complex r^4 total is formed.  ``take()`` refuses a non-finite
-    map.
+    O, so no complex r^4 total is formed, and the weighted conjugate it
+    multiplies is that of the block's rows only.  ``take()`` refuses a
+    non-finite map.
     """
 
     def add(self, nodes: slice, W: np.ndarray) -> None:
@@ -146,10 +151,10 @@ class _AveragingMap(ProductSum):
             self.sum = np.zeros((r, r, r, r))
         b = max(1, c // r)
         with np.errstate(invalid="ignore", over="ignore"):
-            t = np.conjugate(W, dtype=complex)
-            t *= self.weights[nodes, None, None]
             for k in range(0, r, b):
-                O = (t[:, k:k + b].reshape(c, -1).T @ W.reshape(c, -1)).reshape(-1, r, r, r)
+                t = np.conjugate(W[:, k:k + b], dtype=complex, order="C")
+                t *= self.weights[nodes, None, None]
+                O = (t.reshape(c, -1).T @ W.reshape(c, -1)).reshape(-1, r, r, r)
                 self.sum[k:k + b] += O.real.transpose(0, 2, 1, 3)
                 self.sum[:, k:k + b] += O.imag.transpose(2, 0, 1, 3)
 
@@ -273,8 +278,12 @@ def _residuals(m: np.ndarray, H: np.ndarray, A_inv: np.ndarray) -> tuple[float, 
     """The largest invariance defect D = rho* H rho - H of the averaged form
     H = A* A at the nodes of a sub-chunk m, and the largest unitarity defect
     of W = A rho A^-1 there, read off D as W* W - I = A^-* D A^-1 in D's
-    own sub-chunk-sized array, so W is never formed."""
-    D = m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None]
+    own sub-chunk-sized array, so W is never formed.  Each product frees
+    its operand before the next, and D is formed in place, so the sandwich
+    adds one temporary to D."""
+    D = m.conj().transpose(0, 2, 1) @ H
+    D = D @ m
+    D -= H
     return linalg.max_abs(D), linalg.max_abs(linalg.sandwich(A_inv.conj().T, D, A_inv, out=D))
 
 
@@ -305,7 +314,8 @@ def fixed_hermitian(maps: _AveragingMap) -> tuple[np.ndarray, float]:
     columns are the ``hermitian_coords`` of K.  S and the trace are those
     of the L^T that ``maps`` summed, taken from it and made symmetric in
     place, r rows and the r matching columns at a time, so the reading
-    holds one real r^4 array.  This is exact.
+    holds one real r^4 array, let go of before K is formed.  This is
+    exact.
     Each node map is a Frobenius isometry whose transpose is the map of
     W_n^*, so S averages the node maps together with their inverses, and
     an average of isometries with positive weights fixes B only if every
@@ -318,7 +328,10 @@ def fixed_hermitian(maps: _AveragingMap) -> tuple[np.ndarray, float]:
     for i in range(0, r * r, r):
         s = (S[i:i + r, i:] + S[i:, i:i + r].T) / 2.0
         S[i:i + r, i:], S[i:, i:i + r] = s, s.T
-    return _hermitian_from_coords(_top_eigenspace(S, trace).T.reshape(-1, r, r)), trace
+    coords = _top_eigenspace(S, trace).T.reshape(-1, r, r)
+    # the map is let go of before the basis is formed
+    del L, S
+    return _hermitian_from_coords(coords), trace
 
 
 def _top_eigenspace(S: np.ndarray, trace: float) -> np.ndarray:
@@ -338,6 +351,8 @@ def _top_eigenspace(S: np.ndarray, trace: float) -> np.ndarray:
     least 1 - ``RANK_TOL`` would leave at least its square.  Otherwise k
     doubles.  At k = n the Rayleigh-Ritz step is the full eigensolve, so
     the reading always ends, with the answer the full eigensolve gives.
+    theta ascends, so the kept pairs are a trailing slice of the block,
+    read as views, and the step holds at most three n x k blocks.
     """
     n = len(S)
     k = min(n, int(np.ceil(trace)) + 8)
@@ -349,23 +364,29 @@ def _top_eigenspace(S: np.ndarray, trace: float) -> np.ndarray:
         SV = S @ np.sin(np.arange(1.0, n * k + 1.0) ** 2).reshape(n, k)
         last = (-1, np.inf)
         while True:
+            # at most three blocks at once: U and R are let go of before
+            # the next QR step, and V once U is formed
+            U = None
             V = np.linalg.qr(SV)[0]
             SV = S @ V
             theta, Y = np.linalg.eigh(V.T @ SV)
-            U, SV = V @ Y, SV @ Y
+            U, V = V @ Y, None
+            SV = SV @ Y
             # the kept pairs, or the top one while none is kept yet
-            top = theta >= min(cut, theta[-1])
-            R = SV[:, top] - U[:, top] * theta[top]
+            top = np.searchsorted(theta, min(cut, theta[-1]))
+            R = U[:, top:] * theta[top:]
+            np.subtract(SV[:, top:], R, out=R)
             residual = np.linalg.norm(R)
             # at roundoff once its root-mean-square entry is at most eps
             at_roundoff = residual <= eps * np.sqrt(R.size)
-            if k == n or at_roundoff or (top.sum() == last[0] and residual >= last[1]):
+            R = None
+            if k == n or at_roundoff or (k - top == last[0] and residual >= last[1]):
                 break
-            last = (top.sum(), residual)
-        keep = theta >= cut
-        SU = SV[:, keep]
+            last = (k - top, residual)
+        keep = np.searchsorted(theta, cut)
+        SU = np.ascontiguousarray(SV[:, keep:])
         if k == n or norm2 - np.vdot(SU, SU) < cut * cut:
-            return U[:, keep]
+            return U[:, keep:]
         k = min(n, 2 * k)
 
 

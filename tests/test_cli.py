@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,7 +413,7 @@ def test_a_resolution_beyond_memory_is_refused_without_a_traceback(runner):
     result = runner.invoke(main, ["irreducible", "--weights", "1", "--resolution", str(huge)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == (f"error: resolution {huge} asks for a rule of {huge} nodes, "
+    assert result.stderr == (f"input error: --resolution: resolution {huge} asks for a rule of {huge} nodes, "
                              "which cannot be allocated\n")
 
 
@@ -437,11 +441,42 @@ def test_integers_beyond_int64_are_input_errors(runner, tmp_path, kind):
     (["irreducible", "--builtin", "su2", "--weights", "1,-1"],
      "input error: --weights requires the circle group"),
     (["characters", "--weights", "1,a"], "input error: --weights expects comma-separated integers, got '1,a'"),
-    (["irreducible", "--spin", "2", "--resolution", "0"], "error: resolution must be a positive integer"),
+    (["irreducible", "--spin", "2", "--resolution", "0"],
+     "input error: --resolution: resolution must be a positive integer, got 0"),
+    (["haar-audit", "--builtin", "s3", "--resolution", "-3"],
+     "input error: --resolution: resolution must be a positive integer, got -3"),
+    (["irreducible", "--spin", "13"], "input error: --spin: two_j must be an integer in 0..12, got 13"),
+    (["decompose", "--spin", "-1"], "input error: --spin: two_j must be an integer in 0..12, got -1"),
+    (["orthogonality", "--spin", "1", "--spin", "14"],
+     "input error: --spin: two_j must be an integer in 0..12, got 14"),
 ], ids=["group-and-builtin", "no-representation", "spin-on-circle", "weights-on-su2", "weights-not-integers",
-        "resolution-zero"])
+        "resolution-zero", "resolution-negative", "spin-too-large", "spin-negative", "repeated-spin-too-large"])
 def test_refused_option_combinations_exit_1(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(message)
+
+
+def test_a_cli_process_never_imports_numpy_polynomial():
+    # the su2 rule's Gauss-Legendre nodes come from linalg._leggauss: a
+    # `python -m repkit.cli` process ends without numpy.polynomial loaded
+    # (numpy 1.x loads it on `import numpy`, which no library change avoids)
+    src = str(Path(rk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import runpy, sys\n"
+        "import numpy\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "sys.argv = ['repkit', 'irreducible', '--spin', '5', '--format', 'json']\n"
+        "try:\n"
+        "    runpy.run_module('repkit.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    lines = result.stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("this numpy imports numpy.polynomial on import")
+    assert json.loads("\n".join(lines[1:-1]))["status"] == "ok"
+    assert lines[-1] == "[]"

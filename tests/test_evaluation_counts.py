@@ -152,18 +152,20 @@ def test_averaged_intertwiner_evaluates_each_input_once_at_the_rule_nodes(su2, s
 
 
 def test_axiom_audit_evaluates_each_probe_family_once_per_node_set(su2, su2_rule, monkeypatch):
-    # two spins at ten node sets: the rule, four shifts on each side, inverses
-    calls = []
+    # two spins at ten node sets: the rule, four shifts on each side,
+    # inverses; each set is read in evaluation chunks, and each family
+    # evaluates every node of every set once
+    nodes_evaluated = {1: 0, 2: 0}
     original = SpinRepresentation.evaluate_batch
 
     def counting(self, nodes, out=None):
-        if len(nodes) == su2_rule.node_count:
-            calls.append(self.two_j)
+        assert len(nodes) <= rk.representations.EVAL_CHUNK
+        nodes_evaluated[self.two_j] += len(nodes)
         return original(self, nodes, out)
 
     monkeypatch.setattr(SpinRepresentation, "evaluate_batch", counting)
     rk.axiom_audit(su2_rule, standard_probes(su2), standard_shifts(su2))
-    assert sorted(calls) == [1] * 10 + [2] * 10
+    assert nodes_evaluated == {1: 10 * su2_rule.node_count, 2: 10 * su2_rule.node_count}
 
 
 def _span_projector(forms):

@@ -393,9 +393,15 @@ def test_axiom_audit_bit_identical_to_fsum_reference(name, resolution, monkeypat
     rule = rk.haar_rule(group, resolution)
     probes, shifts = standard_probes(group), standard_shifts(group)
     kernel = rk.axiom_audit(rule, probes, shifts).as_dict()
-    # every audit sum, the batched ones included, through the reference
-    monkeypatch.setattr(rk.groups, "_weighted_fsum_rows",
-                        lambda rows, weights: [_fsum_reference(row, weights) for row in rows])
+    # every audit sum, read in chunks, through the reference: the parts of
+    # a row in a chunk are its weighted node terms there, kept unmerged, so
+    # each integral is one fsum of all its node terms
+    def terms(rows, weights):
+        return [((weights * row).real.tolist(), (weights * row).imag.tolist()) for row in rows]
+
+    monkeypatch.setattr(rk.groups, "_weighted_fsum_parts", terms)
+    monkeypatch.setattr(rk.groups, "_merged_parts",
+                        lambda parts, more: [(a + c, b + d) for (a, b), (c, d) in zip(parts, more)])
     assert rk.axiom_audit(rule, probes, shifts).as_dict() == kernel
 
 
@@ -423,28 +429,30 @@ def _axiom_residuals_per_integral(rule, probes, shifts):
 
 @pytest.mark.parametrize("name, resolution", [("su2", 12), ("circle", 64), ("s3", 1), ("z3", 1)])
 def test_axiom_audit_batches_equal_one_integral_per_row(name, resolution, monkeypatch):
-    # the residual rows go through the summation kernel in batches: the
-    # base integrals of every probe, their positivity margins, and one per
-    # shifted or inverted node set (every probe there); every residual is
+    # the residual rows go through the summation kernel in batches, one per
+    # evaluation chunk of a node set: the base integrals of every probe,
+    # their positivity margins and the constant one at the rule nodes, and
+    # every probe at each shifted or inverted node set; every residual is
     # the one the per-integral audit gives, bit for bit
     group = rk.builtin_group(name)
     rule = rk.haar_rule(group, resolution)
     probes, shifts = standard_probes(group), standard_shifts(group)
     reference = _axiom_residuals_per_integral(rule, probes, shifts)
     batches = []
-    original = rk.groups._weighted_fsum_rows
+    original = rk.groups._weighted_fsum_parts
 
     def counting(rows, weights):
         rows = list(rows)
         batches.append(len(rows))
         return original(rows, weights)
 
-    monkeypatch.setattr(rk.groups, "_weighted_fsum_rows", counting)
+    monkeypatch.setattr(rk.groups, "_weighted_fsum_parts", counting)
     report = rk.axiom_audit(rule, probes, shifts)
     assert {key: getattr(report, key) for key in reference} == reference
-    # then the normalization
-    p = len(probes)
-    assert batches == [p, p] + [p] * (2 * len(shifts) + 1) + [1]
+    # per evaluation chunk of each node set: the rule nodes add the
+    # positivity margins and the normalization's constant one
+    p, chunks = len(probes), -(-rule.node_count // rk.representations.EVAL_CHUNK)
+    assert batches == [2 * p + 1] * chunks + [p] * (chunks * (2 * len(shifts) + 1))
 
 
 def test_character_integrals_bit_identical_to_fsum_reference(su2, s3, monkeypatch):

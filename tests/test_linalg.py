@@ -106,3 +106,13 @@ def test_sandwich_in_place_matches_a_new_stack(n):
     expected = linalg.sandwich(A, stack, B)
     assert linalg.sandwich(A, stack, B, out=stack) is stack
     assert stack.tobytes() == expected.tobytes()
+
+
+def test_leggauss_port_is_numpys_to_the_byte():
+    # the su2 rule takes its Gauss-Legendre nodes and weights from the
+    # port, so that no process imports numpy.polynomial; the rule's bytes
+    # are those numpy's routine gives
+    for n in range(1, 65):
+        x, w = linalg._leggauss(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), n
