@@ -21,15 +21,12 @@ its values are those of ``math.fsum`` on the node array, bit for bit, at
 numpy speed.  Every matrix integral goes through one averaging contraction,
 ``integrate_product(rule, X, Y)`` = sum of w_n X_n^* Y_n: one GEMM per
 node sub-chunk against the weighted conjugate of that sub-chunk of X,
-built in place, so it holds no stack-sized temporary.  A pass
-(``representations.node_chunks``) hands out the same sub-chunks and sums
-the same contraction in a ``ProductSum``: every average the library
-takes is one pair (X, Y) of views of each sub-chunk added to one, but
-for the averaging map, whose ``ProductSum`` sums the real map itself
-(``unitarization._AveragingMap``), and ``take()`` hands the total over
-and drops it.  It refuses a non-finite result, which is what a
-non-finite node entry or an overflowing sum produces, so no input sweep
-is needed.
+built in place, so it holds no stack-sized temporary.  Every average the
+library takes, over a pass (``representations.node_chunks``) or over a
+whole stack, is that contraction summed in one ``ProductSum``, whose
+docstring states the protocol.  It refuses a non-finite result, which is
+what a non-finite node entry or an overflowing sum produces, so no input
+sweep is needed.
 
 Caller input is checked once per kind, here.  ``_is_integer`` decides every
 integer the library takes (a Python or numpy int, never a bool, float or
@@ -130,26 +127,22 @@ class FiniteGroup:
         if n == 0:
             raise ValueError("empty multiplication table")
         ref = np.arange(n)
-        for i in range(n):
-            if not np.array_equal(np.sort(table[i]), ref):
-                raise ValueError(f"multiplication table row {i} is not a permutation of 0..{n - 1}")
-            if not np.array_equal(np.sort(table[:, i]), ref):
-                raise ValueError(f"multiplication table column {i} is not a permutation of 0..{n - 1}")
-        ident = None
-        for k in range(n):
-            if np.array_equal(table[k], ref) and np.array_equal(table[:, k], ref):
-                ident = k
-                break
-        if ident is None:
+        # the first bad index is named, its row before its column
+        bad = np.stack([np.sort(table, axis=1) != ref, np.sort(table.T, axis=1) != ref]).any(axis=2)
+        if bad.any():
+            i, side = divmod(int(np.argmax(bad.T)), 2)
+            raise ValueError(f"multiplication table {('row', 'column')[side]} {i} is not a permutation "
+                             f"of 0..{n - 1}")
+        two_sided = (table == ref).all(axis=1) & (table.T == ref).all(axis=1)
+        if not two_sided.any():
             raise ValueError("multiplication table has no two-sided identity")
+        ident = int(np.argmax(two_sided))
         if identity is not None and identity != ident:
             raise ValueError(f"declared identity {identity} but the table identity is {ident}")
-        inv = np.empty(n, dtype=int)
-        for a in range(n):
-            b = int(np.nonzero(table[a] == ident)[0][0])
-            if table[b, a] != ident:
-                raise ValueError(f"element {a} has no two-sided inverse")
-            inv[a] = b
+        inv = np.argmax(table == ident, axis=1)
+        one_sided = table[inv, ref] != ident
+        if one_sided.any():
+            raise ValueError(f"element {np.argmax(one_sided)} has no two-sided inverse")
         if inverse is not None and not np.array_equal(np.asarray(inverse, dtype=int), inv):
             raise ValueError("declared inverse table disagrees with the multiplication table")
         if n <= 64:
@@ -608,27 +601,31 @@ def integrate_values(rule: HaarRule, values: np.ndarray) -> complex:
 
 
 class ProductSum:
-    """The averaging contraction of ``integrate_product`` summed over node
-    sub-chunks: ``add(nodes, X, Y)`` adds the sum over the rule nodes
-    ``nodes`` (a slice) of w_n X_n^* Y_n for the sub-chunks X (c, k, a) and
-    Y (c, k, b) of two stacks at those nodes, ``total()`` returns the sum
-    and ``take()`` returns it and lets go of it, so a large total (the
-    r^4 averaging map of ``unitarization._AveragingMap``, which sums into
-    the same slot) lives no longer than its last reader.
+    """The one sum every average is taken in: ``add(nodes, W)`` adds the
+    sum over the rule nodes ``nodes`` (a slice) of w_n X_n^* Y_n for the
+    sub-chunks (X, Y) = ``pair(W)`` of shapes (c, k, a) and (c, k, b) at
+    those nodes.  A pass (``representations._average``) adds each of its
+    sub-chunks W; the pair defaults to (W, W), the averaged Gram rho* rho.
+    ``total()`` returns the sum and ``take()`` returns it and lets go of
+    it, so a large total (the r^4 averaging map of
+    ``unitarization._AveragingMap``, whose ``add`` sums in a layout of its
+    own) lives no longer than its last reader.
 
     Each ``add`` is one GEMM against the weighted conjugate of X, built in
     place.  The first product is the accumulator and later ones add theirs
-    in node order, so a pass and ``integrate_product`` add the same GEMMs
-    in the same order.  The weights are positive, so a non-finite entry in
-    either stack, like an overflowing sum, leaves the total non-finite,
-    and that is refused.
+    in node order, so a pass and ``integrate_product`` (whose W is the
+    pair of sub-chunks itself) add the same GEMMs in the same order.  The
+    weights are positive, so a non-finite entry in either stack, like an
+    overflowing sum, leaves the total non-finite, and that is refused.
     """
 
-    def __init__(self, rule: HaarRule):
+    def __init__(self, rule: HaarRule, pair=lambda W: (W, W)):
         self.weights = rule.weights
+        self.pair = pair
         self.sum = None
 
-    def add(self, nodes: slice, X: np.ndarray, Y: np.ndarray) -> None:
+    def add(self, nodes: slice, W) -> None:
+        X, Y = self.pair(W)
         with np.errstate(invalid="ignore", over="ignore"):
             t = np.conjugate(X, dtype=complex, order="C")
             t *= self.weights[nodes, None, None]
@@ -658,18 +655,18 @@ def integrate_product(rule: HaarRule, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     with k > 1 a contraction over the middle index too (the averaged Gram
     rho* rho).  The averaging map is summed from blocks of such outer
     products (``unitarization._AveragingMap``).  It is one ``ProductSum``
-    over the ``linalg.NODE_CHUNK``-node sub-chunks of the stacks, so a pass
-    over them gets the same bytes.
+    over the ``linalg.NODE_CHUNK``-node sub-chunks of the stacks, each
+    added as its own pair, so a pass over them gets the same bytes.
     """
     X, Y = np.asarray(X), np.asarray(Y)
     n = rule.node_count
     if X.ndim != 3 or Y.ndim != 3 or X.shape[:2] != Y.shape[:2] or X.shape[0] != n:
         raise ShapeMismatchError(
             f"expected ({n}, k, a) and ({n}, k, b) node stacks, got shapes {X.shape} and {Y.shape}")
-    total = ProductSum(rule)
+    total = ProductSum(rule, lambda pair: pair)
     for i in range(0, n, linalg.NODE_CHUNK):
         nodes = slice(i, i + linalg.NODE_CHUNK)
-        total.add(nodes, X[nodes], Y[nodes])
+        total.add(nodes, (X[nodes], Y[nodes]))
     return total.total()
 
 
@@ -692,11 +689,12 @@ def integrate_matrix(rule: HaarRule, F) -> np.ndarray:
     For a ``Representation`` F this is the paper's integral of rho, the
     projection onto its invariant vectors, summed in one pass over F
     (``representations._average``, which refuses F over another group
-    with ``GroupMismatchError``): the pair (ones, flattened sub-chunk),
-    the sum ``integrate_stacked`` takes, so no stack is held."""
-    from .representations import Representation, _average, _PairSum
+    with ``GroupMismatchError``): the ``ProductSum`` of the pair (ones,
+    flattened sub-chunk), the sum ``integrate_stacked`` takes, so no stack
+    is held."""
+    from .representations import Representation, _average
     if isinstance(F, Representation):
-        total = _PairSum(rule, lambda W: (np.ones((len(W), 1, 1)), W.reshape(len(W), 1, -1)))
+        total = ProductSum(rule, lambda W: (np.ones((len(W), 1, 1)), W.reshape(len(W), 1, -1)))
         return _average(F, rule, total).take().reshape(F.degree, F.degree)
     stacked = _evaluate(F, rule.nodes)
     if stacked.ndim != 3:
@@ -711,12 +709,10 @@ class AxiomAuditReport:
 
     ``positivity_margin`` is the smallest integral of the non-negative probe
     family (larger is better); every other field is an absolute residual.
-    ``homogeneity`` and ``additivity`` read 0.0: linearity is exact by
-    construction (``axiom_audit``).
+    Linearity has no field: it is exact by construction (``axiom_audit``),
+    and the inventory's ``"linearity"`` entry says why.
     """
 
-    homogeneity: float
-    additivity: float
     positivity_margin: float
     normalization: float
     translation: float
@@ -725,8 +721,6 @@ class AxiomAuditReport:
 
     def as_dict(self) -> dict:
         return {
-            "homogeneity": self.homogeneity,
-            "additivity": self.additivity,
             "positivity_margin": self.positivity_margin,
             "normalization": self.normalization,
             "translation": self.translation,
@@ -740,15 +734,15 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
     Linearity holds by construction: the integral is one fixed weighted
     sum, and scaling a probe by 2, i or -1, or adding it to itself, acts
     exactly on binary floats, node terms and sums alike, so any correctly
-    rounded sum reads 0 on them.  ``homogeneity`` and ``additivity`` are
-    therefore 0.0, and nothing is summed for them.  Translation invariance
-    is probed on both sides with every supplied shift, and inversion
-    invariance with the node inverses; with correctly rounded sums these
-    read exactly 0 on finite groups.  The audit is sampled, not proven: the
+    rounded sum reads 0 on them, so the report has no linearity residual
+    and nothing is summed for one.  Translation invariance is probed on
+    both sides with every supplied shift, and inversion invariance with
+    the node inverses; with correctly rounded sums these read exactly 0 on
+    finite groups.  The audit is sampled, not proven: the
     returned inventory records what was used.
 
     Each node set (the rule nodes, each shift on each side, the inverses)
-    is read in chunks of ``representations.EVAL_CHUNK`` rule nodes: the
+    is read in chunks of ``linalg.EVAL_CHUNK`` rule nodes: the
     chunk is shifted or inverted, every probe is evaluated there (a probe
     family once, so its ``_LastStack`` holds one chunk), and the exact
     ``_weighted_fsum_parts`` of every row are merged chunk by chunk
@@ -756,7 +750,6 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
     value ``integrate_values`` gives.  The rule nodes add the rows of the
     positivity margin and the constant one of the normalization.
     """
-    from .representations import EVAL_CHUNK
     probes = list(probes)
     shifts = list(shifts)
     if not probes:
@@ -768,12 +761,12 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
 
     def integrals(move, base=False):
         parts = None
-        for i in range(0, rule.node_count, EVAL_CHUNK):
-            nodes = move(rule.nodes[i:i + EVAL_CHUNK])
+        for i in range(0, rule.node_count, linalg.EVAL_CHUNK):
+            nodes = move(rule.nodes[i:i + linalg.EVAL_CHUNK])
             rows = [evaluate_probe(f, rule, nodes=nodes) for f in probes]
             if base:
                 rows += [np.abs(v) ** 2 + 0j for v in rows] + [np.ones(len(nodes), dtype=complex)]
-            chunk = _weighted_fsum_parts(rows, rule.weights[i:i + EVAL_CHUNK])
+            chunk = _weighted_fsum_parts(rows, rule.weights[i:i + linalg.EVAL_CHUNK])
             parts = chunk if parts is None else _merged_parts(parts, chunk)
         return [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
 
@@ -796,6 +789,5 @@ def axiom_audit(rule: HaarRule, probes, shifts) -> AxiomAuditReport:
         "linearity": "exact by construction: the integral is a fixed weighted sum",
         "positivity_probes": "squared moduli of the probe family",
     }
-    return AxiomAuditReport(homogeneity=0.0, additivity=0.0,
-                            positivity_margin=margin, normalization=normalization,
+    return AxiomAuditReport(positivity_margin=margin, normalization=normalization,
                             translation=translation, inversion=inversion, inventory=inventory)

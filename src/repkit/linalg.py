@@ -35,23 +35,20 @@ STRUCTURAL_TOL = 1e-10
 # size (``representations.node_chunks``), and ``sandwich`` and
 # ``groups.integrate_product`` cut a whole stack into them; it sets the
 # size of every temporary a call holds next to its evaluation chunk
-# (``representations.EVAL_CHUNK``, a multiple of it)
+# (``EVAL_CHUNK``, a multiple of it, so a pass adds the GEMMs of a whole
+# stack in the same order)
 NODE_CHUNK = 256
+EVAL_CHUNK = 4 * NODE_CHUNK
 
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d complex array (copying only if needed)."""
     out = np.asarray(m, dtype=complex)
     if out.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got ndim={out.ndim}")
+        raise ValueError(f"expected a 2-d array, got ndim={out.ndim}")
     if not np.isfinite(out).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return out
-
-
-# Alias kept local so as_matrix reads naturally; shape problems at this level
-# are programming errors, not domain errors.
-ShapeError = ValueError
 
 
 def max_abs(m) -> float:

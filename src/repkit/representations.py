@@ -14,18 +14,19 @@ operations fast.  A library body also writes its matrices into an array it
 is given (``out``): a direct sum fills its diagonal blocks in place, and a
 conjugation sandwiches its inner body's matrices in place when the two
 degrees agree.  ``node_chunks`` is the one place that cuts a pass over a
-Haar rule: it evaluates a representation in chunks of ``EVAL_CHUNK``
-nodes into one buffer it reuses and hands them out in sub-chunks of
-``linalg.NODE_CHUNK`` nodes, so the averaging calls of ``unitarization``
-and ``schur`` read their input in passes, one sub-chunk per step, and
-never hold its (N, r, r) node stack; only what a user-defined body
-returns is copied into that buffer.  ``_average`` sums one average over
-such a pass.  A pass in a call's own basis, B rho B^-1, sandwiches each
-sub-chunk once more in place; ``node_chunks`` does not compose B with a
-conjugated body's own matrix, so a library
-representation and a user-defined body that returns the same matrices
-give a call the same bytes; only ``schur._split`` composes them, in the
-pass for its block characters and leakage, which move at roundoff.
+Haar rule: it evaluates a representation in chunks of
+``linalg.EVAL_CHUNK`` nodes into one buffer it reuses and hands them out
+in sub-chunks of ``linalg.NODE_CHUNK`` nodes, so the averaging calls of
+``unitarization`` and ``schur`` read their input in passes, one
+sub-chunk per step, and never hold its (N, r, r) node stack; only what a
+user-defined body returns is copied into that buffer.  ``_average`` adds
+such a pass to one sum, in the protocol ``groups.ProductSum`` states.  A
+pass in a call's own basis, B rho B^-1, sandwiches each sub-chunk once
+more in place; ``node_chunks`` does not compose B with a conjugated
+body's own matrix, so a library representation and a user-defined body
+that returns the same matrices give a call the same bytes; only
+``schur._split`` composes them, in the pass for its block characters and
+leakage, which move at roundoff.
 
 Node arrays are read as the group's elements, never cast: a finite
 table takes an integer array of indices in 0..order-1, a circle body an
@@ -40,6 +41,7 @@ a time, so a family holds the stack of one chunk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,14 +54,9 @@ from .errors import (
     ShapeMismatchError,
     SpinOutOfRangeError,
 )
-from .groups import HaarRule, ProductSum, _is_integer, _node_array, _require_integers, enumerate_or_sample
+from .groups import HaarRule, _is_integer, _node_array, _require_integers, enumerate_or_sample
 
 MAX_TWO_J = 12
-# nodes per evaluation chunk of a pass (``node_chunks``) and of the spin
-# body: its buffer and power tables are chunk-sized.  A multiple of
-# ``linalg.NODE_CHUNK``, so a pass's sub-chunks start at the same nodes as
-# those of a whole stack and add the same GEMMs in the same order
-EVAL_CHUNK = 4 * linalg.NODE_CHUNK
 
 
 class Representation:
@@ -156,6 +153,7 @@ class CircleWeightRepresentation(_LibraryBody):
         return out
 
 
+@functools.cache
 def _spin_terms(two_j: int):
     """Expansion table for the symmetric-power matrix entries.
 
@@ -163,7 +161,8 @@ def _spin_terms(two_j: int):
     2x2 entries a, b, c, d; returned as a list of
     (row, col, coefficient, k_a, k_b, k_c, k_d) monomials.  Basis vectors are
     the monomials x^p y^q / sqrt(p! q!) with p descending, so two_j = 1
-    reproduces the defining representation exactly.
+    reproduces the defining representation exactly.  Cached: one table
+    per spin, computed on first use.
     """
     n = two_j
     terms = []
@@ -179,9 +178,6 @@ def _spin_terms(two_j: int):
     return terms
 
 
-_SPIN_TERM_CACHE: dict[int, list] = {}
-
-
 class SpinRepresentation(_LibraryBody):
     """Irreducible su2 representation of spin j = two_j / 2, realized as the
     two_j-th symmetric power of the defining action on an orthonormalized
@@ -195,19 +191,17 @@ class SpinRepresentation(_LibraryBody):
         self.group = group
         self.two_j = int(two_j)
         self.degree = self.two_j + 1
-        if self.two_j not in _SPIN_TERM_CACHE:
-            _SPIN_TERM_CACHE[self.two_j] = _spin_terms(self.two_j)
 
     def evaluate_batch(self, nodes, out=None):
         """The matrices at ``nodes``, a numeric (n, 2, 2) array
         (``groups._node_array``; unitarity is not checked per batch), in
-        chunks of ``EVAL_CHUNK`` nodes: the power tables and products are
-        chunk-sized, and each term's update stays in cache."""
+        chunks of ``linalg.EVAL_CHUNK`` nodes: the power tables and
+        products are chunk-sized, and each term's update stays in cache."""
         U = _node_array(nodes, "su2").astype(complex, copy=False)
         out = _empty(U, self.degree) if out is None else out
         out[...] = 0
-        for i in range(0, len(U), EVAL_CHUNK):
-            self._fill(U[i:i + EVAL_CHUNK], out[i:i + EVAL_CHUNK])
+        for i in range(0, len(U), linalg.EVAL_CHUNK):
+            self._fill(U[i:i + linalg.EVAL_CHUNK], out[i:i + linalg.EVAL_CHUNK])
         return out
 
     def _fill(self, U, out):
@@ -222,7 +216,7 @@ class SpinRepresentation(_LibraryBody):
             for _ in range(n - 1):
                 table.append(table[-1] * base)
             powers.append(table)
-        for row, col, coeff, *exponents in _SPIN_TERM_CACHE[n]:
+        for row, col, coeff, *exponents in _spin_terms(n):
             term = coeff
             for table, k in zip(powers, exponents):
                 if k:
@@ -312,11 +306,13 @@ def conjugate(rep: Representation, A) -> Representation:
 
 def spin_irrep(j, group=None) -> SpinRepresentation:
     """The spin-j representation of su2 for a real number j (an int, a
-    half-integer float, a Fraction) with 0 <= 2j <= 12.  A boolean, string
-    or bytes is not a spin and is refused, not parsed."""
+    half-integer float, a Fraction) with 0 <= 2j <= 12.  A boolean, string,
+    bytes or complex number is not a spin and is refused, not parsed, and
+    so is a nan, an infinity or an integer too large for a float: each is
+    refused with ``SpinOutOfRangeError``."""
     from .groups import SU2Group
-    if isinstance(j, (bool, np.bool_, str, bytes)):
-        raise SpinOutOfRangeError(f"a spin is a number, got j={j!r}")
+    if isinstance(j, (bool, np.bool_, str, bytes)) or np.iscomplexobj(j) or not 0 <= 2 * j <= MAX_TWO_J:
+        raise SpinOutOfRangeError(f"a spin is a real number with 0 <= 2j <= {MAX_TWO_J}, got j={j!r}")
     two_j = float(2 * j)
     rounded = round(two_j)
     if abs(two_j - rounded) > 1e-9:
@@ -377,15 +373,15 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
 
 def _chunks(rep: Representation, nodes, basis=None):
     """Yield (slice, sub) over ``nodes``, the one place a pass is cut: the
-    matrices of ``rep`` are evaluated ``EVAL_CHUNK`` nodes at a time into
-    one buffer, and handed out a sub-chunk of ``linalg.NODE_CHUNK`` nodes
-    at a time, sub the matrices at ``nodes[slice]``, B rho B^-1 when
+    matrices of ``rep`` are evaluated ``linalg.EVAL_CHUNK`` nodes at a time
+    into one buffer, and handed out a sub-chunk of ``linalg.NODE_CHUNK``
+    nodes at a time, sub the matrices at ``nodes[slice]``, B rho B^-1 when
     ``basis`` = (B, B^-1) is given (sandwiched in place, one sub-chunk at
     a time).  A step reads a sub-chunk before it asks for the next one and
     keeps none of it, and every temporary it makes is sub-chunk-sized."""
-    buffer = _empty(nodes[:EVAL_CHUNK], rep.degree)
-    for i in range(0, len(nodes), EVAL_CHUNK):
-        part = nodes[i:i + EVAL_CHUNK]
+    buffer = _empty(nodes[:linalg.EVAL_CHUNK], rep.degree)
+    for i in range(0, len(nodes), linalg.EVAL_CHUNK):
+        part = nodes[i:i + linalg.EVAL_CHUNK]
         chunk = rep._evaluate_into(part, buffer[:len(part)])
         for j in range(0, len(part), linalg.NODE_CHUNK):
             sub = chunk[j:j + linalg.NODE_CHUNK]
@@ -398,28 +394,16 @@ def node_chunks(rep: Representation, rule: HaarRule, basis=None):
     """One pass over the rule: (nodes, sub) for each sub-chunk of
     ``linalg.NODE_CHUNK`` rule nodes, nodes the slice of the rule they are
     and sub the matrices of ``rep`` (or B rho B^-1, for ``basis`` =
-    (B, B^-1)) at them, in one buffer of ``EVAL_CHUNK`` nodes the pass
-    reuses (``_chunks``)."""
+    (B, B^-1)) at them, in one buffer of ``linalg.EVAL_CHUNK`` nodes the
+    pass reuses (``_chunks``)."""
     check_rule_group(rule, rep)
     return _chunks(rep, rule.nodes, basis)
 
 
-class _PairSum(ProductSum):
-    """The ``ProductSum`` of ``pair(W)`` over the sub-chunks W a pass adds
-    (``add(nodes, W)``), for a pair function mapping a sub-chunk to two
-    views (X, Y) of it."""
-
-    def __init__(self, rule: HaarRule, pair):
-        super().__init__(rule)
-        self.pair = pair
-
-    def add(self, nodes: slice, W: np.ndarray) -> None:
-        super().add(nodes, *self.pair(W))
-
-
 def _average(rep: Representation, rule: HaarRule, total, basis=None):
     """One pass: ``total.add(nodes, W)`` for the sub-chunks W of ``rep``, or
-    of B rho B^-1 for ``basis`` = (B, B^-1); returns ``total``."""
+    of B rho B^-1 for ``basis`` = (B, B^-1), into ``total``, a
+    ``groups.ProductSum``; returns ``total``."""
     for nodes, W in node_chunks(rep, rule, basis):
         total.add(nodes, W)
     return total
@@ -460,11 +444,11 @@ def class_invariance_audit(rep: Representation, rule: HaarRule, shifts) -> float
     worst = 0.0
     for a in shifts:
         inverse = group.inverse(a)
-        for i in range(0, rule.node_count, EVAL_CHUNK):
-            moved = group.shift_nodes(inverse, rule.nodes[i:i + EVAL_CHUNK], "left")
+        for i in range(0, rule.node_count, linalg.EVAL_CHUNK):
+            moved = group.shift_nodes(inverse, rule.nodes[i:i + linalg.EVAL_CHUNK], "left")
             moved = group.shift_nodes(a, moved, "right")
             traces = _traces(_chunks(rep, moved), len(moved))
-            worst = max(worst, float(np.abs(traces - base[i:i + EVAL_CHUNK]).max()))
+            worst = max(worst, float(np.abs(traces - base[i:i + linalg.EVAL_CHUNK]).max()))
     return worst
 
 
@@ -509,7 +493,7 @@ class _LastStack:
     """The stack of ``rep`` at the last node array asked for, released
     before the stack at a new node array is evaluated: the probes of a
     family read one evaluation per node array, and the Haar audit asks
-    for one chunk of ``EVAL_CHUNK`` nodes at a time."""
+    for one chunk of ``linalg.EVAL_CHUNK`` nodes at a time."""
 
     def __init__(self, rep: Representation):
         self.rep = rep

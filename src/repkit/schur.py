@@ -25,17 +25,16 @@ element, are the irreducible blocks.  Every block is a
 whole, are refused, so an under-resolved rule gives no wrong blocks.
 
 Every call reads its input in passes over the rule nodes
-(``representations.node_chunks``), chunks of ``EVAL_CHUNK`` nodes in one
-buffer each pass reuses, handed out in sub-chunks of ``linalg.NODE_CHUNK``
-nodes, so no call holds an (N, r, r) node stack, and every average but
-the averaging map is one ``groups.ProductSum`` of a pair of views of each
-sub-chunk (``unitarization._unitary``): the split seed forms W X one
-sub-chunk at a time, and the split's leakage is read per sub-chunk too,
-so every temporary but the chunk buffers and the one real r^4 map is
-sub-chunk-sized.  Only ``_commutation_residual`` cuts its sub-chunk
-again, by the number of basis elements, into pieces of at most as many
-(node, element) pairs as the sub-chunk has nodes.  None evaluates at the
-inverse nodes: rho(x^-1) = W(x)^* once the stack W is unitary, and
+(``representations.node_chunks``), chunks of ``linalg.EVAL_CHUNK`` nodes
+in one buffer each pass reuses, handed out in sub-chunks of
+``linalg.NODE_CHUNK`` nodes, so no call holds an (N, r, r) node stack,
+and every average is one ``groups.ProductSum`` of the sub-chunks
+(``unitarization._unitary``): the split seed's pair forms W X one
+sub-chunk at a time, and the split's leakage is read per sub-chunk too, so every temporary but the chunk
+buffers and the one real r^4 map is sub-chunk-sized.  Only
+``_commutation_residual`` cuts its sub-chunk again, by the number of
+basis elements, into pieces of at most as many (node, element) pairs as
+the sub-chunk has nodes.  None evaluates at the inverse nodes: rho(x^-1) = W(x)^* once the stack W is unitary, and
 ``averaged_intertwiner`` reads psi(x^-1) = B^-1 W(x)^* B off the unitary
 stack W = B psi B^-1 of its second input, with phi's sub-chunks read in
 step.  On input that passes
@@ -69,7 +68,7 @@ from .errors import (
     RuleMismatchError,
     ShapeMismatchError,
 )
-from .groups import HaarRule, _weighted_fsum_rows, integrate_product, integrate_values
+from .groups import HaarRule, ProductSum, _weighted_fsum_rows, integrate_product, integrate_values
 from .representations import (
     BlockRepresentation,
     Character,
@@ -77,7 +76,6 @@ from .representations import (
     Representation,
     _average,
     _character,
-    _PairSum,
     character,
     check_rule_group,
     node_chunks,
@@ -119,7 +117,7 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
             M = np.matmul(M, C, out=M if C.shape[0] == C.shape[1] else None)
             return W.transpose(0, 2, 1), M.transpose(0, 2, 1)
 
-        return _PairSum(rule, pair)
+        return ProductSum(rule, pair)
 
     total, basis = _unitary(psi, rule, terms)
     return total.take().T @ _identity_or(basis, psi.degree)[0]
@@ -251,7 +249,7 @@ def _split(rep: Representation, rule: HaarRule):
         # and the sum reshapes it with no copy
         return W.transpose(0, 2, 1), np.ascontiguousarray((W @ X).transpose(0, 2, 1))
 
-    seed, basis = _unitary(rep, rule, lambda _: _PairSum(rule, pair))
+    seed, basis = _unitary(rep, rule, lambda _: ProductSum(rule, pair))
     Q, sizes = _split_unitary_fully(seed.take().T, X)
     A, A_inv = _identity_or(basis, rep.degree)
     P, P_inv = Q @ A, A_inv @ Q.conj().T

@@ -24,19 +24,16 @@ normalized invariant integral to average with.  That is why only the compact
 group kinds are supported here.
 
 Every call reads its input in passes over the rule (``node_chunks``):
-chunks of ``representations.EVAL_CHUNK`` nodes in one buffer each pass
-reuses, handed out in sub-chunks of ``linalg.NODE_CHUNK`` nodes, so no
-call holds the (N, r, r) node stack, and every step of a pass reads one
-sub-chunk.  Every average a pass takes is a sum it adds each sub-chunk
-to (``representations._average``), in the node order of one contraction
-over the whole stack.  Most are one ``groups.ProductSum`` of a pair
-(``representations._PairSum``): a pair function maps each sub-chunk to
-two views (X, Y) of it, and the pass adds sum of w_n X_n^* Y_n, so a
-pair that computes (the split seed's W X) holds a sub-chunk; the Gram
-is the sub-chunk twice (``_gram``).  The averaging map is summed as the
-real r^2 x r^2 map itself (``_AveragingMap``), block by block from the
-averaged outer product of each sub-chunk, so no complex r^4 total is
-formed.
+chunks of ``linalg.EVAL_CHUNK`` nodes in one buffer each pass reuses,
+handed out in sub-chunks of ``linalg.NODE_CHUNK`` nodes, so no call holds
+the (N, r, r) node stack, and every step of a pass reads one sub-chunk.
+Every average a pass takes is one ``groups.ProductSum`` it adds each
+sub-chunk to (``representations._average``), in the node order of one
+contraction over the whole stack; that docstring states the protocol.
+The averaged Gram is the default pair, ``ProductSum(rule)``.  The
+averaging map (``_AveragingMap``) takes the same ``add`` but sums the
+real r^2 x r^2 map itself, block by block from the averaged outer
+product of each sub-chunk, so no complex r^4 total is formed.
 ``_unitary`` reads the unitary stack W in one pass on input that passes
 the unitarity audit: that pass audits the input a sub-chunk at a time
 and adds the input's own sub-chunks to its sum.  On other input it sums
@@ -77,7 +74,6 @@ from .representations import (
     ConjugatedRepresentation,
     Representation,
     _average,
-    _PairSum,
     node_chunks,
     unitarity_defect,
 )
@@ -116,23 +112,18 @@ def averaged_form(rep: Representation, rule: HaarRule) -> HermitianForm:
     than a numerical accident.  Two passes: the average, then its
     invariance defect at the nodes, a sub-chunk at a time.
     """
-    H, w = invariant_gram(_average(rep, rule, _PairSum(rule, _gram)).take())
+    H, w = invariant_gram(_average(rep, rule, ProductSum(rule)).take())
     residual = max(linalg.max_abs(m.conj().transpose(0, 2, 1) @ H[None] @ m - H[None])
                    for _, m in node_chunks(rep, rule))
     return HermitianForm(gram=H, definiteness=float(w[0]), invariance_residual=residual)
 
 
-def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of the averaged Gram, sum of w_n rho_n* rho_n."""
-    return m, m
-
-
 class _AveragingMap(ProductSum):
     """The averaging map L: B -> sum of w_n W_n* B W_n of a stack W in
-    ``hermitian_coords``, summed over the sub-chunks a pass adds
-    (``add(nodes, W)``) into one real (r, r, r, r) array T whose
-    (r^2, r^2) matrix is L^T: T[k, l] holds the coordinates of the image of
-    G_kl, so T[k, l, i, j] = L[(i, j), (k, l)].
+    ``hermitian_coords``: a ``ProductSum`` of the default pair whose
+    ``add(nodes, W)`` sums the sub-chunks a pass adds into one real
+    (r, r, r, r) array T whose (r^2, r^2) matrix is L^T: T[k, l] holds
+    the coordinates of the image of G_kl, so T[k, l, i, j] = L[(i, j), (k, l)].
 
     That image is w A + conj(w) A* with A = O[k, :, l, :] for the averaged
     outer product O[k, i, l, j] = sum of w_n conj(W_ki) W_lj, so
@@ -161,9 +152,10 @@ class _AveragingMap(ProductSum):
 
 def invariant_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix of ``averaged_form`` and its ascending eigenvalues,
-    from the averaged Gram sum of w_n rho_n* rho_n (``ProductSum`` of the
-    stack with itself over (node, row) pairs), without the invariance
-    residual: the sum made exactly Hermitian, refused unless definite."""
+    from the averaged Gram sum of w_n rho_n* rho_n (``ProductSum`` of its
+    default pair, the stack with itself over (node, row) pairs), without
+    the invariance residual: the sum made exactly Hermitian, refused
+    unless definite."""
     H = (gram + gram.conj().T) / 2.0
     w = np.linalg.eigvalsh(H)
     if w[0] <= linalg.STRUCTURAL_TOL:
@@ -190,10 +182,11 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
-    """(total, basis): ``total`` the sum ``terms(basis)`` (a ``_PairSum`` or
-    an ``_AveragingMap``) over the sub-chunks of the unitary stack
-    W = A rho A^-1 of ``rep`` at the rule nodes, and ``basis`` = (A, A^-1),
-    or None when W is the input's own stack.
+    """(total, basis): ``total`` the sum ``terms(basis)``, a
+    ``groups.ProductSum`` (of a pair, or an ``_AveragingMap``), with the
+    sub-chunks of the unitary stack W = A rho A^-1 of ``rep`` at the rule
+    nodes added in the protocol that docstring states, and ``basis`` =
+    (A, A^-1), or None when W is the input's own stack.
 
     The first pass (``_audited``) hands each sub-chunk of the input to
     ``raw(nodes, sub)`` when given, and audits the input's unitarity
@@ -211,7 +204,7 @@ def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
     if total is not None:
         return total, None
     if gram is None:
-        gram = _average(rep, rule, _PairSum(rule, _gram))
+        gram = _average(rep, rule, ProductSum(rule))
     basis = _cholesky_pair(*invariant_gram(gram.take()))
     return _average(rep, rule, terms(basis), basis), basis
 
@@ -231,7 +224,7 @@ def _audited(rep: Representation, rule: HaarRule, total, raw):
             else:
                 total, gram = None, ProductSum(rule) if nodes.start == 0 else None
         if gram is not None:
-            gram.add(nodes, W, W)
+            gram.add(nodes, W)
     return total, gram
 
 
@@ -262,7 +255,7 @@ def _unitarize(rep: Representation, rule: HaarRule, total=None):
     stack W = A rho A^-1 added.  The first pass sums the averaged Gram; the
     second reads the residuals of each sub-chunk (``_residuals``) and then
     sandwiches it in place into W."""
-    H, w = invariant_gram(_average(rep, rule, _PairSum(rule, _gram)).take())
+    H, w = invariant_gram(_average(rep, rule, ProductSum(rule)).take())
     A, A_inv = _cholesky_pair(H, w)
     residuals = []
     for nodes, m in node_chunks(rep, rule):

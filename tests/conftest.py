@@ -68,7 +68,7 @@ def nodes_list(rule):
 
 def chunk_bytes(degree):
     """Bytes of one evaluation chunk of a degree-``degree`` representation."""
-    return rk.representations.EVAL_CHUNK * degree ** 2 * 16
+    return rk.linalg.EVAL_CHUNK * degree ** 2 * 16
 
 
 def traced_peak(call):

@@ -93,6 +93,18 @@ def test_haar_audit_su2(runner):
     assert report["payload"]["node_count"] == 16 ** 3
 
 
+@pytest.mark.parametrize("name", ["s3", "circle", "su2"])
+def test_haar_audit_reports_no_linearity_residual(runner, name):
+    # linearity is exact by construction, so the report measures no
+    # residual for it: the inventory says why
+    result = runner.invoke(main, ["haar-audit", "--builtin", name, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert sorted(report["residuals"]) == sorted(report["tolerances"]) == ["inversion", "normalization",
+                                                                            "translation"]
+    assert report["payload"]["inventory"]["linearity"].startswith("exact by construction")
+
+
 def test_haar_audit_requires_group(runner):
     result = runner.invoke(main, ["haar-audit"])
     assert result.exit_code == 1

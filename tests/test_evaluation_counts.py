@@ -106,7 +106,7 @@ CASES = {
 def test_each_call_evaluates_every_rule_node_p_times(su2, su2_rule, evaluations, case):
     # su2_rule is 4 evaluation chunks, so a pass that skipped or repeated a
     # chunk would show
-    assert su2_rule.node_count == 4 * rk.representations.EVAL_CHUNK
+    assert su2_rule.node_count == 4 * rk.linalg.EVAL_CHUNK
     call, expected = CASES[case]
     call(su2, su2_rule)
     assert passes(evaluations) == expected
@@ -147,7 +147,7 @@ def test_averaged_intertwiner_evaluates_each_input_once_at_the_rule_nodes(su2, s
     monkeypatch.setattr(SpinRepresentation, "evaluate_batch", recording)
     rho = rk.spin_irrep(1, su2)
     rk.averaged_intertwiner(rho, rho, np.ones((3, 3)), su2_rule)
-    chunks = su2_rule.node_count // rk.representations.EVAL_CHUNK
+    chunks = su2_rule.node_count // rk.linalg.EVAL_CHUNK
     assert sorted(calls) == [(2, True)] * (2 * chunks)
 
 
@@ -159,7 +159,7 @@ def test_axiom_audit_evaluates_each_probe_family_once_per_node_set(su2, su2_rule
     original = SpinRepresentation.evaluate_batch
 
     def counting(self, nodes, out=None):
-        assert len(nodes) <= rk.representations.EVAL_CHUNK
+        assert len(nodes) <= rk.linalg.EVAL_CHUNK
         nodes_evaluated[self.two_j] += len(nodes)
         return original(self, nodes, out)
 

@@ -96,7 +96,7 @@ def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2, resolution):
     for nodes, chunk in rk.representations.node_chunks(rep, rule):
         slices.append((nodes.start, nodes.stop))
         chunks.append(chunk.copy())
-        gram.add(nodes, chunk, chunk)
+        gram.add(nodes, chunk)
         maps.add(nodes, chunk)
     assert slices == [(i, min(i + size, n)) for i in range(0, n, size)]
     assert np.concatenate(chunks).tobytes() == stack.tobytes()

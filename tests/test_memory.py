@@ -1,7 +1,7 @@
 """No averaging call holds a node stack.
 
 Every public call that averages over a rule reads its input in passes of
-``representations.EVAL_CHUNK`` nodes into one buffer it reuses, and every
+``linalg.EVAL_CHUNK`` nodes into one buffer it reuses, and every
 other temporary is a sub-chunk of ``linalg.NODE_CHUNK`` nodes, so its
 tracemalloc peak is its chunk buffers and a fraction of a chunk whatever
 the rule's node count.  On ``haar_rule(su2, 24)`` (13 824 nodes, 13.5

@@ -228,8 +228,8 @@ def test_spin_evaluation_in_node_chunks_keeps_the_bytes(su2, monkeypatch):
     rule = rk.haar_rule(su2, 24)
     rep = rk.spin_irrep(3, su2)
     chunked = rep.evaluate_batch(rule.nodes)
-    assert rule.node_count > 2 * rk.representations.EVAL_CHUNK
-    monkeypatch.setattr(rk.representations, "EVAL_CHUNK", rule.node_count)
+    assert rule.node_count > 2 * rk.linalg.EVAL_CHUNK
+    monkeypatch.setattr(rk.linalg, "EVAL_CHUNK", rule.node_count)
     assert rep.evaluate_batch(rule.nodes).tobytes() == chunked.tobytes()
 
 
@@ -443,6 +443,10 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
     (lambda circle, su2: rk.spin_irrep("1", su2), rk.SpinOutOfRangeError),
     (lambda circle, su2: rk.spin_irrep("1/2", su2), rk.SpinOutOfRangeError),
     (lambda circle, su2: rk.spin_irrep(b"1", su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(float("inf"), su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(float("nan"), su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(10 ** 400, su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(1 + 0j, su2), rk.SpinOutOfRangeError),
     (lambda circle, su2: circle.multiply(True, 0.0), rk.KindMismatchError),
     (lambda circle, su2: circle.multiply("1.5", 0.0), rk.KindMismatchError),
 ], ids=["spin True", "spin np.True_", "weight True", "weight np.True_",
@@ -451,12 +455,15 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
         "weight 2.0", "weight np.float64(3.0)", "element '3'", "element Fraction(3, 2)",
         "probe index -1", "probe index 0.5", "probe index degree", "pair_count True",
         "pair_count 2.5", "count True", "spin_irrep '1'", "spin_irrep '1/2'", "spin_irrep b'1'",
+        "spin_irrep inf", "spin_irrep nan", "spin_irrep 10**400", "spin_irrep 1+0j",
         "angle True", "angle '1.5'"])
 def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, error):
     # a boolean is an int to Python, but never a spin, weight, exponent,
     # order, resolution, count or angle; nor is a float a weight, exponent
     # or count, even with an integer value, a string an element, spin or
-    # angle, or an index outside the matrix a probe entry
+    # angle, or an index outside the matrix a probe entry; nor is a nan,
+    # an infinity, an integer beyond the float range or a complex number
+    # a spin
     with pytest.raises(error):
         build(circle, su2)
 

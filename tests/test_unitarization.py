@@ -317,7 +317,7 @@ def test_input_that_fails_the_audit_after_its_first_chunk_sums_its_gram_in_one_m
     # conjugate of a representation is unitary, so the audit fails only on
     # the second chunk: the averaged Gram then takes a pass of its own, and
     # the unitarizing factor is that of one contraction of the whole stack
-    chunk = rk.representations.EVAL_CHUNK
+    chunk = rk.linalg.EVAL_CHUNK
     fine = rk.haar_rule(su2, 12)
     nodes = np.concatenate([np.broadcast_to(np.eye(2, dtype=complex), (chunk, 2, 2)), fine.nodes])
     weights = np.r_[np.full(chunk, 0.5 / chunk), 0.5 * fine.weights]
