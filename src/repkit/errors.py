@@ -53,7 +53,8 @@ class InvalidResolutionError(RepkitError):
 
 
 class EvaluationFailureError(RepkitError):
-    """An integrand returned a non-finite or missing value at a node."""
+    """An integrand returned a non-finite or missing value at a node, or a
+    representation's character at the identity is not its degree."""
 
 
 class SpinOutOfRangeError(RepkitError):

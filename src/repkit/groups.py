@@ -30,9 +30,14 @@ sweep is needed.
 
 Caller input is checked once per kind, here.  ``_is_integer`` decides every
 integer the library takes (a Python or numpy int, never a bool, float or
-string, and nothing is cast), ``_node_array`` every batch of nodes (by
-its dtype kind, and on su2 its shape, O(1) per batch), and
-``_evaluate`` evaluates every caller integrand, for ``integrate_scalar``,
+string, and nothing is cast), and ``_shown`` names one in a refusal, by its
+size when it is too long to print.  Each group class carries what its kind
+does: ``node_array`` checks a batch of nodes (by its dtype kind, and on su2
+its shape, O(1) per batch), ``_one`` packs one validated element as a batch
+of one, ``_rule`` builds the nodes and weights of ``haar_rule`` and
+``_sample`` draws the elements of ``enumerate_or_sample``.  A new per-kind
+piece is one more such method.  ``_evaluate`` evaluates every caller
+integrand, for ``integrate_scalar``,
 ``integrate_matrix`` and the Haar audit alike: ``f.batch(nodes)`` when
 ``f`` has one, else ``f(x)`` per node.  A ``Representation`` given to
 ``integrate_matrix`` is summed in one pass over its sub-chunks instead.
@@ -67,23 +72,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# the numpy dtype kinds of a batch of nodes, by group kind, and what its
-# nodes are
-_NODE_KINDS = {"finite": ("iu", "finite group elements are integer indices"),
-               "circle": ("iuf", "circle elements are angles"),
-               "su2": ("iufc", "su2 elements are numeric matrices")}
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal, or for an integer past Python's limit
+    on printed digits its size, so formatting the refusal cannot raise."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
 
 
-def _node_array(nodes, group_kind: str) -> np.ndarray:
-    """A batch of nodes as an array, refused with ``KindMismatchError``
-    unless its dtype kind is one of that group kind's ``_NODE_KINDS`` and,
-    on su2, its shape is (n, 2, 2): O(1) per batch, never cast."""
-    kinds, what = _NODE_KINDS[group_kind]
+def _node_array(nodes, kinds: str, what: str) -> np.ndarray:
+    """A batch of nodes as an array, refused with ``KindMismatchError``, as
+    ``what`` nodes are, unless its dtype kind is one of ``kinds``: the dtype
+    test of every ``node_array``, O(1) per batch, never cast."""
     nodes = np.asarray(nodes)
     if nodes.dtype.kind not in kinds:
         raise KindMismatchError(f"{what}, got an array of dtype {nodes.dtype}")
-    if group_kind == "su2" and (nodes.ndim != 3 or nodes.shape[1:] != (2, 2)):
-        raise KindMismatchError(f"su2 node stacks have shape (n, 2, 2), got {nodes.shape}")
     return nodes
 
 
@@ -101,7 +105,7 @@ def _require_integers(value, field: str) -> None:
     elif not _is_integer(value):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     elif not -2 ** 63 <= value < 2 ** 63:
-        raise ValueError(f"{field} must be an integer in the int64 range, got {value!r}")
+        raise ValueError(f"{field} must be an integer in the int64 range, got {_shown(value)}")
 
 
 class FiniteGroup:
@@ -173,17 +177,25 @@ class FiniteGroup:
     def identity_element(self):
         return self.identity_index
 
+    @staticmethod
+    def node_array(nodes) -> np.ndarray:
+        """A batch of elements: an integer array (``_node_array``)."""
+        return _node_array(nodes, "iu", "finite group elements are integer indices")
+
     def _index(self, g):
         if not _is_integer(g):
             raise KindMismatchError(f"finite group elements are integer indices, got {type(g).__name__}")
         if not 0 <= g < self.order:
-            raise KindMismatchError(f"element index {g} outside 0..{self.order - 1}")
+            raise KindMismatchError(f"element index {_shown(g)} outside 0..{self.order - 1}")
         return g
 
+    def _one(self, g) -> np.ndarray:
+        return np.array([self._index(g)])
+
     def _indices(self, nodes) -> np.ndarray:
-        """``_index`` for a batch: an integer array (``_node_array``) whose
+        """``_index`` for a batch: an integer array (``node_array``) whose
         min and max lie in 0..order-1, never cast or wrapped around."""
-        index = _node_array(nodes, self.kind)
+        index = self.node_array(nodes)
         if index.size and not (index.min() >= 0 and index.max() < self.order):
             raise KindMismatchError(
                 f"element indices {index.min()}..{index.max()} outside 0..{self.order - 1}")
@@ -197,6 +209,15 @@ class FiniteGroup:
 
     def elements(self):
         return list(range(self.order))
+
+    def _rule(self, resolution):
+        """Every element at weight 1/order, the exact uniform average, at
+        any resolution."""
+        return np.arange(self.order), np.full(self.order, 1.0 / self.order)
+
+    def _sample(self, count, seed):
+        """Every element: a finite group is listed, not sampled."""
+        return self.elements()
 
     # vectorized node transforms used by quadrature audits
     def shift_nodes(self, a, nodes, side):
@@ -214,6 +235,7 @@ class CircleGroup:
     """The rotation group of the plane; elements are angles in [0, 2pi)."""
 
     kind = "circle"
+    _RULE_AXES = 1
 
     def __eq__(self, other):
         return isinstance(other, CircleGroup)
@@ -223,6 +245,14 @@ class CircleGroup:
 
     def identity_element(self):
         return 0.0
+
+    @staticmethod
+    def node_array(nodes) -> np.ndarray:
+        """A batch of angles: an integer or real-float array (``_node_array``)."""
+        return _node_array(nodes, "iuf", "circle elements are angles")
+
+    def _one(self, g) -> np.ndarray:
+        return np.array([self._angle(g)])
 
     @staticmethod
     def _angle(g):
@@ -250,6 +280,13 @@ class CircleGroup:
     def multiply_nodes(self, xs, ys):
         return (np.asarray(xs, dtype=float) + ys) % (2 * np.pi)
 
+    def _rule(self, resolution):
+        """``resolution`` equispaced angles at equal weights."""
+        return 2 * np.pi * np.arange(resolution) / resolution, np.full(resolution, 1.0 / resolution)
+
+    def _sample(self, count, seed):
+        return list(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=count))
+
 
 class SU2Group:
     """2x2 special-unitary matrices.
@@ -260,6 +297,7 @@ class SU2Group:
     """
 
     kind = "su2"
+    _RULE_AXES = 3
 
     def __eq__(self, other):
         return isinstance(other, SU2Group)
@@ -270,16 +308,25 @@ class SU2Group:
     def identity_element(self):
         return np.eye(2, dtype=complex)
 
-    def _element(self, g):
+    @staticmethod
+    def node_array(nodes) -> np.ndarray:
+        """A batch of elements: a numeric array (``_node_array``) of shape
+        (n, 2, 2)."""
+        nodes = _node_array(nodes, "iufc", "su2 elements are numeric matrices")
+        if nodes.ndim != 3 or nodes.shape[1:] != (2, 2):
+            raise KindMismatchError(f"su2 node stacks have shape (n, 2, 2), got {nodes.shape}")
+        return nodes
+
+    def _one(self, g) -> np.ndarray:
         U = np.asarray(g)
         if U.shape != (2, 2):
             raise KindMismatchError(f"su2 elements are 2x2 matrices, got shape {U.shape}")
-        return self._elements(U[None])[0]
+        return self._elements(U[None])
 
     def _elements(self, nodes):
-        """Validate a stack of group elements (n, 2, 2): ``_node_array``,
+        """Validate a stack of group elements (n, 2, 2): ``node_array``,
         then unitarity and determinant."""
-        U = _node_array(nodes, self.kind).astype(complex, copy=False)
+        U = self.node_array(nodes).astype(complex, copy=False)
         if linalg.max_abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2)) > linalg.STRUCTURAL_TOL:
             raise KindMismatchError("matrix is not unitary within tolerance")
         if linalg.max_abs(np.linalg.det(U) - 1.0) > linalg.STRUCTURAL_TOL:
@@ -294,7 +341,7 @@ class SU2Group:
         return P / np.sqrt(np.linalg.det(P))[..., None, None]
 
     def multiply(self, g, h):
-        return self.multiply_nodes(self._element(g)[None], self._element(h)[None])[0]
+        return self.multiply_nodes(self._one(g), self._one(h))[0]
 
     def multiply_nodes(self, xs, ys):
         """Products of two validated node stacks, each re-projected onto the
@@ -307,14 +354,48 @@ class SU2Group:
         return U
 
     def inverse(self, g):
-        return self._element(g).conj().T
+        return self._one(g)[0].conj().T
 
     def shift_nodes(self, a, nodes, side):
-        a = self._element(a)
+        a = self._one(a)[0]
         return np.einsum("ij,njk->nik", a, nodes) if side == "left" else np.einsum("nij,jk->nik", nodes, a)
 
     def invert_nodes(self, nodes):
         return nodes.conj().transpose(0, 2, 1)
+
+    def _rule(self, resolution):
+        """The axis-angle product rule of the module docstring."""
+        # one Gauss-Legendre rule for the class angle and the polar cosine
+        u, wu = linalg._leggauss(resolution)
+        t = np.pi * (u + 1.0)                      # class angle on [0, 2pi]
+        wt = wu * np.sin(t / 2.0) ** 2             # pi from the interval map cancels 1/pi in the density
+        phi = 2 * np.pi * np.arange(resolution) / resolution  # uniform azimuth
+
+        half = t / 2.0
+        cos_half, sin_half = np.cos(half), np.sin(half)
+        sin_beta = np.sqrt(np.clip(1.0 - u ** 2, 0.0, None))
+        nx = np.einsum("b,p->bp", sin_beta, np.cos(phi))
+        ny = np.einsum("b,p->bp", sin_beta, np.sin(phi))
+        nz = np.broadcast_to(u[:, None], (resolution, resolution))
+
+        nodes = np.empty((resolution, resolution, resolution, 2, 2), dtype=complex)
+        c = cos_half[:, None, None]
+        s = sin_half[:, None, None]
+        nodes[..., 0, 0] = c + 1j * s * nz[None]
+        nodes[..., 0, 1] = 1j * s * (nx[None] - 1j * ny[None])
+        nodes[..., 1, 0] = 1j * s * (nx[None] + 1j * ny[None])
+        nodes[..., 1, 1] = c - 1j * s * nz[None]
+        nodes = nodes.reshape(-1, 2, 2)
+
+        weights = np.einsum("a,b,p->abp", wt, wu, np.full(resolution, 1.0 / resolution)).reshape(-1)
+        return nodes, weights / _fsum_rows(weights[None])[0]
+
+    def _sample(self, count, seed):
+        """``count`` elements, uniform unit quaternions."""
+        quat = np.random.default_rng(seed).normal(size=(count, 4))
+        quat /= np.linalg.norm(quat, axis=1, keepdims=True)
+        alpha, beta = quat[:, 0] + 1j * quat[:, 1], quat[:, 2] + 1j * quat[:, 3]
+        return list(np.stack([alpha, beta, -beta.conj(), alpha.conj()], axis=1).reshape(count, 2, 2))
 
 
 def multiply(group, g, h):
@@ -334,22 +415,14 @@ def enumerate_or_sample(group, count, seed=0):
     a continuous one (deterministic for a fixed seed)."""
     if not _is_integer(count):
         raise ValueError(f"count must be an integer, got {count!r}")
-    if group.kind == "finite":
-        return group.elements()
-    rng = np.random.default_rng(seed)
-    if group.kind == "circle":
-        return list(rng.uniform(0.0, 2 * np.pi, size=count))
-    quat = rng.normal(size=(count, 4))
-    quat /= np.linalg.norm(quat, axis=1, keepdims=True)
-    alpha, beta = quat[:, 0] + 1j * quat[:, 1], quat[:, 2] + 1j * quat[:, 3]
-    return list(np.stack([alpha, beta, -beta.conj(), alpha.conj()], axis=1).reshape(count, 2, 2))
+    return group._sample(count, seed)
 
 
 @dataclass(frozen=True, eq=False)
 class HaarRule:
     """A normalized quadrature realization of the invariant integral: nodes
     are group elements, one per weight, and weights are positive and sum to
-    one.  The nodes pass the O(1) ``_node_array`` check of the group kind,
+    one.  The nodes pass the O(1) ``node_array`` check of the group,
     not a per-node one.  Rules compare and hash by identity;
     ``same_rule`` compares their contents."""
 
@@ -359,7 +432,7 @@ class HaarRule:
     resolution: int
 
     def __post_init__(self):
-        shape = _node_array(self.nodes, self.group.kind).shape
+        shape = self.group.node_array(self.nodes).shape
         if np.ndim(self.weights) != 1 or np.shape(self.weights) != shape[:1]:
             raise ShapeMismatchError(f"a rule takes one weight per node, got nodes of shape {shape} "
                                      f"and weights of shape {np.shape(self.weights)}")
@@ -391,54 +464,19 @@ def haar_rule(group, resolution: int) -> HaarRule:
     the circle gets ``resolution`` equispaced angles; su2 gets the
     axis-angle product rule with ``resolution`` points per coordinate.  A
     resolution whose rule cannot be allocated is refused with
-    ``InvalidResolutionError``, naming its node count.
+    ``InvalidResolutionError``, naming its node count, resolution **
+    ``_RULE_AXES`` (a finite group's rule, its order at any resolution,
+    always can be).  The group builds the nodes and weights (``_rule``).
     """
     if not _is_integer(resolution) or resolution < 1:
-        raise InvalidResolutionError(f"resolution must be a positive integer, got {resolution!r}")
-    if group.kind == "finite":
-        n = group.order
-        return HaarRule(group=group, nodes=np.arange(n), weights=np.full(n, 1.0 / n),
-                        resolution=resolution)
+        raise InvalidResolutionError(f"resolution must be a positive integer, got {_shown(resolution)}")
     try:
-        if group.kind == "circle":
-            angles = 2 * np.pi * np.arange(resolution) / resolution
-            return HaarRule(group=group, nodes=angles, weights=np.full(resolution, 1.0 / resolution),
-                            resolution=resolution)
-        if group.kind == "su2":
-            return _su2_rule(group, resolution)
+        nodes, weights = group._rule(resolution)
+        return HaarRule(group=group, nodes=nodes, weights=weights, resolution=resolution)
     except (MemoryError, OverflowError, ValueError) as exc:
-        count = resolution ** 3 if group.kind == "su2" else resolution
-        raise InvalidResolutionError(
-            f"resolution {resolution} asks for a rule of {count} nodes, which cannot be allocated") from exc
-    raise KindMismatchError(f"unsupported group kind {group.kind!r}")
-
-
-def _su2_rule(group, resolution: int) -> HaarRule:
-    # one Gauss-Legendre rule for the class angle and the polar cosine
-    u, wu = linalg._leggauss(resolution)
-    t = np.pi * (u + 1.0)                      # class angle on [0, 2pi]
-    wt = wu * np.sin(t / 2.0) ** 2             # pi from the interval map cancels 1/pi in the density
-    phi = 2 * np.pi * np.arange(resolution) / resolution  # uniform azimuth
-
-    half = t / 2.0
-    cos_half, sin_half = np.cos(half), np.sin(half)
-    sin_beta = np.sqrt(np.clip(1.0 - u ** 2, 0.0, None))
-    nx = np.einsum("b,p->bp", sin_beta, np.cos(phi))
-    ny = np.einsum("b,p->bp", sin_beta, np.sin(phi))
-    nz = np.broadcast_to(u[:, None], (resolution, resolution))
-
-    nodes = np.empty((resolution, resolution, resolution, 2, 2), dtype=complex)
-    c = cos_half[:, None, None]
-    s = sin_half[:, None, None]
-    nodes[..., 0, 0] = c + 1j * s * nz[None]
-    nodes[..., 0, 1] = 1j * s * (nx[None] - 1j * ny[None])
-    nodes[..., 1, 0] = 1j * s * (nx[None] + 1j * ny[None])
-    nodes[..., 1, 1] = c - 1j * s * nz[None]
-    nodes = nodes.reshape(-1, 2, 2)
-
-    weights = np.einsum("a,b,p->abp", wt, wu, np.full(resolution, 1.0 / resolution)).reshape(-1)
-    weights = weights / _fsum_rows(weights[None])[0]
-    return HaarRule(group=group, nodes=nodes, weights=weights, resolution=resolution)
+        count = _shown(resolution ** group._RULE_AXES)
+        raise InvalidResolutionError(f"resolution {_shown(resolution)} asks for a rule of {count} nodes, "
+                                     "which cannot be allocated") from exc
 
 
 def _fsum_rows(rows: np.ndarray) -> list[float]:

@@ -43,6 +43,8 @@ def _read_json(path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except ValueError as exc:   # an integer past Python's limit on digits
+        raise InputParseError(f"{path}: cannot read a number in it ({exc})")
     if not isinstance(data, dict):
         raise InputParseError(f"{path}: top-level value must be an object")
     return data

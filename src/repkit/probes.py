@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KindMismatchError
-from .groups import CircleGroup, _is_integer, _node_array, enumerate_or_sample
+from .groups import CircleGroup, FiniteGroup, _is_integer, enumerate_or_sample
 from .representations import MatrixEntryProbe, spin_irrep
 
 SHIFT_SEED = 7
@@ -32,7 +32,7 @@ class ExpIndexProbe:
         return np.exp(2j * np.pi * self.m * int(k) / self.order)
 
     def batch(self, nodes):
-        index = _node_array(nodes, "finite")
+        index = FiniteGroup.node_array(nodes)
         return np.exp(2j * np.pi * self.m * index.astype(int, copy=False) / self.order)
 
 
@@ -47,7 +47,7 @@ class TrigProbe:
         return np.exp(1j * self.k * CircleGroup._angle(theta))
 
     def batch(self, nodes):
-        angles = _node_array(nodes, "circle")
+        angles = CircleGroup.node_array(nodes)
         return np.exp(1j * self.k * angles.astype(float, copy=False))
 
 

@@ -28,11 +28,12 @@ that returns the same matrices give a call the same bytes; only
 ``schur._split`` composes them, in the pass for its block characters and
 leakage, which move at roundoff.
 
-Node arrays are read as the group's elements, never cast: a finite
-table takes an integer array of indices in 0..order-1, a circle body an
-integer or real-float array of angles and a spin body a numeric array of
-shape (n, 2, 2) (``groups._node_array``), and anything else is refused
-with ``KindMismatchError``.  The one stack a
+Node arrays are read as the group's elements, never cast: each body
+checks them with its group's ``node_array``, so a finite table takes an
+integer array of indices in 0..order-1, a circle body an integer or
+real-float array of angles and a spin body a numeric array of shape
+(n, 2, 2), and anything else is refused with ``KindMismatchError``;
+``evaluate`` packs its one element with the group's ``_one``.  The one stack a
 library object keeps is ``_LastStack``'s, which lets a probe family
 evaluate once per node array; it lets go of that stack before it
 evaluates the next, and the Haar audit hands it one evaluation chunk at
@@ -49,12 +50,13 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    EvaluationFailureError,
     GroupMismatchError,
     KindMismatchError,
     ShapeMismatchError,
     SpinOutOfRangeError,
 )
-from .groups import HaarRule, _is_integer, _node_array, _require_integers, enumerate_or_sample
+from .groups import HaarRule, _is_integer, _require_integers, _shown, enumerate_or_sample
 
 MAX_TWO_J = 12
 
@@ -67,7 +69,7 @@ class Representation:
 
     def evaluate(self, g) -> np.ndarray:
         """The representing matrix at a single group element."""
-        return self.evaluate_batch(self._pack_one(g))[0]
+        return self.evaluate_batch(self.group._one(g))[0]
 
     def evaluate_batch(self, nodes) -> np.ndarray:
         raise NotImplementedError
@@ -81,13 +83,10 @@ class Representation:
         out[...] = stack
         return out
 
-    def _pack_one(self, g):
-        kind = self.group.kind
-        if kind == "finite":
-            return np.array([self.group._index(g)])
-        if kind == "circle":
-            return np.array([self.group._angle(g)])
-        return np.asarray(self.group._element(g))[None, :, :]
+    def _conditioning(self) -> float:
+        """The factor by which roundoff may grow in this body's matrices:
+        1 for a body that conjugates nothing."""
+        return 1.0
 
 
 class _LibraryBody(Representation):
@@ -144,7 +143,7 @@ class CircleWeightRepresentation(_LibraryBody):
         self.degree = len(ws)
 
     def evaluate_batch(self, nodes, out=None):
-        angles = _node_array(nodes, "circle").astype(float, copy=False)
+        angles = self.group.node_array(nodes).astype(float, copy=False)
         phases = np.exp(1j * np.outer(angles, self.weights))
         out = _empty(angles, self.degree) if out is None else out
         out[...] = 0
@@ -187,17 +186,17 @@ class SpinRepresentation(_LibraryBody):
         if group.kind != "su2":
             raise KindMismatchError("spin representations require the su2 group")
         if not _is_integer(two_j) or not 0 <= two_j <= MAX_TWO_J:
-            raise SpinOutOfRangeError(f"two_j must be an integer in 0..{MAX_TWO_J}, got {two_j!r}")
+            raise SpinOutOfRangeError(f"two_j must be an integer in 0..{MAX_TWO_J}, got {_shown(two_j)}")
         self.group = group
         self.two_j = int(two_j)
         self.degree = self.two_j + 1
 
     def evaluate_batch(self, nodes, out=None):
         """The matrices at ``nodes``, a numeric (n, 2, 2) array
-        (``groups._node_array``; unitarity is not checked per batch), in
+        (the group's ``node_array``; unitarity is not checked per batch), in
         chunks of ``linalg.EVAL_CHUNK`` nodes: the power tables and
         products are chunk-sized, and each term's update stays in cache."""
-        U = _node_array(nodes, "su2").astype(complex, copy=False)
+        U = self.group.node_array(nodes).astype(complex, copy=False)
         out = _empty(U, self.degree) if out is None else out
         out[...] = 0
         for i in range(0, len(U), linalg.EVAL_CHUNK):
@@ -248,6 +247,9 @@ class DirectSumRepresentation(_LibraryBody):
             offset += p.degree
         return out
 
+    def _conditioning(self) -> float:
+        return max(p._conditioning() for p in self.parts)
+
 
 class ConjugatedRepresentation(_LibraryBody):
     """x -> A rho(x) A^{-1} for a fixed invertible A (an equivalent
@@ -270,6 +272,11 @@ class ConjugatedRepresentation(_LibraryBody):
         out = _empty(nodes, self.degree) if out is None else out
         inner = out if self.degree == self.inner.degree else _empty(nodes, self.inner.degree)
         return linalg.sandwich(self.matrix, self.inner._evaluate_into(nodes, inner), self.matrix_inv, out=out)
+
+    def _conditioning(self) -> float:
+        """|A|_2 |A^-1|_2 times the inner body's."""
+        norms = np.linalg.norm(self.matrix, 2) * np.linalg.norm(self.matrix_inv, 2)
+        return norms * self.inner._conditioning()
 
 
 class BlockRepresentation(ConjugatedRepresentation):
@@ -308,11 +315,16 @@ def spin_irrep(j, group=None) -> SpinRepresentation:
     """The spin-j representation of su2 for a real number j (an int, a
     half-integer float, a Fraction) with 0 <= 2j <= 12.  A boolean, string,
     bytes or complex number is not a spin and is refused, not parsed, and
-    so is a nan, an infinity or an integer too large for a float: each is
-    refused with ``SpinOutOfRangeError``."""
+    so is a nan, an infinity, an integer too large for a float and anything
+    that is not a scalar (a list or an array) or whose range comparison
+    raises (a decimal nan): each is refused with ``SpinOutOfRangeError``."""
     from .groups import SU2Group
-    if isinstance(j, (bool, np.bool_, str, bytes)) or np.iscomplexobj(j) or not 0 <= 2 * j <= MAX_TWO_J:
-        raise SpinOutOfRangeError(f"a spin is a real number with 0 <= 2j <= {MAX_TWO_J}, got j={j!r}")
+    try:
+        in_range = 0 <= 2 * j <= MAX_TWO_J
+    except (TypeError, ValueError, ArithmeticError):
+        in_range = False
+    if isinstance(j, (bool, np.bool_, str, bytes)) or np.ndim(j) or np.iscomplexobj(j) or not in_range:
+        raise SpinOutOfRangeError(f"a spin is a real number with 0 <= 2j <= {MAX_TWO_J}, got j={_shown(j)}")
     two_j = float(2 * j)
     rounded = round(two_j)
     if abs(two_j - rounded) > 1e-9:
@@ -329,7 +341,7 @@ def homomorphism_audit(rep: Representation, pair_count: int = 200, seed: int = 0
     ``seed``.  Each side is evaluated in one batch.
     """
     if not _is_integer(pair_count) or pair_count < 1:
-        raise ValueError(f"pair_count must be a positive integer, got {pair_count!r}")
+        raise ValueError(f"pair_count must be a positive integer, got {_shown(pair_count)}")
     group = rep.group
     if group.kind == "finite":
         if group.order ** 2 <= 10_000:
@@ -424,10 +436,12 @@ def _traces(chunks, n: int) -> np.ndarray:
 
 def _character(rep: Representation, rule: HaarRule, values: np.ndarray) -> Character:
     """``character`` from its ``values`` at the rule nodes, after the degree
-    check at the identity."""
+    check at the identity, at a tolerance scaled by the body's conditioning:
+    a conjugation A rho A^-1 carries roundoff of order |A|_2 |A^-1|_2 eps."""
     ident_trace = np.trace(rep.evaluate(rep.group.identity_element()))
-    if abs(ident_trace - rep.degree) > linalg.KERNEL_TOL * (1 + rep.degree):
-        raise ValueError(f"character at the identity is {ident_trace}, expected degree {rep.degree}")
+    if abs(ident_trace - rep.degree) > linalg.KERNEL_TOL * rep._conditioning() * (1 + rep.degree):
+        raise EvaluationFailureError(
+            f"character at the identity is {ident_trace}, expected degree {rep.degree}")
     return Character(rep=rep, rule=rule, values=values, degree=rep.degree)
 
 
@@ -462,7 +476,7 @@ class MatrixEntryProbe:
     def __init__(self, rep: Representation, i: int, j: int, label: str | None = None):
         if not all(_is_integer(k) and 0 <= k < rep.degree for k in (i, j)):
             raise ShapeMismatchError(
-                f"entry ({i!r}, {j!r}) is not an index of a {rep.degree}x{rep.degree} matrix")
+                f"entry ({_shown(i)}, {_shown(j)}) is not an index of a {rep.degree}x{rep.degree} matrix")
         self.rep = rep
         self.i = i
         self.j = j

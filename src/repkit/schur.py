@@ -62,6 +62,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     AlreadyIrreducibleError,
+    EvaluationFailureError,
     GroupMismatchError,
     NonIntegerMultiplicityError,
     NotIrreducibleError,
@@ -287,7 +288,8 @@ def _split(rep: Representation, rule: HaarRule):
     for offset, size, chi in zip(starts.tolist(), sizes, values):
         ident_trace = np.trace(at_identity[offset:offset + size, offset:offset + size])
         if abs(ident_trace - size) > identity_tol * (1 + size):
-            raise ValueError(f"character at the identity is {ident_trace}, expected degree {size}")
+            raise EvaluationFailureError(
+                f"character at the identity is {ident_trace}, expected degree {size}")
         blocks.append(BlockRepresentation(rep, P, offset, size, P_inv=P_inv))
         chars.append(Character(rep=blocks[-1], rule=rule, values=chi, degree=size))
     return DecompositionReport(P=P, blocks=blocks, block_characters=chars, residual=leakage), P_inv

@@ -445,6 +445,40 @@ def test_integers_beyond_int64_are_input_errors(runner, tmp_path, kind):
     assert result.stderr == f"input error: {where} must be an integer in the int64 range, got {huge}\n"
 
 
+@pytest.mark.parametrize("kind", ["finite table", "two_j"])
+def test_an_integer_too_long_to_read_is_an_input_error(runner, tmp_path, kind):
+    # json.loads raised ValueError past Python's 4300 digits, a traceback
+    digits = "9" * 5000
+    path = tmp_path / "input.json"
+    if kind == "two_j":
+        path.write_text(f'{{"kind": "su2_spin", "two_j": {digits}}}')
+        args = ["irreducible", str(path), "--builtin", "su2"]
+    else:
+        path.write_text(f'{{"kind": "finite", "mult_table": [[0, 1], [1, {digits}]]}}')
+        args = ["haar-audit", "--group", str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"input error: {path}: cannot read a number in it (Exceeds the limit")
+
+
+@pytest.mark.parametrize("command, code", [("characters", 0), ("unitarize", 2)])
+def test_an_ill_conditioned_basis_is_read_without_a_traceback(runner, tmp_path, command, code):
+    # 1/2 + 1/2 + 1 + 1 + 1 in a basis of condition number 1e7: the check
+    # at the identity raised a plain ValueError, so both exited 1 with a
+    # traceback; unitarize now fails only its unitarity tolerance
+    rng = np.random.default_rng(0)
+    U, V = (np.linalg.qr(rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13)))[0] for _ in range(2))
+    basis = U @ np.diag(np.geomspace(1.0, 1e7, 13)) @ V
+    parts = [{"kind": "su2_spin", "two_j": two_j} for two_j in (1, 1, 2, 2, 2)]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"kind": "conjugate", "matrix": matrix_to_json(basis),
+                                "inner": {"kind": "direct_sum", "parts": parts}}))
+    result = runner.invoke(main, [command, str(path), "--builtin", "su2", "--format", "json"])
+    assert result.exit_code == code
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize("args, message", [
     (["irreducible", "--spin", "2", "--group", "z2.json", "--builtin", "z2"],
      "input error: give either --group or --builtin, not both"),

@@ -602,6 +602,45 @@ def test_enumerate_or_sample_lists_every_finite_element(s3):
     assert rk.enumerate_or_sample(s3, 2, seed=1) == s3.elements() == list(range(6))
 
 
+@pytest.mark.parametrize("name, element, foreign, message", [
+    ("s3", 4, np.array([0.5]), "finite group elements are integer indices"),
+    ("z24", 17, np.array([0.5]), "finite group elements are integer indices"),
+    ("circle", 2.5, np.array([1j]), "circle elements are angles"),
+    # every numeric dtype is an su2 entry, so a finite group's indices are
+    # refused by their shape
+    ("su2", None, np.arange(3), r"su2 node stacks have shape \(n, 2, 2\)"),
+])
+def test_a_group_kind_packs_one_element_and_checks_its_node_arrays(name, element, foreign, message):
+    # a representation reads its one element through the group's _one and
+    # every node batch through the group's node_array, whose message names
+    # the group kind when another kind's nodes reach it
+    group = rk.cyclic_group(24) if name == "z24" else rk.builtin_group(name)
+    reps = {"s3": lambda: rk.s3_standard(group), "z24": lambda: rk.cyclic_phase_rep(group, [1, 5, 7]),
+            "circle": lambda: rk.CircleWeightRepresentation(group, [1, -2, 3]),
+            "su2": lambda: rk.spin_irrep(1.5, group)}
+    rep = reps[name]()
+    if element is None:
+        element = rk.enumerate_or_sample(group, 1, seed=3)[0]
+    assert rep.evaluate(element).tobytes() == rep.evaluate_batch(group._one(element))[0].tobytes()
+    for check in (group.node_array, rep.evaluate_batch):
+        with pytest.raises(rk.KindMismatchError, match=message):
+            check(foreign)
+
+
+@pytest.mark.parametrize("name, resolution, message", [
+    ("circle", 10 ** 20, f"resolution {10 ** 20} asks for a rule of {10 ** 20} nodes"),
+    ("su2", 10 ** 20, f"resolution {10 ** 20} asks for a rule of {10 ** 60} nodes"),
+    ("circle", 10 ** 5000, "resolution <16610-bit integer> asks for a rule of <16610-bit integer> nodes"),
+    ("su2", 10 ** 5000, "resolution <16610-bit integer> asks for a rule of <49829-bit integer> nodes"),
+], ids=["circle 10**20", "su2 10**20", "circle 10**5000", "su2 10**5000"])
+def test_a_rule_refusal_names_the_node_count_of_its_group_kind(name, resolution, message):
+    # su2 takes resolution ** 3 nodes; an integer past Python's 4300 printed
+    # digits is named by its size (its repr raised ValueError here)
+    with pytest.raises(rk.InvalidResolutionError) as refused:
+        rk.haar_rule(rk.builtin_group(name), resolution)
+    assert str(refused.value) == message + ", which cannot be allocated"
+
+
 # a Latin square with a two-sided identity 0 in which 2 * 3 = 0 but 3 * 2 = 1
 ONE_SIDED_INVERSE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
 

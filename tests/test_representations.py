@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 
 import repkit as rk
 
-from conftest import random_invertible
+from conftest import random_invertible, random_unitary
+
+# past Python's 4300-digit limit on converting an int to a string
+TOO_LONG_TO_PRINT = 10 ** 5000
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +361,42 @@ def test_character_z2_sign(z2):
     assert np.allclose(rk.character(sign, rule).values, [1.0, -1.0])
 
 
+def ill_conditioned_sum(su2, seed, kappa=1e7):
+    """1/2 + 1/2 + 1 + 1 + 1 in a random basis of condition number kappa."""
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(rng, 13) @ np.diag(np.geomspace(1.0, kappa, 13)) @ random_unitary(rng, 13)
+    parts = [rk.spin_irrep(j, su2) for j in (0.5, 0.5, 1, 1, 1)]
+    return rk.conjugate(rk.DirectSumRepresentation(parts), basis)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_character_accepts_an_ill_conditioned_basis(su2, su2_rule, seed):
+    # tr A rho(e) A^-1 is 13 only to about cond(A) eps: an absolute check
+    # at the identity refused every kappa = 1e7 basis tried
+    rep = ill_conditioned_sum(su2, seed)
+    char = rk.character(rep, su2_rule)
+    assert char.degree == 13
+    assert np.abs(char.values - rk.character(rep.inner, su2_rule).values).max() <= 1e-6
+
+
+def test_character_refuses_a_body_that_is_not_the_identity_at_the_identity(su2, su2_rule):
+    # a user-defined body is right at the rule nodes but 2 I at the
+    # identity; neither the check of a character nor that of a block of a
+    # split lets it through, and a conjugation does not excuse it
+    class WrongAtIdentity(rk.Representation):
+        group, degree = su2, 2
+
+        def evaluate_batch(self, nodes):
+            mats = rk.spin_irrep(0.5, su2).evaluate_batch(nodes)
+            return 2 * mats if np.array_equal(nodes, [np.eye(2)]) else mats
+
+    for call in (lambda: rk.character(WrongAtIdentity(), su2_rule),
+                 lambda: rk.character(rk.conjugate(WrongAtIdentity(), np.diag([1.0, 1e7])), su2_rule),
+                 lambda: rk.decompose(rk.direct_sum(WrongAtIdentity(), rk.spin_irrep(1, su2)), su2_rule)):
+        with pytest.raises(rk.EvaluationFailureError, match="character at the identity is"):
+            call()
+
+
 def su2_class_angles(rule):
     traces = np.einsum("nii->n", rule.nodes).real
     return 2.0 * np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
@@ -449,6 +489,11 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
     (lambda circle, su2: rk.spin_irrep(1 + 0j, su2), rk.SpinOutOfRangeError),
     (lambda circle, su2: circle.multiply(True, 0.0), rk.KindMismatchError),
     (lambda circle, su2: circle.multiply("1.5", 0.0), rk.KindMismatchError),
+    (lambda circle, su2: rk.spin_irrep([1], su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(np.array([1, 2]), su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(np.array([1]), su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(Decimal("NaN"), su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: rk.spin_irrep(TOO_LONG_TO_PRINT, su2), rk.SpinOutOfRangeError),
 ], ids=["spin True", "spin np.True_", "weight True", "weight np.True_",
         "circle resolution True", "su2 resolution True", "su2 resolution np.True_",
         "spin_irrep True", "spin_irrep np.True_", "exponent 1.7", "exponent True", "cyclic order True",
@@ -456,7 +501,8 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
         "probe index -1", "probe index 0.5", "probe index degree", "pair_count True",
         "pair_count 2.5", "count True", "spin_irrep '1'", "spin_irrep '1/2'", "spin_irrep b'1'",
         "spin_irrep inf", "spin_irrep nan", "spin_irrep 10**400", "spin_irrep 1+0j",
-        "angle True", "angle '1.5'"])
+        "angle True", "angle '1.5'", "spin_irrep [1]", "spin_irrep array([1, 2])", "spin_irrep array([1])",
+        "spin_irrep Decimal('NaN')", "spin_irrep 10**5000"])
 def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, error):
     # a boolean is an int to Python, but never a spin, weight, exponent,
     # order, resolution, count or angle; nor is a float a weight, exponent
@@ -466,6 +512,31 @@ def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, erro
     # a spin
     with pytest.raises(error):
         build(circle, su2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda circle, su2: rk.spin_irrep(TOO_LONG_TO_PRINT, su2), rk.SpinOutOfRangeError,
+     "a spin is a real number with 0 <= 2j <= 12, got j=<16610-bit integer>"),
+    (lambda circle, su2: rk.SpinRepresentation(su2, TOO_LONG_TO_PRINT), rk.SpinOutOfRangeError,
+     "two_j must be an integer in 0..12, got <16610-bit integer>"),
+    (lambda circle, su2: rk.cyclic_group(TOO_LONG_TO_PRINT), ValueError,
+     "n must be an integer in the int64 range, got <16610-bit integer>"),
+    (lambda circle, su2: rk.FiniteGroup([[0, 1], [1, TOO_LONG_TO_PRINT]]), ValueError,
+     "mult_table[1][1] must be an integer in the int64 range, got <16610-bit integer>"),
+    (lambda circle, su2: rk.CircleWeightRepresentation(circle, [TOO_LONG_TO_PRINT]), ValueError,
+     "weights[0] must be an integer in the int64 range, got <16610-bit integer>"),
+    (lambda circle, su2: rk.cyclic_group(4).multiply(TOO_LONG_TO_PRINT, 0), rk.KindMismatchError,
+     "element index <16610-bit integer> outside 0..3"),
+    (lambda circle, su2: rk.MatrixEntryProbe(rk.spin_irrep(1, su2), TOO_LONG_TO_PRINT, 0),
+     rk.ShapeMismatchError, "entry (<16610-bit integer>, 0) is not an index of a 3x3 matrix"),
+], ids=["spin_irrep", "SpinRepresentation", "cyclic_group", "FiniteGroup", "CircleWeightRepresentation",
+        "finite element", "probe index"])
+def test_an_integer_too_long_to_print_is_named_by_its_size(circle, su2, build, error, message):
+    # each refusal used to raise ValueError from repr() of the integer, so
+    # a spin escaped as the wrong error, and every message was lost
+    with pytest.raises(error) as refused:
+        build(circle, su2)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("kind, nodes", [
