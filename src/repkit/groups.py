@@ -256,11 +256,12 @@ class CircleGroup:
 
     @staticmethod
     def _angle(g):
-        """``g``, a real number or 0-d array, as an angle in [0, 2pi)."""
-        if not isinstance(g, (bool, np.bool_, str, bytes)):
+        """``g``, a finite real number or 0-d array, as an angle in [0, 2pi)."""
+        if not isinstance(g, (bool, np.bool_, str, bytes)) and not np.iscomplexobj(g):
             try:
-                return float(g) % (2 * np.pi)
-            except (TypeError, ValueError):
+                if math.isfinite(g):
+                    return float(g) % (2 * np.pi)
+            except (TypeError, ValueError, OverflowError):
                 pass
         raise KindMismatchError(f"circle elements are angles, got {type(g).__name__}")
 
@@ -436,8 +437,9 @@ class HaarRule:
         if np.ndim(self.weights) != 1 or np.shape(self.weights) != shape[:1]:
             raise ShapeMismatchError(f"a rule takes one weight per node, got nodes of shape {shape} "
                                      f"and weights of shape {np.shape(self.weights)}")
-        if (self.weights <= 0).any():
-            raise ValueError("all quadrature weights must be positive")
+        # a nan is not > 0, and a list or a complex array has no float64 dtype
+        if getattr(self.weights, "dtype", None) != np.float64 or not (self.weights > 0).all():
+            raise ValueError("all quadrature weights must be positive, in a float64 array")
         if abs(_fsum_rows(self.weights[None])[0] - 1.0) > 1e-14:
             raise ValueError("quadrature weights must sum to 1")
 

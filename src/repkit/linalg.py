@@ -42,8 +42,12 @@ EVAL_CHUNK = 4 * NODE_CHUNK
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-d complex array (copying only if needed)."""
-    out = np.asarray(m, dtype=complex)
+    """Coerce to a finite 2-d complex array (copying only if needed); an
+    integer beyond the float range is refused as an infinity is."""
+    try:
+        out = np.asarray(m, dtype=complex)
+    except OverflowError as exc:
+        raise ValueError(f"matrix contains NaN or Inf entries ({exc})") from None
     if out.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={out.ndim}")
     if not np.isfinite(out).all():

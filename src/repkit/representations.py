@@ -21,8 +21,10 @@ in sub-chunks of ``linalg.NODE_CHUNK`` nodes, so the averaging calls of
 sub-chunk per step, and never hold its (N, r, r) node stack; only what a
 user-defined body returns is copied into that buffer.  ``_average`` adds
 such a pass to one sum, in the protocol ``groups.ProductSum`` states.  A
-pass in a call's own basis, B rho B^-1, sandwiches each sub-chunk once
-more in place; ``node_chunks`` does not compose B with a conjugated
+pass in another basis B is a pass over the representation B rho B^-1,
+``ConjugatedRepresentation(rep, B, B^-1)``, which sandwiches each
+evaluation chunk in place, one sub-chunk at a time, so ``node_chunks``
+takes no basis.  That conjugation does not compose B with a conjugated
 body's own matrix, so a library representation and a user-defined body
 that returns the same matrices give a call the same bytes; only
 ``schur._split`` composes them, in the pass for its block characters and
@@ -383,40 +385,37 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
             raise GroupMismatchError("representation and rule are defined over different groups")
 
 
-def _chunks(rep: Representation, nodes, basis=None):
+def _chunks(rep: Representation, nodes):
     """Yield (slice, sub) over ``nodes``, the one place a pass is cut: the
     matrices of ``rep`` are evaluated ``linalg.EVAL_CHUNK`` nodes at a time
     into one buffer, and handed out a sub-chunk of ``linalg.NODE_CHUNK``
-    nodes at a time, sub the matrices at ``nodes[slice]``, B rho B^-1 when
-    ``basis`` = (B, B^-1) is given (sandwiched in place, one sub-chunk at
-    a time).  A step reads a sub-chunk before it asks for the next one and
-    keeps none of it, and every temporary it makes is sub-chunk-sized."""
+    nodes at a time, sub the matrices at ``nodes[slice]``.  A pass in a
+    basis B is a pass over ``ConjugatedRepresentation(rep, B, B^-1)``,
+    which sandwiches its chunk in place.  A step reads a sub-chunk before
+    it asks for the next one and keeps none of it, and every temporary it
+    makes is sub-chunk-sized."""
     buffer = _empty(nodes[:linalg.EVAL_CHUNK], rep.degree)
     for i in range(0, len(nodes), linalg.EVAL_CHUNK):
         part = nodes[i:i + linalg.EVAL_CHUNK]
         chunk = rep._evaluate_into(part, buffer[:len(part)])
         for j in range(0, len(part), linalg.NODE_CHUNK):
             sub = chunk[j:j + linalg.NODE_CHUNK]
-            if basis is not None:
-                linalg.sandwich(basis[0], sub, basis[1], out=sub)
             yield slice(i + j, i + j + len(sub)), sub
 
 
-def node_chunks(rep: Representation, rule: HaarRule, basis=None):
+def node_chunks(rep: Representation, rule: HaarRule):
     """One pass over the rule: (nodes, sub) for each sub-chunk of
     ``linalg.NODE_CHUNK`` rule nodes, nodes the slice of the rule they are
-    and sub the matrices of ``rep`` (or B rho B^-1, for ``basis`` =
-    (B, B^-1)) at them, in one buffer of ``linalg.EVAL_CHUNK`` nodes the
-    pass reuses (``_chunks``)."""
+    and sub the matrices of ``rep`` at them, in one buffer of
+    ``linalg.EVAL_CHUNK`` nodes the pass reuses (``_chunks``)."""
     check_rule_group(rule, rep)
-    return _chunks(rep, rule.nodes, basis)
+    return _chunks(rep, rule.nodes)
 
 
-def _average(rep: Representation, rule: HaarRule, total, basis=None):
-    """One pass: ``total.add(nodes, W)`` for the sub-chunks W of ``rep``, or
-    of B rho B^-1 for ``basis`` = (B, B^-1), into ``total``, a
-    ``groups.ProductSum``; returns ``total``."""
-    for nodes, W in node_chunks(rep, rule, basis):
+def _average(rep: Representation, rule: HaarRule, total):
+    """One pass: ``total.add(nodes, W)`` for the sub-chunks W of ``rep`` into
+    ``total``, a ``groups.ProductSum``; returns ``total``."""
+    for nodes, W in node_chunks(rep, rule):
         total.add(nodes, W)
     return total
 

@@ -3,9 +3,9 @@ orthogonality integrals.
 
 The workhorse is group averaging: T(A) = integral of rho(x) A sigma(x^-1) is
 an intertwiner for any seed matrix A.  Every commutant is read off one
-object, the averaging map B -> integral of W* B W of the unitary stack
-W = A rho A^-1 that ``unitarization._unitary`` returns (A is the identity
-when the input passes its unitarity audit): its fixed Hermitian
+object, the averaging map B -> integral of W* B W of the unitary
+representation W = A rho A^-1 that ``unitarization._unitary`` returns
+(the input itself when it passes its unitarity audit): its fixed Hermitian
 matrices K span the commutant of W, read by a certified Rayleigh-Ritz
 step on the map's symmetric part (``unitarization.fixed_hermitian``), the
 commutant of the input is A^-1 K A, and its trace is the character norm
@@ -40,7 +40,8 @@ stack W = B psi B^-1 of its second input, with phi's sub-chunks read in
 step.  On input that passes
 the unitarity audit, the first pass (``unitarization._unitary``) also
 sums the averaging map or the split seed and reads the character; other
-input takes a second pass in the unitary basis.  A step that needs a
+input takes a second pass, over W.  Every pass in a basis is a pass over
+a ``ConjugatedRepresentation``, as W is.  A step that needs a
 whole average before it reads the nodes again takes one more pass: the
 commutation residual of ``commutant`` and
 ``unitary_commutant``, the block characters and leakage of the split, and
@@ -81,7 +82,7 @@ from .representations import (
     check_rule_group,
     node_chunks,
 )
-from .unitarization import _AveragingMap, _identity_or, _unitary, fixed_hermitian
+from .unitarization import _AveragingMap, _unitary, fixed_hermitian
 
 CLUSTER_GAP = 1e-6
 SPLIT_SEED = 0
@@ -105,12 +106,12 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
     if A.shape != (phi.degree, psi.degree):
         raise ShapeMismatchError(f"seed matrix must be {phi.degree}x{psi.degree}, got {A.shape}")
 
-    def terms(basis):
+    def terms(W):
         # sum of w_n phi_n C W_n^* is the transpose of the sum of the pairs
         # (W_n^T, (phi_n C)^T): the pairs come a sub-chunk at a time, and
         # phi's sub-chunk at the same nodes comes in step, multiplied in
         # place when C is square
-        C = A if basis is None else A @ basis[1]
+        C = A if W is psi else A @ W.matrix_inv
         phis = (M for _, M in node_chunks(phi, rule))
 
         def pair(W):
@@ -120,8 +121,8 @@ def averaged_intertwiner(phi: Representation, psi: Representation, A, rule: Haar
 
         return ProductSum(rule, pair)
 
-    total, basis = _unitary(psi, rule, terms)
-    return total.take().T @ _identity_or(basis, psi.degree)[0]
+    total, W = _unitary(psi, rule, terms)
+    return total.take().T if W is psi else total.take().T @ W.matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +153,11 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     W = A rho A^-1, read by a certified Rayleigh-Ritz step (``fixed_hermitian``),
     with the trace of the map as the character norm and the residual read
     on the input's own matrices in one more pass."""
-    maps, change = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule))
     K, norm = fixed_hermitian(maps)
-    A, A_inv = _identity_or(change, rep.degree)
-    basis = np.linalg.qr((A_inv @ K @ A).reshape(len(K), -1).T)[0].T.reshape(K.shape)
+    if W is not rep:
+        K = W.matrix_inv @ K @ W.matrix
+    basis = np.linalg.qr(K.reshape(len(K), -1).T)[0].T.reshape(K.shape)
     residual = max(_commutation_residual(sub, basis) for _, sub in node_chunks(rep, rule))
     return CommutantReport(dimension=len(K), basis=list(basis), max_residual=residual, character_norm=norm)
 
@@ -190,9 +192,9 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of the Rayleigh-Ritz reading
     (``fixed_hermitian``) themselves, with their residual on W read in one
     more pass; its dimension is the input's commutant dimension."""
-    maps, basis = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule))
     K, norm = fixed_hermitian(maps)
-    residual = max(_commutation_residual(sub, K) for _, sub in node_chunks(rep, rule, basis))
+    residual = max(_commutation_residual(sub, K) for _, sub in node_chunks(W, rule))
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=residual, character_norm=norm)
 
 
@@ -231,7 +233,8 @@ def _unresolved(rule: HaarRule, basis_change: np.ndarray) -> str:
 
 def _split(rep: Representation, rule: HaarRule):
     """The route ``split_once`` and ``decompose`` share: (report, P^-1),
-    with P = Q A for the unitarization A and the split Q of W = A rho A^-1.
+    with P = Q A for the unitarization A (the identity when W is the
+    input) and the split Q of W = A rho A^-1.
 
     The averaged seed T(X), for a Hermitian X drawn from ``SPLIT_SEED``, is
     the transposed sum of the pairs (W^T, (W X)^T) of each sub-chunk on the
@@ -250,19 +253,21 @@ def _split(rep: Representation, rule: HaarRule):
         # and the sum reshapes it with no copy
         return W.transpose(0, 2, 1), np.ascontiguousarray((W @ X).transpose(0, 2, 1))
 
-    seed, basis = _unitary(rep, rule, lambda _: ProductSum(rule, pair))
+    seed, W = _unitary(rep, rule, lambda _: ProductSum(rule, pair))
     Q, sizes = _split_unitary_fully(seed.take().T, X)
-    A, A_inv = _identity_or(basis, rep.degree)
+    # P = Q A on every input, with A = I on unitary input: the product turns
+    # each -0.0 in Q (a conjugated real entry) into the 0.0 the report prints
+    A, A_inv = (np.eye(rep.degree, dtype=complex),) * 2 if W is rep else (W.matrix, W.matrix_inv)
     P, P_inv = Q @ A, A_inv @ Q.conj().T
     starts = np.cumsum([0, *sizes[:-1]])
     values = np.empty((len(sizes), rule.node_count), dtype=complex)
     leakage = 0.0
-    # one sandwich per sub-chunk: P = Q A, with a conjugated input's own change
-    # of basis composed into it
+    # the last pass runs over P rho P^-1, one sandwich per sub-chunk, with a
+    # conjugated input's own change of basis composed into P
     body, left, right = rep, P, P_inv
     if isinstance(rep, ConjugatedRepresentation) and rep.inner.degree == rep.degree:
         body, left, right = rep.inner, P @ rep.matrix, rep.matrix_inv @ P_inv
-    for nodes, m in node_chunks(body, rule, (left, right)):
+    for nodes, m in node_chunks(ConjugatedRepresentation(body, left, right), rule):
         values[:, nodes] = np.add.reduceat(np.einsum("nii->ni", m), starts, axis=1).T
         # the pass keeps none of its sub-chunk: its diagonal blocks are
         # zeroed in place, and the largest entry left is the leakage
@@ -402,11 +407,11 @@ def matrix_element_audit(rep: Representation, rule: HaarRule) -> float:
     audit; other input takes one more pass for it.  They are read off the
     summed averaging map (``_AveragingMap``) before the fixed-space reading
     makes it symmetric."""
-    maps, basis = _unitary(rep, rule, lambda _: _AveragingMap(rule))
-    deviation = _matrix_element_deviation(maps.total()) if basis is None else None
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    deviation = _matrix_element_deviation(maps.total()) if W is rep else None
     if len(fixed_hermitian(maps)[0]) != 1:
         raise NotIrreducibleError("matrix-element orthogonality requires an irreducible input")
-    if basis is not None:
+    if W is not rep:
         deviation = _matrix_element_deviation(_average(rep, rule, _AveragingMap(rule)).take())
     return deviation
 

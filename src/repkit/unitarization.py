@@ -34,11 +34,15 @@ The averaged Gram is the default pair, ``ProductSum(rule)``.  The
 averaging map (``_AveragingMap``) takes the same ``add`` but sums the
 real r^2 x r^2 map itself, block by block from the averaged outer
 product of each sub-chunk, so no complex r^4 total is formed.
-``_unitary`` reads the unitary stack W in one pass on input that passes
-the unitarity audit: that pass audits the input a sub-chunk at a time
-and adds the input's own sub-chunks to its sum.  On other input it sums
-the averaged Gram instead, and a second pass adds the sub-chunks of
-A rho A^-1 to a new sum.  A step that needs a
+``_unitary`` returns the unitary form W of its input as a
+representation, which every caller then reads as it reads any other, a
+pass in the unitary basis included.  W is the input itself when it
+passes the unitarity audit, and one pass serves: it audits the input a
+sub-chunk at a time and adds the input's own sub-chunks to its sum.  On
+other input that pass sums the averaged Gram instead, W is
+``ConjugatedRepresentation(rep, A, A^-1)``, the ``unitary_rep`` of
+``unitarize``, and a second pass, over W, adds its sub-chunks to a new
+sum.  A step that needs a
 whole average before it reads the nodes again takes one more pass:
 ``averaged_form`` and ``unitarize`` read the invariance defect
 rho* H rho - H of the averaged form H there, a sub-chunk at a time, and
@@ -182,31 +186,32 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
-    """(total, basis): ``total`` the sum ``terms(basis)``, a
-    ``groups.ProductSum`` (of a pair, or an ``_AveragingMap``), with the
-    sub-chunks of the unitary stack W = A rho A^-1 of ``rep`` at the rule
-    nodes added in the protocol that docstring states, and ``basis`` =
-    (A, A^-1), or None when W is the input's own stack.
+    """(total, W): W the unitary representation W = A rho A^-1 equivalent
+    to ``rep``, which is ``rep`` itself when it passes the unitarity audit
+    and ``ConjugatedRepresentation(rep, A, A^-1)`` otherwise, and
+    ``total`` the sum ``terms(W)``, a ``groups.ProductSum`` (of a pair, or
+    an ``_AveragingMap``), with the sub-chunks of W at the rule nodes
+    added in the protocol that docstring states.
 
     The first pass (``_audited``) hands each sub-chunk of the input to
     ``raw(nodes, sub)`` when given, and audits the input's unitarity
     sub-chunk by sub-chunk: while every sub-chunk so far passes, it adds
     the sub-chunk.  Input that passes the audit is its own W, so that pass
     serves.  Otherwise A is the Cholesky factor of the averaged form, and a
-    second pass adds the sub-chunks of W to a new sum.  The first pass
+    second pass, over W, adds its sub-chunks to a new sum.  The first pass
     sums the averaged Gram from the first sub-chunk on when that sub-chunk
     fails the audit; input that fails it only on a later one (past its
     first ``linalg.NODE_CHUNK`` nodes) takes one more pass for the Gram.
     Each pass is a call of its own, so no pass holds the buffer of
     another.
     """
-    total, gram = _audited(rep, rule, terms(None), raw)
+    total, gram = _audited(rep, rule, terms(rep), raw)
     if total is not None:
-        return total, None
+        return total, rep
     if gram is None:
         gram = _average(rep, rule, ProductSum(rule))
-    basis = _cholesky_pair(*invariant_gram(gram.take()))
-    return _average(rep, rule, terms(basis), basis), basis
+    W = ConjugatedRepresentation(rep, *_cholesky_pair(*invariant_gram(gram.take())))
+    return _average(W, rule, terms(W)), W
 
 
 def _audited(rep: Representation, rule: HaarRule, total, raw):
@@ -228,14 +233,6 @@ def _audited(rep: Representation, rule: HaarRule, total, raw):
     return total, gram
 
 
-def _identity_or(basis, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, A^-1) of a ``_unitary`` basis, the identity for None."""
-    if basis is None:
-        eye = np.eye(r, dtype=complex)
-        return eye, eye
-    return basis
-
-
 def unitarize(rep: Representation, rule: HaarRule) -> UnitarizationResult:
     """Change basis by the Cholesky factor of the averaged form so the
     representation becomes unitary; the character is untouched.
@@ -254,7 +251,10 @@ def _unitarize(rep: Representation, rule: HaarRule, total=None):
     (an ``_AveragingMap``, or None) with the sub-chunks of the unitary
     stack W = A rho A^-1 added.  The first pass sums the averaged Gram; the
     second reads the residuals of each sub-chunk (``_residuals``) and then
-    sandwiches it in place into W."""
+    sandwiches it in place into W.  This is the one A rho A^-1 in the
+    library written out by hand, not a pass over the ``unitary_rep`` it
+    returns: the residuals are read off the input's own sub-chunk, before
+    it is sandwiched."""
     H, w = invariant_gram(_average(rep, rule, ProductSum(rule)).take())
     A, A_inv = _cholesky_pair(H, w)
     residuals = []
@@ -391,16 +391,17 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     commutant dimension by construction.  One pass on input that passes
     the unitarity audit, two otherwise (``_unitary``).
     """
-    maps, basis = _unitary(rep, rule, lambda _: _AveragingMap(rule))
-    forms = _forms(maps, _identity_or(basis, rep.degree)[0])
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    forms = _forms(maps, rep, W)
     return forms, len(forms)
 
 
-def _forms(maps: _AveragingMap, A: np.ndarray) -> list[HermitianForm]:
-    """The invariant forms A* K A over the fixed space K of the unitary
-    stack W = A rho A^-1 whose averaging map ``maps`` summed."""
+def _forms(maps: _AveragingMap, rep: Representation, W: Representation) -> list[HermitianForm]:
+    """The invariant forms of ``rep``, A* K A over the fixed space K of its
+    unitary form W = A rho A^-1 whose averaging map ``maps`` summed: K
+    itself when W is ``rep``."""
     K, _ = fixed_hermitian(maps)
-    grams = A.conj().T @ K @ A
+    grams = K if W is rep else W.matrix.conj().T @ K @ W.matrix
     lowest = np.linalg.eigvalsh(grams)[:, 0]
     return [HermitianForm(gram=H, definiteness=float(w)) for H, w in zip(grams, lowest)]
 
@@ -422,6 +423,6 @@ def specialness_report(rep: Representation, rule: HaarRule) -> SpecialnessReport
     basis of that unitarization, whatever the input, so nothing is
     audited."""
     unitarization, maps = _unitarize(rep, rule, _AveragingMap(rule))
-    forms = _forms(maps, unitarization.basis_change)
+    forms = _forms(maps, rep, unitarization.unitary_rep)
     return SpecialnessReport(d=len(forms), special=(len(forms) == 1), unitarization=unitarization,
                              form_basis=forms)

@@ -110,9 +110,10 @@ def library_map(rule, W, size=rk.linalg.NODE_CHUNK):
 
 def unitary_stack(rep, rule):
     """(W, maps): the unitary stack W = A rho A^-1 the library reads, put
-    together from its chunks, and the averaging map it summed."""
-    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._AveragingMap(rule))
-    chunks = rk.representations.node_chunks(rep, rule, basis)
+    together from the chunks of a pass over its unitary representation,
+    and the averaging map it summed."""
+    maps, unitary = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._AveragingMap(rule))
+    chunks = rk.representations.node_chunks(unitary, rule)
     return np.concatenate([chunk.copy() for _, chunk in chunks]), maps
 
 

@@ -717,13 +717,18 @@ def test_finite_group_table_checks_match_the_per_index_loops():
 
 
 @pytest.mark.parametrize("weights, message", [
-    ([0.5, 0.5, 0.0], "must be positive"),
-    ([0.5, 0.5, -0.25], "must be positive"),
-    ([0.25, 0.25, 0.25], "must sum to 1"),
+    (np.array([0.5, 0.5, 0.0]), "must be positive"),
+    (np.array([0.5, 0.5, -0.25]), "must be positive"),
+    (np.array([0.25, 0.25, 0.25]), "must sum to 1"),
+    (np.array([0.5, 0.5, np.nan]), "must be positive"),
+    ([1 / 3, 1 / 3, 1 / 3], "in a float64 array"),
+    (np.full(3, 1 / 3, dtype=complex), "in a float64 array"),
 ])
 def test_haar_rule_refuses_bad_weights(z3, weights, message):
+    # a nan weight, which compares False with 0, and weights that are no
+    # float array are refused as a non-positive weight is
     with pytest.raises(ValueError, match=message):
-        rk.HaarRule(z3, np.arange(3), np.array(weights), 1)
+        rk.HaarRule(z3, np.arange(3), weights, 1)
 
 
 def test_su2_refuses_a_unitary_element_of_determinant_minus_one(su2):

@@ -85,7 +85,8 @@ def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2, resolution):
     # averaging map summed over them add the same GEMMs in the same node
     # order as one contraction of the whole stack, and are equal to it bit
     # for bit (the map as the library sums it over the whole stack's
-    # sub-chunks); a pass in a basis B is the sandwich of the whole stack
+    # sub-chunks); a pass in a basis B, over ConjugatedRepresentation(rep,
+    # B, B^-1), is the sandwich of the whole stack
     rule = rk.haar_rule(su2, resolution)
     n, size = rule.node_count, rk.linalg.NODE_CHUNK
     rng = np.random.default_rng(9)
@@ -106,9 +107,9 @@ def test_chunk_sums_equal_one_contraction_of_the_whole_stack(su2, resolution):
     assert rk.averaged_form(rep, rule).gram.tobytes() == (
         rk.unitarization.invariant_gram(whole_gram)[0].tobytes())
     B = random_complex(rng, (7, 7)) + 3 * np.eye(7)
-    basis = (B, np.linalg.inv(B))
-    in_basis = [chunk.copy() for _, chunk in rk.representations.node_chunks(rep, rule, basis)]
-    assert np.concatenate(in_basis).tobytes() == rk.linalg.sandwich(B, stack, basis[1]).tobytes()
+    in_basis = rk.ConjugatedRepresentation(rep, B, np.linalg.inv(B))
+    chunks = [chunk.copy() for _, chunk in rk.representations.node_chunks(in_basis, rule)]
+    assert np.concatenate(chunks).tobytes() == rk.linalg.sandwich(B, stack, in_basis.matrix_inv).tobytes()
 
 
 def test_contraction_is_the_weighted_sum_of_conjugate_products(su2):

@@ -81,9 +81,14 @@ def test_invert_rejects_singular():
         rk.invert(np.ones((2, 2)))
 
 
-def test_matrices_must_be_finite():
-    with pytest.raises(ValueError):
-        linalg.as_matrix([[np.nan, 0], [0, 1]])
+def test_matrices_must_be_finite(su2):
+    # an integer beyond the float range is refused as an infinity is, not
+    # with the OverflowError of its conversion
+    for entries in ([[np.nan, 0], [0, 1]], [[10 ** 400]]):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            linalg.as_matrix(entries)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        rk.conjugate(rk.spin_irrep(0, su2), [[10 ** 400]])
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 3, 3), (700, 4, 4, 4), (700, 2, 4, 2), (700, 4, 3, 5)])

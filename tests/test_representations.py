@@ -494,6 +494,11 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
     (lambda circle, su2: rk.spin_irrep(np.array([1]), su2), rk.SpinOutOfRangeError),
     (lambda circle, su2: rk.spin_irrep(Decimal("NaN"), su2), rk.SpinOutOfRangeError),
     (lambda circle, su2: rk.spin_irrep(TOO_LONG_TO_PRINT, su2), rk.SpinOutOfRangeError),
+    (lambda circle, su2: circle.multiply(float("nan"), 0.0), rk.KindMismatchError),
+    (lambda circle, su2: circle.multiply(float("inf"), 0.0), rk.KindMismatchError),
+    (lambda circle, su2: circle.multiply(10 ** 400, 0.0), rk.KindMismatchError),
+    (lambda circle, su2: circle.multiply(np.complex128(1 + 2j), 0.0), rk.KindMismatchError),
+    (lambda circle, su2: rk.CircleWeightRepresentation(circle, [1]).evaluate(float("nan")), rk.KindMismatchError),
 ], ids=["spin True", "spin np.True_", "weight True", "weight np.True_",
         "circle resolution True", "su2 resolution True", "su2 resolution np.True_",
         "spin_irrep True", "spin_irrep np.True_", "exponent 1.7", "exponent True", "cyclic order True",
@@ -502,14 +507,16 @@ def test_class_invariance_audit_refuses_a_rule_of_another_group(s3, circle):
         "pair_count 2.5", "count True", "spin_irrep '1'", "spin_irrep '1/2'", "spin_irrep b'1'",
         "spin_irrep inf", "spin_irrep nan", "spin_irrep 10**400", "spin_irrep 1+0j",
         "angle True", "angle '1.5'", "spin_irrep [1]", "spin_irrep array([1, 2])", "spin_irrep array([1])",
-        "spin_irrep Decimal('NaN')", "spin_irrep 10**5000"])
+        "spin_irrep Decimal('NaN')", "spin_irrep 10**5000", "angle nan", "angle inf", "angle 10**400",
+        "angle complex128(1+2j)", "evaluate at angle nan"])
 def test_booleans_are_refused_where_an_integer_is_taken(circle, su2, build, error):
     # a boolean is an int to Python, but never a spin, weight, exponent,
     # order, resolution, count or angle; nor is a float a weight, exponent
     # or count, even with an integer value, a string an element, spin or
     # angle, or an index outside the matrix a probe entry; nor is a nan,
     # an infinity, an integer beyond the float range or a complex number
-    # a spin
+    # a spin, nor a nan, an infinity, an integer beyond the float range
+    # or a numpy complex number an angle
     with pytest.raises(error):
         build(circle, su2)
 

@@ -324,8 +324,26 @@ def test_input_that_fails_the_audit_after_its_first_chunk_sums_its_gram_in_one_m
     rule = rk.HaarRule(group=su2, nodes=nodes, weights=weights, resolution=12)
     rep = rk.conjugate(rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2)),
                        random_invertible(np.random.default_rng(6), 5))
-    maps, basis = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._AveragingMap(rule))
+    maps, W = rk.unitarization._unitary(rep, rule, lambda _: rk.unitarization._AveragingMap(rule))
     stack = rep.evaluate_batch(rule.nodes)
     gram = rk.unitarization.invariant_gram(rk.groups.integrate_product(rule, stack, stack))
-    assert basis[0].tobytes() == rk.unitarization._cholesky_pair(*gram)[0].tobytes()
+    assert W.matrix.tobytes() == rk.unitarization._cholesky_pair(*gram)[0].tobytes()
     assert len(rk.unitarization.fixed_hermitian(maps)[0]) == 2
+
+
+def test_the_unitary_form_is_the_input_or_its_conjugation_by_the_cholesky_factor(su2, su2_rule):
+    # W, the representation every pass in the unitary basis runs over, is
+    # the input itself when it passes the unitarity audit; input that
+    # fails it on its first sub-chunk is conjugated by the Cholesky factor
+    # of the averaged Gram of one contraction of its whole stack
+    def terms(_):
+        return rk.unitarization._AveragingMap(su2_rule)
+
+    rep = rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2))
+    assert rk.unitarization._unitary(rep, su2_rule, terms)[1] is rep
+    skewed = rk.conjugate(rep, random_invertible(np.random.default_rng(7), 5))
+    W = rk.unitarization._unitary(skewed, su2_rule, terms)[1]
+    assert isinstance(W, rk.ConjugatedRepresentation) and W.inner is skewed
+    stack = skewed.evaluate_batch(su2_rule.nodes)
+    H = rk.unitarization.invariant_gram(rk.groups.integrate_product(su2_rule, stack, stack))[0]
+    assert W.matrix.tobytes() == rk.linalg.cholesky_hermitian(H).tobytes()
