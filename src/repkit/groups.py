@@ -34,9 +34,17 @@ string, and nothing is cast), and ``_shown`` names one in a refusal, by its
 size when it is too long to print.  Each group class carries what its kind
 does: ``node_array`` checks a batch of nodes (by its dtype kind, and on su2
 its shape, O(1) per batch), ``_one`` packs one validated element as a batch
-of one, ``_rule`` builds the nodes and weights of ``haar_rule`` and
-``_sample`` draws the elements of ``enumerate_or_sample``.  A new per-kind
-piece is one more such method.  ``_evaluate`` evaluates every caller
+of one, ``_rule`` builds the nodes and weights of ``haar_rule`` with the
+index of each node's inverse among them, and ``_sample`` draws the
+elements of ``enumerate_or_sample``.  The inverse index is integer
+arithmetic on the node grid: a finite group's inverse table, angle k with
+angle -k on the circle, and on su2 at even resolution the node (a, b, p)
+of the angle, polar and azimuth grid with (a, res-1-b, p + res/2); an
+su2 rule at odd resolution has no azimuth node opposite each one, so its
+nodes, like those of a rule built by hand, are self-paired.  A pass over
+input that passes the unitarity audit reads one node of each inverse
+pair (``representations.node_chunks``).  A new per-kind piece is one
+more such method.  ``_evaluate`` evaluates every caller
 integrand, for ``integrate_scalar``,
 ``integrate_matrix`` and the Haar audit alike: ``f.batch(nodes)`` when
 ``f`` has one, else ``f(x)`` per node.  A ``Representation`` given to
@@ -53,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -212,8 +220,8 @@ class FiniteGroup:
 
     def _rule(self, resolution):
         """Every element at weight 1/order, the exact uniform average, at
-        any resolution."""
-        return np.arange(self.order), np.full(self.order, 1.0 / self.order)
+        any resolution, each paired with its inverse."""
+        return np.arange(self.order), np.full(self.order, 1.0 / self.order), self.inverse_table
 
     def _sample(self, count, seed):
         """Every element: a finite group is listed, not sampled."""
@@ -282,8 +290,10 @@ class CircleGroup:
         return (np.asarray(xs, dtype=float) + ys) % (2 * np.pi)
 
     def _rule(self, resolution):
-        """``resolution`` equispaced angles at equal weights."""
-        return 2 * np.pi * np.arange(resolution) / resolution, np.full(resolution, 1.0 / resolution)
+        """``resolution`` equispaced angles at equal weights, angle k paired
+        with angle -k."""
+        k = np.arange(resolution)
+        return 2 * np.pi * k / resolution, np.full(resolution, 1.0 / resolution), -k % resolution
 
     def _sample(self, count, seed):
         return list(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=count))
@@ -389,7 +399,15 @@ class SU2Group:
         nodes = nodes.reshape(-1, 2, 2)
 
         weights = np.einsum("a,b,p->abp", wt, wu, np.full(resolution, 1.0 / resolution)).reshape(-1)
-        return nodes, weights / _fsum_rows(weights[None])[0]
+        # the inverse is the rotation by t about -n: polar cosine -u (the
+        # symmetric Gauss-Legendre node res-1-b, of equal weight) and
+        # azimuth phi + pi, an azimuth node only at even resolution
+        partner = None
+        if resolution % 2 == 0:
+            a, b, p = np.ogrid[:resolution, :resolution, :resolution]
+            partner = ((a * resolution + resolution - 1 - b) * resolution
+                       + (p + resolution // 2) % resolution).reshape(-1)
+        return nodes, weights / _fsum_rows(weights[None])[0], partner
 
     def _sample(self, count, seed):
         """``count`` elements, uniform unit quaternions."""
@@ -425,14 +443,32 @@ class HaarRule:
     are group elements, one per weight, and weights are positive and sum to
     one.  The nodes pass the O(1) ``node_array`` check of the group,
     not a per-node one.  Rules compare and hash by identity;
-    ``same_rule`` compares their contents."""
+    ``same_rule`` compares their contents.
+
+    ``partner[n]`` is the index of the node that is the inverse of node n.
+    A rule ``haar_rule`` builds pairs every node it can (``_rule``); a rule
+    built by hand pairs each node with itself.  The walk of a pass by
+    pairs is fixed with the rule, by index arithmetic: the first
+    ``_half`` entries of ``_walk`` are the nodes it reads on unitary
+    input, every node of the first sub-chunk of ``linalg.NODE_CHUNK``
+    nodes (where the pass reads the input's audit) and one node of each
+    other pair, ascending, and the rest of ``_walk`` the other nodes,
+    ascending; ``_pair_weights`` gives a node read there the summed
+    weight of its pair when its partner is not read, and its own weight
+    otherwise (a self-paired node, or a pair inside the first
+    sub-chunk)."""
 
     group: object
     nodes: np.ndarray
     weights: np.ndarray
     resolution: int
+    _partner: InitVar[np.ndarray | None] = None
+    partner: np.ndarray = field(init=False, repr=False)
+    _walk: np.ndarray = field(init=False, repr=False)
+    _half: int = field(init=False, repr=False)
+    _pair_weights: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _partner):
         shape = self.group.node_array(self.nodes).shape
         if np.ndim(self.weights) != 1 or np.shape(self.weights) != shape[:1]:
             raise ShapeMismatchError(f"a rule takes one weight per node, got nodes of shape {shape} "
@@ -442,6 +478,15 @@ class HaarRule:
             raise ValueError("all quadrature weights must be positive, in a float64 array")
         if abs(_fsum_rows(self.weights[None])[0] - 1.0) > 1e-14:
             raise ValueError("quadrature weights must sum to 1")
+        index = np.arange(len(self.weights))
+        partner = index if _partner is None else _partner
+        head = index < linalg.NODE_CHUNK
+        read = head | (~head[partner] & (partner >= index))
+        for name, value in (("partner", partner), ("_walk", np.concatenate((index[read], index[~read]))),
+                            ("_half", int(np.count_nonzero(read))),
+                            ("_pair_weights", np.where(read[partner], self.weights,
+                                                       self.weights + self.weights[partner]))):
+            object.__setattr__(self, name, value)
 
     @property
     def node_count(self) -> int:
@@ -468,13 +513,14 @@ def haar_rule(group, resolution: int) -> HaarRule:
     resolution whose rule cannot be allocated is refused with
     ``InvalidResolutionError``, naming its node count, resolution **
     ``_RULE_AXES`` (a finite group's rule, its order at any resolution,
-    always can be).  The group builds the nodes and weights (``_rule``).
+    always can be).  The group builds the nodes, the weights and the
+    index of each node's inverse (``_rule``).
     """
     if not _is_integer(resolution) or resolution < 1:
         raise InvalidResolutionError(f"resolution must be a positive integer, got {_shown(resolution)}")
     try:
-        nodes, weights = group._rule(resolution)
-        return HaarRule(group=group, nodes=nodes, weights=weights, resolution=resolution)
+        nodes, weights, partner = group._rule(resolution)
+        return HaarRule(group=group, nodes=nodes, weights=weights, resolution=resolution, _partner=partner)
     except (MemoryError, OverflowError, ValueError) as exc:
         count = _shown(resolution ** group._RULE_AXES)
         raise InvalidResolutionError(f"resolution {_shown(resolution)} asks for a rule of {count} nodes, "
@@ -657,6 +703,9 @@ class ProductSum:
     pair of sub-chunks itself) add the same GEMMs in the same order.  The
     weights are positive, so a non-finite entry in either stack, like an
     overflowing sum, leaves the total non-finite, and that is refused.
+    A sum a pass by inverse pairs adds to weighs each node by its pair's
+    summed weight: its ``weights`` are the rule's ``_pair_weights``
+    (``unitarization._audited``).
     """
 
     def __init__(self, rule: HaarRule, pair=lambda W: (W, W)):

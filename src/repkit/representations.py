@@ -30,6 +30,21 @@ that returns the same matrices give a call the same bytes; only
 ``schur._split`` composes them, in the pass for its block characters and
 leakage, which move at roundoff.
 
+A pass either reads every node in node order or walks the rule by its
+inverse pairs (``HaarRule.partner``): its first sub-chunk in node order,
+where the caller reads the unitarity audit, then one node of each other
+pair, and the other nodes only when the reading needs them.  A unitary
+rho has rho(x^-1) = rho(x)^*, so a reading that the nodes x and x^-1
+give alike reads half the rule on input that passes the audit, and
+input that fails it on its first sub-chunk is read in node order, byte
+for byte as before.  ``character`` is such a reading: chi(x^-1) =
+conj chi(x) for every representation of a compact group, so it fills
+the values at the nodes it left unread by conjugation
+(``_fill_partners``), and refuses a non-finite trace before it can be
+copied.  A rule whose nodes are all self-paired (su2 at an odd
+resolution, or a rule built by hand) is read at every node in node
+order by either walk.
+
 Node arrays are read as the group's elements, never cast: each body
 checks them with its group's ``node_array``, so a finite table takes an
 integer array of indices in 0..order-1, a circle body an integer or
@@ -61,6 +76,9 @@ from .errors import (
 from .groups import HaarRule, _is_integer, _require_integers, _shown, enumerate_or_sample
 
 MAX_TWO_J = 12
+# the unitarity audit above which a pass reads every rule node and
+# ``unitarization._unitary`` conjugates its input
+UNITARY_TOL = 1e-8
 
 
 class Representation:
@@ -359,8 +377,19 @@ def homomorphism_audit(rep: Representation, pair_count: int = 200, seed: int = 0
 
 
 def unitarity_defect(mats: np.ndarray) -> float:
-    """Max over a stack (n, r, r) of |M* M - I|; a pass hands it one sub-chunk."""
-    return linalg.max_abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[-1]))
+    """Max over a stack (n, r, r) of |M* M - I|; a pass hands it one
+    sub-chunk.  It is read in pieces of at most 8192 matrix entries, each
+    M* M with I subtracted in place, so its temporaries stay in cache and
+    are two such pieces."""
+    r = mats.shape[-1]
+    step, diagonal = max(1, (1 << 13) // (r * r)), np.arange(r)
+    worst = 0.0
+    for i in range(0, len(mats), step):
+        piece = mats[i:i + step]
+        gram = piece.conj().transpose(0, 2, 1) @ piece
+        gram[:, diagonal, diagonal] -= 1
+        worst = max(worst, linalg.max_abs(gram))
+    return worst
 
 
 def unitarity_audit(rep: Representation, rule: HaarRule) -> float:
@@ -385,31 +414,69 @@ def check_rule_group(rule: HaarRule, *reps: Representation) -> None:
             raise GroupMismatchError("representation and rule are defined over different groups")
 
 
-def _chunks(rep: Representation, nodes):
-    """Yield (slice, sub) over ``nodes``, the one place a pass is cut: the
-    matrices of ``rep`` are evaluated ``linalg.EVAL_CHUNK`` nodes at a time
-    into one buffer, and handed out a sub-chunk of ``linalg.NODE_CHUNK``
-    nodes at a time, sub the matrices at ``nodes[slice]``.  A pass in a
-    basis B is a pass over ``ConjugatedRepresentation(rep, B, B^-1)``,
-    which sandwiches its chunk in place.  A step reads a sub-chunk before
-    it asks for the next one and keeps none of it, and every temporary it
-    makes is sub-chunk-sized."""
+def _chunks(rep: Representation, nodes, walks):
+    """Yield (at, sub) over ``nodes``, the one place a pass is cut: each
+    walk of ``walks`` in turn, a range of positions or an index array,
+    ascending, is evaluated ``linalg.EVAL_CHUNK`` nodes at a time into one
+    buffer the walks share, and handed out a sub-chunk of
+    ``linalg.NODE_CHUNK`` nodes at a time, sub the matrices of ``rep`` at
+    ``nodes[at]`` (``_at``).  A pass in a basis B is a pass over
+    ``ConjugatedRepresentation(rep, B, B^-1)``, which sandwiches its chunk
+    in place.  A step reads a sub-chunk before it asks for the next one
+    and keeps none of it, and every temporary it makes is
+    sub-chunk-sized; ``walks`` is asked for its next walk only once the
+    last sub-chunk of the one before has been read."""
     buffer = _empty(nodes[:linalg.EVAL_CHUNK], rep.degree)
-    for i in range(0, len(nodes), linalg.EVAL_CHUNK):
-        part = nodes[i:i + linalg.EVAL_CHUNK]
-        chunk = rep._evaluate_into(part, buffer[:len(part)])
-        for j in range(0, len(part), linalg.NODE_CHUNK):
-            sub = chunk[j:j + linalg.NODE_CHUNK]
-            yield slice(i + j, i + j + len(sub)), sub
+    for walk in walks:
+        for i in range(0, len(walk), linalg.EVAL_CHUNK):
+            part = walk[i:i + linalg.EVAL_CHUNK]
+            chunk = rep._evaluate_into(nodes[_at(part)], buffer[:len(part)])
+            for j in range(0, len(part), linalg.NODE_CHUNK):
+                sub = chunk[j:j + linalg.NODE_CHUNK]
+                yield _at(part[j:j + len(sub)]), sub
 
 
-def node_chunks(rep: Representation, rule: HaarRule):
+def _at(part):
+    """A piece of an ascending walk as an index: a run of consecutive nodes
+    as the slice it spans, so a pass in node order, or over a rule whose
+    first nodes of the pairs run on, reads views of the nodes; any other
+    piece as the index array it is."""
+    return slice(part[0], part[-1] + 1) if part[-1] - part[0] == len(part) - 1 else part
+
+
+def node_chunks(rep: Representation, rule: HaarRule, folded=None):
     """One pass over the rule: (nodes, sub) for each sub-chunk of
-    ``linalg.NODE_CHUNK`` rule nodes, nodes the slice of the rule they are
-    and sub the matrices of ``rep`` at them, in one buffer of
-    ``linalg.EVAL_CHUNK`` nodes the pass reuses (``_chunks``)."""
+    ``linalg.NODE_CHUNK`` rule nodes, nodes the rule indices they are (a
+    slice where they run on, else an index array) and sub the matrices
+    of ``rep`` at them, in one buffer of ``linalg.EVAL_CHUNK`` nodes the
+    pass reuses (``_chunks``).
+
+    Without ``folded`` the pass reads every node in node order.  With
+    ``folded``, a function, it walks the rule by inverse pairs
+    (``_by_pairs``), and reads one node of each pair while ``folded()``
+    is true: a unitary rho has rho(x^-1) = rho(x)^*, so a reading those
+    nodes fix on such input is ``folded`` while the input passes the
+    unitarity audit.  On a rule whose nodes are all self-paired that walk
+    reads every node in node order."""
     check_rule_group(rule, rep)
-    return _chunks(rep, rule.nodes)
+    return _chunks(rep, rule.nodes, [range(rule.node_count)] if folded is None else _by_pairs(rule, folded))
+
+
+def _by_pairs(rule: HaarRule, folded):
+    """The walks of a pass by inverse pairs: the first sub-chunk in node
+    order; then, if ``folded()`` is false there, every other node in node
+    order, so input that fails the audit on its first sub-chunk is read
+    as a pass in node order is, byte for byte; else one node of each other
+    pair (``HaarRule._walk``), and the nodes left only if ``folded()``
+    is false once those are read."""
+    head, walk, half = min(linalg.NODE_CHUNK, rule.node_count), rule._walk, rule._half
+    yield walk[:head]
+    if not folded():
+        yield range(head, rule.node_count)
+        return
+    yield walk[head:half]
+    if not folded():
+        yield walk[half:]
 
 
 def _average(rep: Representation, rule: HaarRule, total):
@@ -421,15 +488,45 @@ def _average(rep: Representation, rule: HaarRule, total):
 
 
 def character(rep: Representation, rule: HaarRule) -> Character:
-    """The character at the rule nodes, one pass."""
-    return _character(rep, rule, _traces(node_chunks(rep, rule), rule.node_count))
+    """The character at the rule nodes, one pass: on input that passes the
+    unitarity audit it reads one node of each inverse pair and fills in
+    the other (``_fill_partners``), and input that fails the audit
+    continues over the other nodes."""
+    values = np.empty(rule.node_count, dtype=complex)
+    unitary = True
+    for nodes, sub in node_chunks(rep, rule, lambda: unitary):
+        _write_traces(values, nodes, sub)
+        unitary = unitary and unitarity_defect(sub) <= UNITARY_TOL
+    if unitary:
+        _fill_partners(values, rule)
+    return _character(rep, rule, values)
+
+
+def _write_traces(values: np.ndarray, nodes, chunk: np.ndarray) -> None:
+    """The traces of a sub-chunk written into ``values`` at the rule nodes
+    ``nodes``; a non-finite trace, which a non-finite node gives, is
+    refused, so no partner is filled with it."""
+    traces = np.einsum("nii->n", chunk)
+    if not np.isfinite(traces).all():
+        raise EvaluationFailureError("the representation has a non-finite trace at a rule node")
+    values[nodes] = traces
+
+
+def _fill_partners(values: np.ndarray, rule: HaarRule) -> None:
+    """The values at the nodes a pass by pairs left unread, conjugates of
+    the values at their partners: chi(x^-1) = conj chi(x) for every
+    representation of a compact group.  Filled a sub-chunk of
+    ``linalg.NODE_CHUNK`` nodes at a time."""
+    for i in range(rule._half, rule.node_count, linalg.NODE_CHUNK):
+        at = rule._walk[i:i + linalg.NODE_CHUNK]
+        values[at] = values[rule.partner[at]].conj()
 
 
 def _traces(chunks, n: int) -> np.ndarray:
     """The traces of the matrices of a pass of ``n`` nodes."""
     values = np.empty(n, dtype=complex)
     for nodes, chunk in chunks:
-        values[nodes] = np.einsum("nii->n", chunk)
+        _write_traces(values, nodes, chunk)
     return values
 
 
@@ -460,7 +557,7 @@ def class_invariance_audit(rep: Representation, rule: HaarRule, shifts) -> float
         for i in range(0, rule.node_count, linalg.EVAL_CHUNK):
             moved = group.shift_nodes(inverse, rule.nodes[i:i + linalg.EVAL_CHUNK], "left")
             moved = group.shift_nodes(a, moved, "right")
-            traces = _traces(_chunks(rep, moved), len(moved))
+            traces = _traces(_chunks(rep, moved, [range(len(moved))]), len(moved))
             worst = max(worst, float(np.abs(traces - base[i:i + linalg.EVAL_CHUNK]).max()))
     return worst
 

@@ -48,9 +48,26 @@ commutation residual of ``commutant`` and
 the input's own matrix-element Gram of ``matrix_element_audit`` on input
 that fails the audit.
 
+On input that passes the audit, the passes whose readings the nodes x
+and x^-1 give alike read one node of each inverse pair of the rule
+(``representations.node_chunks``): the first pass of ``commutant``,
+``unitary_commutant`` and the irreducibility test (behind
+``irreducibility_test``, ``orthogonality_audit`` and ``multiplicity``)
+sums the averaging map at each pair's summed weight, of which the
+fixed-space reading takes the symmetric part and the trace, and the
+characters it reads are filled in by conjugation; the residual of
+``commutant`` reads each basis element B and B^* at one node of each
+pair, since the residual of B at x^-1 is that of B^* at x, and that of
+``unitary_commutant`` reads its Hermitian basis there.  The split seed
+W X W^* is not symmetric in x and x^-1, ``averaged_intertwiner`` reads
+phi at every node and ``matrix_element_audit`` the averaged outer
+product itself, so they, and every pass over a Cholesky-unitarized W,
+read every node.
+
 Each discrete answer is one threshold decision against one module constant:
 ``unitarization.RANK_TOL`` for the commutant dimension, ``CLUSTER_GAP`` for
-the block sizes, ``unitarization.UNITARY_TOL`` for whether to unitarize,
+the block sizes, ``representations.UNITARY_TOL`` for whether to unitarize
+and whether a pass reads one node of each inverse pair,
 ``MULTIPLICITY_WINDOW`` for the character-norm checks.
 """
 
@@ -78,6 +95,8 @@ from .representations import (
     Representation,
     _average,
     _character,
+    _fill_partners,
+    _write_traces,
     character,
     check_rule_group,
     node_chunks,
@@ -152,13 +171,17 @@ def commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of the averaging map of the unitary stack
     W = A rho A^-1, read by a certified Rayleigh-Ritz step (``fixed_hermitian``),
     with the trace of the map as the character norm and the residual read
-    on the input's own matrices in one more pass."""
-    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    on the input's own matrices in one more pass: on input that passes the
+    unitarity audit, both passes read one node of each inverse pair."""
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule), fold=True)
     K, norm = fixed_hermitian(maps)
     if W is not rep:
         K = W.matrix_inv @ K @ W.matrix
     basis = np.linalg.qr(K.reshape(len(K), -1).T)[0].T.reshape(K.shape)
-    residual = max(_commutation_residual(sub, basis) for _, sub in node_chunks(rep, rule))
+    # on unitary input the residual of B at x^-1 is that of B^* at x
+    bases = (basis,) if W is not rep else (basis, basis.conj().transpose(0, 2, 1))
+    residual = max(_commutation_residual(sub, b) for _, sub in node_chunks(rep, rule, lambda: W is rep)
+                   for b in bases)
     return CommutantReport(dimension=len(K), basis=list(basis), max_residual=residual, character_norm=norm)
 
 
@@ -192,35 +215,41 @@ def unitary_commutant(rep: Representation, rule: HaarRule) -> CommutantReport:
     the fixed Hermitian matrices K of the Rayleigh-Ritz reading
     (``fixed_hermitian``) themselves, with their residual on W read in one
     more pass; its dimension is the input's commutant dimension."""
-    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule), fold=True)
     K, norm = fixed_hermitian(maps)
-    residual = max(_commutation_residual(sub, K) for _, sub in node_chunks(W, rule))
+    # K is Hermitian, so on unitary input its residual at x^-1 is that at x
+    residual = max(_commutation_residual(sub, K) for _, sub in node_chunks(W, rule, lambda: W is rep))
     return CommutantReport(dimension=len(K), basis=list(K), max_residual=residual, character_norm=norm)
 
 
 def irreducibility_test(rep: Representation, rule: HaarRule) -> bool:
     """Scalar-commutant criterion; non-unitary input is unitarized first."""
-    return _irreducible(rep, rule)
+    return _irreducible(rep, rule)[0]
 
 
-def _irreducible(rep: Representation, rule: HaarRule, raw=None) -> bool:
-    """``irreducibility_test``: the dimension of the fixed space of the
-    unitary stack of ``rep``, and nothing else; ``raw`` reads the input's
-    own sub-chunks on the first pass (``_unitary``)."""
-    return len(fixed_hermitian(_unitary(rep, rule, lambda _: _AveragingMap(rule), raw)[0])[0]) == 1
+def _irreducible(rep: Representation, rule: HaarRule, raw=None) -> tuple[bool, bool]:
+    """(irreducible, unitary): whether the fixed space of the unitary stack
+    of ``rep`` has dimension 1, and nothing else, and whether ``rep``
+    passed the unitarity audit, so that its first pass read one node of
+    each inverse pair; ``raw`` reads the input's own sub-chunks on that
+    pass (``_unitary``)."""
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule), raw, fold=True)
+    return len(fixed_hermitian(maps)[0]) == 1, W is rep
 
 
 def _irreducible_character(rep: Representation, rule: HaarRule, refusal: str) -> Character:
     """The character of ``rep``, its degree checked first and its values
-    read on the first pass of the irreducibility test; raises
+    read on the first pass of the irreducibility test, at one node of each
+    inverse pair on input that passes the unitarity audit
+    (``representations._fill_partners``); raises
     NotIrreducibleError(``refusal``) when the test fails."""
     char = _character(rep, rule, np.empty(rule.node_count, dtype=complex))
-
-    def traces(nodes, chunk):
-        char.values[nodes] = np.einsum("nii->n", chunk)
-
-    if not _irreducible(rep, rule, traces):
+    irreducible, unitary = _irreducible(rep, rule,
+                                        lambda nodes, chunk: _write_traces(char.values, nodes, chunk))
+    if not irreducible:
         raise NotIrreducibleError(refusal)
+    if unitary:
+        _fill_partners(char.values, rule)
     return char
 
 

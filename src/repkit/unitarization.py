@@ -42,7 +42,19 @@ sub-chunk at a time and adds the input's own sub-chunks to its sum.  On
 other input that pass sums the averaged Gram instead, W is
 ``ConjugatedRepresentation(rep, A, A^-1)``, the ``unitary_rep`` of
 ``unitarize``, and a second pass, over W, adds its sub-chunks to a new
-sum.  A step that needs a
+sum.  The fixed-space readings (``invariant_form_space`` here, the
+commutants and the irreducibility test in ``schur``) read only the
+symmetric part and the trace of the averaging map.  The node map of
+x^-1 of a unitary W is the transpose of that of x, so on input that
+passes the audit their first pass reads one node of each inverse pair
+of the rule at the pair's summed weight (``_unitary`` with ``fold``,
+``representations.node_chunks``), half the rule, and gives that
+reading to roundoff.  Input that fails the audit on its first
+sub-chunk is read in node order, as before; a pass over the
+Cholesky-unitarized W reads every node, since its unitarity defect
+grows as cond(A)^2 eps and W^* stands in for W(x^-1) no better than
+that.  ``averaged_form``, ``unitarize`` and ``specialness_report``
+read every node.  A step that needs a
 whole average before it reads the nodes again takes one more pass:
 ``averaged_form`` and ``unitarize`` read the invariance defect
 rho* H rho - H of the averaged form H there, a sub-chunk at a time, and
@@ -75,6 +87,7 @@ from . import linalg
 from .errors import NotPositiveDefiniteError, SingularMatrixError
 from .groups import HaarRule, ProductSum
 from .representations import (
+    UNITARY_TOL,
     ConjugatedRepresentation,
     Representation,
     _average,
@@ -86,8 +99,6 @@ from .representations import (
 # of its symmetric part, whose spectral norm is at most 1, with
 # 1 - theta at most this count as fixed (``fixed_hermitian``)
 RANK_TOL = 1e-7
-# the unitarity audit above which ``_unitary`` conjugates its input
-UNITARY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +196,7 @@ def _cholesky_pair(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, A_inv
 
 
-def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
+def _unitary(rep: Representation, rule: HaarRule, terms, raw=None, fold=False):
     """(total, W): W the unitary representation W = A rho A^-1 equivalent
     to ``rep``, which is ``rep`` itself when it passes the unitarity audit
     and ``ConjugatedRepresentation(rep, A, A^-1)`` otherwise, and
@@ -197,15 +208,22 @@ def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
     ``raw(nodes, sub)`` when given, and audits the input's unitarity
     sub-chunk by sub-chunk: while every sub-chunk so far passes, it adds
     the sub-chunk.  Input that passes the audit is its own W, so that pass
-    serves.  Otherwise A is the Cholesky factor of the averaged form, and a
-    second pass, over W, adds its sub-chunks to a new sum.  The first pass
+    serves.  With ``fold``, for a total whose reading the nodes x and
+    x^-1 of a unitary W give alike (the symmetric part and the trace
+    of the averaging map, which ``fixed_hermitian`` reads), that pass
+    reads one node of each inverse pair of the rule, at the pair's summed
+    weight, and reads the other nodes only on input that fails the audit
+    (``representations.node_chunks``).  Otherwise A is the Cholesky factor
+    of the averaged form, and a second pass, over W, adds its sub-chunks to
+    a new sum at every node: the unitarity defect of W grows as
+    cond(A)^2 eps, so W^* does not stand in for W(x^-1).  The first pass
     sums the averaged Gram from the first sub-chunk on when that sub-chunk
     fails the audit; input that fails it only on a later one (past its
     first ``linalg.NODE_CHUNK`` nodes) takes one more pass for the Gram.
     Each pass is a call of its own, so no pass holds the buffer of
     another.
     """
-    total, gram = _audited(rep, rule, terms(rep), raw)
+    total, gram = _audited(rep, rule, terms(rep), raw, fold)
     if total is not None:
         return total, rep
     if gram is None:
@@ -214,22 +232,28 @@ def _unitary(rep: Representation, rule: HaarRule, terms, raw=None):
     return _average(W, rule, terms(W)), W
 
 
-def _audited(rep: Representation, rule: HaarRule, total, raw):
+def _audited(rep: Representation, rule: HaarRule, total, raw, fold):
     """The first pass of ``_unitary``, adding to ``total``: (total, None) on
     input that passes the unitarity audit, else (None, gram), gram the
     averaged Gram's sum when the first sub-chunk failed and None when a
-    later one did."""
-    gram = None
-    for nodes, W in node_chunks(rep, rule):
+    later one did.  With ``fold`` the pass walks the rule by inverse
+    pairs, and ``total`` weighs each node it adds by its pair's summed
+    weight: it is kept only when the pass ends after one node of each
+    pair."""
+    if fold:
+        total.weights = rule._pair_weights
+    gram, first = None, True
+    for nodes, W in node_chunks(rep, rule, (lambda: total is not None) if fold else None):
         if raw is not None:
             raw(nodes, W)
         if total is not None:
             if unitarity_defect(W) <= UNITARY_TOL:
                 total.add(nodes, W)
             else:
-                total, gram = None, ProductSum(rule) if nodes.start == 0 else None
+                total, gram = None, ProductSum(rule) if first else None
         if gram is not None:
             gram.add(nodes, W)
+        first = False
     return total, gram
 
 
@@ -389,9 +413,10 @@ def invariant_form_space(rep: Representation, rule: HaarRule) -> tuple[list[Herm
     They are A* K A over the fixed space K of the averaging map of the
     unitary stack W = A rho A^-1 (``fixed_hermitian``), so d is the
     commutant dimension by construction.  One pass on input that passes
-    the unitarity audit, two otherwise (``_unitary``).
+    the unitarity audit, at one node of each inverse pair of the rule,
+    two otherwise (``_unitary``).
     """
-    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule))
+    maps, W = _unitary(rep, rule, lambda _: _AveragingMap(rule), fold=True)
     forms = _forms(maps, rep, W)
     return forms, len(forms)
 

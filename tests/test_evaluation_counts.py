@@ -4,13 +4,22 @@ A call reads its input in passes over the rule, chunk by chunk, and never
 holds the whole node stack, so the count that matters is how many times
 each rule node is evaluated.  A counting wrapper on
 ``SpinRepresentation.evaluate_batch`` records which rule nodes each spin
-evaluated (by the offset of the chunk in the rule's node array); single
-elements, such as the degree check at the identity, and other node sets
-are not counted.  p is pinned for each call as the design gives it: one
-pass reads the input, audits it and, on input that passes the unitarity
-audit, sums the averaging map or the split seed; input that fails the
-audit takes one more pass in its unitary basis, and a step that needs a
-whole average before it reads the nodes again takes one more.
+evaluated, read off the node values: a pass in node order hands a spin
+views of the rule's nodes, a pass by inverse pairs copies of them.
+Single elements, such as the degree check at the identity, and other node
+sets are not counted.  p is pinned for each call as the design gives it:
+one pass reads the input, audits it and, on input that passes the
+unitarity audit, sums the averaging map or the split seed; input that
+fails the audit takes one more pass in its unitary basis, and a step that
+needs a whole average before it reads the nodes again takes one more.
+
+On input that passes the audit, the passes whose readings the nodes x and
+x^-1 give alike walk the rule by inverse pairs: ``su2_rule`` (resolution
+16) pairs every node with its inverse, and such a pass reads its first
+sub-chunk in node order, where it reads the audit, and one node of each
+other pair.  Its count is written (p, 0): every node of the first
+sub-chunk p times, and of each other pair one node p times and its
+partner never.
 """
 
 import numpy as np
@@ -23,33 +32,48 @@ from repkit.representations import SpinRepresentation
 from conftest import random_invertible, random_unitary
 
 
-@pytest.fixture()
-def evaluations(monkeypatch, su2_rule):
-    """two_j -> how many times each rule node was evaluated by that spin."""
+def _counter(monkeypatch, rule):
+    """two_j -> how many times each node of ``rule`` was evaluated by that
+    spin, each batch of rule nodes matched to the rule by the bytes of its
+    nodes."""
     counts = {}
     original = SpinRepresentation.evaluate_batch
-    nodes0 = su2_rule.nodes
+    index = {node.tobytes(): n for n, node in enumerate(rule.nodes)}
 
     def counting(self, nodes, out=None):
-        if np.shares_memory(nodes, nodes0):
-            start = (nodes.ctypes.data - nodes0.ctypes.data) // nodes0.strides[0]
-            counts.setdefault(self.two_j, np.zeros(len(nodes0), dtype=int))[start:start + len(nodes)] += 1
+        at = [index.get(node.tobytes()) for node in np.asarray(nodes)]
+        if None not in at:
+            np.add.at(counts.setdefault(self.two_j, np.zeros(len(index), dtype=int)), at, 1)
         return original(self, nodes, out)
 
     monkeypatch.setattr(SpinRepresentation, "evaluate_batch", counting)
     return counts
 
 
-def passes(evaluations) -> dict:
+@pytest.fixture()
+def evaluations(monkeypatch, su2_rule):
+    """two_j -> how many times each rule node was evaluated by that spin."""
+    return _counter(monkeypatch, su2_rule)
+
+
+def passes(evaluations, rule) -> dict:
     """two_j -> p, after checking that the spin evaluated every rule node
-    exactly p times."""
+    exactly p times, or two_j -> (p, 0) when it read the rule by inverse
+    pairs p times: every node of the first sub-chunk p times, and for
+    every other node x, x and its inverse p times together."""
     out = {}
+    head = min(rk.linalg.NODE_CHUNK, rule.node_count)
     for two_j, count in evaluations.items():
-        assert (count == count[0]).all(), f"spin 2j={two_j} evaluated some rule nodes more often than others"
-        out[two_j] = int(count[0])
+        p = int(count[0])
+        if (count == p).all():
+            out[two_j] = p
+            continue
+        assert (count[:head] == p).all() and np.isin(count, (0, p)).all(), (
+            f"spin 2j={two_j} evaluated some rule nodes more often than others")
+        assert (count + count[rule.partner] == p)[head:].all(), (
+            f"spin 2j={two_j} read some inverse pair twice or not at all")
+        out[two_j] = (p, 0)
     return out
-
-
 def unitary_sum(su2):
     return rk.direct_sum(rk.spin_irrep(0.5, su2), rk.spin_irrep(1, su2))
 
@@ -65,16 +89,18 @@ def conjugated_spin(su2, seed=2):
 
 # (call, p per spin): "unitary" inputs pass the unitarity audit, the others
 # fail it; the unitary inputs of irreducibility_test, matrix_element_audit
-# and multiplicity are in test_schur_calls_evaluate_each_input_once
+# and multiplicity are in test_schur_calls_evaluate_each_input_once.  The
+# spin 0 of orthogonality_audit and the direct sum of multiplicity pass it
+# too, and are read by inverse pairs
 CASES = {
-    "commutant/unitary": (lambda su2, rule: rk.commutant(unitary_sum(su2), rule), {1: 2, 2: 2}),
+    "commutant/unitary": (lambda su2, rule: rk.commutant(unitary_sum(su2), rule), {1: (2, 0), 2: (2, 0)}),
     "commutant": (lambda su2, rule: rk.commutant(conjugated_sum(su2), rule), {1: 3, 2: 3}),
     "unitary_commutant/unitary": (lambda su2, rule: rk.unitary_commutant(unitary_sum(su2), rule),
-                                  {1: 2, 2: 2}),
+                                  {1: (2, 0), 2: (2, 0)}),
     "unitary_commutant": (lambda su2, rule: rk.unitary_commutant(conjugated_sum(su2), rule), {1: 3, 2: 3}),
     "irreducibility_test": (lambda su2, rule: rk.irreducibility_test(conjugated_spin(su2), rule), {2: 2}),
     "invariant_form_space/unitary": (lambda su2, rule: rk.invariant_form_space(unitary_sum(su2), rule),
-                                     {1: 1, 2: 1}),
+                                     {1: (1, 0), 2: (1, 0)}),
     "invariant_form_space": (lambda su2, rule: rk.invariant_form_space(conjugated_sum(su2), rule),
                              {1: 2, 2: 2}),
     "averaged_form": (lambda su2, rule: rk.averaged_form(conjugated_sum(su2), rule), {1: 2, 2: 2}),
@@ -90,11 +116,11 @@ CASES = {
     "averaged_intertwiner": (lambda su2, rule: rk.averaged_intertwiner(
         rk.spin_irrep(0, su2), conjugated_sum(su2), np.ones((1, 5)), rule), {0: 1, 1: 2, 2: 2}),
     "orthogonality_audit": (lambda su2, rule: rk.orthogonality_audit(
-        [rk.spin_irrep(0, su2), conjugated_spin(su2)], rule), {0: 1, 2: 2}),
+        [rk.spin_irrep(0, su2), conjugated_spin(su2)], rule), {0: (1, 0), 2: 2}),
     "matrix_element_audit": (lambda su2, rule: rk.matrix_element_audit(conjugated_spin(su2), rule), {2: 3}),
     "multiplicity": (lambda su2, rule: rk.multiplicity(
         rk.direct_sum(rk.spin_irrep(0, su2), rk.spin_irrep(1.5, su2)), conjugated_spin(su2), rule),
-        {0: 1, 3: 1, 2: 2}),
+        {0: (1, 0), 3: (1, 0), 2: 2}),
     "character": (lambda su2, rule: rk.character(conjugated_sum(su2), rule), {1: 1, 2: 1}),
     "class_invariance_audit": (lambda su2, rule: rk.class_invariance_audit(
         conjugated_sum(su2), rule, standard_shifts(su2)), {1: 1, 2: 1}),
@@ -109,27 +135,47 @@ def test_each_call_evaluates_every_rule_node_p_times(su2, su2_rule, evaluations,
     assert su2_rule.node_count == 4 * rk.linalg.EVAL_CHUNK
     call, expected = CASES[case]
     call(su2, su2_rule)
-    assert passes(evaluations) == expected
+    assert passes(evaluations, su2_rule) == expected
 
 
 def test_orthogonality_audit_evaluates_once_per_representation(su2, su2_rule, evaluations):
     # unitary inputs: the irreducibility test reads the input's own chunks,
-    # so it needs no inverse nodes, and the character reads the same pass
+    # so it needs no inverse nodes, and the character reads the same pass,
+    # one node of each inverse pair, the other's value its conjugate
     rk.orthogonality_audit([rk.spin_irrep(t / 2, su2) for t in range(4)], su2_rule)
-    assert passes(evaluations) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert passes(evaluations, su2_rule) == {0: (1, 0), 1: (1, 0), 2: (1, 0), 3: (1, 0)}
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda su2, rule: rk.irreducibility_test(rk.spin_irrep(1, su2), rule), {2: 1}),
+    (lambda su2, rule: rk.irreducibility_test(rk.spin_irrep(1, su2), rule), {2: (1, 0)}),
     (lambda su2, rule: rk.matrix_element_audit(rk.spin_irrep(1, su2), rule), {2: 1}),
     (lambda su2, rule: rk.multiplicity(rk.direct_sum(rk.spin_irrep(0, su2), rk.spin_irrep(1, su2)),
-                                       rk.spin_irrep(0.5, su2), rule), {0: 1, 1: 1, 2: 1}),
+                                       rk.spin_irrep(0.5, su2), rule), {0: (1, 0), 1: (1, 0), 2: (1, 0)}),
 ], ids=["irreducibility_test", "matrix_element_audit", "multiplicity"])
 def test_schur_calls_evaluate_each_input_once(su2, su2_rule, evaluations, call, expected):
     # unitary inputs, and both sides of multiplicity: one pass each, in
-    # which every step reads the same chunks
+    # which every step reads the same chunks; matrix_element_audit reads
+    # the averaged outer product itself, not its symmetric part, so it
+    # reads every node
     call(su2, su2_rule)
-    assert passes(evaluations) == expected
+    assert passes(evaluations, su2_rule) == expected
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda su2, rule: rk.commutant(unitary_sum(su2), rule), {1: 2, 2: 2}),
+    (lambda su2, rule: rk.invariant_form_space(unitary_sum(su2), rule), {1: 1, 2: 1}),
+    (lambda su2, rule: rk.character(unitary_sum(su2), rule), {1: 1, 2: 1}),
+    (lambda su2, rule: rk.orthogonality_audit([rk.spin_irrep(t / 2, su2) for t in range(3)], rule),
+     {0: 1, 1: 1, 2: 1}),
+], ids=["commutant", "invariant_form_space", "character", "orthogonality_audit"])
+def test_an_odd_resolution_reads_every_node(su2, monkeypatch, call, expected):
+    # su2 at an odd resolution has no azimuth node opposite each one, so
+    # its nodes are self-paired and a pass by pairs reads every node, in
+    # node order, on unitary input too; 1331 nodes, 1.3 evaluation chunks
+    rule = rk.haar_rule(su2, 11)
+    evaluations = _counter(monkeypatch, rule)
+    call(su2, rule)
+    assert passes(evaluations, rule) == expected
 
 
 @pytest.mark.parametrize("psi_kind", ["same"])
@@ -222,3 +268,21 @@ def test_shared_evaluations_keep_the_answers(su2, su2_rule):
     lone = [rk.MatrixEntryProbe(spin, p.i, p.j, label=p.label) for p in family]
     assert (rk.axiom_audit(su2_rule, family, shifts).as_dict()
             == rk.axiom_audit(su2_rule, lone, shifts).as_dict())
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e6])
+@pytest.mark.parametrize("call, expected", [
+    (rk.commutant, {1: 3, 2: 3}),
+    (rk.unitary_commutant, {1: 3, 2: 3}),
+    (rk.invariant_form_space, {1: 2, 2: 2}),
+    (rk.character, {1: 1, 2: 1}),
+], ids=["commutant", "unitary_commutant", "invariant_form_space", "character"])
+def test_ill_conditioned_input_keeps_its_passes(su2, su2_rule, evaluations, kappa, call, expected):
+    # a conjugation of condition number 1e4 or 1e6 fails the audit on its
+    # first sub-chunk, so a pass by pairs reads every node in node order,
+    # and the passes in its unitary basis read every node too: W^* does not
+    # stand in for W(x^-1) once the unitarity defect grows as kappa^2 eps
+    rng = np.random.default_rng(11)
+    basis = random_unitary(rng, 5) @ np.diag(np.geomspace(1.0, kappa, 5)) @ random_unitary(rng, 5)
+    call(rk.conjugate(unitary_sum(su2), basis), su2_rule)
+    assert passes(evaluations, su2_rule) == expected
